@@ -673,7 +673,9 @@ RoundRecord Simulation::step_async() {
   // Register the new upload flows. Flow timing uses the dispatch-time
   // payload estimate (actual bytes exist only after synchronization — the
   // same convention the synchronous selection estimate relies on); the byte
-  // accounting below charges actual bytes.
+  // accounting below charges actual bytes. Every leg starts at or after the
+  // cycle start, so it is the uplink's start-time floor.
+  uplink_->raise_floor(cycle_start_s);
   std::shared_ptr<const std::vector<float>> snapshot;
   const double est_bytes = last_mean_payload_bytes_;
   for (std::size_t k = 0; k < dispatch_ids.size(); ++k) {
@@ -1308,8 +1310,9 @@ std::vector<std::uint8_t> Simulation::snapshot_state() const {
 void Simulation::restore_state(const std::vector<std::uint8_t>& payload) {
   io::BinaryReader reader(payload);
 
-  // Parse + validate everything into locals first: a mismatch anywhere
-  // must leave the simulation untouched, never half-restored.
+  // The identity sections parse into locals, so a mismatched run is left
+  // untouched. The protocol and clients restore before the fault and async
+  // sections are parsed: damage found there leaves a partial restore.
   reader.expect_magic(kSnapCoreMagic, "run-checkpoint core section");
   const std::string protocol_name = reader.read_string();
   if (protocol_name != protocol_->name()) {
@@ -1390,22 +1393,38 @@ void Simulation::restore_state(const std::vector<std::uint8_t>& payload) {
       throw std::runtime_error(
           "Simulation::restore_state: async ready-set size mismatch");
     }
-    const std::uint64_t flow_count = reader.read_u64();
-    std::vector<net::Flow> flows(static_cast<std::size_t>(flow_count));
+    // Record counts come from the payload: bound each by what the remaining
+    // bytes can hold at the record's smallest encoding before allocating.
+    auto read_count = [&](std::size_t min_record_bytes, const char* what) {
+      const std::uint64_t count = reader.read_u64();
+      if (count > reader.remaining() / min_record_bytes) {
+        throw std::runtime_error(std::string("Simulation::restore_state: ") +
+                                 what + " count exceeds the payload");
+      }
+      return static_cast<std::size_t>(count);
+    };
+    constexpr std::size_t kFlowBytes = 3 * 8;      // start, bytes, cap
+    constexpr std::size_t kBaseMinBytes = 8;       // an empty vector
+    // Seven 4-byte and five 8-byte fields, with an empty state vector.
+    constexpr std::size_t kLegMinBytes = 7 * 4 + 5 * 8;
+    std::vector<net::Flow> flows(read_count(kFlowBytes, "uplink flow"));
     for (net::Flow& flow : flows) {
       flow.start_time_s = reader.read_f64();
       flow.bytes = reader.read_f64();
       flow.rate_cap_bps = reader.read_f64();
+      if (!net::valid_flow(flow)) {
+        throw std::runtime_error(
+            "Simulation::restore_state: malformed uplink flow");
+      }
     }
-    const std::uint64_t base_count = reader.read_u64();
+    const std::size_t base_count = read_count(kBaseMinBytes, "dispatch base");
     std::vector<std::shared_ptr<const std::vector<float>>> bases;
-    bases.reserve(static_cast<std::size_t>(base_count));
-    for (std::uint64_t b = 0; b < base_count; ++b) {
+    bases.reserve(base_count);
+    for (std::size_t b = 0; b < base_count; ++b) {
       bases.push_back(std::make_shared<const std::vector<float>>(
           reader.read_vector<float>()));
     }
-    const std::uint64_t leg_count = reader.read_u64();
-    std::vector<InFlight> inflight(static_cast<std::size_t>(leg_count));
+    std::vector<InFlight> inflight(read_count(kLegMinBytes, "in-flight leg"));
     for (InFlight& leg : inflight) {
       leg.client = reader.read_i32();
       leg.version = reader.read_i32();
@@ -1429,7 +1448,7 @@ void Simulation::restore_state(const std::vector<std::uint8_t>& payload) {
       }
       leg.dispatch_global = bases[base];
     }
-    uplink_->restore_flows(std::move(flows));
+    uplink_->restore_flows(flows);
     std::copy(busy.begin(), busy.end(), client_busy_.begin());
     client_ready_s_ = std::move(ready);
     inflight_ = std::move(inflight);

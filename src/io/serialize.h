@@ -65,7 +65,8 @@ class BinaryReader {
   std::vector<T> read_vector() {
     static_assert(std::is_trivially_copyable_v<T>);
     const std::uint64_t n = read_u64();
-    if (n * sizeof(T) > remaining()) {
+    // Divide rather than multiply: n * sizeof(T) wraps for huge n.
+    if (n > remaining() / sizeof(T)) {
       throw std::runtime_error("BinaryReader: truncated vector");
     }
     std::vector<T> out(static_cast<std::size_t>(n));

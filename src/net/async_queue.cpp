@@ -1,6 +1,7 @@
 #include "net/async_queue.h"
 
 #include <stdexcept>
+#include <utility>
 
 #include "obs/trace.h"
 
@@ -22,37 +23,44 @@ std::uint64_t arrival_tiebreak(std::uint64_t seed, int client, int version) {
   return x;
 }
 
-AsyncUplink::AsyncUplink(double server_bps) : server_bps_(server_bps) {
-  if (server_bps <= 0.0) {
-    throw std::invalid_argument("AsyncUplink: server_bps <= 0");
+AsyncUplink::AsyncUplink(double server_bps)
+    : server_bps_(server_bps), link_(server_bps) {}
+
+void AsyncUplink::raise_floor(double floor_s) {
+  if (!(floor_s >= floor_s_)) {
+    throw std::invalid_argument("AsyncUplink: the start-time floor dropped");
   }
+  floor_s_ = floor_s;
 }
 
 std::size_t AsyncUplink::add(double start_s, double bytes,
                              double rate_cap_bps) {
-  Flow flow;
-  flow.start_time_s = start_s;
-  flow.bytes = bytes;
-  flow.rate_cap_bps = rate_cap_bps;
-  flows_.push_back(flow);
+  if (start_s < floor_s_) {
+    throw std::invalid_argument("AsyncUplink: flow starts below the floor");
+  }
+  const std::size_t id = link_.add(Flow{start_s, bytes, rate_cap_bps});
   dirty_ = true;
-  return flows_.size() - 1;
+  return id;
 }
 
 double AsyncUplink::completion_s(std::size_t flow) {
-  if (flow >= flows_.size()) {
+  if (flow >= link_.size()) {
     throw std::out_of_range("AsyncUplink: bad flow id");
   }
   if (dirty_) {
     OBS_SPAN("net.async_uplink");
-    const auto results = simulate_shared_link(flows_, server_bps_);
-    done_.resize(results.size());
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      done_[i] = results[i].finish_time_s;
-    }
+    link_.run(floor_s_);
     dirty_ = false;
   }
-  return done_[flow];
+  return link_.finish_s(flow);
+}
+
+void AsyncUplink::restore_flows(const std::vector<Flow>& flows) {
+  SharedLink link(server_bps_);
+  for (const Flow& flow : flows) link.add(flow);
+  link_ = std::move(link);
+  floor_s_ = 0.0;
+  dirty_ = link_.size() > 0;
 }
 
 }  // namespace fedsu::net

@@ -5,19 +5,19 @@
 // (net/round_timeline); under buffered-async execution uploads from many
 // dispatch cycles overlap on the server's ingress link, so completion times
 // depend on the *whole* contention history. AsyncUplink keeps every upload
-// flow ever dispatched (absolute start times) and re-runs the max-min fair
-// water-filling simulation over the full history whenever a new cycle needs
-// arrival times.
+// flow ever dispatched (absolute start times) in one resumable
+// net::SharedLink and answers completion times under that full history.
 //
-// Why re-simulating is safe (and deterministic): flows are only ever
-// appended, and every new flow starts at or after the aggregation instant
-// that triggered its dispatch. simulate_shared_link integrates epochs in
-// absolute time and visits flows in index order, so the completion of any
-// flow that finished before the earliest newly-added start time is bitwise
-// unchanged by the re-run — consumed arrivals never move — while flows still
-// in progress legitimately pick up the new contention. Cost is O(F^2) over a
-// run's flow count, which is negligible next to local training at bench
-// scales.
+// Why resuming is exact: flows are only ever appended, and every new flow
+// starts at or after the current start-time *floor* (the engine's cycle
+// start: a leg dispatches at max(cycle start, client ready time) and
+// uploads after computing). SharedLink integrates epochs in absolute time
+// and visits flows in index order, so no event boundary strictly before the
+// floor can move when such a flow is added — consumed arrivals never move —
+// while flows still in progress legitimately pick up the new contention.
+// Each re-simulation therefore resumes from the last boundary strictly
+// below the floor, and its cost scales with the flows in flight, not with
+// the run's length.
 #pragma once
 
 #include <cstddef>
@@ -39,31 +39,33 @@ class AsyncUplink {
   // `server_bps` is the shared ingress capacity every upload contends for.
   explicit AsyncUplink(double server_bps);
 
+  // Raises the start-time floor: flows added from now on must start at or
+  // after `floor_s`. Throws std::invalid_argument if the floor would drop.
+  void raise_floor(double floor_s);
+
   // Registers an upload flow; returns its stable id. `start_s` is absolute
-  // simulated time (compute finish + any retry backoff).
+  // simulated time (compute finish + any retry backoff). Throws
+  // std::invalid_argument for a start below the floor or an invalid flow
+  // (net::valid_flow).
   std::size_t add(double start_s, double bytes, double rate_cap_bps);
 
-  // Completion time of `flow` under the full contention history, re-running
-  // the water-filling simulation if any flow was added since the last call.
+  // Completion time of `flow` under the full contention history, resuming
+  // the simulation if any flow was added since the last call.
   double completion_s(std::size_t flow);
 
-  std::size_t size() const { return flows_.size(); }
+  std::size_t size() const { return link_.size(); }
 
-  // Checkpoint support: the flow history IS the uplink's state — `done_`
-  // and `dirty_` are a cache recomputed by the next completion_s() call.
-  // Restoring the same flows therefore reproduces bitwise-identical
-  // completion times (simulate_shared_link is deterministic in its input).
-  const std::vector<Flow>& flows() const { return flows_; }
-  void restore_flows(std::vector<Flow> flows) {
-    flows_ = std::move(flows);
-    done_.clear();
-    dirty_ = !flows_.empty();
-  }
+  // Checkpoint support: the flow history IS the uplink's state — completion
+  // times and the resume point are a cache. Restoring drops them (and the
+  // floor) and the next completion_s() replays once from t = 0, which gives
+  // bitwise the completion times the live uplink had.
+  const std::vector<Flow>& flows() const { return link_.flows(); }
+  void restore_flows(const std::vector<Flow>& flows);
 
  private:
   double server_bps_;
-  std::vector<Flow> flows_;
-  std::vector<double> done_;
+  SharedLink link_;
+  double floor_s_ = 0.0;
   bool dirty_ = false;
 };
 

@@ -81,7 +81,7 @@ TEST(ArrivalTiebreak, DeterministicAndKeyedOnAllInputs) {
 
 TEST(AsyncUplink, AppendingLaterFlowsLeavesEarlierCompletionsBitwise) {
   // The re-simulation stability contract: flows added after a completion
-  // instant must not move that completion (simulate_shared_link integrates
+  // instant must not move that completion (net::SharedLink integrates
   // epochs in absolute time, so traffic starting later cannot contend with
   // bandwidth already spent).
   net::AsyncUplink uplink(1e6);
@@ -97,6 +97,44 @@ TEST(AsyncUplink, AppendingLaterFlowsLeavesEarlierCompletionsBitwise) {
   EXPECT_EQ(uplink.completion_s(f1), c1);
   EXPECT_GT(uplink.completion_s(f2), c1);
   EXPECT_EQ(uplink.size(), 3u);
+
+  // Under a raised floor the uplink resumes from its checkpoint instead of
+  // t = 0. The floor here is a completion instant, as an async cycle start
+  // is, and one new flow starts exactly on it.
+  uplink.raise_floor(c0);
+  const std::size_t f3 = uplink.add(c0, 700.0, 8e5);
+  const std::size_t f4 = uplink.add(c0 + 0.25, 0.0, 8e5);
+  EXPECT_EQ(uplink.completion_s(f0), c0);
+  EXPECT_GT(uplink.completion_s(f3), c0);
+  EXPECT_EQ(uplink.completion_s(f4), c0 + 0.25);  // zero bytes: at its start
+
+  // An uplink rebuilt mid-run from the flow history (checkpoint restore)
+  // replays from t = 0 and answers bitwise like the live one, then and
+  // after both take the same later flow.
+  net::AsyncUplink rebuilt(1e6);
+  rebuilt.restore_flows(uplink.flows());
+  for (std::size_t f = 0; f < uplink.size(); ++f) {
+    EXPECT_EQ(rebuilt.completion_s(f), uplink.completion_s(f)) << f;
+  }
+  for (net::AsyncUplink* u : {&uplink, &rebuilt}) {
+    u->raise_floor(c1);
+    u->add(c1, 900.0, 3e5);
+  }
+  for (std::size_t f = 0; f < uplink.size(); ++f) {
+    EXPECT_EQ(rebuilt.completion_s(f), uplink.completion_s(f)) << f;
+  }
+
+  // The contract is enforced where a flow is added: below the floor, a
+  // negative start or byte count, or a non-positive cap all throw, and a
+  // floor never drops.
+  EXPECT_THROW(uplink.add(c1 - 0.5, 100.0, 8e5), std::invalid_argument);
+  EXPECT_THROW(uplink.add(c1, -1.0, 8e5), std::invalid_argument);
+  EXPECT_THROW(uplink.add(c1, 100.0, 0.0), std::invalid_argument);
+  EXPECT_THROW(uplink.add(c1, 100.0, -8e5), std::invalid_argument);
+  EXPECT_THROW(uplink.raise_floor(c0), std::invalid_argument);
+  EXPECT_THROW(net::AsyncUplink(1e6).add(-1.0, 100.0, 8e5),
+               std::invalid_argument);
+  EXPECT_EQ(uplink.size(), 6u);  // rejected flows were never added
 }
 
 // --- §5b determinism, extended to the async engine -------------------------

@@ -392,6 +392,68 @@ TEST(RunCheckpointRestore, RejectsAMismatchedRunIdentity) {
   EXPECT_EQ(right.rounds_completed(), 3);
 }
 
+// Byte offset of the uplink flow count in an async snapshot: after the
+// async section's magic come the busy set (u64 length, one byte per client)
+// and the ready times (u64 length, one double per client).
+std::size_t async_flow_count_offset(const std::vector<std::uint8_t>& payload,
+                                    std::uint64_t clients) {
+  auto u64_at = [&](std::size_t at) {
+    std::uint64_t v = 0;
+    std::memcpy(&v, payload.data() + at, sizeof(v));
+    return v;
+  };
+  for (std::size_t at = 0; at + 4 <= payload.size(); ++at) {
+    std::uint32_t magic = 0;
+    std::memcpy(&magic, payload.data() + at, sizeof(magic));
+    const std::size_t ready_at = at + 4 + 8 + clients;
+    const std::size_t count_at = ready_at + 8 + 8 * clients;
+    if (magic == 0xFED5'C405 && count_at + 8 <= payload.size() &&
+        u64_at(at + 4) == clients && u64_at(ready_at) == clients) {
+      return count_at;
+    }
+  }
+  ADD_FAILURE() << "no async section in the snapshot";
+  return 0;
+}
+
+TEST(RunCheckpointRestore, RejectsAnOversizedOrInvalidUplinkFlowRecord) {
+  SimulationOptions options = tiny_options();
+  options.faults = churn_and_stragglers();
+  options.async.enabled = true;
+  options.async.buffer_k = 3;
+  std::vector<std::uint8_t> snapshot;
+  {
+    Simulation sim = make_sim(options);
+    for (int r = 0; r < 4; ++r) sim.step();
+    snapshot = sim.snapshot_state();
+  }
+  const std::size_t count_at = async_flow_count_offset(
+      snapshot, static_cast<std::uint64_t>(options.num_clients));
+  ASSERT_GT(count_at, 0u);
+  std::uint64_t flow_count = 0;
+  std::memcpy(&flow_count, snapshot.data() + count_at, sizeof(flow_count));
+  ASSERT_GT(flow_count, 0u);
+
+  // A damaged count must fail before it sizes an allocation (2^33 flows
+  // would value-initialise ~200 GB).
+  std::vector<std::uint8_t> oversized = snapshot;
+  const std::uint64_t huge = std::uint64_t{1} << 33;
+  std::memcpy(oversized.data() + count_at, &huge, sizeof(huge));
+  Simulation a = make_sim(options);
+  EXPECT_THROW(a.restore_state(oversized), std::runtime_error);
+
+  // A flow AsyncUplink::add would reject (negative bytes) is rejected too.
+  std::vector<std::uint8_t> negative = snapshot;
+  const double bad_bytes = -1.0;
+  std::memcpy(negative.data() + count_at + 8 + 8, &bad_bytes,
+              sizeof(bad_bytes));
+  Simulation b = make_sim(options);
+  EXPECT_THROW(b.restore_state(negative), std::runtime_error);
+
+  Simulation right = make_sim(options);
+  EXPECT_NO_THROW(right.restore_state(snapshot));
+}
+
 // --- checkpoint-write failure ----------------------------------------------
 
 TEST(RunCheckpointHealth, WriteFailureRaisesCriticalAndTheRunContinues) {

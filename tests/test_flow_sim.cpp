@@ -1,10 +1,81 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <vector>
+
+#include "net/async_queue.h"
 #include "net/flow_sim.h"
 #include "net/round_timeline.h"
 
 namespace fedsu::net {
 namespace {
+
+// splitmix64: a fixed integer stream, identical on every platform.
+struct SplitMix64 {
+  std::uint64_t state;
+  std::uint64_t next() {
+    std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+  }
+};
+
+struct TraceBatch {
+  double floor_s = 0.0;  // every flow of the batch starts at or after this
+  std::size_t end = 0;   // one past the batch's last flow index
+};
+
+struct Trace {
+  std::vector<Flow> flows;
+  std::vector<TraceBatch> batches;
+};
+
+// An async-like upload trace: `cycles` dispatch cycles of `per_cycle`
+// flows each. A cycle's flows start at its floor plus a compute time (zero
+// for one in eight, so they start exactly at the floor); one in sixteen
+// carries no bytes; caps mix straggler, typical and fat access links. All
+// inputs are dyadic rationals or one fixed division, so the trace is the
+// same on every IEEE-754 platform.
+Trace async_like_trace(std::uint64_t seed, int cycles, int per_cycle) {
+  SplitMix64 rng{seed};
+  Trace trace;
+  double floor_s = 0.0;
+  for (int c = 0; c < cycles; ++c) {
+    for (int k = 0; k < per_cycle; ++k) {
+      const std::uint64_t r = rng.next();
+      const std::uint64_t compute = (r & 7) == 0 ? 0 : (r >> 3) % 1024;
+      const std::uint64_t tier = (r >> 40) % 8;
+      Flow flow;
+      flow.start_time_s = floor_s + static_cast<double>(compute) / 256.0;
+      flow.bytes = ((r >> 13) & 15) == 0
+                       ? 0.0
+                       : static_cast<double>(20000 + (r >> 17) % 100000);
+      flow.rate_cap_bps = tier == 0 ? 0.1e6 / 3.0 : tier == 7 ? 8e6 : 0.1e6;
+      trace.flows.push_back(flow);
+    }
+    trace.batches.push_back(TraceBatch{floor_s, trace.flows.size()});
+    floor_s += static_cast<double>(1 + rng.next() % 768) / 256.0;
+  }
+  return trace;
+}
+
+// FNV-1a over the raw bits of each double, byte order fixed.
+std::uint64_t bits_hash(const std::vector<double>& values) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (double v : values) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    for (int b = 0; b < 8; ++b) {
+      h ^= (bits >> (8 * b)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
 
 TEST(MaxMinFair, EqualFlowsShareEqually) {
   const auto rates = max_min_fair_rates({100.0, 100.0, 100.0, 100.0}, 40.0);
@@ -125,6 +196,98 @@ TEST(FlowSim, ConservesWork) {
   double makespan = 0.0;
   for (const auto& r : results) makespan = std::max(makespan, r.finish_time_s);
   EXPECT_NEAR(makespan, total_bytes * 8.0 / 8e6, 1e-6);
+}
+
+// --- resuming from a checkpoint --------------------------------------------
+
+TEST(SharedLinkResume, BatchesUnderARisingFloorMatchFromEmptyRuns) {
+  // Differential check of the checkpointed uplink against from-empty runs.
+  // Like the async engine, each floor is an aggregation instant (a
+  // completion time) and new flows start at or after it: exactly at it,
+  // at one shared start, or later. Zero-byte flows and caps on both sides
+  // of the fair share ride along, over a server-bound and a client-bound
+  // bottleneck.
+  const double caps[] = {0.05e6, 0.1e6, 0.3e6, 2e6};
+  for (const double server_bps : {0.4e6, 1e9}) {
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      SCOPED_TRACE("server " + std::to_string(server_bps) + " seed " +
+                   std::to_string(seed));
+      SplitMix64 rng{seed};
+      AsyncUplink uplink(server_bps);
+      double floor_s = 0.0;
+      for (int batch = 0; batch < 30; ++batch) {
+        uplink.raise_floor(floor_s);
+        const double shared_start =
+            floor_s + static_cast<double>(rng.next() % 64) / 32.0;
+        const int count = static_cast<int>(rng.next() % 8);
+        for (int k = 0; k < count; ++k) {
+          const std::uint64_t r = rng.next();
+          Flow flow;
+          switch (r % 4) {
+            case 0: flow.start_time_s = floor_s; break;
+            case 1: flow.start_time_s = shared_start; break;
+            default:
+              flow.start_time_s =
+                  floor_s + static_cast<double>((r >> 2) % 4096) / 1024.0;
+          }
+          flow.bytes = ((r >> 14) & 7) == 0
+                           ? 0.0
+                           : static_cast<double>(1000 + (r >> 17) % 50000);
+          flow.rate_cap_bps = caps[(r >> 40) % 4];
+          uplink.add(flow.start_time_s, flow.bytes, flow.rate_cap_bps);
+        }
+
+        const auto reference =
+            simulate_shared_link(uplink.flows(), server_bps);
+        std::vector<double> ahead;
+        for (std::size_t i = 0; i < reference.size(); ++i) {
+          ASSERT_EQ(uplink.completion_s(i), reference[i].finish_time_s)
+              << "batch " << batch << " flow " << i;
+          if (reference[i].finish_time_s >= floor_s) {
+            ahead.push_back(reference[i].finish_time_s);
+          }
+        }
+        // The next cycle starts at one of the next few arrivals (or stays
+        // put when nothing is in flight).
+        std::sort(ahead.begin(), ahead.end());
+        if (!ahead.empty()) {
+          floor_s = ahead[rng.next() % std::min<std::size_t>(ahead.size(), 4)];
+        }
+      }
+    }
+  }
+}
+
+TEST(SharedLinkResume, AsyncLikeTraceIsPinned) {
+  // A fixed 3,000-flow trace whose completion bits were hashed from the
+  // original event loop, which replayed every flow from t = 0 on each call.
+  // The one-shot wrapper and the checkpointed uplink fed batch by batch
+  // must both reproduce that hash.
+  constexpr std::uint64_t kPinned = 0xe7c780d8293a8984ULL;
+  constexpr double kServerBps = 12e6;
+  const Trace trace = async_like_trace(0x5eed, 120, 25);
+  ASSERT_EQ(trace.flows.size(), 3000u);
+
+  const auto results = simulate_shared_link(trace.flows, kServerBps);
+  std::vector<double> one_shot;
+  for (const FlowResult& r : results) one_shot.push_back(r.finish_time_s);
+  EXPECT_EQ(bits_hash(one_shot), kPinned);
+
+  AsyncUplink uplink(kServerBps);
+  std::size_t next = 0;
+  for (const TraceBatch& batch : trace.batches) {
+    uplink.raise_floor(batch.floor_s);
+    for (; next < batch.end; ++next) {
+      const Flow& f = trace.flows[next];
+      uplink.add(f.start_time_s, f.bytes, f.rate_cap_bps);
+    }
+    uplink.completion_s(0);  // one resumed run per cycle
+  }
+  std::vector<double> resumed;
+  for (std::size_t i = 0; i < uplink.size(); ++i) {
+    resumed.push_back(uplink.completion_s(i));
+  }
+  EXPECT_EQ(bits_hash(resumed), kPinned);
 }
 
 TEST(RoundTimeline, TwoPhaseStructure) {

@@ -93,6 +93,22 @@ TEST(Serialize, TruncatedVectorThrows) {
   writer.write_u64(1000);  // claims 1000 floats, provides none
   io::BinaryReader reader(writer.take());
   EXPECT_THROW(reader.read_vector<float>(), std::runtime_error);
+
+  // Lengths whose byte count wraps modulo 2^64 (to 0 and to 8) must not
+  // slip past the check into a huge allocation.
+  {
+    io::BinaryWriter wraps;
+    wraps.write_u64(std::uint64_t{1} << 62);
+    io::BinaryReader r(wraps.take());
+    EXPECT_THROW(r.read_vector<float>(), std::runtime_error);
+  }
+  {
+    io::BinaryWriter wraps;
+    wraps.write_u64((std::uint64_t{1} << 61) + 1);
+    wraps.write_f64(1.0);
+    io::BinaryReader r(wraps.take());
+    EXPECT_THROW(r.read_vector<double>(), std::runtime_error);
+  }
 }
 
 TEST(Serialize, MagicMismatchThrows) {
