@@ -8,10 +8,10 @@
 // so the schedule is bitwise identical for any `--threads` value and any
 // call-site ordering — the §5b determinism contract extends to faults.
 //
-// The plan is pay-for-what-you-use: a default-constructed (or all-zero-rate,
-// trace-less) plan reports enabled() == false and the simulator skips the
-// fault path entirely, leaving results bitwise identical to a build without
-// this subsystem.
+// A default-constructed (or all-zero-rate, trace-less) plan reports
+// enabled() == false and answers every client with the neutral
+// ClientFault{}, whose unit factors leave the simulator's results bitwise
+// identical to a build without this subsystem.
 #pragma once
 
 #include <cstdint>
@@ -38,14 +38,15 @@ struct FaultOptions {
   double straggler_comm_factor = 4.0;
   // Upload loss: each upload attempt is lost with this probability; the
   // client retries up to max_retries times, waiting retry_backoff_s of
-  // simulated time between attempts. With max_retries = 0 this reduces to
-  // the legacy flat SimulationOptions::upload_loss_probability semantics.
+  // simulated time between attempts. With max_retries = 0 a lost attempt
+  // loses the upload for the round.
   double upload_loss_probability = 0.0;
   int max_retries = 0;
   double retry_backoff_s = 0.5;
   // Payload corruption: a delivered upload arrives bit-flipped with this
-  // probability. The server detects it via the CRC-32 on the wire encoding
-  // (compress/wire) and discards the update.
+  // probability. The CRC-32 on its wire encoding (compress/wire) detects
+  // every single-bit flip, so the server counts it corrupt and discards the
+  // update.
   double corruption_probability = 0.0;
   // Server collection policy. deadline_s > 0: uploads estimated to land
   // after the deadline are dropped (the server stops waiting). Over-
@@ -118,8 +119,11 @@ class FaultPlan {
   // realization is independent of threading.
   void begin_round(int round, int num_clients);
 
+  // A disabled plan never resolves a round: it answers every client with
+  // the neutral ClientFault{} (unit factors, one delivered attempt).
   const ClientFault& fault(int client) const {
-    return current_[static_cast<std::size_t>(client)];
+    static constexpr ClientFault kNeutral{};
+    return enabled_ ? current_[static_cast<std::size_t>(client)] : kNeutral;
   }
   bool is_absent(int client) const { return fault(client).absent; }
 

@@ -5,7 +5,6 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "compress/wire.h"
 #include "io/checkpoint.h"
 #include "io/serialize.h"
 #include "net/round_timeline.h"
@@ -13,7 +12,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/logging.h"
-#include "util/stopwatch.h"
 
 namespace fedsu::fl {
 
@@ -80,21 +78,14 @@ Simulation::Simulation(SimulationOptions options,
     options_.timing = TimingModel::kFlowLevel;
     uplink_ = std::make_unique<net::AsyncUplink>(
         options_.network.server_bandwidth_bps);
-    client_busy_.assign(static_cast<std::size_t>(options_.num_clients), 0);
-    client_ready_s_.assign(static_cast<std::size_t>(options_.num_clients),
-                           0.0);
   }
+  client_busy_.assign(static_cast<std::size_t>(options_.num_clients), 0);
+  client_ready_s_.assign(static_cast<std::size_t>(options_.num_clients), 0.0);
 
-  // Fold the legacy flat upload-loss knob into the fault plan so there is a
-  // single failure mechanism. The fault stream is salted with the
-  // simulation seed: two runs differing only in `seed` see different fault
-  // realizations (matching the historical loss behaviour), while fixing
-  // both seeds pins the schedule for controlled comparisons.
+  // The fault stream is salted with the simulation seed: two runs differing
+  // only in `seed` see different fault realizations, while fixing both
+  // seeds pins the schedule for controlled comparisons.
   FaultOptions fault_options = options_.faults;
-  if (fault_options.upload_loss_probability == 0.0 &&
-      options_.upload_loss_probability > 0.0) {
-    fault_options.upload_loss_probability = options_.upload_loss_probability;
-  }
   fault_options.seed ^= options_.seed;
   faults_ = FaultPlan(fault_options);
 
@@ -103,9 +94,9 @@ Simulation::Simulation(SimulationOptions options,
   // routes to the exact synchronous path (DESIGN.md §11 explains why the
   // general engine cannot reproduce it bit-for-bit: absolute-time
   // water-filling arithmetic is not shift-invariant in floating point).
-  async_barrier_ = options_.async.enabled && !faults_.enabled() &&
-                   options_.async.buffer_k > 0 &&
-                   options_.async.buffer_k >= options_.num_clients;
+  const bool barrier = !faults_.enabled() && options_.async.buffer_k > 0 &&
+                       options_.async.buffer_k >= options_.num_clients;
+  async_engine_ = options_.async.enabled && !barrier;
 
   // Generate the data once; clients share the training set through views.
   {
@@ -146,22 +137,51 @@ double Simulation::model_flops_per_round() const {
          options_.local.iterations;
 }
 
-std::vector<int> Simulation::select_participants(int round) {
-  // All active clients start the round; the server keeps the fraction that
+std::vector<int> Simulation::open_round(int round,
+                                        RoundRecord::FaultCounters& fc,
+                                        std::size_t& resync_bytes) {
+  if (faults_.enabled()) {
+    faults_.begin_round(round, static_cast<int>(clients_.size()));
+    const FaultPlan::RoundSummary& summary = faults_.round_summary();
+    fc.crashed = summary.absent;
+    if (obs::metrics_enabled() && summary.onsets > 0) {
+      obs::MetricsRegistry::global()
+          .counter("faults.crashes")
+          .add(static_cast<std::uint64_t>(summary.onsets));
+    }
+  }
+  std::vector<int> ids;
+  for (std::size_t i = 0; i < clients_.size(); ++i) {
+    const int id = static_cast<int>(i);
+    if (active_[i] && !client_busy_[i] && !faults_.is_absent(id)) {
+      ids.push_back(id);
+    }
+  }
+  // A client back from a crash is stale: force a full re-sync (model +
+  // protocol speculation state) before it may work again, so it never
+  // speculates from a stale slope or contributes a stale error accumulator.
+  // The download is billed to the round that starts it.
+  for (int id : ids) {
+    if (!faults_.fault(id).rejoined) continue;
+    ++fc.rejoined;
+    ++fc.resyncs;
+    resync_bytes +=
+        global_.size() * sizeof(float) + protocol_->on_client_rejoin(id);
+  }
+  return ids;
+}
+
+std::vector<int> Simulation::select_participants(
+    int round, const std::vector<int>& present) {
+  // All present clients start the round; the server keeps the fraction that
   // finishes earliest. Finish times are estimated with the previous round's
   // mean payload (payload differences across clients within a protocol are
   // second-order; compute heterogeneity dominates the ordering).
-  const bool faulty = faults_.enabled();
-  std::vector<int> active_ids;
-  for (std::size_t i = 0; i < clients_.size(); ++i) {
-    if (!active_[i]) continue;
-    if (faulty && faults_.is_absent(static_cast<int>(i))) continue;
-    active_ids.push_back(static_cast<int>(i));
-  }
-  if (active_ids.empty()) {
+  OBS_SPAN("sim.select");
+  if (present.empty()) {
     // With churn this is a legitimate (if bleak) state — every client is
     // down and the round stalls; without it, it is caller error.
-    if (faulty) {
+    if (faults_.enabled()) {
       select_target_ = 0;
       return {};
     }
@@ -170,50 +190,44 @@ std::vector<int> Simulation::select_participants(int round) {
   const std::size_t target = std::max<std::size_t>(
       1, static_cast<std::size_t>(
              std::ceil(options_.participation_fraction *
-                       static_cast<double>(active_ids.size()))));
+                       static_cast<double>(present.size()))));
   select_target_ = target;
   std::size_t take = target;
-  if (faulty && faults_.options().over_select_fraction > 0.0) {
+  if (faults_.options().over_select_fraction > 0.0) {
     // Over-selection: the server starts extra clients beyond the
     // aggregation target so lost/late uploads can be backfilled.
     take = std::min(
-        active_ids.size(),
+        present.size(),
         std::max(target,
                  static_cast<std::size_t>(std::ceil(
                      (options_.participation_fraction +
                       faults_.options().over_select_fraction) *
-                     static_cast<double>(active_ids.size())))));
+                     static_cast<double>(present.size())))));
   }
   std::vector<int> chosen;
   chosen.reserve(take);
   if (options_.participation == SimulationOptions::Participation::kUniform) {
     util::Rng pick(options_.seed ^ 0x5e1ec7 ^
                    (0x9e3779b97f4a7c15ULL * (round + 1)));
-    const auto perm = pick.permutation(active_ids.size());
+    const auto perm = pick.permutation(present.size());
     for (std::size_t i = 0; i < take; ++i) {
-      chosen.push_back(active_ids[perm[i]]);
+      chosen.push_back(present[perm[i]]);
     }
   } else {
     const double flops = model_flops_per_round();
     const auto est_bytes = static_cast<std::size_t>(last_mean_payload_bytes_);
     std::vector<std::pair<double, int>> finish;
-    finish.reserve(active_ids.size());
-    for (int id : active_ids) {
-      double t;
-      if (faulty) {
-        // Straggler multipliers feed the estimate, so the earliest cut
-        // reshuffles when a fast client has a slow round. With unit
-        // factors this decomposition equals client_round_time exactly.
-        const ClientFault& f = faults_.fault(id);
-        t = network_.compute_time(id, round, flops) * f.compute_factor +
-            network_.comm_time(id, est_bytes, est_bytes,
-                               static_cast<int>(active_ids.size())) *
-                f.comm_factor;
-      } else {
-        t = network_.client_round_time(id, round, flops, est_bytes, est_bytes,
-                                       static_cast<int>(active_ids.size()));
-      }
-      finish.emplace_back(t, id);
+    finish.reserve(present.size());
+    for (int id : present) {
+      // Straggler multipliers feed the estimate, so the earliest cut
+      // reshuffles when a fast client has a slow round.
+      const ClientFault& f = faults_.fault(id);
+      finish.emplace_back(
+          network_.compute_time(id, round, flops) * f.compute_factor +
+              network_.comm_time(id, est_bytes, est_bytes,
+                                 static_cast<int>(present.size())) *
+                  f.comm_factor,
+          id);
     }
     std::sort(finish.begin(), finish.end());
     for (std::size_t i = 0; i < take && i < finish.size(); ++i) {
@@ -224,26 +238,6 @@ std::vector<int> Simulation::select_participants(int round) {
   return chosen;
 }
 
-RoundRecord Simulation::stalled_round(int round, double round_time,
-                                      RoundRecord::FaultCounters counters) {
-  elapsed_time_s_ += round_time;
-  ++round_;
-  RoundRecord record;
-  record.round = round;
-  record.uploads_lost = counters.selected - counters.corrupt -
-                        counters.deadline_missed - counters.unused;
-  record.round_time_s = round_time;
-  record.elapsed_time_s = elapsed_time_s_;
-  record.num_participants = 0;
-  counters.quorum_met = false;
-  record.faults = counters;
-  add_fault_counters(counters, record.uploads_lost);
-  if (options_.eval_every > 0 && (round_ % options_.eval_every == 0)) {
-    record.test_accuracy = evaluate();
-  }
-  return record;
-}
-
 RoundRecord Simulation::step() {
   // Server-crash fault family (docs/FAULT_MODEL.md §7): the server dies at
   // the start of the round, before any client is dispatched — the previous
@@ -252,9 +246,10 @@ RoundRecord Simulation::step() {
   if (faults_.server_faults_enabled() && faults_.server_crash(round_)) {
     throw ServerCrashed(round_);
   }
-  RoundRecord record = (options_.async.enabled && !async_barrier_)
-                           ? step_async()
-                           : step_sync();
+  RoundRecord record = [&] {
+    OBS_SPAN("sim.round");
+    return async_engine_ ? step_async() : step_sync();
+  }();
   // Checkpoint before the hook fires so telemetry and the health monitor
   // see the write outcome on the round it happened.
   maybe_checkpoint(record);
@@ -297,64 +292,88 @@ void Simulation::maybe_checkpoint(RoundRecord& record) {
   record.checkpoint = std::move(ev);
 }
 
-RoundRecord Simulation::step_sync() {
-  OBS_SPAN("sim.round");
-  const int round = round_;
+RoundRecord Simulation::close_round(RoundRecord record,
+                                    RoundRecord::FaultCounters fc,
+                                    std::size_t resync_bytes,
+                                    util::Stopwatch& wall_sw) {
+  const bool aggregated = record.num_participants > 0;
+  if (aggregated) {
+    last_mean_payload_bytes_ =
+        static_cast<double>(record.bytes_up + record.bytes_down) /
+        (2.0 * static_cast<double>(record.num_participants));
+    record.sparsification_ratio = protocol_->last_sparsification_ratio();
+    const compress::SyncProtocol::Telemetry tele =
+        protocol_->last_round_telemetry();
+    record.speculated_fraction = tele.speculated_fraction;
+    record.fallback_syncs = static_cast<int>(tele.fallback_syncs);
+  }
+  record.bytes_down += resync_bytes;
+  record.elapsed_time_s = elapsed_time_s_;
+  ++round_;
+  if (faults_.enabled()) {
+    fc.quorum_met = aggregated;
+    record.faults = fc;
+    add_fault_counters(fc, record.uploads_lost);
+  }
+  if (options_.eval_every > 0 && (round_ % options_.eval_every == 0)) {
+    OBS_SPAN("sim.eval");
+    record.test_accuracy = evaluate();
+  }
   // Wall-clock phase attribution (host time, gated so the disabled path
   // costs one clock read per round and nothing else). Never feeds back
   // into the simulated clock.
+  if (obs::metrics_enabled()) {
+    record.wall.eval_s = wall_sw.lap();
+    record.wall.total_s = wall_sw.elapsed_seconds();
+    auto& reg = obs::MetricsRegistry::global();
+    reg.counter("fl.round.count").add(1);
+    reg.counter("fl.round.bytes_up").add(record.bytes_up);
+    reg.counter("fl.round.bytes_down").add(record.bytes_down);
+  }
+  return record;
+}
+
+compress::SyncResult Simulation::synchronize(
+    const compress::RoundContext& ctx,
+    const std::vector<std::span<const float>>& views) {
+  compress::SyncResult sync = [&] {
+    OBS_SPAN("sim.sync");
+    return protocol_->synchronize(ctx, views);
+  }();
+  if (sync.new_global.size() != global_.size()) {
+    throw std::logic_error("Simulation: protocol changed state size");
+  }
+  global_ = std::move(sync.new_global);
+  return sync;
+}
+
+RoundRecord Simulation::step_sync() {
+  const int round = round_;
   const bool wall_on = obs::metrics_enabled();
   util::Stopwatch wall_sw;
-  RoundRecord::WallPhases wall;
+  RoundRecord record;
+  record.round = round;
 
-  const bool faulty = faults_.enabled();
   RoundRecord::FaultCounters fc;
-  std::size_t resync_bytes_total = 0;
-  std::size_t resync_bytes_each = 0;
-  if (faulty) {
-    faults_.begin_round(round, static_cast<int>(clients_.size()));
-    const FaultPlan::RoundSummary& summary = faults_.round_summary();
-    fc.crashed = summary.absent;
-    if (obs::metrics_enabled() && summary.onsets > 0) {
-      obs::MetricsRegistry::global()
-          .counter("faults.crashes")
-          .add(static_cast<std::uint64_t>(summary.onsets));
-    }
-    // A client back from a crash is stale: force a full re-sync (model +
-    // protocol speculation state) before it may participate again, so it
-    // never speculates from a stale slope or contributes a stale error
-    // accumulator. The download is charged to this round.
-    resync_bytes_each =
-        global_.size() * sizeof(float) + protocol_->join_state_bytes();
-    for (std::size_t i = 0; i < clients_.size(); ++i) {
-      if (!active_[i]) continue;
-      if (!faults_.fault(static_cast<int>(i)).rejoined) continue;
-      ++fc.rejoined;
-      ++fc.resyncs;
-      resync_bytes_total += global_.size() * sizeof(float) +
-                            protocol_->on_client_rejoin(static_cast<int>(i));
-    }
-  }
-
-  std::vector<int> participants;
-  {
-    OBS_SPAN("sim.select");
-    participants = select_participants(round);
-  }
-  if (wall_on) wall.select_s = wall_sw.lap();
+  std::size_t resync_bytes = 0;
+  // What a rejoiner re-downloads: the model plus the protocol's join state.
+  const std::size_t resync_bytes_each =
+      global_.size() * sizeof(float) + protocol_->join_state_bytes();
+  const std::vector<int> participants =
+      select_participants(round, open_round(round, fc, resync_bytes));
+  if (wall_on) record.wall.select_s = wall_sw.lap();
 
   const double flops = model_flops_per_round();
+  const FaultOptions& fo = faults_.options();
 
   // Fault pipeline: resolve which uploads the server aggregates. Delivery
   // order uses estimated times (actual payload bytes exist only after
   // synchronization, but the cut must be made before it); the simulated
   // clock below charges actual bytes.
-  int uploads_lost = 0;
   std::vector<int> kept = participants;  // the aggregation set
-  std::vector<int> corrupt_ids;          // delivered, doomed to fail the CRC
-  if (faulty) {
+  std::vector<int> corrupt_ids;          // delivered, but fail the CRC
+  if (faults_.enabled()) {
     fc.selected = static_cast<int>(participants.size());
-    const FaultOptions& fo = faults_.options();
     const auto est_bytes = static_cast<std::size_t>(last_mean_payload_bytes_);
     const int concurrent = static_cast<int>(participants.size());
     double last_giveup_s = 0.0;  // when the slowest selected client stopped
@@ -373,7 +392,7 @@ RoundRecord Simulation::step_sync() {
           static_cast<double>(f.upload_attempts - 1) * fo.retry_backoff_s;
       last_giveup_s = std::max(last_giveup_s, est);
       if (!f.delivered) {
-        ++uploads_lost;
+        ++record.uploads_lost;
         continue;
       }
       if (fo.deadline_s > 0.0 && est > fo.deadline_s) {
@@ -384,9 +403,10 @@ RoundRecord Simulation::step_sync() {
     }
     std::sort(arrivals.begin(), arrivals.end());
     // The server consumes uploads in (estimated) arrival order until the
-    // aggregation target is met. Corrupt payloads are detected on receipt
-    // (CRC, below) and never count toward the target — the next arrival
-    // backfills. Whatever lands after the target is met goes unused.
+    // aggregation target is met. A corrupt payload fails its CRC-32 on
+    // receipt and is discarded, never counting toward the target — the
+    // next arrival backfills. Whatever lands after the target is met goes
+    // unused.
     kept.clear();
     for (const auto& [est, id] : arrivals) {
       (void)est;
@@ -400,6 +420,7 @@ RoundRecord Simulation::step_sync() {
         kept.push_back(id);
       }
     }
+    fc.corrupt = static_cast<int>(corrupt_ids.size());
     if (kept.size() < static_cast<std::size_t>(fo.min_quorum)) {
       // Below quorum: the round stalls. Time still passes — until the
       // server deadline if one is set, else until the slowest selected
@@ -408,57 +429,25 @@ RoundRecord Simulation::step_sync() {
       double stall_time =
           fo.deadline_s > 0.0 ? fo.deadline_s : last_giveup_s;
       if (stall_time <= 0.0) stall_time = options_.network.base_latency_s;
-      fc.corrupt += static_cast<int>(corrupt_ids.size());
       fc.unused += static_cast<int>(kept.size());
-      RoundRecord record = stalled_round(round, stall_time, fc);
-      record.bytes_down = resync_bytes_total;
-      return record;
+      elapsed_time_s_ += stall_time;
+      record.round_time_s = stall_time;
+      return close_round(std::move(record), fc, resync_bytes, wall_sw);
     }
     std::sort(kept.begin(), kept.end());  // protocol contract: ascending ids
     std::sort(corrupt_ids.begin(), corrupt_ids.end());
   }
 
-  // Local training: the aggregation set plus the corrupt deliveries (their
-  // compute is spent and their real payload feeds the CRC check).
-  LocalTrainOptions local = options_.local;
-  if (options_.lr_schedule) {
-    local.learning_rate = options_.lr_schedule->lr(round);
-  }
+  // Local training: the aggregation set plus the corrupt deliveries. Their
+  // compute is spent, and training advances their batch loaders exactly as
+  // a clean round would.
   std::vector<int> train_ids = kept;
-  if (!corrupt_ids.empty()) {
-    train_ids.insert(train_ids.end(), corrupt_ids.begin(), corrupt_ids.end());
-    std::sort(train_ids.begin(), train_ids.end());
-  }
+  train_ids.insert(train_ids.end(), corrupt_ids.begin(), corrupt_ids.end());
+  std::sort(train_ids.begin(), train_ids.end());
   std::vector<std::vector<float>> states(train_ids.size());
   std::vector<double> losses(train_ids.size(), 0.0);
-  {
-    OBS_SPAN("sim.train");
-    train_participants(train_ids, local, states, losses);
-  }
-  if (wall_on) wall.train_s = wall_sw.lap();
-
-  // Corruption on receipt: encode the trained payload, flip one
-  // deterministic bit "in transit", and verify the CRC rejects it (it
-  // always does for a single-bit flip). The update is discarded.
-  for (int id : corrupt_ids) {
-    const std::size_t pos = static_cast<std::size_t>(
-        std::lower_bound(train_ids.begin(), train_ids.end(), id) -
-        train_ids.begin());
-    auto payload = compress::wire::encode_dense(states[pos]);
-    if (payload.empty()) payload.push_back(0);
-    const std::uint32_t sent_crc = compress::wire::crc32(payload);
-    util::Rng flip(faults_.options().seed ^
-                   (0x9e3779b97f4a7c15ULL *
-                    (static_cast<std::uint64_t>(round) + 1)) ^
-                   (0x94d049bb133111ebULL * (static_cast<std::uint64_t>(id) + 1)));
-    const std::size_t bit =
-        static_cast<std::size_t>(flip.uniform_index(payload.size() * 8));
-    payload[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
-    if (compress::wire::crc32(payload) == sent_crc) {
-      throw std::logic_error("Simulation: CRC failed to detect a bit flip");
-    }
-    ++fc.corrupt;
-  }
+  train_participants(round, train_ids, states, losses);
+  if (wall_on) record.wall.train_s = wall_sw.lap();
 
   // Synchronization through the protocol under test.
   compress::RoundContext ctx;
@@ -476,23 +465,11 @@ RoundRecord Simulation::step_sync() {
       ++ti;
     }
   }
-  compress::SyncResult sync = [&] {
-    OBS_SPAN("sim.sync");
-    return protocol_->synchronize(ctx, views);
-  }();
-  if (wall_on) wall.sync_s = wall_sw.lap();
-  if (sync.new_global.size() != global_.size()) {
-    throw std::logic_error("Simulation: protocol changed state size");
-  }
-  global_ = std::move(sync.new_global);
+  const compress::SyncResult sync = synchronize(ctx, views);
+  if (wall_on) record.wall.sync_s = wall_sw.lap();
 
   // Simulated time: the round ends when the slowest used client finishes.
   double round_time = 0.0;
-  std::size_t bytes_up_total = 0, bytes_down_total = 0;
-  for (std::size_t i = 0; i < kept.size(); ++i) {
-    bytes_up_total += sync.bytes_up[i];
-    bytes_down_total += sync.bytes_down[i];
-  }
   {
   OBS_SPAN("sim.timing");
   if (options_.timing == TimingModel::kFlowLevel) {
@@ -500,99 +477,61 @@ RoundRecord Simulation::step_sync() {
     timeline.server_bps = options_.network.server_bandwidth_bps;
     for (std::size_t i = 0; i < kept.size(); ++i) {
       const int id = kept[i];
-      double compute_done = network_.compute_time(id, round, flops);
-      double up_bytes = static_cast<double>(sync.bytes_up[i]);
+      const ClientFault& f = faults_.fault(id);
+      // Retries re-cross the link; backoffs delay the flow start. Comm
+      // slowdown maps onto a proportionally thinner client link.
       double down_bytes = static_cast<double>(sync.bytes_down[i]);
-      double rate = network_.client_bandwidth_bps(id);
-      if (faulty) {
-        const ClientFault& f = faults_.fault(id);
-        // Retries re-cross the link; backoffs delay the flow start. Comm
-        // slowdown maps onto a proportionally thinner client link.
-        compute_done = compute_done * f.compute_factor +
-                       static_cast<double>(f.upload_attempts - 1) *
-                           faults_.options().retry_backoff_s;
-        up_bytes *= static_cast<double>(f.upload_attempts);
-        rate /= f.comm_factor;
-        if (f.rejoined) down_bytes += static_cast<double>(resync_bytes_each);
-      }
-      timeline.compute_done_s.push_back(compute_done);
-      timeline.bytes_up.push_back(up_bytes);
+      if (f.rejoined) down_bytes += static_cast<double>(resync_bytes_each);
+      timeline.compute_done_s.push_back(
+          network_.compute_time(id, round, flops) * f.compute_factor +
+          static_cast<double>(f.upload_attempts - 1) * fo.retry_backoff_s);
+      timeline.bytes_up.push_back(static_cast<double>(sync.bytes_up[i]) *
+                                  static_cast<double>(f.upload_attempts));
       timeline.bytes_down.push_back(down_bytes);
-      timeline.client_rate_bps.push_back(rate);
+      timeline.client_rate_bps.push_back(network_.client_bandwidth_bps(id) /
+                                         f.comm_factor);
     }
     round_time = net::simulate_round(timeline).round_end_s;
   } else {
+    const int concurrent = static_cast<int>(kept.size());
     for (std::size_t i = 0; i < kept.size(); ++i) {
       const int id = kept[i];
       double t;
-      if (faulty) {
+      if (faults_.enabled()) {
         const ClientFault& f = faults_.fault(id);
         const std::size_t down_bytes =
             sync.bytes_down[i] + (f.rejoined ? resync_bytes_each : 0);
         t = network_.compute_time(id, round, flops) * f.compute_factor +
             static_cast<double>(f.upload_attempts) *
-                network_.upload_time(id, sync.bytes_up[i],
-                                     static_cast<int>(kept.size())) *
+                network_.upload_time(id, sync.bytes_up[i], concurrent) *
                 f.comm_factor +
-            static_cast<double>(f.upload_attempts - 1) *
-                faults_.options().retry_backoff_s +
-            network_.download_time(id, down_bytes,
-                                   static_cast<int>(kept.size())) *
-                f.comm_factor;
+            static_cast<double>(f.upload_attempts - 1) * fo.retry_backoff_s +
+            network_.download_time(id, down_bytes, concurrent) * f.comm_factor;
       } else {
+        // Not the faulty sum at unit factors: that associates as
+        // (compute + up) + down, which can differ by an ulp.
         t = network_.client_round_time(id, round, flops, sync.bytes_up[i],
-                                       sync.bytes_down[i],
-                                       static_cast<int>(kept.size()));
+                                       sync.bytes_down[i], concurrent);
       }
       round_time = std::max(round_time, t);
     }
   }
-  if (faulty && fc.deadline_missed > 0 && faults_.options().deadline_s > 0.0) {
+  if (fc.deadline_missed > 0) {
     // The server waited out its deadline for the uploads that missed it.
-    round_time = std::max(round_time, faults_.options().deadline_s);
+    round_time = std::max(round_time, fo.deadline_s);
   }
   }  // OBS_SPAN sim.timing
-  if (wall_on) wall.timing_s = wall_sw.lap();
-  elapsed_time_s_ += round_time;
-  last_mean_payload_bytes_ =
-      kept.empty() ? last_mean_payload_bytes_
-                   : static_cast<double>(bytes_up_total + bytes_down_total) /
-                         (2.0 * static_cast<double>(kept.size()));
-  ++round_;
+  if (wall_on) record.wall.timing_s = wall_sw.lap();
 
-  RoundRecord record;
-  record.round = round;
+  elapsed_time_s_ += round_time;
   record.round_time_s = round_time;
-  record.elapsed_time_s = elapsed_time_s_;
-  record.train_loss =
-      kept.empty() ? 0.0 : loss_sum / static_cast<double>(kept.size());
-  record.sparsification_ratio = protocol_->last_sparsification_ratio();
-  record.bytes_up = bytes_up_total;
-  record.bytes_down = bytes_down_total + resync_bytes_total;
   record.num_participants = static_cast<int>(kept.size());
-  record.uploads_lost = uploads_lost;
-  const compress::SyncProtocol::Telemetry tele =
-      protocol_->last_round_telemetry();
-  record.speculated_fraction = tele.speculated_fraction;
-  record.fallback_syncs = static_cast<int>(tele.fallback_syncs);
-  if (faulty) {
-    record.faults = fc;
-    add_fault_counters(fc, uploads_lost);
+  record.train_loss = loss_sum / static_cast<double>(kept.size());
+  for (std::size_t i = 0; i < kept.size(); ++i) {
+    record.bytes_up += sync.bytes_up[i];
+    record.bytes_down += sync.bytes_down[i];
   }
-  if (options_.eval_every > 0 && (round_ % options_.eval_every == 0)) {
-    OBS_SPAN("sim.eval");
-    record.test_accuracy = evaluate();
-  }
-  if (wall_on) {
-    wall.eval_s = wall_sw.lap();
-    wall.total_s = wall_sw.elapsed_seconds();
-    record.wall = wall;
-    auto& reg = obs::MetricsRegistry::global();
-    reg.counter("fl.round.count").add(1);
-    reg.counter("fl.round.bytes_up").add(record.bytes_up);
-    reg.counter("fl.round.bytes_down").add(record.bytes_down);
-  }
-  return record;
+  return close_round(std::move(record), fc, resync_bytes, wall_sw);
 }
 
 // One buffered-async aggregation cycle (DESIGN.md §11). The barrier is
@@ -604,71 +543,33 @@ RoundRecord Simulation::step_sync() {
 // discount; aggregation order is (arrival time, seed-keyed tiebreak,
 // client id), so results are bitwise identical for every --threads value.
 RoundRecord Simulation::step_async() {
-  OBS_SPAN("sim.round");
   const int round = round_;
   const bool wall_on = obs::metrics_enabled();
   util::Stopwatch wall_sw;
-  RoundRecord::WallPhases wall;
+  RoundRecord record;
+  record.round = round;
 
   const double cycle_start_s = elapsed_time_s_;
   const double flops = model_flops_per_round();
-  const bool faulty = faults_.enabled();
   const FaultOptions& fo = faults_.options();
-
-  RoundRecord::FaultCounters fc;
-  std::size_t resync_bytes_total = 0;
-  if (faulty) {
-    faults_.begin_round(round, static_cast<int>(clients_.size()));
-    const FaultPlan::RoundSummary& summary = faults_.round_summary();
-    fc.crashed = summary.absent;
-    if (obs::metrics_enabled() && summary.onsets > 0) {
-      obs::MetricsRegistry::global()
-          .counter("faults.crashes")
-          .add(static_cast<std::uint64_t>(summary.onsets));
-    }
-  }
 
   // Dispatch: every idle, present client starts a new leg against the
   // current model version. Clients mid-upload keep traveling against the
-  // version they were handed; crashed clients wait until they rejoin.
-  std::vector<int> dispatch_ids;
-  int cohort = 0;
-  for (std::size_t i = 0; i < clients_.size(); ++i) {
-    if (!active_[i]) continue;
-    ++cohort;
-    if (client_busy_[i]) continue;
-    if (faulty && faults_.is_absent(static_cast<int>(i))) continue;
-    dispatch_ids.push_back(static_cast<int>(i));
-  }
+  // version they were handed; crashed clients wait until they rejoin, and
+  // a rejoiner's re-sync is billed at its next dispatch.
+  RoundRecord::FaultCounters fc;
+  std::size_t resync_bytes = 0;
+  const std::vector<int> dispatch_ids = open_round(round, fc, resync_bytes);
   fc.selected = static_cast<int>(dispatch_ids.size());
-  if (faulty) {
-    // A rejoiner is billed its forced re-sync (model + protocol speculation
-    // state) when it is next dispatched — the same staleness rule as the
-    // synchronous path, anchored to the dispatch instead of the barrier.
-    for (int id : dispatch_ids) {
-      if (!faults_.fault(id).rejoined) continue;
-      ++fc.rejoined;
-      ++fc.resyncs;
-      resync_bytes_total +=
-          global_.size() * sizeof(float) + protocol_->on_client_rejoin(id);
-    }
-  }
-  if (wall_on) wall.select_s = wall_sw.lap();
+  if (wall_on) record.wall.select_s = wall_sw.lap();
 
   // Local training for the new legs. They all read the same current
   // global_, so the per-worker-replica pool path applies unchanged and the
   // §5b thread-count determinism argument carries over verbatim.
-  LocalTrainOptions local = options_.local;
-  if (options_.lr_schedule) {
-    local.learning_rate = options_.lr_schedule->lr(round);
-  }
   std::vector<std::vector<float>> states(dispatch_ids.size());
   std::vector<double> losses(dispatch_ids.size(), 0.0);
-  {
-    OBS_SPAN("sim.train");
-    train_participants(dispatch_ids, local, states, losses);
-  }
-  if (wall_on) wall.train_s = wall_sw.lap();
+  train_participants(round, dispatch_ids, states, losses);
+  if (wall_on) record.wall.train_s = wall_sw.lap();
 
   // Register the new upload flows. Flow timing uses the dispatch-time
   // payload estimate (actual bytes exist only after synchronization — the
@@ -680,31 +581,25 @@ RoundRecord Simulation::step_async() {
   const double est_bytes = last_mean_payload_bytes_;
   for (std::size_t k = 0; k < dispatch_ids.size(); ++k) {
     const int id = dispatch_ids[k];
+    const ClientFault& f = faults_.fault(id);
+    if (f.straggler) ++fc.stragglers;
+    fc.retries += f.upload_attempts - 1;
     InFlight leg;
     leg.client = id;
     leg.version = model_version_;
     leg.dispatch_cycle = round;
     leg.dispatch_s = std::max(cycle_start_s, client_ready_s_[id]);
-    double compute_done =
-        leg.dispatch_s + network_.compute_time(id, round, flops);
-    double up_bytes = est_bytes;
-    double rate = network_.client_bandwidth_bps(id);
-    if (faulty) {
-      const ClientFault& f = faults_.fault(id);
-      if (f.straggler) ++fc.stragglers;
-      fc.retries += f.upload_attempts - 1;
-      compute_done =
-          leg.dispatch_s +
-          network_.compute_time(id, round, flops) * f.compute_factor +
-          static_cast<double>(f.upload_attempts - 1) * fo.retry_backoff_s;
-      up_bytes *= static_cast<double>(f.upload_attempts);
-      rate /= f.comm_factor;
-      leg.attempts = f.upload_attempts;
-      leg.comm_factor = f.comm_factor;
-      leg.delivered = f.delivered;
-      leg.corrupt = f.corrupt;
-    }
-    leg.flow = uplink_->add(compute_done, up_bytes, rate);
+    leg.attempts = f.upload_attempts;
+    leg.comm_factor = f.comm_factor;
+    leg.delivered = f.delivered;
+    leg.corrupt = f.corrupt;
+    const double compute_done =
+        leg.dispatch_s +
+        network_.compute_time(id, round, flops) * f.compute_factor +
+        static_cast<double>(f.upload_attempts - 1) * fo.retry_backoff_s;
+    leg.flow = uplink_->add(compute_done,
+                            est_bytes * static_cast<double>(f.upload_attempts),
+                            network_.client_bandwidth_bps(id) / f.comm_factor);
     leg.loss = losses[k];
     leg.state = std::move(states[k]);
     if (!snapshot) {
@@ -723,7 +618,6 @@ RoundRecord Simulation::step_async() {
     int client = 0;
     std::size_t entry = 0;
     bool deliverable = false;
-    bool deadline_missed = false;
   };
   std::vector<Candidate> candidates;
   candidates.reserve(inflight_.size());
@@ -740,9 +634,9 @@ RoundRecord Simulation::step_async() {
       // In async mode deadline_s bounds an upload's AGE (arrival minus
       // dispatch): there is no per-round barrier for an absolute deadline
       // to anchor to (docs/FAULT_MODEL.md).
-      c.deadline_missed = faulty && fo.deadline_s > 0.0 &&
-                          (c.arrival_s - leg.dispatch_s) > fo.deadline_s;
-      c.deliverable = leg.delivered && !leg.corrupt && !c.deadline_missed;
+      const bool late = fo.deadline_s > 0.0 &&
+                        (c.arrival_s - leg.dispatch_s) > fo.deadline_s;
+      c.deliverable = leg.delivered && !leg.corrupt && !late;
       candidates.push_back(c);
     }
     std::sort(candidates.begin(), candidates.end(),
@@ -754,337 +648,230 @@ RoundRecord Simulation::step_async() {
                 return a.client < b.client;
               });
   }
-  if (wall_on) wall.timing_s = wall_sw.lap();
-
-  int deliverable_count = 0;
-  for (const Candidate& c : candidates) {
-    if (c.deliverable) ++deliverable_count;
+  if (wall_on) record.wall.timing_s = wall_sw.lap();
+  if (candidates.empty() && !faults_.enabled()) {
+    throw std::logic_error("Simulation: no active clients");
   }
+
+  const int deliverable_count = static_cast<int>(
+      std::count_if(candidates.begin(), candidates.end(),
+                    [](const Candidate& c) { return c.deliverable; }));
+  const int cohort =
+      static_cast<int>(std::count(active_.begin(), active_.end(), true));
   const int base_k = [&] {
     const int k = options_.async.buffer_k;
     if (k <= 0) return std::max(1, cohort / 2);  // default: half the cohort
     return std::min(k, std::max(cohort, 1));     // clamp: K > cohort is a barrier
   }();
-  const int quorum = faulty ? std::max(1, fo.min_quorum) : 1;
+  // The buffer needs min(min_quorum, K) deliverable uploads: a buffer
+  // smaller than the quorum still aggregates once it is full.
+  const int quorum = std::min(faults_.enabled() ? fo.min_quorum : 1, base_k);
   const int k_eff = std::min(base_k, deliverable_count);
+  const bool stalled = k_eff < quorum;
 
-  int uploads_lost = 0;
+  // Settle arrivals in order. A cycle that can reach its quorum consumes
+  // deliverable uploads until the buffer holds K; one that cannot stalls,
+  // leaving every deliverable leg buffered for a later cycle. Lost, corrupt
+  // (discarded on their CRC-32 mismatch) and late legs met on the way are
+  // waited out, so their clients come back as dispatchable; anything
+  // ordered after the K-th consumed arrival stays in flight.
   auto free_client = [&](const InFlight& leg, double when) {
     client_busy_[static_cast<std::size_t>(leg.client)] = 0;
     client_ready_s_[static_cast<std::size_t>(leg.client)] = when;
   };
-  // Corruption on receipt, same mechanics as the synchronous path: encode
-  // the trained payload, flip one deterministic bit keyed on the DISPATCH
-  // cycle (so the realization travels with the leg), verify the CRC rejects.
-  auto verify_corrupt = [&](const InFlight& leg) {
-    auto payload = compress::wire::encode_dense(leg.state);
-    if (payload.empty()) payload.push_back(0);
-    const std::uint32_t sent_crc = compress::wire::crc32(payload);
-    util::Rng flip(
-        fo.seed ^
-        (0x9e3779b97f4a7c15ULL *
-         (static_cast<std::uint64_t>(leg.dispatch_cycle) + 1)) ^
-        (0x94d049bb133111ebULL * (static_cast<std::uint64_t>(leg.client) + 1)));
-    const std::size_t bit =
-        static_cast<std::size_t>(flip.uniform_index(payload.size() * 8));
-    payload[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
-    if (compress::wire::crc32(payload) == sent_crc) {
-      throw std::logic_error("Simulation: CRC failed to detect a bit flip");
-    }
-    ++fc.corrupt;
-  };
-  auto erase_entries = [&](std::vector<std::size_t>& which) {
-    std::sort(which.begin(), which.end());
-    std::vector<InFlight> keep;
-    keep.reserve(inflight_.size() - which.size());
-    std::size_t ri = 0;
-    for (std::size_t e = 0; e < inflight_.size(); ++e) {
-      if (ri < which.size() && which[ri] == e) {
-        ++ri;
-        continue;
-      }
-      keep.push_back(std::move(inflight_[e]));
-    }
-    inflight_ = std::move(keep);
-  };
-
-  if (k_eff < quorum) {
-    // The buffer cannot fill: the cycle stalls. Deliverable legs stay
-    // buffered for a later cycle; loss / corruption / deadline events are
-    // waited out so their clients come back as dispatchable. A cycle with
-    // nothing to wait for costs one latency heartbeat.
-    if (!faulty && candidates.empty()) {
-      throw std::logic_error("Simulation: no active clients");
-    }
-    double t_end = cycle_start_s;
-    bool any_event = false;
-    std::vector<std::size_t> remove_entries;
-    for (const Candidate& c : candidates) {
-      if (c.deliverable) continue;
-      const InFlight& leg = inflight_[c.entry];
-      any_event = true;
-      t_end = std::max(t_end, c.arrival_s);
-      if (!leg.delivered) {
-        ++uploads_lost;
-      } else if (leg.corrupt) {
-        verify_corrupt(leg);
-      } else {
-        ++fc.deadline_missed;
-      }
-      free_client(leg, c.arrival_s);
-      remove_entries.push_back(c.entry);
-    }
-    if (!any_event) t_end = cycle_start_s + options_.network.base_latency_s;
-    erase_entries(remove_entries);
-    fc.quorum_met = false;
-    const double round_time = t_end - cycle_start_s;
-    elapsed_time_s_ = t_end;
-    ++round_;
-
-    RoundRecord record;
-    record.round = round;
-    record.uploads_lost = uploads_lost;
-    record.round_time_s = round_time;
-    record.elapsed_time_s = elapsed_time_s_;
-    record.num_participants = 0;
-    record.bytes_down = resync_bytes_total;
-    RoundRecord::AsyncStats as;
-    as.buffer_k = base_k;
-    as.inflight = static_cast<int>(inflight_.size());
-    as.fill_time_s = round_time;
-    record.async = as;
-    if (faulty) {
-      record.faults = fc;
-      add_fault_counters(fc, uploads_lost);
-    }
-    if (options_.eval_every > 0 && (round_ % options_.eval_every == 0)) {
-      OBS_SPAN("sim.eval");
-      record.test_accuracy = evaluate();
-    }
-    if (wall_on) {
-      wall.eval_s = wall_sw.lap();
-      wall.total_s = wall_sw.elapsed_seconds();
-      record.wall = wall;
-    }
-    return record;
-  }
-
-  // Consume arrivals in order until the buffer holds K deliverable updates.
-  // Loss / corruption / deadline events landing before the buffer fills are
-  // realized now; anything ordered after the K-th arrival stays in flight.
-  double t_agg = cycle_start_s;
+  double t_end = cycle_start_s;
   std::vector<std::size_t> consumed_entries;
   std::vector<std::size_t> remove_entries;
-  int consumed = 0;
   for (const Candidate& c : candidates) {
+    if (c.deliverable && stalled) continue;
     const InFlight& leg = inflight_[c.entry];
+    t_end = std::max(t_end, c.arrival_s);
+    remove_entries.push_back(c.entry);
     if (c.deliverable) {
       consumed_entries.push_back(c.entry);
-      remove_entries.push_back(c.entry);
-      t_agg = std::max(t_agg, c.arrival_s);
-      if (++consumed == k_eff) break;
-    } else {
-      if (!leg.delivered) {
-        ++uploads_lost;
-      } else if (leg.corrupt) {
-        verify_corrupt(leg);
-      } else {
-        ++fc.deadline_missed;
-      }
-      free_client(leg, c.arrival_s);
-      remove_entries.push_back(c.entry);
-    }
-  }
-
-  // Aggregate. The protocol contract wants ascending client ids; staleness
-  // is the number of aggregations since the leg's version was dispatched.
-  std::sort(consumed_entries.begin(), consumed_entries.end(),
-            [&](std::size_t a, std::size_t b) {
-              return inflight_[a].client < inflight_[b].client;
-            });
-  compress::RoundContext ctx;
-  ctx.round = round;
-  RoundRecord::AsyncStats as;
-  as.buffer_k = base_k;
-  as.consumed = consumed;
-  as.fill_time_s = t_agg - cycle_start_s;
-  std::vector<std::vector<float>> virtuals;
-  virtuals.reserve(consumed_entries.size());
-  std::vector<std::span<const float>> views;
-  views.reserve(consumed_entries.size());
-  // Stale legs re-base off the pool below; each job fills one pre-sized
-  // virtual vector (disjoint outputs, §5b).
-  struct RebaseJob {
-    const InFlight* leg = nullptr;
-    double weight = 1.0;
-    std::size_t slot = 0;
-  };
-  std::vector<RebaseJob> rebase_jobs;
-  double loss_sum = 0.0;
-  int staleness_sum = 0;
-  int stale_uploads = 0;
-  for (std::size_t e : consumed_entries) {
-    const InFlight& leg = inflight_[e];
-    ctx.participants.push_back(leg.client);
-    ctx.dispatch_rounds.push_back(leg.version);
-    loss_sum += leg.loss;
-    const int s = model_version_ - leg.version;
-    as.max_staleness = std::max(as.max_staleness, s);
-    staleness_sum += s;
-    if (static_cast<int>(as.staleness_hist.size()) <= s) {
-      as.staleness_hist.resize(static_cast<std::size_t>(s) + 1, 0);
-    }
-    ++as.staleness_hist[static_cast<std::size_t>(s)];
-    const double w = staleness_weight(s, options_.async.staleness_alpha);
-    as.weight_sum += w;
-    if (s == 0) {
-      // Fresh update: hand the raw state through, so an all-fresh cycle is
-      // bit-identical to a synchronous aggregation of the same clients
-      // (global + (state - global) != state in float arithmetic).
-      views.emplace_back(leg.state);
+      if (static_cast<int>(consumed_entries.size()) == k_eff) break;
       continue;
     }
-    ++stale_uploads;
-    // Stale update: re-base its delta onto the current model under the
-    // staleness discount — virtual = global + w * (state - dispatch_global)
-    // — which turns the protocol's plain mean into the FedBuff buffered
-    // update rule. Accumulated in double, stored as float like every other
-    // aggregation path in the repo. The fill happens below, possibly across
-    // the pool: per-element arithmetic with disjoint output vectors, so the
-    // bits cannot depend on the thread count.
-    rebase_jobs.push_back(RebaseJob{&leg, w, virtuals.size()});
-    virtuals.emplace_back(global_.size());
-    views.emplace_back(virtuals.back());
+    if (!leg.delivered) {
+      ++record.uploads_lost;
+    } else if (leg.corrupt) {
+      ++fc.corrupt;
+    } else {
+      ++fc.deadline_missed;
+    }
+    free_client(leg, c.arrival_s);
   }
-  if (!rebase_jobs.empty()) {
-    auto rebase = [&](std::size_t begin, std::size_t end) {
-      for (std::size_t k = begin; k < end; ++k) {
-        const RebaseJob& job = rebase_jobs[k];
-        const std::vector<float>& state = job.leg->state;
-        const std::vector<float>& base = *job.leg->dispatch_global;
-        std::vector<float>& virt = virtuals[job.slot];
-        for (std::size_t j = 0; j < virt.size(); ++j) {
-          virt[j] = static_cast<float>(
-              static_cast<double>(global_[j]) +
-              job.weight * (static_cast<double>(state[j]) -
-                            static_cast<double>(base[j])));
+  // A stalled cycle with nothing to wait for costs one latency heartbeat.
+  if (stalled && remove_entries.empty()) {
+    t_end = cycle_start_s + options_.network.base_latency_s;
+  }
+
+  RoundRecord::AsyncStats as;
+  as.buffer_k = base_k;
+  if (!stalled) {
+    // Aggregate. The protocol contract wants ascending client ids;
+    // staleness is the number of aggregations since the leg's version was
+    // dispatched.
+    std::sort(consumed_entries.begin(), consumed_entries.end(),
+              [&](std::size_t a, std::size_t b) {
+                return inflight_[a].client < inflight_[b].client;
+              });
+    const int consumed = static_cast<int>(consumed_entries.size());
+    compress::RoundContext ctx;
+    ctx.round = round;
+    as.consumed = consumed;
+    std::vector<std::vector<float>> virtuals;
+    virtuals.reserve(consumed_entries.size());
+    std::vector<std::span<const float>> views;
+    views.reserve(consumed_entries.size());
+    // Stale legs re-base off the pool below; each job fills one pre-sized
+    // virtual vector (disjoint outputs, §5b).
+    struct RebaseJob {
+      const InFlight* leg = nullptr;
+      double weight = 1.0;
+      std::size_t slot = 0;
+    };
+    std::vector<RebaseJob> rebase_jobs;
+    double loss_sum = 0.0;
+    int staleness_sum = 0;
+    int stale_uploads = 0;
+    for (std::size_t e : consumed_entries) {
+      const InFlight& leg = inflight_[e];
+      ctx.participants.push_back(leg.client);
+      ctx.dispatch_rounds.push_back(leg.version);
+      loss_sum += leg.loss;
+      const int s = model_version_ - leg.version;
+      as.max_staleness = std::max(as.max_staleness, s);
+      staleness_sum += s;
+      if (static_cast<int>(as.staleness_hist.size()) <= s) {
+        as.staleness_hist.resize(static_cast<std::size_t>(s) + 1, 0);
+      }
+      ++as.staleness_hist[static_cast<std::size_t>(s)];
+      const double w = staleness_weight(s, options_.async.staleness_alpha);
+      as.weight_sum += w;
+      if (s == 0) {
+        // Fresh update: hand the raw state through, so an all-fresh cycle
+        // is bit-identical to a synchronous aggregation of the same clients
+        // (global + (state - global) != state in float arithmetic).
+        views.emplace_back(leg.state);
+        continue;
+      }
+      ++stale_uploads;
+      // Stale update: re-base its delta onto the current model under the
+      // staleness discount — virtual = global + w * (state - dispatch_global)
+      // — which turns the protocol's plain mean into the FedBuff buffered
+      // update rule. Accumulated in double, stored as float like every
+      // other aggregation path in the repo. The fill happens below,
+      // possibly across the pool: per-element arithmetic with disjoint
+      // output vectors, so the bits cannot depend on the thread count.
+      rebase_jobs.push_back(RebaseJob{&leg, w, virtuals.size()});
+      virtuals.emplace_back(global_.size());
+      views.emplace_back(virtuals.back());
+    }
+    if (!rebase_jobs.empty()) {
+      auto rebase = [&](std::size_t begin, std::size_t end) {
+        for (std::size_t k = begin; k < end; ++k) {
+          const RebaseJob& job = rebase_jobs[k];
+          const std::vector<float>& state = job.leg->state;
+          const std::vector<float>& base = *job.leg->dispatch_global;
+          std::vector<float>& virt = virtuals[job.slot];
+          for (std::size_t j = 0; j < virt.size(); ++j) {
+            virt[j] = static_cast<float>(
+                static_cast<double>(global_[j]) +
+                job.weight * (static_cast<double>(state[j]) -
+                              static_cast<double>(base[j])));
+          }
+        }
+      };
+      if (pool_ && rebase_jobs.size() > 1) {
+        pool_->parallel_for(0, rebase_jobs.size(), rebase);
+      } else {
+        rebase(0, rebase_jobs.size());
+      }
+    }
+    as.mean_staleness =
+        static_cast<double>(staleness_sum) / static_cast<double>(consumed);
+
+    const compress::SyncResult sync = synchronize(ctx, views);
+    if (wall_on) record.wall.sync_s = wall_sw.lap();
+    ++model_version_;
+
+    // The consumed clients download the new model starting at the
+    // aggregation instant; their next dispatch waits for that download.
+    // Egress is simulated per aggregation batch (the same shape as the
+    // synchronous phase 2); cross-cycle egress contention is not modeled —
+    // the server link dwarfs the client caps, so batches barely interact.
+    {
+      OBS_SPAN("sim.timing");
+      std::vector<net::Flow> downloads(consumed_entries.size());
+      for (std::size_t i = 0; i < consumed_entries.size(); ++i) {
+        const InFlight& leg = inflight_[consumed_entries[i]];
+        record.bytes_up += sync.bytes_up[i];
+        record.bytes_down += sync.bytes_down[i];
+        downloads[i].start_time_s = t_end;
+        downloads[i].bytes = static_cast<double>(sync.bytes_down[i]);
+        // A straggler's thin link covers its whole leg, the upload and the
+        // following model download alike.
+        downloads[i].rate_cap_bps =
+            network_.client_bandwidth_bps(leg.client) / leg.comm_factor;
+      }
+      const auto finished = net::simulate_shared_link(
+          downloads, options_.network.server_bandwidth_bps);
+      for (std::size_t i = 0; i < consumed_entries.size(); ++i) {
+        free_client(inflight_[consumed_entries[i]], finished[i].finish_time_s);
+      }
+    }
+    record.num_participants = consumed;
+    record.train_loss = loss_sum / static_cast<double>(consumed);
+    if (wall_on) {
+      auto& reg = obs::MetricsRegistry::global();
+      reg.counter("fl.async.aggregations").add(1);
+      reg.counter("fl.async.stale_uploads")
+          .add(static_cast<std::uint64_t>(stale_uploads));
+      obs::HistogramOptions stale_opts;
+      stale_opts.lo = 0.0;
+      stale_opts.hi = 32.0;
+      stale_opts.buckets = 16;
+      auto& hist = reg.histogram("fl.async.staleness", stale_opts);
+      for (std::size_t s = 0; s < as.staleness_hist.size(); ++s) {
+        for (int c = 0; c < as.staleness_hist[s]; ++c) {
+          hist.record(static_cast<double>(s));
         }
       }
-    };
-    if (pool_ && rebase_jobs.size() > 1) {
-      pool_->parallel_for(0, rebase_jobs.size(), rebase);
-    } else {
-      rebase(0, rebase_jobs.size());
     }
   }
-  as.mean_staleness =
-      consumed == 0 ? 0.0
-                    : static_cast<double>(staleness_sum) /
-                          static_cast<double>(consumed);
 
-  compress::SyncResult sync = [&] {
-    OBS_SPAN("sim.sync");
-    return protocol_->synchronize(ctx, views);
-  }();
-  if (wall_on) wall.sync_s = wall_sw.lap();
-  if (sync.new_global.size() != global_.size()) {
-    throw std::logic_error("Simulation: protocol changed state size");
-  }
-  global_ = std::move(sync.new_global);
-  ++model_version_;
-
-  // The consumed clients download the new model starting at the
-  // aggregation instant; their next dispatch waits for that download.
-  // Egress is simulated per aggregation batch (the same shape as the
-  // synchronous phase 2); cross-cycle egress contention is not modeled —
-  // the server link dwarfs the client caps, so batches barely interact.
-  std::size_t bytes_up_total = 0, bytes_down_total = 0;
-  {
-    OBS_SPAN("sim.timing");
-    std::vector<net::Flow> downloads(consumed_entries.size());
-    for (std::size_t i = 0; i < consumed_entries.size(); ++i) {
-      const InFlight& leg = inflight_[consumed_entries[i]];
-      bytes_up_total += sync.bytes_up[i];
-      bytes_down_total += sync.bytes_down[i];
-      downloads[i].start_time_s = t_agg;
-      downloads[i].bytes = static_cast<double>(sync.bytes_down[i]);
-      // A straggler's thin link covers its whole leg, the upload and the
-      // following model download alike.
-      downloads[i].rate_cap_bps =
-          network_.client_bandwidth_bps(leg.client) / leg.comm_factor;
+  // Retire every settled and consumed leg.
+  std::sort(remove_entries.begin(), remove_entries.end());
+  std::vector<InFlight> keep;
+  keep.reserve(inflight_.size() - remove_entries.size());
+  for (std::size_t e = 0, ri = 0; e < inflight_.size(); ++e) {
+    if (ri < remove_entries.size() && remove_entries[ri] == e) {
+      ++ri;
+      continue;
     }
-    const auto finished = net::simulate_shared_link(
-        downloads, options_.network.server_bandwidth_bps);
-    for (std::size_t i = 0; i < consumed_entries.size(); ++i) {
-      free_client(inflight_[consumed_entries[i]], finished[i].finish_time_s);
-    }
+    keep.push_back(std::move(inflight_[e]));
   }
-  erase_entries(remove_entries);
+  inflight_ = std::move(keep);
   as.inflight = static_cast<int>(inflight_.size());
-  if (wall_on) wall.timing_s += wall_sw.lap();
+  if (wall_on) record.wall.timing_s += wall_sw.lap();
 
-  const double round_time = t_agg - cycle_start_s;
-  elapsed_time_s_ = t_agg;
-  last_mean_payload_bytes_ =
-      consumed == 0 ? last_mean_payload_bytes_
-                    : static_cast<double>(bytes_up_total + bytes_down_total) /
-                          (2.0 * static_cast<double>(consumed));
-  ++round_;
-
-  RoundRecord record;
-  record.round = round;
-  record.round_time_s = round_time;
-  record.elapsed_time_s = elapsed_time_s_;
-  record.train_loss =
-      consumed == 0 ? 0.0 : loss_sum / static_cast<double>(consumed);
-  record.sparsification_ratio = protocol_->last_sparsification_ratio();
-  record.bytes_up = bytes_up_total;
-  record.bytes_down = bytes_down_total + resync_bytes_total;
-  record.num_participants = consumed;
-  record.uploads_lost = uploads_lost;
-  const compress::SyncProtocol::Telemetry tele =
-      protocol_->last_round_telemetry();
-  record.speculated_fraction = tele.speculated_fraction;
-  record.fallback_syncs = static_cast<int>(tele.fallback_syncs);
-  record.async = as;
-  if (faulty) {
-    record.faults = fc;
-    add_fault_counters(fc, uploads_lost);
-  }
-  if (options_.eval_every > 0 && (round_ % options_.eval_every == 0)) {
-    OBS_SPAN("sim.eval");
-    record.test_accuracy = evaluate();
-  }
-  if (wall_on) {
-    wall.eval_s = wall_sw.lap();
-    wall.total_s = wall_sw.elapsed_seconds();
-    record.wall = wall;
-    auto& reg = obs::MetricsRegistry::global();
-    reg.counter("fl.round.count").add(1);
-    reg.counter("fl.round.bytes_up").add(record.bytes_up);
-    reg.counter("fl.round.bytes_down").add(record.bytes_down);
-    reg.counter("fl.async.aggregations").add(1);
-    reg.counter("fl.async.stale_uploads")
-        .add(static_cast<std::uint64_t>(stale_uploads));
-    obs::HistogramOptions stale_opts;
-    stale_opts.lo = 0.0;
-    stale_opts.hi = 32.0;
-    stale_opts.buckets = 16;
-    auto& hist =
-        reg.histogram("fl.async.staleness", stale_opts);
-    for (std::size_t s = 0; s < as.staleness_hist.size(); ++s) {
-      for (int c = 0; c < as.staleness_hist[s]; ++c) {
-        hist.record(static_cast<double>(s));
-      }
-    }
-  }
-  return record;
+  record.round_time_s = t_end - cycle_start_s;
+  as.fill_time_s = record.round_time_s;
+  record.async = std::move(as);
+  elapsed_time_s_ = t_end;
+  return close_round(std::move(record), fc, resync_bytes, wall_sw);
 }
 
-void Simulation::train_participants(const std::vector<int>& participants,
-                                    const LocalTrainOptions& local,
+void Simulation::train_participants(int round,
+                                    const std::vector<int>& participants,
                                     std::vector<std::vector<float>>& states,
                                     std::vector<double>& losses) {
+  OBS_SPAN("sim.train");
+  LocalTrainOptions local = options_.local;
+  if (options_.lr_schedule) {
+    local.learning_rate = options_.lr_schedule->lr(round);
+  }
   auto train_one = [&](std::size_t idx, nn::Model& model) {
     model.load_state_vector(global_);
     losses[idx] = clients_[static_cast<std::size_t>(participants[idx])]
@@ -1167,11 +954,9 @@ std::pair<int, std::size_t> Simulation::add_client(data::Dataset shard) {
                                               options_.local.batch_size, rng));
   active_.push_back(true);
   network_.add_clients(1);
-  if (options_.async.enabled) {
-    client_busy_.push_back(0);
-    // The joiner can be dispatched from the moment it appears.
-    client_ready_s_.push_back(elapsed_time_s_);
-  }
+  client_busy_.push_back(0);
+  // The joiner can be dispatched from the moment it appears.
+  client_ready_s_.push_back(elapsed_time_s_);
   protocol_->on_client_join(id);
   // The joiner downloads the latest model plus protocol join state (§V).
   const std::size_t join_bytes =
@@ -1218,7 +1003,7 @@ std::vector<std::uint8_t> Simulation::snapshot_state() const {
   writer.write_string(protocol_->name());
   writer.write_u64(options_.seed);
   writer.write_i32(static_cast<std::int32_t>(clients_.size()));
-  writer.write_bool(options_.async.enabled && !async_barrier_);
+  writer.write_bool(async_engine_);
   writer.write_i32(round_);
   writer.write_i32(model_version_);
   writer.write_f64(elapsed_time_s_);
@@ -1256,7 +1041,7 @@ std::vector<std::uint8_t> Simulation::snapshot_state() const {
   // quiescent server. Dispatch-era globals are deduplicated by identity
   // (legs dispatched in one cycle share one snapshot); restoring
   // content-identical vectors preserves the re-base arithmetic bitwise.
-  if (options_.async.enabled && !async_barrier_) {
+  if (async_engine_) {
     writer.write_magic(kSnapAsyncMagic);
     {
       std::vector<std::uint8_t> busy(client_busy_.begin(), client_busy_.end());
@@ -1336,8 +1121,7 @@ void Simulation::restore_state(const std::vector<std::uint8_t>& payload) {
         " (mid-run add_client joiners are outside the resume frontier)");
   }
   const bool snap_async = reader.read_bool();
-  const bool this_async = options_.async.enabled && !async_barrier_;
-  if (snap_async != this_async) {
+  if (snap_async != async_engine_) {
     throw std::runtime_error(
         "Simulation::restore_state: snapshot and run disagree on async "
         "mode");
@@ -1381,7 +1165,7 @@ void Simulation::restore_state(const std::vector<std::uint8_t>& payload) {
     faults_.restore_churn_state(std::vector<int>(down32.begin(), down32.end()));
   }
 
-  if (this_async) {
+  if (async_engine_) {
     reader.expect_magic(kSnapAsyncMagic, "run-checkpoint async section");
     std::vector<std::uint8_t> busy = reader.read_vector<std::uint8_t>();
     if (busy.size() != client_busy_.size()) {

@@ -23,6 +23,7 @@
 #include "net/network_model.h"
 #include "nn/schedule.h"
 #include "nn/zoo.h"
+#include "util/stopwatch.h"
 #include "util/thread_pool.h"
 
 namespace fedsu::fl {
@@ -108,18 +109,10 @@ struct SimulationOptions {
   net::NetworkOptions network;
   TimingModel timing = TimingModel::kCoarse;
   // Deterministic fault injection & churn (fl/faults, DESIGN.md §10,
-  // docs/FAULT_MODEL.md). All rates zero (the default) keeps the fault
-  // layer entirely off the round path: results are bitwise identical to a
-  // build without it.
+  // docs/FAULT_MODEL.md). All rates zero (the default) disables the plan:
+  // it never resolves a round and answers every client with the neutral
+  // ClientFault{}, so results are bitwise identical to a build without it.
   FaultOptions faults;
-  // Legacy flat upload-loss knob, folded into `faults` at construction so
-  // there is a single failure mechanism: when faults.upload_loss_probability
-  // is 0 this value is used as the per-attempt loss probability (with
-  // faults.max_retries retries, default 0 = the historical no-retry
-  // semantics). A round whose every upload is lost stalls: time passes, the
-  // global state stays put, and the RoundRecord is self-consistent
-  // (num_participants == 0, speculated_fraction == 0).
-  double upload_loss_probability = 0.0;
   // Buffered-async execution. When enabled, `participation_fraction` is
   // ignored (every active client is always either training or uploading),
   // and `timing` is forced to kFlowLevel — overlapping uploads only exist
@@ -140,7 +133,7 @@ struct SimulationOptions {
 
 struct RoundRecord {
   int round = 0;
-  int uploads_lost = 0;  // failure injection (see SimulationOptions)
+  int uploads_lost = 0;  // lost after every retry (FaultOptions)
   double round_time_s = 0.0;     // simulated duration of this round
   double elapsed_time_s = 0.0;   // cumulative simulated time
   double train_loss = 0.0;       // mean over participants
@@ -293,7 +286,7 @@ class Simulation {
   struct InFlight {
     int client = 0;
     int version = 0;         // model_version_ at dispatch
-    int dispatch_cycle = 0;  // round_ at dispatch (keys the fault RNG)
+    int dispatch_cycle = 0;  // round_ at dispatch (whose faults it carries)
     double dispatch_s = 0.0; // absolute simulated dispatch time
     std::size_t flow = 0;    // AsyncUplink flow id
     int attempts = 1;
@@ -308,25 +301,39 @@ class Simulation {
     std::shared_ptr<const std::vector<float>> dispatch_global;
   };
 
-  // The synchronous barrier round (the historical step()).
+  // The two round engines: a synchronous barrier round and a buffered-async
+  // aggregation cycle (DESIGN.md §11). They differ only in their delivery
+  // rule — the barrier cut marks late uploads unused, the async buffer
+  // keeps them in flight; every other stage is a shared helper below.
   RoundRecord step_sync();
-  // One buffered-async aggregation cycle (DESIGN.md §11).
   RoundRecord step_async();
   // Writes the periodic run checkpoint when the cadence says so, attaching
   // the outcome to `record` (before the round hook sees it).
   void maybe_checkpoint(RoundRecord& record);
 
-  std::vector<int> select_participants(int round);
-  // Builds the consistent record for a round that stalled (no aggregation:
-  // every upload lost, quorum missed, or every client crashed).
-  RoundRecord stalled_round(int round, double round_time,
-                            RoundRecord::FaultCounters counters);
-  // Trains every participant (reading global_, filling states/losses by
-  // participant position) — across the pool when it pays, else sequentially.
-  void train_participants(const std::vector<int>& participants,
-                          const LocalTrainOptions& local,
+  // Resolves `round`'s faults and returns the clients that can start work:
+  // active, not crashed, and not mid-upload. Each rejoiner among them is
+  // billed its forced re-sync, tallied in `fc` and `resync_bytes`.
+  std::vector<int> open_round(int round, RoundRecord::FaultCounters& fc,
+                              std::size_t& resync_bytes);
+  std::vector<int> select_participants(int round,
+                                       const std::vector<int>& present);
+  // Trains every participant at the round's scheduled learning rate
+  // (reading global_, filling states/losses by participant position) —
+  // across the pool when it pays, else sequentially.
+  void train_participants(int round, const std::vector<int>& participants,
                           std::vector<std::vector<float>>& states,
                           std::vector<double>& losses);
+  // Runs the protocol under test and installs its new global.
+  compress::SyncResult synchronize(
+      const compress::RoundContext& ctx,
+      const std::vector<std::span<const float>>& views);
+  // Ends the round `record` describes — aggregated (num_participants > 0)
+  // or stalled — once its engine has set the clock: attaches protocol
+  // telemetry (aggregated rounds only), re-sync bytes and fault tallies,
+  // evaluates, and records the wall phases and round counters.
+  RoundRecord close_round(RoundRecord record, RoundRecord::FaultCounters fc,
+                          std::size_t resync_bytes, util::Stopwatch& wall_sw);
 
   SimulationOptions options_;
   std::unique_ptr<compress::SyncProtocol> protocol_;
@@ -355,10 +362,11 @@ class Simulation {
   double last_mean_payload_bytes_ = 0.0;  // for finish-time estimation
   std::function<void(const RoundRecord&)> round_hook_;
 
-  // --- buffered-async state (unused on the synchronous path) ---
-  // True when the configured K is structurally a barrier (K >= cohort, no
-  // faults): the run routes to step_sync() and is the synchronous path.
-  bool async_barrier_ = false;
+  // --- buffered-async state (idle on the synchronous path) ---
+  // True when step() runs async cycles: async is on and K is not
+  // structurally a barrier (K >= cohort without faults routes to
+  // step_sync() and is the synchronous path).
+  bool async_engine_ = false;
   int model_version_ = 0;  // aggregations completed (== protocol rounds_seen)
   std::unique_ptr<net::AsyncUplink> uplink_;
   std::vector<InFlight> inflight_;

@@ -371,6 +371,22 @@ TEST(AsyncFaults, CumulativeReconciliationAndThreadIdentity) {
   }
 }
 
+TEST(AsyncFaults, BufferSmallerThanTheQuorumStillAggregates) {
+  // docs/FAULT_MODEL.md §6: a cycle stalls below min(min_quorum, K)
+  // deliverable arrivals, so K = 2 under a quorum of 3 aggregates as soon
+  // as its two uploads are in instead of stalling forever.
+  SimulationOptions options = async_options(2);
+  options.num_clients = 6;
+  options.faults.deadline_s = 1e12;  // enables the plan, never binds
+  options.faults.min_quorum = 3;
+  const AsyncRun run = run_async(options, "fedavg", 10);
+  for (const RoundRecord& r : run.records) {
+    ASSERT_TRUE(r.faults.has_value());
+    EXPECT_TRUE(r.faults->quorum_met) << "cycle " << r.round;
+    EXPECT_EQ(r.num_participants, 2) << "cycle " << r.round;
+  }
+}
+
 // --- the FedSU version fence -----------------------------------------------
 
 TEST(VersionFence, AllCurrentDispatchRoundsMatchTheUnversionedPathBitwise) {

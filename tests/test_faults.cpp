@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <span>
@@ -295,6 +297,74 @@ TEST(SimulationFaults, DisabledPlanLeavesRecordsUntouched) {
   }
 }
 
+TEST(SimulationFaults, NeutralEnabledPlanMatchesTheDisabledRunBitwise) {
+  // An enabled plan that realizes no fault hands every client the same
+  // neutral ClientFault{} a disabled plan does, so both engines must
+  // simulate the identical run. Coarse timing is left out: its faulty sum
+  // associates as (compute + up) + down, which can land an ulp away from
+  // the fault-free compute + comm(up, down).
+  auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (const char* proto : {"fedavg", "fedsu"}) {
+    for (bool async : {false, true}) {
+      SCOPED_TRACE(std::string(proto) + (async ? " async" : " sync"));
+      SimulationOptions options = tiny_options();
+      options.num_clients = 6;
+      options.timing = TimingModel::kFlowLevel;
+      options.async.enabled = async;
+      options.async.buffer_k = 3;
+      SimulationOptions neutral = options;
+      neutral.faults.deadline_s = 1e12;  // enables the plan, never binds
+      Simulation off(options, proto_for(proto, options.num_clients));
+      Simulation on(neutral, proto_for(proto, options.num_clients));
+      ASSERT_FALSE(off.fault_plan().enabled());
+      ASSERT_TRUE(on.fault_plan().enabled());
+      const auto a = off.run(8);
+      const auto b = on.run(8);
+      ASSERT_EQ(a.size(), b.size());
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        SCOPED_TRACE("round " + std::to_string(i));
+        EXPECT_EQ(a[i].round, b[i].round);
+        EXPECT_EQ(a[i].uploads_lost, b[i].uploads_lost);
+        EXPECT_EQ(bits(a[i].round_time_s), bits(b[i].round_time_s));
+        EXPECT_EQ(bits(a[i].elapsed_time_s), bits(b[i].elapsed_time_s));
+        EXPECT_EQ(bits(a[i].train_loss), bits(b[i].train_loss));
+        ASSERT_EQ(a[i].test_accuracy.has_value(),
+                  b[i].test_accuracy.has_value());
+        if (a[i].test_accuracy) {
+          EXPECT_EQ(std::bit_cast<std::uint32_t>(*a[i].test_accuracy),
+                    std::bit_cast<std::uint32_t>(*b[i].test_accuracy));
+        }
+        EXPECT_EQ(bits(a[i].sparsification_ratio),
+                  bits(b[i].sparsification_ratio));
+        EXPECT_EQ(a[i].bytes_up, b[i].bytes_up);
+        EXPECT_EQ(a[i].bytes_down, b[i].bytes_down);
+        EXPECT_EQ(a[i].num_participants, b[i].num_participants);
+        EXPECT_EQ(bits(a[i].speculated_fraction),
+                  bits(b[i].speculated_fraction));
+        EXPECT_EQ(a[i].fallback_syncs, b[i].fallback_syncs);
+        ASSERT_EQ(a[i].async.has_value(), async);
+        ASSERT_EQ(b[i].async.has_value(), async);
+        if (async) {
+          const RoundRecord::AsyncStats& x = *a[i].async;
+          const RoundRecord::AsyncStats& y = *b[i].async;
+          EXPECT_EQ(x.buffer_k, y.buffer_k);
+          EXPECT_EQ(x.consumed, y.consumed);
+          EXPECT_EQ(x.inflight, y.inflight);
+          EXPECT_EQ(bits(x.fill_time_s), bits(y.fill_time_s));
+          EXPECT_EQ(x.max_staleness, y.max_staleness);
+          EXPECT_EQ(bits(x.mean_staleness), bits(y.mean_staleness));
+          EXPECT_EQ(bits(x.weight_sum), bits(y.weight_sum));
+          EXPECT_EQ(x.staleness_hist, y.staleness_hist);
+        }
+      }
+      const std::vector<float>& x = off.global_state();
+      const std::vector<float>& y = on.global_state();
+      ASSERT_EQ(x.size(), y.size());
+      EXPECT_EQ(std::memcmp(x.data(), y.data(), x.size() * sizeof(float)), 0);
+    }
+  }
+}
+
 TEST(SimulationFaults, ScheduleIsIdenticalAcrossThreadCounts) {
   // The §5b contract extended to faults: a hostile mix of churn,
   // stragglers, loss, retries, and corruption must play out bit-for-bit
@@ -393,11 +463,10 @@ TEST(SimulationFaults, RetriesConsumeSimulatedTime) {
 }
 
 TEST(SimulationFaults, TotalLossStallsButStaysSelfConsistent) {
-  // The documented edge of the legacy flat-loss knob, now routed through
-  // the fault plan: a round whose every upload is lost stalls — time
-  // passes, the state stays put, and the record is self-consistent.
+  // A round whose every upload is lost stalls — time passes, the state
+  // stays put, and the record is self-consistent.
   SimulationOptions options = tiny_options();
-  options.upload_loss_probability = 1.0;  // legacy knob, folded at ctor
+  options.faults.upload_loss_probability = 1.0;
   Simulation sim(options, proto_for("fedsu", options.num_clients));
   EXPECT_TRUE(sim.fault_plan().enabled());
   const std::vector<float> before = sim.global_state();

@@ -33,7 +33,7 @@ SimulationOptions torture_options() {
   options.timing = TimingModel::kFlowLevel;
   options.participation = SimulationOptions::Participation::kUniform;
   options.participation_fraction = 0.7;
-  options.upload_loss_probability = 0.15;
+  options.faults.upload_loss_probability = 0.15;
   options.eval_every = 4;
   return options;
 }

@@ -262,40 +262,82 @@ TEST(Telemetry, ThreeRoundSimulationInvariants) {
   obs::set_level(obs::Level::kMetrics);
   const std::string path = ::testing::TempDir() + "/fedsu_obs_telemetry.jsonl";
 
-  fl::Simulation sim(tiny_options(), proto_for("fedsu", 4));
-  obs::TelemetryWriter telemetry(path, "fedsu");
-  sim.set_round_hook(telemetry.hook());
-  const std::vector<fl::RoundRecord> records = sim.run(3);
-  ASSERT_EQ(records.size(), 3u);
-  EXPECT_EQ(telemetry.rows_written(), 3);
-
-  for (const fl::RoundRecord& r : records) {
-    EXPECT_GT(r.bytes_up, 0u);
-    EXPECT_GE(r.speculated_fraction, 0.0);
-    EXPECT_LE(r.speculated_fraction, 1.0);
-    EXPECT_GE(r.fallback_syncs, 0);
-    const double phase_sum = r.wall.select_s + r.wall.train_s + r.wall.sync_s +
-                             r.wall.timing_s + r.wall.eval_s;
-    EXPECT_GT(r.wall.total_s, 0.0);
-    EXPECT_LE(phase_sum, r.wall.total_s * 1.0001 + 1e-9);
+  // A clean FedSU run, then FedAvg under upload loss 0.5 and churn 0.2
+  // with a quorum of 3 of 6, through each engine. Those stall most rounds,
+  // and a stalled round is still a whole round to the wall phases and the
+  // fl.round.* counters.
+  struct Case {
+    const char* protocol;
+    fl::SimulationOptions options;
+    bool expect_stalls;
+  };
+  std::vector<Case> cases = {{"fedsu", tiny_options(), false}};
+  for (bool async : {false, true}) {
+    fl::SimulationOptions stalling = tiny_options();
+    stalling.num_clients = 6;
+    stalling.faults.upload_loss_probability = 0.5;
+    stalling.faults.crash_probability = 0.2;
+    stalling.faults.min_quorum = 3;
+    stalling.async.enabled = async;
+    cases.push_back({"fedavg", stalling, true});
   }
 
-  // The JSONL re-parses and carries the same invariants.
-  std::ifstream in(path);
-  std::string line;
-  int rows = 0;
-  while (std::getline(in, line)) {
-    const obs::JsonValue record = obs::json_parse(line);
-    EXPECT_EQ(record.at("protocol").as_string(), "fedsu");
-    EXPECT_GT(record.at("bytes_up").as_number(), 0.0);
-    const double spec = record.at("speculated_fraction").as_number();
-    EXPECT_GE(spec, 0.0);
-    EXPECT_LE(spec, 1.0);
-    EXPECT_EQ(static_cast<int>(record.at("round").as_number()), rows);
-    ++rows;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.protocol) +
+                 (c.options.async.enabled ? " async" : " sync"));
+    auto& reg = obs::MetricsRegistry::global();
+    const std::uint64_t count0 = reg.counter("fl.round.count").value();
+    const std::uint64_t up0 = reg.counter("fl.round.bytes_up").value();
+    const std::uint64_t down0 = reg.counter("fl.round.bytes_down").value();
+
+    fl::Simulation sim(c.options, proto_for(c.protocol, c.options.num_clients));
+    obs::TelemetryWriter telemetry(path, c.protocol);
+    sim.set_round_hook(telemetry.hook());
+    const std::vector<fl::RoundRecord> records = sim.run(3);
+    ASSERT_EQ(records.size(), 3u);
+    EXPECT_EQ(telemetry.rows_written(), 3);
+
+    std::uint64_t bytes_up = 0, bytes_down = 0;
+    int stalls = 0;
+    for (const fl::RoundRecord& r : records) {
+      EXPECT_EQ(r.bytes_up > 0, r.num_participants > 0);
+      if (r.num_participants == 0) ++stalls;
+      bytes_up += r.bytes_up;
+      bytes_down += r.bytes_down;
+      EXPECT_GE(r.speculated_fraction, 0.0);
+      EXPECT_LE(r.speculated_fraction, 1.0);
+      EXPECT_GE(r.fallback_syncs, 0);
+      const double phase_sum = r.wall.select_s + r.wall.train_s +
+                               r.wall.sync_s + r.wall.timing_s +
+                               r.wall.eval_s;
+      EXPECT_GT(r.wall.total_s, 0.0);
+      EXPECT_LE(phase_sum, r.wall.total_s * 1.0001 + 1e-9);
+    }
+    EXPECT_EQ(stalls > 0, c.expect_stalls);
+    EXPECT_EQ(reg.counter("fl.round.count").value() - count0,
+              records.size());
+    EXPECT_EQ(reg.counter("fl.round.bytes_up").value() - up0, bytes_up);
+    EXPECT_EQ(reg.counter("fl.round.bytes_down").value() - down0,
+              bytes_down);
+
+    // The JSONL re-parses and carries the same invariants.
+    std::ifstream in(path);
+    std::string line;
+    int rows = 0;
+    while (std::getline(in, line)) {
+      const obs::JsonValue record = obs::json_parse(line);
+      EXPECT_EQ(record.at("protocol").as_string(), c.protocol);
+      EXPECT_EQ(record.at("bytes_up").as_number() > 0.0,
+                record.at("participants").as_number() > 0.0);
+      const double spec = record.at("speculated_fraction").as_number();
+      EXPECT_GE(spec, 0.0);
+      EXPECT_LE(spec, 1.0);
+      EXPECT_EQ(static_cast<int>(record.at("round").as_number()), rows);
+      ++rows;
+    }
+    EXPECT_EQ(rows, 3);
+    std::remove(path.c_str());
   }
-  EXPECT_EQ(rows, 3);
-  std::remove(path.c_str());
 }
 
 // Telemetry bytes must equal the protocol's exact serialized payload: for
