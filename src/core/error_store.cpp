@@ -3,6 +3,8 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "util/thread_pool.h"
+
 namespace fedsu::core {
 
 void SparseErrorStore::reset(int num_clients, std::size_t params) {
@@ -19,9 +21,20 @@ float* SparseErrorStore::ensure(int client) {
   return slot.get();
 }
 
-void SparseErrorStore::clear_param(std::size_t j) {
-  for (auto& slot : slabs_) {
-    if (slot) slot[j] = 0.0f;
+void SparseErrorStore::clear_params(std::span<const std::size_t> params,
+                                    util::ThreadPool* pool) {
+  if (params.empty()) return;
+  auto clear = [&](std::size_t c0, std::size_t c1) {
+    for (std::size_t c = c0; c < c1; ++c) {
+      float* slab = slabs_[c].get();
+      if (slab == nullptr) continue;
+      for (const std::size_t j : params) slab[j] = 0.0f;
+    }
+  };
+  if (pool != nullptr && pool->worth_parallelizing() && slabs_.size() > 1) {
+    pool->parallel_for(0, slabs_.size(), clear);
+  } else {
+    clear(0, slabs_.size());
   }
 }
 

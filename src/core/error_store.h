@@ -14,19 +14,27 @@
 //     once any delta is nonzero the slab exists and accumulates verbatim;
 //   * on_client_rejoin releases the slab outright (the dense code filled it
 //     with zeros); it re-materializes only if the client accumulates again;
-//   * promotions/demotions clear one parameter across allocated slabs only.
+//   * promotions/demotions clear their parameters across allocated slabs
+//     only, in one batched pass per round (clear_params).
 //
 // The store is not thread-safe as a whole, but disjoint clients may be
 // accumulated concurrently: ensure()/slab() touch only the client's own
-// pointer (the outer vector is never resized during a round).
+// pointer (the outer vector is never resized during a round). FedSuManager
+// still creates its slabs on the calling thread before its parallel pass,
+// so they come from the main heap arena, not from per-thread ones.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "io/serialize.h"
+
+namespace fedsu::util {
+class ThreadPool;
+}
 
 namespace fedsu::core {
 
@@ -62,9 +70,12 @@ class SparseErrorStore {
   // semantically all-zero again, so the memory goes back to the allocator).
   void release(int client) { slabs_[static_cast<std::size_t>(client)].reset(); }
 
-  // err[j] = 0 across every ALLOCATED slab (promotion / demotion path; the
-  // dense equivalent wrote the whole column).
-  void clear_param(std::size_t j);
+  // err[j] = 0 for every listed j across every ALLOCATED slab (the
+  // promotion / demotion path; the dense equivalent wrote whole columns).
+  // Slabs are independent, so they are cleared in parallel over `pool`
+  // (may be null: inline).
+  void clear_params(std::span<const std::size_t> params,
+                    util::ThreadPool* pool);
 
   std::size_t allocated_slabs() const;
   // Bytes of slab memory currently resident (the quantity bench_scale

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "compress/wire.h"
 #include "obs/metrics.h"
@@ -101,8 +102,6 @@ compress::SyncResult FedSuManager::synchronize(
   std::vector<float> new_global = global_;
   const double inv_n = 1.0 / static_cast<double>(n);
   diag_ = RoundDiagnostics{};
-  std::size_t& unpredictable_count = diag_.unpredictable;
-  std::size_t& expiring_count = diag_.expiring;
 
   // Client 0's wire upload: unpredictable values (pass 1) followed by
   // expiring error scalars (pass 2). The byte accounting below is
@@ -111,38 +110,53 @@ compress::SyncResult FedSuManager::synchronize(
   const bool audit = compress::wire::payload_audit();
   std::vector<float> up_payload;
 
-  // Pass 1: synchronize unpredictable parameters; speculatively update the
-  // predictable ones and accumulate prediction errors. The aggregation and
-  // the error scatter are chunked over the global pool with fixed shapes
-  // (util/reduce.h block tree; one scatter task per participant), so the
-  // bits are identical for every --threads value (§5b).
+  // Every pass walks one of three lists built by a single serial mask walk,
+  // so each touches only the parameters it needs. The parallel stages have
+  // disjoint outputs with fixed shapes (util/reduce.h block tree, one row
+  // task per participant, one fold per expiring column), so the bits are
+  // identical for every --threads value (§5b).
   util::ThreadPool* pool = &util::ThreadPool::global();
-  std::vector<std::size_t> expiring;  // ascending j, filled as periods lapse
+  const bool fan_out = pool->worth_parallelizing();
+  std::vector<std::size_t> unpredictable;  // ascending j
+  std::vector<std::pair<std::size_t, std::size_t>> runs;  // predictable [b, e)
+  std::vector<std::size_t> expiring;  // ascending j whose period lapsed
+
+  // Pass 1: synchronize unpredictable parameters; speculatively update the
+  // predictable ones and accumulate prediction errors.
   {
   OBS_SPAN("core.fedsu.speculate");
-  // Positional sums of every column in the fixed block shape. For cohorts
-  // up to util::kReduceClientBlock this is the historical per-column serial
-  // chain bit-for-bit; beyond it the deterministic two-level tree applies
-  // (documented §5b extension). Predictable columns are summed too — the
-  // row-major traversal vectorizes, and it keeps the reduction shape a
-  // function of (n, p) alone.
-  std::vector<double> column_sums(p, 0.0);
-  util::column_sums(client_states, column_sums, pool);
   for (std::size_t j = 0; j < p; ++j) {
     if (!predictable_[j]) {
-      ++unpredictable_count;
-      if (audit) up_payload.push_back(client_states[0][j]);
-      new_global[j] = static_cast<float>(column_sums[j] * inv_n);
+      unpredictable.push_back(j);
       continue;
+    }
+    if (runs.empty() || runs.back().second != j) {
+      runs.emplace_back(j, j + 1);
+    } else {
+      ++runs.back().second;
     }
     // Speculative update: persist the profiled per-round slope.
     new_global[j] = global_[j] + slope_[j];
     ++linear_rounds_[j];
-    if (--no_check_remaining_[j] <= 0) {
-      ++expiring_count;
-      expiring.push_back(j);
+    if (--no_check_remaining_[j] <= 0) expiring.push_back(j);
+  }
+  diag_.unpredictable = unpredictable.size();
+  diag_.expiring = expiring.size();
+
+  // Only the unpredictable columns are averaged, each in the fixed block
+  // shape: for cohorts up to util::kReduceClientBlock the historical
+  // per-column serial chain, beyond it the deterministic two-level tree
+  // (documented §5b extension).
+  {
+    std::vector<double> sums(unpredictable.size());
+    util::listed_column_sums(client_states, unpredictable, sums, pool);
+    for (std::size_t k = 0; k < unpredictable.size(); ++k) {
+      const std::size_t j = unpredictable[k];
+      new_global[j] = static_cast<float>(sums[k] * inv_n);
+      if (audit) up_payload.push_back(client_states[0][j]);
     }
   }
+
   // Each participating client logs its local prediction error
   // e = (local update) - slope = x_local - x_spec, where x_spec is the
   // speculative new_global written above. A stale participant whose model
@@ -150,30 +164,56 @@ compress::SyncResult FedSuManager::synchronize(
   // phase's trajectory, so its error term is meaningless for Eq. 3 — the
   // version fence keeps it out of the accumulator, the same invariant the
   // rejoin stamps enforce for crash churn, keyed by dispatch version
-  // instead of rejoin round. Participants are distinct clients, so each
-  // scatter task owns its slab exclusively; a slab materializes on the
-  // first nonzero delta (absent == exact zeros, core/error_store.h).
-  if (unpredictable_count < p) {  // at least one predictable parameter
+  // instead of rejoin round.
+  if (!runs.empty()) {
+    const float* spec = new_global.data();
+    const std::int32_t* phase_start = phase_start_round_.data();
+    auto fenced = [&](std::size_t i, std::size_t j) {
+      return versioned && ctx.dispatch_rounds[i] < phase_start[j];
+    };
+    // A slab materializes at the participant's first nonzero eligible
+    // delta (absent == exact zeros, core/error_store.h). Creating it here,
+    // on the calling thread, lets the row pass below accumulate densely
+    // from the start of the slab: the deltas before that first nonzero one
+    // are +/-0, and +0 + (+/-0) == +0, so the slab ends bit-identical.
+    for (std::size_t i = 0; i < n; ++i) {
+      const int client = ctx.participants[i];
+      if (client_err_.slab(client) != nullptr) continue;
+      const float* state = client_states[i].data();
+      bool nonzero = false;
+      for (const auto& [b, e] : runs) {
+        for (std::size_t j = b; j < e && !nonzero; ++j) {
+          nonzero = !fenced(i, j) && state[j] - spec[j] != 0.0f;
+        }
+        if (nonzero) break;
+      }
+      if (nonzero) client_err_.ensure(client);
+    }
+    // Row pass: participants are distinct clients, so each task owns its
+    // slab. Within a predictable run the accumulation is dense; the version
+    // fence is a per-element select that keeps a fenced entry's old bits.
+    // Entries of unpredictable parameters are neither read nor written.
     auto scatter = [&](std::size_t i0, std::size_t i1) {
       for (std::size_t i = i0; i < i1; ++i) {
-        const int client = ctx.participants[i];
-        const std::span<const float>& state = client_states[i];
-        float* slab = client_err_.slab(client);
-        for (std::size_t j = 0; j < p; ++j) {
-          if (!predictable_[j]) continue;
-          if (versioned && ctx.dispatch_rounds[i] < phase_start_round_[j]) {
-            continue;
+        float* __restrict slab = client_err_.slab(ctx.participants[i]);
+        if (slab == nullptr) continue;  // every eligible delta was zero
+        const float* __restrict state = client_states[i].data();
+        if (!versioned) {
+          for (const auto& [b, e] : runs) {
+            for (std::size_t j = b; j < e; ++j) slab[j] += state[j] - spec[j];
           }
-          const float delta = state[j] - new_global[j];
-          if (slab == nullptr) {
-            if (delta == 0.0f) continue;  // dense would add +/-0 to 0: 0
-            slab = client_err_.ensure(client);
+          continue;
+        }
+        const std::int32_t dispatched = ctx.dispatch_rounds[i];
+        for (const auto& [b, e] : runs) {
+          for (std::size_t j = b; j < e; ++j) {
+            const float acc = slab[j] + (state[j] - spec[j]);
+            slab[j] = dispatched < phase_start[j] ? slab[j] : acc;
           }
-          slab[j] += delta;
         }
       }
     };
-    if (pool->worth_parallelizing() && n > 1) {
+    if (fan_out && n > 1) {
       pool->parallel_for(0, n, scatter);
     } else {
       scatter(0, n);
@@ -181,43 +221,46 @@ compress::SyncResult FedSuManager::synchronize(
   }
   }  // OBS_SPAN core.fedsu.speculate
 
+  // Columns whose errors restart this round (demotions in pass 2,
+  // promotions in pass 3). Nothing reads the slabs after the verdicts, so
+  // they are cleared together at the end of pass 3.
+  std::vector<std::size_t> cleared;
+
   // Pass 2: error feedback for parameters whose no-checking period expired.
-  // Stage 2a computes every expiring parameter's aggregate concurrently
-  // (disjoint outputs per expiring index); stage 2b applies the verdicts
-  // serially in ascending parameter order, so payload layout, event order
-  // and diagnostics are exactly the historical ones.
+  // Stage 2a folds every expiring parameter's errors; stage 2b applies the
+  // verdicts serially in ascending parameter order, so payload layout,
+  // event order and diagnostics are exactly the historical ones.
   {
   OBS_SPAN("core.fedsu.feedback");
   // Stage 2a: filtered sums. Aggregate only accumulators that cover the
   // whole speculation phase: a client that rejoined after the phase started
   // (rejoin_stamp_ > phase_start_round_) missed earlier error terms, and
   // Eq. 3 sums from the phase start. Without churn every participant is
-  // valid and the mean is bit-identical to the unfiltered one. The filtered
-  // column is folded with the same fixed block shape as every other
-  // aggregation (util::blocked_sum), keeping the centralized and
-  // distributed decompositions bit-identical at any cohort size.
-  std::vector<double> err_sums(expiring.size(), 0.0);
-  std::vector<std::size_t> err_valid(expiring.size(), 0);
+  // valid and the mean is bit-identical to the unfiltered one. The fold
+  // streams the slabs row by row (participants ascending) into one
+  // util::BlockedSum per expiring column — exactly util::blocked_sum of the
+  // filtered column, the block shape every other aggregation uses, keeping
+  // the centralized and distributed decompositions bit-identical at any
+  // cohort size. Chunks of expiring columns run in parallel.
+  std::vector<util::BlockedSum> folds(expiring.size());
   if (!expiring.empty()) {
-    auto reduce_errors = [&](std::size_t k0, std::size_t k1) {
-      std::vector<float> column;
-      column.reserve(n);
-      for (std::size_t k = k0; k < k1; ++k) {
-        const std::size_t j = expiring[k];
-        column.clear();
-        for (std::size_t i = 0; i < n; ++i) {
-          const auto id = static_cast<std::size_t>(ctx.participants[i]);
-          if (rejoin_stamp_[id] > phase_start_round_[j]) continue;
-          column.push_back(client_err_.value(ctx.participants[i], j));
+    auto fold_rows = [&](std::size_t k0, std::size_t k1) {
+      for (std::size_t i = 0; i < n; ++i) {
+        const int client = ctx.participants[i];
+        const std::int32_t stamp =
+            rejoin_stamp_[static_cast<std::size_t>(client)];
+        const float* slab = client_err_.slab(client);
+        for (std::size_t k = k0; k < k1; ++k) {
+          const std::size_t j = expiring[k];
+          if (stamp > phase_start_round_[j]) continue;
+          folds[k].add(slab != nullptr ? slab[j] : 0.0f);
         }
-        err_sums[k] = util::blocked_sum(column);
-        err_valid[k] = column.size();
       }
     };
-    if (pool->worth_parallelizing() && expiring.size() > 1) {
-      pool->parallel_for(0, expiring.size(), reduce_errors);
+    if (fan_out && expiring.size() > 1) {
+      pool->parallel_for(0, expiring.size(), fold_rows);
     } else {
-      reduce_errors(0, expiring.size());
+      fold_rows(0, expiring.size());
     }
   }
   // Stage 2b: verdicts, in ascending parameter order.
@@ -225,7 +268,8 @@ compress::SyncResult FedSuManager::synchronize(
     const std::size_t j = expiring[k];
     // The client uploads its accumulated local error for this parameter.
     if (audit) up_payload.push_back(client_err_.value(ctx.participants[0], j));
-    if (err_valid[k] == 0) {
+    const std::size_t valid = folds[k].count;
+    if (valid == 0) {
       // Every participant's view of this phase is partial (all rejoined
       // mid-phase): the check cannot be evaluated. Re-arm for next round
       // without extending the period.
@@ -235,7 +279,7 @@ compress::SyncResult FedSuManager::synchronize(
     // The aggregate crosses the wire as float32 (matching the distributed
     // decomposition in core/distributed.h bit-for-bit).
     const float mean_err = static_cast<float>(
-        err_sums[k] * (1.0 / static_cast<double>(err_valid[k])));
+        folds[k].result() * (1.0 / static_cast<double>(valid)));
     const double denom = std::fabs(static_cast<double>(slope_[j])) + 1e-8;
     const double s = std::fabs(static_cast<double>(mean_err)) / denom;
     if (s < options_.t_s) {
@@ -252,7 +296,7 @@ compress::SyncResult FedSuManager::synchronize(
       no_check_period_[j] = 0;
       no_check_remaining_[j] = 0;
       new_global[j] = static_cast<float>(new_global[j] + mean_err);
-      client_err_.clear_param(j);
+      cleared.push_back(j);
       if (options_.reset_on_demote) osc_.reset(j);
       ++diag_.demotions;
       emit(SpecEvent{ctx.round, j, /*start=*/false});
@@ -286,11 +330,14 @@ compress::SyncResult FedSuManager::synchronize(
       no_check_period_[j] = options_.initial_no_check;
       no_check_remaining_[j] = options_.initial_no_check;
       phase_start_round_[j] = rounds_seen_;
-      client_err_.clear_param(j);
+      cleared.push_back(j);
       ++diag_.promotions;
       emit(SpecEvent{ctx.round, j, /*start=*/true});
     }
   }
+  // A new phase (promotion) or regular updating (demotion) starts from
+  // zero error: one pass over the allocated slabs, in parallel over them.
+  client_err_.clear_params(cleared, pool);
   }  // OBS_SPAN core.fedsu.diagnosis
 
   global_ = new_global;
@@ -302,7 +349,7 @@ compress::SyncResult FedSuManager::synchronize(
   // parameters add one error scalar per direction (upload local error,
   // download the aggregated verdict/correction). Masks and periods are
   // derived locally on every client and cost nothing (§V).
-  const std::size_t per_client_scalars = unpredictable_count + expiring_count;
+  const std::size_t per_client_scalars = diag_.unpredictable + diag_.expiring;
   // One f32 per unpredictable value plus one per expiring error scalar,
   // sized without encoding (DESIGN.md §15).
   const std::size_t bytes = compress::wire::measure_dense(per_client_scalars);
@@ -381,29 +428,52 @@ std::vector<std::uint8_t> FedSuManager::snapshot() const {
 }
 
 void FedSuManager::restore(const std::vector<std::uint8_t>& bytes) {
+  // Parse into locals and validate before touching a member, so a
+  // malformed snapshot throws and leaves the manager exactly as it was.
   io::BinaryReader reader(bytes);
   reader.expect_magic(kFedSuSnapshotMagic, "FedSuManager snapshot");
-  num_clients_ = reader.read_i32();
-  rounds_seen_ = reader.read_i32();
-  last_ratio_ = reader.read_f64();
-  global_ = reader.read_vector<float>();
-  osc_.deserialize(reader);
-  predictable_ = reader.read_vector<std::uint8_t>();
-  slope_ = reader.read_vector<float>();
-  no_check_period_ = reader.read_vector<std::int32_t>();
-  no_check_remaining_ = reader.read_vector<std::int32_t>();
-  linear_rounds_ = reader.read_vector<std::int32_t>();
-  phase_start_round_ = reader.read_vector<std::int32_t>();
-  rejoin_stamp_ = reader.read_vector<std::int32_t>();
-  const std::size_t p = global_.size();
-  client_err_.deserialize(reader, num_clients_, p);
-  if (predictable_.size() != p || slope_.size() != p ||
-      no_check_period_.size() != p || no_check_remaining_.size() != p ||
-      linear_rounds_.size() != p || osc_.size() != p ||
-      phase_start_round_.size() != p ||
-      rejoin_stamp_.size() != static_cast<std::size_t>(num_clients_)) {
+  const int num_clients = reader.read_i32();
+  const int rounds_seen = reader.read_i32();
+  const double last_ratio = reader.read_f64();
+  std::vector<float> global = reader.read_vector<float>();
+  OscillationTracker osc(0);
+  osc.deserialize(reader);
+  std::vector<std::uint8_t> predictable = reader.read_vector<std::uint8_t>();
+  std::vector<float> slope = reader.read_vector<float>();
+  std::vector<std::int32_t> no_check_period =
+      reader.read_vector<std::int32_t>();
+  std::vector<std::int32_t> no_check_remaining =
+      reader.read_vector<std::int32_t>();
+  std::vector<std::int32_t> linear_rounds = reader.read_vector<std::int32_t>();
+  std::vector<std::int32_t> phase_start_round =
+      reader.read_vector<std::int32_t>();
+  std::vector<std::int32_t> rejoin_stamp = reader.read_vector<std::int32_t>();
+  const std::size_t p = global.size();
+  // Checked before the error store is shaped: rejoin_stamp's length was
+  // bounded by the bytes read, so num_clients is too.
+  if (num_clients <= 0 || predictable.size() != p || slope.size() != p ||
+      no_check_period.size() != p || no_check_remaining.size() != p ||
+      linear_rounds.size() != p || osc.size() != p ||
+      phase_start_round.size() != p ||
+      rejoin_stamp.size() != static_cast<std::size_t>(num_clients)) {
     throw std::runtime_error("FedSuManager: inconsistent snapshot");
   }
+  SparseErrorStore client_err;
+  client_err.deserialize(reader, num_clients, p);
+
+  num_clients_ = num_clients;
+  rounds_seen_ = rounds_seen;
+  last_ratio_ = last_ratio;
+  global_ = std::move(global);
+  osc_ = std::move(osc);
+  predictable_ = std::move(predictable);
+  slope_ = std::move(slope);
+  no_check_period_ = std::move(no_check_period);
+  no_check_remaining_ = std::move(no_check_remaining);
+  linear_rounds_ = std::move(linear_rounds);
+  phase_start_round_ = std::move(phase_start_round);
+  rejoin_stamp_ = std::move(rejoin_stamp);
+  client_err_ = std::move(client_err);
 }
 
 double FedSuManager::predictable_fraction() const {

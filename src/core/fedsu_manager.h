@@ -77,6 +77,14 @@ class FedSuManager : public compress::SyncProtocol {
   // stamp, keyed by model version so stale feedback can't corrupt Eq. 3
   // corrections. An empty dispatch_rounds (every synchronous caller) keeps
   // the historical behaviour bit-for-bit.
+  //
+  // Three passes, each over an index list built by one mask walk
+  // (DESIGN.md §13), timed by the core.fedsu.speculate / .feedback /
+  // .diagnosis spans: pass 1 averages only the unpredictable columns and
+  // scatters prediction errors over the predictable runs; pass 2 folds the
+  // expiring errors row by row and applies the Eq. 3 verdicts; pass 3
+  // diagnoses the synchronized parameters, then clears the error columns
+  // of every promotion and demotion in one batch.
   compress::SyncResult synchronize(
       const compress::RoundContext& ctx,
       const std::vector<std::span<const float>>& client_states) override;

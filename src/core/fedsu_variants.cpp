@@ -2,6 +2,9 @@
 
 #include <stdexcept>
 
+#include "util/reduce.h"
+#include "util/thread_pool.h"
+
 namespace fedsu::core {
 
 namespace {
@@ -20,20 +23,26 @@ FixedPeriodRound run_fixed_period_round(
     const std::vector<std::uint8_t>& predictable,
     const std::vector<float>& slope) {
   const std::size_t p = global.size();
-  const std::size_t n = client_states.size();
   FixedPeriodRound out;
   out.new_global = global;
-  const double inv_n = 1.0 / static_cast<double>(n);
+  std::vector<std::size_t> unpredictable;
   for (std::size_t j = 0; j < p; ++j) {
     if (predictable[j]) {
       out.new_global[j] = global[j] + slope[j];
-      continue;
+    } else {
+      unpredictable.push_back(j);
     }
-    ++out.unpredictable_count;
-    double acc = 0.0;
-    for (std::size_t i = 0; i < n; ++i) acc += client_states[i][j];
-    out.new_global[j] = static_cast<float>(acc * inv_n);
   }
+  // The unmasked columns fold in the shared block shape (DESIGN.md §5b
+  // rule 5): the plain serial chain up to util::kReduceClientBlock clients.
+  std::vector<double> sums(unpredictable.size());
+  util::listed_column_sums(client_states, unpredictable, sums,
+                           &util::ThreadPool::global());
+  const double inv_n = 1.0 / static_cast<double>(client_states.size());
+  for (std::size_t k = 0; k < unpredictable.size(); ++k) {
+    out.new_global[unpredictable[k]] = static_cast<float>(sums[k] * inv_n);
+  }
+  out.unpredictable_count = unpredictable.size();
   return out;
 }
 

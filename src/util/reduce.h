@@ -43,16 +43,50 @@ inline constexpr std::size_t kReduceClientBlock = 32;
 void column_sums(const std::vector<std::span<const float>>& rows,
                  std::span<double> sums, ThreadPool* pool);
 
+// column_sums restricted to listed columns: sums[k] = sum_i rows[i][cols[k]],
+// folded in the same block shape (it depends on rows.size() alone), so each
+// listed column gets exactly the bits column_sums gives it. The work is
+// rows.size() * cols.size(), not rows.size() * row length — FedSuManager
+// averages only its unpredictable columns this way, and FedSU-v1/v2 their
+// unmasked ones. Throws std::invalid_argument unless sums.size() ==
+// cols.size() and every row is longer than the largest listed column.
+void listed_column_sums(const std::vector<std::span<const float>>& rows,
+                        std::span<const std::size_t> cols,
+                        std::span<double> sums, ThreadPool* pool);
+
 // out[j] = float(sums[j] / rows.size()): the positional mean every
 // aggregation path stores back into float32 state.
 void column_means(const std::vector<std::span<const float>>& rows,
                   std::span<float> out, ThreadPool* pool);
 
-// One-column counterpart sharing the block shape: folds `values` exactly as
-// column_sums folds one column of a cohort with the same row count. Used
-// where a pass gathers a filtered column before reducing it (FedSuManager
-// pass 2), so the centralized and distributed decompositions keep producing
-// identical bits.
+// The block shape of one column, fed a value at a time: after add() of
+// v_0, v_1, ... v_{m-1}, result() equals column_sums over m width-1 rows
+// holding those values. Blocks are counted by position in the added
+// sequence, so a column whose rows are filtered folds exactly as the
+// filtered values gathered into their own column would. A pass that folds
+// many filtered columns row by row keeps one BlockedSum per column in an
+// array it owns and adds rows in ascending order (FedSuManager pass 2).
+struct BlockedSum {
+  double total = 0.0;  // completed blocks, combined in ascending order
+  double block = 0.0;  // the open block's partial
+  std::size_t count = 0;
+
+  void add(float v) {
+    block += v;
+    if (++count % kReduceClientBlock == 0) {
+      // Block 0's partial seeds the total (no leading zero), as in the
+      // column_sums combine.
+      total = count == kReduceClientBlock ? block : total + block;
+      block = 0.0;
+    }
+  }
+  double result() const {
+    if (count % kReduceClientBlock == 0) return total;
+    return count < kReduceClientBlock ? block : total + block;
+  }
+};
+
+// BlockedSum over a gathered column.
 double blocked_sum(std::span<const float> values);
 
 }  // namespace fedsu::util

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <memory>
 
 #include "core/fedsu_manager.h"
 #include "core/fedsu_variants.h"
+#include "util/reduce.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace fedsu::core {
 namespace {
@@ -272,6 +276,32 @@ TEST(FedSuManager, RejectsBadInputs) {
   EXPECT_THROW(manager.synchronize(oob, views(one)), std::out_of_range);
 }
 
+TEST(FedSuManager, FailedRestoreLeavesTheManagerUntouched) {
+  // Every strict prefix of a 5-client, 16-parameter snapshot is malformed.
+  // Restoring one into a 3-client, 8-parameter manager must throw and leave
+  // it byte-identical, still able to synchronize its own cohort.
+  FedSuManager source(5, fast_options());
+  TrajectoryDriver source_driver(source, std::vector<float>(16, 0.0f), 5,
+                                 /*noise=*/0.01);
+  for (int r = 0; r < 10; ++r) source_driver.step(std::vector<float>(16, 0.1f));
+  ASSERT_GT(source.error_store().allocated_slabs(), 0u);
+  const std::vector<std::uint8_t> snapshot = source.snapshot();
+
+  FedSuManager target(3, fast_options());
+  TrajectoryDriver target_driver(target, std::vector<float>(8, 1.0f), 3,
+                                 /*noise=*/0.01);
+  for (int r = 0; r < 6; ++r) target_driver.step(std::vector<float>(8, 0.1f));
+  const std::vector<std::uint8_t> before = target.snapshot();
+  for (std::size_t cut = 0; cut < snapshot.size(); ++cut) {
+    const std::vector<std::uint8_t> truncated(snapshot.begin(),
+                                              snapshot.begin() + cut);
+    EXPECT_THROW(target.restore(truncated), std::runtime_error) << cut;
+    ASSERT_EQ(target.snapshot(), before) << "truncated to " << cut << " bytes";
+  }
+  target_driver.step(std::vector<float>(8, 0.1f));
+  EXPECT_EQ(target.rounds_seen(), 7);
+}
+
 TEST(FedSuManager, EventHookSeesStartAndEnd) {
   FedSuManager manager(1, fast_options());
   std::vector<SpecEvent> events;
@@ -375,6 +405,102 @@ TEST(FedSuVariants, RejectBadOptions) {
   FedSuV2Options v2;
   v2.enter_probability = 2.0;
   EXPECT_THROW(FedSuV2{v2}, std::invalid_argument);
+}
+
+// A 40-client cohort (two reduction blocks). Even parameters drift exactly
+// linearly from `global`; odd ones are fresh noise plus a cancelling
+// +/-2^40 pair in rows 0 and 33, so a flat 40-row chain and the block tree
+// round to different means.
+std::vector<std::vector<float>> two_block_cohort(
+    const std::vector<float>& global, util::Rng& rng) {
+  std::vector<std::vector<float>> rows(40, global);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    for (std::size_t j = 0; j < global.size(); ++j) {
+      if (j % 2 == 0) {
+        rows[i][j] += 0.125f;
+      } else if (i == 0 || i == 33) {
+        rows[i][j] = i == 0 ? 0x1p40f : -0x1p40f;
+      } else {
+        rows[i][j] = static_cast<float>(rng.normal());
+      }
+    }
+  }
+  return rows;
+}
+
+TEST(FedSuVariants, FoldUnmaskedColumnsLikeColumnSumsBeyondOneBlock) {
+  // Past util::kReduceClientBlock clients FedSU-v1/v2 average in the shared
+  // block tree (DESIGN.md §5b rule 5): bitwise the same at 1 and 4 threads,
+  // and equal to util::column_sums over the same cohort.
+  constexpr std::size_t kParams = 16;
+  const auto inv_n = 1.0 / 40.0;
+  {
+    util::Rng rng(3);
+    const auto rows = two_block_cohort(std::vector<float>(kParams, 0.0f), rng);
+    std::vector<double> sums(kParams);
+    util::column_sums(views(rows), sums, nullptr);
+    bool flat_differs = false;
+    for (std::size_t j = 1; j < kParams; j += 2) {
+      double flat = 0.0;
+      for (const auto& row : rows) flat += row[j];
+      flat_differs |= static_cast<float>(flat * inv_n) !=
+                      static_cast<float>(sums[j] * inv_n);
+    }
+    ASSERT_TRUE(flat_differs) << "cohort never tells a flat fold from the tree";
+  }
+
+  FedSuV1Options v1;
+  v1.warmup = 3;
+  v1.fixed_period = 4;
+  v1.t_r = 1e-6;  // only the exactly linear (even) parameters speculate
+  FedSuV2Options v2;
+  v2.enter_probability = 0.3;
+  v2.fixed_period = 3;
+  for (const bool second : {false, true}) {
+    std::vector<std::vector<float>> reference;
+    for (const int threads : {1, 4}) {
+      util::ThreadPool::set_global_threads(threads);
+      std::unique_ptr<compress::SyncProtocol> proto;
+      if (second) {
+        proto = std::make_unique<FedSuV2>(v2);
+      } else {
+        proto = std::make_unique<FedSuV1>(v1);
+      }
+      std::vector<float> global(kParams, 0.0f);
+      proto->initialize(global);
+      util::Rng rng(5);
+      std::vector<std::vector<float>> trace;
+      bool speculated = false;
+      for (int r = 0; r < 12; ++r) {
+        const auto rows = two_block_cohort(global, rng);
+        std::vector<double> sums(kParams);
+        util::column_sums(views(rows), sums, nullptr);
+        const SyncResult result =
+            proto->synchronize(ctx_of(r, 40), views(rows));
+        speculated |= result.bytes_up[0] < kParams * sizeof(float);
+        for (std::size_t j = 0; j < kParams; ++j) {
+          // Nothing speculates in round 0; v1 never speculates on noise.
+          if (r > 0 && (second || j % 2 == 0)) continue;
+          ASSERT_EQ(result.new_global[j], static_cast<float>(sums[j] * inv_n))
+              << proto->name() << " round " << r << " param " << j;
+        }
+        global = result.new_global;
+        trace.push_back(global);
+      }
+      EXPECT_TRUE(speculated) << proto->name();
+      if (reference.empty()) {
+        reference = trace;
+      } else {
+        for (std::size_t r = 0; r < trace.size(); ++r) {
+          ASSERT_EQ(std::memcmp(trace[r].data(), reference[r].data(),
+                                kParams * sizeof(float)),
+                    0)
+              << proto->name() << " round " << r << " threads " << threads;
+        }
+      }
+    }
+  }
+  util::ThreadPool::set_global_threads(0);
 }
 
 // Property sweep over T_S: tighter thresholds demote earlier (or equally)

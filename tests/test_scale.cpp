@@ -4,9 +4,12 @@
 // synchronous and buffered-async.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <vector>
 
+#include "compress/wire.h"
 #include "core/distributed.h"
 #include "core/fedsu_manager.h"
 #include "data/dataset.h"
@@ -102,6 +105,156 @@ TEST(Reduce, BlockedSumMatchesColumnShape) {
   EXPECT_EQ(util::blocked_sum(column), sum[0]);
 }
 
+std::uint64_t bits(double v) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+// Values spread over 2^60 plus, per column, a cancelling +/-2^40 pair in
+// rows 0 and 33 (when present): double folds of these columns round, so
+// every comparison below depends on the exact block shape, not just on
+// which values were summed.
+std::vector<std::vector<float>> wide_states(std::size_t n, std::size_t p,
+                                            std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<std::vector<float>> states(n, std::vector<float>(p));
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < p; ++j) {
+      const int exponent = static_cast<int>(rng.uniform_index(61)) - 30;
+      states[i][j] = static_cast<float>(std::ldexp(rng.normal(), exponent));
+    }
+  }
+  for (std::size_t j = 0; j < p; ++j) {
+    states[0][j] = 0x1p40f;
+    if (n > 33) states[33][j] = -0x1p40f;
+  }
+  return states;
+}
+
+constexpr std::size_t kCohortSizes[] = {1, 31, 32, 33, 64, 97};
+
+// The documented block shape written out independently of util/reduce:
+// 32-value blocks, each a serial chain from 0.0, combined in ascending
+// order seeded from block 0's partial.
+double reference_tree(const std::vector<float>& column) {
+  double total = 0.0;
+  for (std::size_t b = 0; b * util::kReduceClientBlock < column.size(); ++b) {
+    double acc = 0.0;
+    for (std::size_t i = b * util::kReduceClientBlock;
+         i < std::min(column.size(), (b + 1) * util::kReduceClientBlock); ++i) {
+      acc += column[i];
+    }
+    total = b == 0 ? acc : total + acc;
+  }
+  return total;
+}
+
+TEST(Reduce, ListedColumnSumsMatchColumnSumsBitwise) {
+  // The listed fold gives every listed column exactly the bits column_sums
+  // gives it, for any list (ascending, descending, empty) and thread count.
+  // 4,500 listed columns exceed one parallel column grain, so the
+  // single-block path chunks its columns too.
+  const std::size_t p = 9000;
+  std::vector<std::size_t> odd;
+  for (std::size_t j = 1; j < p; j += 2) odd.push_back(j);
+  const std::vector<std::size_t> descending = {p - 1, 4096, 17, 3, 0};
+  const std::vector<std::vector<std::size_t>> lists = {odd, descending, {}};
+  bool shape_matters = false;
+  for (const int threads : {1, 4}) {
+    util::ThreadPool::set_global_threads(threads);
+    for (const std::size_t n : kCohortSizes) {
+      const auto states = wide_states(n, p, 100 + n);
+      std::vector<double> full(p);
+      util::column_sums(views(states), full, &util::ThreadPool::global());
+      for (const auto& cols : lists) {
+        std::vector<double> sums(cols.size(), -1.0);
+        util::listed_column_sums(views(states), cols, sums,
+                                 &util::ThreadPool::global());
+        for (std::size_t k = 0; k < cols.size(); ++k) {
+          ASSERT_EQ(bits(sums[k]), bits(full[cols[k]]))
+              << "n=" << n << " threads=" << threads << " column " << cols[k];
+        }
+      }
+      for (const std::size_t j : descending) {
+        std::vector<float> column;
+        for (const auto& row : states) column.push_back(row[j]);
+        ASSERT_EQ(bits(full[j]), bits(reference_tree(column)))
+            << "n=" << n << " column " << j;
+      }
+      for (std::size_t j = 0; j < p && !shape_matters; ++j) {
+        double flat = 0.0;
+        for (std::size_t i = 0; i < n; ++i) flat += states[i][j];
+        shape_matters = bits(flat) != bits(full[j]);
+      }
+    }
+  }
+  util::ThreadPool::set_global_threads(1);
+  EXPECT_TRUE(shape_matters) << "data never tells a flat fold from the tree";
+
+  std::vector<double> one(1);
+  const std::vector<std::size_t> out_of_range = {p};
+  EXPECT_THROW(util::listed_column_sums(views(wide_states(2, p, 1)),
+                                        out_of_range, one, nullptr),
+               std::invalid_argument);
+}
+
+TEST(Reduce, StreamedBlockedSumMatchesFilteredColumnBitwise) {
+  // FedSuManager pass 2 folds rows in ascending order into one BlockedSum
+  // per column, skipping filtered rows, in parallel over column chunks.
+  // Each result must be blocked_sum of the filtered column gathered on its
+  // own: blocks count positions in the filtered list, not row indices.
+  // Column 0 keeps every row; column 1 filters every row out.
+  const std::size_t m = 40;
+  auto kept = [](std::size_t i, std::size_t k) {
+    if (k == 0) return true;
+    if (k == 1) return false;
+    return (i * 7 + k * 3) % 5 != 0;
+  };
+  bool position_matters = false;
+  for (const int threads : {1, 4}) {
+    util::ThreadPool::set_global_threads(threads);
+    for (const std::size_t n : kCohortSizes) {
+      const auto states = wide_states(n, m, 200 + n);
+      std::vector<util::BlockedSum> folds(m);
+      util::ThreadPool::global().parallel_for(
+          0, m, [&](std::size_t k0, std::size_t k1) {
+            for (std::size_t i = 0; i < n; ++i) {
+              for (std::size_t k = k0; k < k1; ++k) {
+                if (kept(i, k)) folds[k].add(states[i][k]);
+              }
+            }
+          });
+      for (std::size_t k = 0; k < m; ++k) {
+        std::vector<float> column;
+        double by_row_block = 0.0;  // blocks keyed by row index instead
+        for (std::size_t b = 0; b * util::kReduceClientBlock < n; ++b) {
+          double acc = 0.0;
+          for (std::size_t i = b * util::kReduceClientBlock;
+               i < std::min(n, (b + 1) * util::kReduceClientBlock); ++i) {
+            if (!kept(i, k)) continue;
+            column.push_back(states[i][k]);
+            acc += states[i][k];
+          }
+          by_row_block = b == 0 ? acc : by_row_block + acc;
+        }
+        ASSERT_EQ(folds[k].count, column.size()) << "n=" << n << " k=" << k;
+        ASSERT_EQ(bits(folds[k].result()), bits(reference_tree(column)))
+            << "n=" << n << " threads=" << threads << " column " << k;
+        ASSERT_EQ(bits(util::blocked_sum(column)), bits(reference_tree(column)))
+            << "n=" << n << " column " << k;
+        position_matters |= bits(by_row_block) != bits(folds[k].result());
+      }
+      EXPECT_EQ(folds[1].count, 0u);
+      EXPECT_EQ(bits(folds[1].result()), bits(0.0));
+    }
+  }
+  util::ThreadPool::set_global_threads(1);
+  EXPECT_TRUE(position_matters)
+      << "data never tells position blocks from row blocks";
+  EXPECT_EQ(bits(util::blocked_sum({})), bits(0.0));
+}
+
 // --- data: zero-copy views -----------------------------------------------
 
 TEST(DatasetView, GatherBitIdenticalToSubsetCopy) {
@@ -179,7 +332,8 @@ TEST(SparseErrorStore, LazyAllocationAndRelease) {
   EXPECT_EQ(store.value(2, 3), 1.5f);
   EXPECT_EQ(store.resident_bytes(), 6 * sizeof(float));
 
-  store.clear_param(3);  // only allocated slabs are touched
+  const std::size_t cleared[] = {3};
+  store.clear_params(cleared, nullptr);  // only allocated slabs are touched
   EXPECT_EQ(store.value(2, 3), 0.0f);
 
   store.release(2);
@@ -341,6 +495,103 @@ TEST(Distributed, MatchesCentralizedBeyondOneBlock) {
     }
     central_state = central_result.new_global;
   }
+}
+
+// --- FedSuManager past one reduction block: a pinned trace ---------------
+
+std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t size) {
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  for (std::size_t b = 0; b < size; ++b) {
+    h ^= bytes[b];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+struct FedSuTraceDigest {
+  std::uint64_t globals = 0xcbf29ce484222325ULL;  // every round's new_global
+  std::uint64_t snapshot = 0xcbf29ce484222325ULL;  // the final snapshot()
+  std::size_t promotions = 0;
+  std::size_t demotions = 0;
+  std::size_t expiring_after_rejoin = 0;
+};
+
+// 80 clients, 76 participating per round (a rotating four sit out), over 24
+// parameters in three families: exactly linear, linear plus client-skewed
+// noise (speculates, then drifts far enough to demote), and pure noise.
+// Three clients rejoin in the middle of the linear phases, so their
+// accumulators are filtered out of later expiring checks while more than
+// two reduction blocks of valid entries remain. Every seventh client
+// reports from a model three rounds stale, so the version fence keeps it
+// out of phases that started since. Payload audit is on throughout.
+FedSuTraceDigest run_pinned_fedsu_trace() {
+  constexpr int kClients = 80;
+  constexpr std::size_t kParams = 24;
+  constexpr int kRounds = 24;
+  constexpr int kRejoinRound = 11;
+  compress::wire::set_payload_audit(true);
+  core::FedSuOptions options;
+  options.warmup = 3;
+  core::FedSuManager manager(kClients, options);
+  std::vector<float> global(kParams);
+  for (std::size_t j = 0; j < kParams; ++j) {
+    global[j] = 0.01f * static_cast<float>(j);
+  }
+  manager.initialize(global);
+  util::Rng rng(0xfed5);
+  FedSuTraceDigest digest;
+  for (int r = 0; r < kRounds; ++r) {
+    if (r == kRejoinRound) {
+      for (const int c : {3, 40, 77}) manager.on_client_rejoin(c);
+    }
+    compress::RoundContext ctx;
+    ctx.round = r;
+    std::vector<std::vector<float>> locals;
+    for (int i = 0; i < kClients; ++i) {
+      if (i % 20 == r % 20) continue;
+      ctx.participants.push_back(i);
+      ctx.dispatch_rounds.push_back(i % 7 == 0 ? std::max(0, r - 3) : r);
+      std::vector<float> local(kParams);
+      for (std::size_t j = 0; j < kParams; ++j) {
+        float drift = 0.0625f;
+        if (j % 3 == 1 && r >= 6) {
+          drift += static_cast<float>(0.01 * rng.normal() + 0.01 * (i % 5));
+        } else if (j % 3 == 2) {
+          drift = static_cast<float>(0.1 * rng.normal());
+        }
+        local[j] = global[j] + drift;
+      }
+      locals.push_back(std::move(local));
+    }
+    global = manager.synchronize(ctx, views(locals)).new_global;
+    digest.globals =
+        fnv1a(digest.globals, global.data(), global.size() * sizeof(float));
+    const auto& diag = manager.last_round_diagnostics();
+    digest.promotions += diag.promotions;
+    digest.demotions += diag.demotions;
+    if (r > kRejoinRound) digest.expiring_after_rejoin += diag.expiring;
+  }
+  const auto snapshot = manager.snapshot();
+  digest.snapshot = fnv1a(digest.snapshot, snapshot.data(), snapshot.size());
+  compress::wire::set_payload_audit(false);
+  return digest;
+}
+
+TEST(FedSuManager, TraceBeyondOneBlockIsPinned) {
+  // Hashes recorded from the per-column implementation of the three
+  // passes; any restructuring of them must reproduce these bits.
+  constexpr std::uint64_t kGlobals = 0x5ee41a120cb12876ULL;
+  constexpr std::uint64_t kSnapshot = 0x8b7f6480c10857a9ULL;
+  for (const int threads : {1, 4}) {
+    util::ThreadPool::set_global_threads(threads);
+    const FedSuTraceDigest digest = run_pinned_fedsu_trace();
+    EXPECT_GT(digest.promotions, 0u);
+    EXPECT_GT(digest.demotions, 0u);
+    EXPECT_GT(digest.expiring_after_rejoin, 0u);
+    EXPECT_EQ(digest.globals, kGlobals) << "threads=" << threads;
+    EXPECT_EQ(digest.snapshot, kSnapshot) << "threads=" << threads;
+  }
+  util::ThreadPool::set_global_threads(1);
 }
 
 // --- fl: §5b at cohort scale ---------------------------------------------
