@@ -164,6 +164,7 @@ int main(int argc, char** argv) {
           }
 
           ctx.round = round;
+          ctx.global = global;
           fedsu::util::Stopwatch timer;
           fedsu::compress::SyncResult result =
               protocol->synchronize(ctx, views);

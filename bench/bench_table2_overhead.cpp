@@ -79,6 +79,7 @@ void run_sync_rounds(benchmark::State& state, Proto& proto, std::size_t p,
     }
     std::vector<std::span<const float>> views(states.begin(), states.end());
     ctx.round = round++;
+    ctx.global = global;
     state.ResumeTiming();
     auto result = proto.synchronize(ctx, views);
     benchmark::DoNotOptimize(result.new_global.data());
@@ -138,6 +139,7 @@ void print_overhead_table() {
         }
         std::vector<std::span<const float>> views(states.begin(), states.end());
         ctx.round = rep;
+        ctx.global = global;
         obs::Tracer::global().reset();
         auto result = proto.synchronize(ctx, views);
         best = std::min(best, span_total_ms(span_name));

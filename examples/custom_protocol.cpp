@@ -4,7 +4,11 @@
 // The demo protocol synchronizes a random subset of coordinates each round
 // ("random-k") — a strawman that shows exactly which hooks a real protocol
 // (like FedSU) implements: initialize(), synchronize() with byte accounting,
-// and the sparsification-ratio metric.
+// and the sparsification-ratio metric. synchronize() reads the current
+// global model from ctx.global — the simulator owns it; a protocol keeps no
+// copy. A protocol with cross-round state (masks, EMAs, residuals) also
+// implements snapshot()/restore() so a checkpointed run resumes byte-exact;
+// RandomK draws each round's subset from (seed, round) and so has none.
 #include <cstdio>
 
 #include "compress/fedavg.h"
@@ -26,27 +30,26 @@ class RandomK : public compress::SyncProtocol {
   std::string name() const override { return "RandomK"; }
 
   void initialize(std::span<const float> global_state) override {
-    global_.assign(global_state.begin(), global_state.end());
+    params_ = global_state.size();
   }
 
   compress::SyncResult synchronize(
       const compress::RoundContext& ctx,
       const std::vector<std::span<const float>>& client_states) override {
-    const std::size_t p = global_.size();
+    const std::size_t p = params_;
+    compress::check_sync_inputs(name(), ctx, client_states, p, true);
     const std::size_t n = client_states.size();
-    (void)ctx;
-    std::vector<float> new_global = global_;
+    util::Rng rng = rng_.fork(static_cast<std::uint64_t>(ctx.round) + 1);
+    compress::SyncResult result;
+    result.new_global.assign(ctx.global.begin(), ctx.global.end());
     std::size_t synced = 0;
     for (std::size_t j = 0; j < p; ++j) {
-      if (!rng_.bernoulli(fraction_)) continue;  // skip this coordinate
+      if (!rng.bernoulli(fraction_)) continue;  // skip this coordinate
       ++synced;
       double acc = 0.0;
       for (const auto& s : client_states) acc += s[j];
-      new_global[j] = static_cast<float>(acc / static_cast<double>(n));
+      result.new_global[j] = static_cast<float>(acc / static_cast<double>(n));
     }
-    global_ = new_global;
-    compress::SyncResult result;
-    result.new_global = std::move(new_global);
     result.bytes_up.assign(n, synced * sizeof(float));
     result.bytes_down.assign(n, synced * sizeof(float));
     result.scalars_up = result.scalars_down = synced * n;
@@ -58,8 +61,8 @@ class RandomK : public compress::SyncProtocol {
 
  private:
   double fraction_;
-  util::Rng rng_;
-  std::vector<float> global_;
+  util::Rng rng_;  // stream base: only fork()ed per round, never advanced
+  std::size_t params_ = 0;
   double last_ratio_ = 0.0;
 };
 

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "compress/wire.h"
+#include "io/serialize.h"
 #include "obs/trace.h"
 #include "util/thread_pool.h"
 
@@ -17,8 +18,7 @@ Apf::Apf(ApfOptions options) : options_(options) {
 }
 
 void Apf::initialize(std::span<const float> global_state) {
-  global_.assign(global_state.begin(), global_state.end());
-  const std::size_t p = global_.size();
+  const std::size_t p = global_state.size();
   ema_update_.assign(p, 0.0f);
   ema_abs_update_.assign(p, 0.0f);
   freeze_remaining_.assign(p, 0);
@@ -30,10 +30,8 @@ SyncResult Apf::synchronize(
     const RoundContext& ctx,
     const std::vector<std::span<const float>>& client_states) {
   OBS_SPAN("compress.apf.sync");
-  if (client_states.size() != ctx.participants.size()) {
-    throw std::invalid_argument("Apf: participants/state count mismatch");
-  }
-  const std::size_t p = global_.size();
+  const std::size_t p = ema_update_.size();
+  check_sync_inputs(name(), ctx, client_states, p, true);
   const std::size_t n = client_states.size();
   const float theta = static_cast<float>(options_.ema_decay);
 
@@ -44,8 +42,8 @@ SyncResult Apf::synchronize(
   for (std::size_t j = 0; j < p; ++j) {
     if (freeze_remaining_[j] == 0) ++synced;
   }
-  const std::size_t bytes = n == 0 ? 0 : wire::measure_dense(synced);
-  if (wire::payload_audit() && n > 0) {
+  const std::size_t bytes = wire::measure_dense(synced);
+  if (wire::payload_audit()) {
     OBS_SPAN("compress.apf.encode");
     std::vector<float> up_values;  // client 0's unfrozen coords
     up_values.reserve(synced);
@@ -56,10 +54,11 @@ SyncResult Apf::synchronize(
   }
 
   // Every per-coordinate decision — aggregate, EMA statistics, freeze
-  // bookkeeping, the in-place global write — touches only slot j, so the
-  // pass chunks over parameters with identical results for any thread
-  // count. Frozen coordinates hold their value untouched, making global_
-  // itself the new state (the result takes the single full-width copy).
+  // bookkeeping, the new global's write — touches only slot j, so the pass
+  // chunks over parameters with identical results for any thread count.
+  // Frozen coordinates keep the value every participant started from.
+  SyncResult result;
+  result.new_global.assign(ctx.global.begin(), ctx.global.end());
   auto update_params = [&](std::size_t j0, std::size_t j1) {
     for (std::size_t j = j0; j < j1; ++j) {
       if (freeze_remaining_[j] > 0) {
@@ -72,8 +71,8 @@ SyncResult Apf::synchronize(
       for (std::size_t i = 0; i < n; ++i) acc += client_states[i][j];
       const float synced_value =
           static_cast<float>(acc / static_cast<double>(n));
-      const float update = synced_value - global_[j];
-      global_[j] = synced_value;
+      const float update = synced_value - ctx.global[j];
+      result.new_global[j] = synced_value;
       // Update the effective-perturbation statistics.
       ema_update_[j] = theta * ema_update_[j] + (1.0f - theta) * update;
       ema_abs_update_[j] =
@@ -104,8 +103,6 @@ SyncResult Apf::synchronize(
     }
   }
 
-  SyncResult result;
-  result.new_global = global_;
   // Measured payload: the dense block of unfrozen values (client 0 is
   // representative; all clients sync the same coordinate set).
   result.bytes_up.assign(n, bytes);
@@ -118,12 +115,38 @@ SyncResult Apf::synchronize(
   return result;
 }
 
-std::size_t Apf::state_bytes() const {
-  return global_.size() * sizeof(float) + ema_update_.size() * sizeof(float) +
-         ema_abs_update_.size() * sizeof(float) +
-         freeze_remaining_.size() * sizeof(std::int32_t) +
-         freeze_period_.size() * sizeof(std::int32_t) +
-         observations_.size() * sizeof(std::int32_t);
+namespace {
+constexpr std::uint32_t kApfSnapshotMagic = 0xFED5'A9F1;
+}  // namespace
+
+std::vector<std::uint8_t> Apf::snapshot() const {
+  io::BinaryWriter writer;
+  writer.write_magic(kApfSnapshotMagic);
+  writer.write_vector(ema_update_);
+  writer.write_vector(ema_abs_update_);
+  writer.write_vector(freeze_remaining_);
+  writer.write_vector(freeze_period_);
+  writer.write_vector(observations_);
+  return writer.take();
+}
+
+void Apf::restore(const std::vector<std::uint8_t>& bytes) {
+  io::BinaryReader reader(bytes);
+  reader.expect_magic(kApfSnapshotMagic, "APF snapshot");
+  const std::size_t p = ema_update_.size();
+  auto ema_update = reader.read_vector<float>(p);
+  auto ema_abs_update = reader.read_vector<float>(p);
+  auto freeze_remaining = reader.read_vector<std::int32_t>(p);
+  auto freeze_period = reader.read_vector<std::int32_t>(p);
+  auto observations = reader.read_vector<std::int32_t>(p);
+  if (!reader.at_end()) {
+    throw std::runtime_error("APF snapshot: trailing bytes");
+  }
+  ema_update_ = std::move(ema_update);
+  ema_abs_update_ = std::move(ema_abs_update);
+  freeze_remaining_ = std::move(freeze_remaining);
+  freeze_period_ = std::move(freeze_period);
+  observations_ = std::move(observations);
 }
 
 double Apf::frozen_fraction() const {

@@ -37,8 +37,9 @@ class Apf : public SyncProtocol {
       const RoundContext& ctx,
       const std::vector<std::span<const float>>& client_states) override;
 
-  std::size_t state_bytes() const override;
   double last_sparsification_ratio() const override { return last_ratio_; }
+  std::vector<std::uint8_t> snapshot() const override;
+  void restore(const std::vector<std::uint8_t>& bytes) override;
   // Frozen parameters are APF's analogue of speculated ones: held locally
   // without transmission.
   Telemetry last_round_telemetry() const override {
@@ -50,7 +51,6 @@ class Apf : public SyncProtocol {
 
  private:
   ApfOptions options_;
-  std::vector<float> global_;
   // Per-parameter bookkeeping (struct-of-arrays for cache friendliness).
   std::vector<float> ema_update_;
   std::vector<float> ema_abs_update_;

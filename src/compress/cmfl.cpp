@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "compress/wire.h"
+#include "io/serialize.h"
 #include "obs/trace.h"
 #include "util/reduce.h"
 #include "util/thread_pool.h"
@@ -16,7 +17,6 @@ Cmfl::Cmfl(CmflOptions options) : options_(options) {
 }
 
 void Cmfl::initialize(std::span<const float> global_state) {
-  global_.assign(global_state.begin(), global_state.end());
   prev_update_.assign(global_state.size(), 0.0f);
   has_prev_update_ = false;
 }
@@ -25,11 +25,10 @@ SyncResult Cmfl::synchronize(
     const RoundContext& ctx,
     const std::vector<std::span<const float>>& client_states) {
   OBS_SPAN("compress.cmfl.sync");
-  if (client_states.size() != ctx.participants.size()) {
-    throw std::invalid_argument("Cmfl: participants/state count mismatch");
-  }
-  const std::size_t p = global_.size();
+  const std::size_t p = prev_update_.size();
+  check_sync_inputs(name(), ctx, client_states, p, true);
   const std::size_t n = client_states.size();
+  const std::span<const float> global = ctx.global;
   last_relevances_.assign(n, 1.0);
 
   // Decide which clients report. Round 0 has no reference update: everyone
@@ -42,7 +41,7 @@ SyncResult Cmfl::synchronize(
       for (std::size_t i = i0; i < i1; ++i) {
         std::size_t agree = 0;
         for (std::size_t j = 0; j < p; ++j) {
-          const float u = client_states[i][j] - global_[j];
+          const float u = client_states[i][j] - global[j];
           // Zero entries count as agreeing: they cannot hurt the global
           // direction (and exact zeros are rare for float updates anyway).
           const bool sign_u = u >= 0.0f;
@@ -66,6 +65,8 @@ SyncResult Cmfl::synchronize(
 
   // Aggregate the reporting clients; if every update was withheld, the
   // global state stays put for this round.
+  SyncResult result;
+  result.new_global.assign(global.begin(), global.end());
   std::size_t reporting = 0;
   {
     OBS_SPAN("compress.cmfl.aggregate");
@@ -78,12 +79,11 @@ SyncResult Cmfl::synchronize(
       acc_.assign(p, 0.0);
       util::column_sums(reporting_rows_, acc_, &util::ThreadPool::global());
       const double inv = 1.0 / static_cast<double>(reporting);
-      // In-place global update; prev_update_ tracks the step for next
-      // round's relevance checks, and the result takes the single copy.
+      // prev_update_ tracks the step for next round's relevance checks.
       for (std::size_t j = 0; j < p; ++j) {
         const float next = static_cast<float>(acc_[j] * inv);
-        prev_update_[j] = next - global_[j];
-        global_[j] = next;
+        prev_update_[j] = next - global[j];
+        result.new_global[j] = next;
       }
     } else {
       for (std::size_t j = 0; j < p; ++j) prev_update_[j] = 0.0f;
@@ -91,15 +91,13 @@ SyncResult Cmfl::synchronize(
     has_prev_update_ = true;
   }
 
-  SyncResult result;
-  result.new_global = global_;
   // Measured dense payload: a reporting upload and every download carry the
   // full state (all the same length; the broadcast is representative).
   const std::size_t full_bytes = wire::measure_dense(p);
   if (wire::payload_audit()) {
     OBS_SPAN("compress.cmfl.encode");
     wire::audit_bytes("cmfl down", full_bytes,
-                      wire::encode_dense(global_).size());
+                      wire::encode_dense(result.new_global).size());
   }
   result.bytes_up.resize(n);
   result.bytes_down.assign(n, full_bytes);  // everyone downloads the model
@@ -111,14 +109,33 @@ SyncResult Cmfl::synchronize(
   }
   result.scalars_down = p * n;
   wire::record_round_bytes("cmfl", total_up, full_bytes * n);
-  last_ratio_ = n == 0 ? 0.0
-                       : 1.0 - static_cast<double>(reporting) /
-                                   static_cast<double>(n);
+  last_ratio_ =
+      1.0 - static_cast<double>(reporting) / static_cast<double>(n);
   return result;
 }
 
-std::size_t Cmfl::state_bytes() const {
-  return (global_.size() + prev_update_.size()) * sizeof(float);
+namespace {
+constexpr std::uint32_t kCmflSnapshotMagic = 0xFED5'C3F1;
+}  // namespace
+
+std::vector<std::uint8_t> Cmfl::snapshot() const {
+  io::BinaryWriter writer;
+  writer.write_magic(kCmflSnapshotMagic);
+  writer.write_vector(prev_update_);
+  writer.write_bool(has_prev_update_);
+  return writer.take();
+}
+
+void Cmfl::restore(const std::vector<std::uint8_t>& bytes) {
+  io::BinaryReader reader(bytes);
+  reader.expect_magic(kCmflSnapshotMagic, "CMFL snapshot");
+  auto prev_update = reader.read_vector<float>(prev_update_.size());
+  const bool has_prev_update = reader.read_bool();
+  if (!reader.at_end()) {
+    throw std::runtime_error("CMFL snapshot: trailing bytes");
+  }
+  prev_update_ = std::move(prev_update);
+  has_prev_update_ = has_prev_update;
 }
 
 }  // namespace fedsu::compress

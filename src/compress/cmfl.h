@@ -31,15 +31,15 @@ class Cmfl : public SyncProtocol {
       const RoundContext& ctx,
       const std::vector<std::span<const float>>& client_states) override;
 
-  std::size_t state_bytes() const override;
   double last_sparsification_ratio() const override { return last_ratio_; }
+  std::vector<std::uint8_t> snapshot() const override;
+  void restore(const std::vector<std::uint8_t>& bytes) override;
 
   // Relevance of each participant in the most recent round (for tests).
   const std::vector<double>& last_relevances() const { return last_relevances_; }
 
  private:
   CmflOptions options_;
-  std::vector<float> global_;       // current global state
   std::vector<float> prev_update_;  // last global update (round k-1)
   bool has_prev_update_ = false;
   double last_ratio_ = 0.0;

@@ -36,9 +36,7 @@ SyncResult FedAvg::synchronize(
     const RoundContext& ctx,
     const std::vector<std::span<const float>>& client_states) {
   OBS_SPAN("compress.fedavg.sync");
-  if (client_states.size() != ctx.participants.size()) {
-    throw std::invalid_argument("FedAvg: participants/state count mismatch");
-  }
+  check_sync_inputs(name(), ctx, client_states, state_size_, false);
   SyncResult result;
   result.new_global = average_states(client_states);
   // Byte accounting is the measured size of the dense payload each client

@@ -2,11 +2,15 @@
 // (FedAvg, CMFL, APF, FedSU, ...) implements.
 //
 // The simulator is logically centralized: after local training it hands the
-// protocol every participant's full local state vector and receives the new
-// global state plus exact per-client byte counts. Each protocol keeps
-// whatever cross-round state it needs (masks, EMAs, residuals) internally.
-// This mirrors the paper's Algorithm 1 while keeping byte accounting exact —
-// what travels on the wire is decided here, not by the simulator.
+// protocol every participant's full local state vector, plus the global
+// model they all started from (RoundContext::global), and receives the new
+// global state plus exact per-client byte counts. The caller owns the global
+// model; a protocol's members hold only the cross-round state it needs
+// (masks, EMAs, residuals), and snapshot() round-trips all of it, so
+// restoring a snapshot next to the model it was taken with resumes the run
+// byte-exact. This mirrors the paper's Algorithm 1 while keeping byte
+// accounting exact — what travels on the wire is decided here, not by the
+// simulator.
 #pragma once
 
 #include <cstdint>
@@ -19,6 +23,11 @@ namespace fedsu::compress {
 
 struct RoundContext {
   int round = 0;  // 0-based FL round index
+  // The global model every participant started from: the previous round's
+  // new_global. The caller owns it and keeps it valid for the duration of
+  // the call. Protocols that read it throw std::invalid_argument unless it
+  // has the model's length; FedAvg and FedSU run without it.
+  std::span<const float> global;
   // Ids of the clients whose updates participate in aggregation this round
   // (the 70 % earliest under the paper's participation model). Parallel to
   // the `client_states` argument of synchronize().
@@ -82,12 +91,11 @@ class SyncProtocol {
     return 0;
   }
 
-  // Resident memory of protocol bookkeeping (Table II memory inflation).
-  virtual std::size_t state_bytes() const { return 0; }
-
-  // Serializes the protocol's cross-round state for checkpoint/restart.
-  // Protocols without state return an empty buffer; restore() of an empty
-  // buffer is a no-op.
+  // Serializes the protocol's cross-round state for checkpoint/restart —
+  // all of it: a protocol resumed from its snapshot and the matching global
+  // model continues bitwise like the uninterrupted one. Protocols without
+  // cross-round state return an empty buffer; restore() of an empty buffer
+  // is a no-op. A restore() that throws leaves the protocol unchanged.
   virtual std::vector<std::uint8_t> snapshot() const { return {}; }
   virtual void restore(const std::vector<std::uint8_t>& bytes) {
     if (!bytes.empty()) {
@@ -111,6 +119,14 @@ class SyncProtocol {
   };
   virtual Telemetry last_round_telemetry() const { return {}; }
 };
+
+// The input contract of synchronize(), checked once for every protocol: at
+// least one participant, one state per participant, and every state
+// `params` long. With `reads_global`, ctx.global must be `params` long too.
+// Throws std::invalid_argument naming `who`.
+void check_sync_inputs(const std::string& who, const RoundContext& ctx,
+                       const std::vector<std::span<const float>>& client_states,
+                       std::size_t params, bool reads_global);
 
 // Dense mean of the participants' states (the FedAvg aggregation rule);
 // shared by several protocols.

@@ -49,7 +49,7 @@ Qsgd::Qsgd(QsgdOptions options) : options_(options), rng_(options.seed) {
 }
 
 void Qsgd::initialize(std::span<const float> global_state) {
-  global_.assign(global_state.begin(), global_state.end());
+  params_ = global_state.size();
 }
 
 std::vector<float> Qsgd::quantize_dequantize(
@@ -68,11 +68,10 @@ SyncResult Qsgd::synchronize(
     const RoundContext& ctx,
     const std::vector<std::span<const float>>& client_states) {
   OBS_SPAN("compress.qsgd.sync");
-  const std::size_t p = global_.size();
+  const std::size_t p = params_;
+  check_sync_inputs(name(), ctx, client_states, p, true);
   const std::size_t n = client_states.size();
-  if (n != ctx.participants.size() || n == 0) {
-    throw std::invalid_argument("Qsgd: participants/state mismatch");
-  }
+  const std::span<const float> global = ctx.global;
   // Per-(round, client) RNG streams: client c's rounding noise this round is
   // rng_.fork(round + 1).fork(c + 1), stream 0 quantizes the broadcast.
   // fork() is a pure function of the base seed, so clients quantize in
@@ -95,7 +94,7 @@ SyncResult Qsgd::synchronize(
       const std::size_t hi = std::min(n, (b + 1) * block);
       for (std::size_t i = b * block; i < hi; ++i) {
         for (std::size_t j = 0; j < p; ++j) {
-          update[j] = client_states[i][j] - global_[j];
+          update[j] = client_states[i][j] - global[j];
         }
         util::Rng rng = round_rng.fork(
             static_cast<std::uint64_t>(ctx.participants[i]) + 1);
@@ -122,7 +121,7 @@ SyncResult Qsgd::synchronize(
     // measured size against a real encode of its drawn levels.
     std::vector<float> update0(p);
     for (std::size_t j = 0; j < p; ++j) {
-      update0[j] = client_states[0][j] - global_[j];
+      update0[j] = client_states[0][j] - global[j];
     }
     util::Rng rng = round_rng.fork(
         static_cast<std::uint64_t>(ctx.participants[0]) + 1);
@@ -133,11 +132,11 @@ SyncResult Qsgd::synchronize(
         wire::encode_quantized(levels, options_.bits, 0.0f).size());
   }
 
+  SyncResult result;
   {
     OBS_SPAN("compress.qsgd.aggregate");
     // Combine panels in ascending block order (fixed reduction shape, §5b),
-    // then apply the quantized broadcast to global_ in place — the result
-    // takes the single full-width copy.
+    // then apply the quantized broadcast to the global.
     acc_.assign(p, 0.0);
     for (std::size_t b = 0; b < num_blocks; ++b) {
       const double* panel = panels_.data() + b * p;
@@ -154,7 +153,8 @@ SyncResult Qsgd::synchronize(
     util::Rng bc_rng = round_rng.fork(0);
     quantize_into(mean_update_, options_.bits, max_abs(mean_update_), bc_rng,
                   broadcast, nullptr);
-    for (std::size_t j = 0; j < p; ++j) global_[j] += broadcast[j];
+    result.new_global.assign(global.begin(), global.end());
+    for (std::size_t j = 0; j < p; ++j) result.new_global[j] += broadcast[j];
   }
   if (wire::payload_audit()) {
     util::Rng bc_rng = round_rng.fork(0);
@@ -165,8 +165,6 @@ SyncResult Qsgd::synchronize(
         wire::encode_quantized(levels, options_.bits, 0.0f).size());
   }
 
-  SyncResult result;
-  result.new_global = global_;
   // Measured payload: the bit-packed levels plus the f32 scale. Every
   // payload in both directions has the same length.
   result.bytes_up.assign(n, bytes);
@@ -175,10 +173,6 @@ SyncResult Qsgd::synchronize(
   result.scalars_down = p * n;
   wire::record_round_bytes("qsgd", bytes * n, bytes * n);
   return result;
-}
-
-std::size_t Qsgd::state_bytes() const {
-  return global_.size() * sizeof(float);
 }
 
 }  // namespace fedsu::compress

@@ -34,7 +34,6 @@ class Qsgd : public SyncProtocol {
   SyncResult synchronize(
       const RoundContext& ctx,
       const std::vector<std::span<const float>>& client_states) override;
-  std::size_t state_bytes() const override;
   // Quantization is dense: nothing is skipped, ratio reflects byte shrink.
   double last_sparsification_ratio() const override { return 0.0; }
 
@@ -47,8 +46,10 @@ class Qsgd : public SyncProtocol {
 
  private:
   QsgdOptions options_;
-  std::vector<float> global_;
-  util::Rng rng_{0};  // stream base: never advanced, only fork()ed per round
+  std::size_t params_ = 0;
+  // Stream base: never advanced, only fork()ed per round, so QSGD has no
+  // cross-round state to snapshot.
+  util::Rng rng_{0};
 
   // Round-loop scratch, sized on first use and reused thereafter so the
   // steady state is heap-allocation-free. panels_ holds one double

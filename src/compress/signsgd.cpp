@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "compress/wire.h"
+#include "io/serialize.h"
 #include "obs/trace.h"
 #include "util/reduce.h"
 #include "util/thread_pool.h"
@@ -18,7 +19,7 @@ SignSgd::SignSgd(SignSgdOptions options) : options_(options) {
 }
 
 void SignSgd::initialize(std::span<const float> global_state) {
-  global_.assign(global_state.begin(), global_state.end());
+  params_ = global_state.size();
   step_ = 0.0f;
 }
 
@@ -26,11 +27,10 @@ SyncResult SignSgd::synchronize(
     const RoundContext& ctx,
     const std::vector<std::span<const float>>& client_states) {
   OBS_SPAN("compress.signsgd.sync");
-  const std::size_t p = global_.size();
+  const std::size_t p = params_;
+  check_sync_inputs(name(), ctx, client_states, p, true);
   const std::size_t n = client_states.size();
-  if (n != ctx.participants.size() || n == 0) {
-    throw std::invalid_argument("SignSgd: participants/state mismatch");
-  }
+  const std::span<const float> global = ctx.global;
   // Majority vote over update signs; track mean |update| to size the step.
   // Each block folds its rows row-major into a private vote panel and a
   // private double partial, exactly the historical serial loop restricted to
@@ -46,7 +46,7 @@ SyncResult SignSgd::synchronize(
       const std::size_t hi = std::min(n, (b + 1) * block);
       for (std::size_t i = b * block; i < hi; ++i) {
         for (std::size_t j = 0; j < p; ++j) {
-          const float u = client_states[i][j] - global_[j];
+          const float u = client_states[i][j] - global[j];
           votes[j] += (u > 0.0f) - (u < 0.0f);
           abs_sum += std::fabs(u);
         }
@@ -72,12 +72,14 @@ SyncResult SignSgd::synchronize(
     // Client 0's wire mask, rebuilt against the pre-update global state.
     std::vector<std::uint8_t> up_signs(p, 0);
     for (std::size_t j = 0; j < p; ++j) {
-      up_signs[j] = client_states[0][j] - global_[j] > 0.0f ? 1 : 0;
+      up_signs[j] = client_states[0][j] - global[j] > 0.0f ? 1 : 0;
     }
     wire::audit_bytes("signsgd up", bytes,
                       wire::encode_signs(up_signs, 0.0f).size());
   }
 
+  SyncResult result;
+  result.new_global.assign(global.begin(), global.end());
   {
     OBS_SPAN("compress.signsgd.aggregate");
     // Combine in ascending block order: votes into the block-0 panel
@@ -98,15 +100,13 @@ SyncResult SignSgd::synchronize(
     const float step = static_cast<float>(options_.step_scale) * step_;
     for (std::size_t j = 0; j < p; ++j) {
       if (votes[j] > 0) {
-        global_[j] += step;
+        result.new_global[j] += step;
       } else if (votes[j] < 0) {
-        global_[j] -= step;
+        result.new_global[j] -= step;
       }
     }
   }
 
-  SyncResult result;
-  result.new_global = global_;
   result.bytes_up.assign(n, bytes);
   result.bytes_down.assign(n, bytes);
   result.scalars_up = p * n;
@@ -115,8 +115,25 @@ SyncResult SignSgd::synchronize(
   return result;
 }
 
-std::size_t SignSgd::state_bytes() const {
-  return global_.size() * sizeof(float) + sizeof(float);
+namespace {
+constexpr std::uint32_t kSignSgdSnapshotMagic = 0xFED5'5165;
+}  // namespace
+
+std::vector<std::uint8_t> SignSgd::snapshot() const {
+  io::BinaryWriter writer;
+  writer.write_magic(kSignSgdSnapshotMagic);
+  writer.write_f32(step_);
+  return writer.take();
+}
+
+void SignSgd::restore(const std::vector<std::uint8_t>& bytes) {
+  io::BinaryReader reader(bytes);
+  reader.expect_magic(kSignSgdSnapshotMagic, "signSGD snapshot");
+  const float step = reader.read_f32();
+  if (!reader.at_end()) {
+    throw std::runtime_error("signSGD snapshot: trailing bytes");
+  }
+  step_ = step;
 }
 
 }  // namespace fedsu::compress

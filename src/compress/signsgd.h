@@ -31,12 +31,13 @@ class SignSgd : public SyncProtocol {
   SyncResult synchronize(
       const RoundContext& ctx,
       const std::vector<std::span<const float>>& client_states) override;
-  std::size_t state_bytes() const override;
+  std::vector<std::uint8_t> snapshot() const override;
+  void restore(const std::vector<std::uint8_t>& bytes) override;
 
  private:
   SignSgdOptions options_;
-  std::vector<float> global_;
-  float step_ = 0.0f;  // adaptive per-coordinate step magnitude
+  std::size_t params_ = 0;
+  float step_ = 0.0f;  // adaptive per-coordinate step magnitude (an EMA)
 
   // Round-loop scratch, reused so the steady state is allocation-free:
   // block b owns vote_panels_[b*p, (b+1)*p) and abs_partials_[b].

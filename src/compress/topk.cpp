@@ -22,8 +22,7 @@ TopK::TopK(int num_clients, TopKOptions options)
 }
 
 void TopK::initialize(std::span<const float> global_state) {
-  global_.assign(global_state.begin(), global_state.end());
-  residual_.reset(num_clients_, global_.size());
+  residual_.reset(num_clients_, global_state.size());
 }
 
 void TopK::on_client_join(int client_id) {
@@ -51,11 +50,10 @@ SyncResult TopK::synchronize(
     const RoundContext& ctx,
     const std::vector<std::span<const float>>& client_states) {
   OBS_SPAN("compress.topk.sync");
-  const std::size_t p = global_.size();
+  const std::size_t p = residual_.params();
+  check_sync_inputs(name(), ctx, client_states, p, true);
   const std::size_t n = client_states.size();
-  if (n != ctx.participants.size() || n == 0) {
-    throw std::invalid_argument("TopK: participants/state mismatch");
-  }
+  const std::span<const float> global = ctx.global;
   const std::size_t k =
       p == 0 ? 0
              : std::min(p, std::max<std::size_t>(
@@ -85,10 +83,10 @@ SyncResult TopK::synchronize(
       const float* slab = residual_.slab(client);
       if (slab != nullptr) {
         for (std::size_t j = 0; j < p; ++j) {
-          comp[j] = (state[j] - global_[j]) + slab[j];
+          comp[j] = (state[j] - global[j]) + slab[j];
         }
       } else {  // absent slab reads as exact zeros
-        for (std::size_t j = 0; j < p; ++j) comp[j] = state[j] - global_[j];
+        for (std::size_t j = 0; j < p; ++j) comp[j] = state[j] - global[j];
       }
       if (k == 0) continue;
       for (std::size_t j = 0; j < p; ++j) mags[j] = std::fabs(comp[j]);
@@ -147,6 +145,8 @@ SyncResult TopK::synchronize(
   // ascending client id exactly as the historical loop, independent of the
   // per-client selection order above.
   std::size_t union_size = 0;
+  SyncResult result;
+  result.new_global.assign(global.begin(), global.end());
   {
     OBS_SPAN("compress.topk.aggregate");
     agg_.assign(p, 0.0);
@@ -159,19 +159,15 @@ SyncResult TopK::synchronize(
         touched_[idx[t]] = 1;
       }
     }
-    // One O(p)-width write: the union update lands in global_ in place and
-    // the result takes a single copy of it (the old code built new_global,
-    // copied it into global_, and moved a second copy into the result).
+    // The global changes only on the union of uploaded coordinates.
     const double inv_n = 1.0 / static_cast<double>(n);
     for (std::size_t j = 0; j < p; ++j) {
       if (!touched_[j]) continue;
       ++union_size;
-      global_[j] = static_cast<float>(global_[j] + agg_[j] * inv_n);
+      result.new_global[j] = static_cast<float>(global[j] + agg_[j] * inv_n);
     }
   }
 
-  SyncResult result;
-  result.new_global = global_;
   // Exact sparse payload sizes without materializing the payloads: each
   // upload carries k (index, value) entries; the broadcast carries the
   // union of touched coordinates (wire::measure_sparse == encoded size).
@@ -187,7 +183,7 @@ SyncResult TopK::synchronize(
     for (std::size_t j = 0; j < p; ++j) {
       if (!touched_[j]) continue;
       down_indices.push_back(static_cast<std::uint32_t>(j));
-      down_values.push_back(global_[j]);
+      down_values.push_back(result.new_global[j]);
     }
     wire::audit_bytes(
         "topk up", up_bytes,
@@ -207,15 +203,9 @@ SyncResult TopK::synchronize(
   return result;
 }
 
-std::size_t TopK::state_bytes() const {
-  // Device-side accounting (Table II): the model plus the client's own
-  // residual, which is dense on the device — sparsity is a server-side
-  // phenomenon driven by never-selected and churned clients.
-  return global_.size() * sizeof(float) + global_.size() * sizeof(float);
-}
-
 namespace {
-constexpr std::uint32_t kTopKSnapshotMagic = 0xFED5701C;
+// 0xFED5701D dropped the copy of the global model 0xFED5701C carried.
+constexpr std::uint32_t kTopKSnapshotMagic = 0xFED5701D;
 }  // namespace
 
 std::vector<std::uint8_t> TopK::snapshot() const {
@@ -223,18 +213,27 @@ std::vector<std::uint8_t> TopK::snapshot() const {
   writer.write_magic(kTopKSnapshotMagic);
   writer.write_i32(num_clients_);
   writer.write_f64(last_ratio_);
-  writer.write_vector(global_);
   residual_.serialize(writer);
   return writer.take();
 }
 
 void TopK::restore(const std::vector<std::uint8_t>& bytes) {
+  // Parse and validate into locals, then commit: a malformed snapshot
+  // throws and leaves this TopK unchanged. The client count is checked
+  // before it shapes the residual store, so it never sizes an allocation.
   io::BinaryReader reader(bytes);
   reader.expect_magic(kTopKSnapshotMagic, "TopK snapshot");
-  num_clients_ = reader.read_i32();
-  last_ratio_ = reader.read_f64();
-  global_ = reader.read_vector<float>();
-  residual_.deserialize(reader, num_clients_, global_.size());
+  if (reader.read_i32() != num_clients_) {
+    throw std::runtime_error("TopK snapshot: client count mismatch");
+  }
+  const double last_ratio = reader.read_f64();
+  core::SparseErrorStore residual;
+  residual.deserialize(reader, num_clients_, residual_.params());
+  if (!reader.at_end()) {
+    throw std::runtime_error("TopK snapshot: trailing bytes");
+  }
+  last_ratio_ = last_ratio;
+  residual_ = std::move(residual);
 }
 
 }  // namespace fedsu::compress

@@ -41,9 +41,10 @@ class TopK : public SyncProtocol {
   SyncResult synchronize(
       const RoundContext& ctx,
       const std::vector<std::span<const float>>& client_states) override;
-  std::size_t state_bytes() const override;
   double last_sparsification_ratio() const override { return last_ratio_; }
   std::vector<std::uint8_t> snapshot() const override;
+  // Restores the residuals of the same cohort (the snapshot's client count
+  // must equal this TopK's) over a model of the same size.
   void restore(const std::vector<std::uint8_t>& bytes) override;
 
   // Residual slabs currently resident server-side (bench/test introspection;
@@ -55,8 +56,8 @@ class TopK : public SyncProtocol {
  private:
   TopKOptions options_;
   int num_clients_;
-  std::vector<float> global_;
-  core::SparseErrorStore residual_;  // per client id, slab on first nonzero
+  // Per client id, slab on first nonzero; shaped to the model's length.
+  core::SparseErrorStore residual_;
   double last_ratio_ = 0.0;
 
   // Round-loop scratch, sized on first use and reused thereafter so the

@@ -77,14 +77,7 @@ compress::SyncResult FedSuManager::synchronize(
   OBS_SPAN("core.fedsu.sync");
   const std::size_t p = global_.size();
   const std::size_t n = client_states.size();
-  if (n != ctx.participants.size() || n == 0) {
-    throw std::invalid_argument("FedSuManager: participants/state mismatch");
-  }
-  for (const auto& s : client_states) {
-    if (s.size() != p) {
-      throw std::invalid_argument("FedSuManager: state size mismatch");
-    }
-  }
+  compress::check_sync_inputs(name(), ctx, client_states, p, false);
   for (int id : ctx.participants) {
     if (id < 0 || id >= num_clients_) {
       throw std::out_of_range("FedSuManager: participant id out of range");

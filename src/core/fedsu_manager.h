@@ -90,7 +90,8 @@ class FedSuManager : public compress::SyncProtocol {
       const std::vector<std::span<const float>>& client_states) override;
 
   std::size_t join_state_bytes() const override;
-  std::size_t state_bytes() const override;
+  // Resident memory FedSU adds on a device (Table II memory inflation).
+  std::size_t state_bytes() const;
   std::vector<std::uint8_t> snapshot() const override;
   void restore(const std::vector<std::uint8_t>& bytes) override;
   double last_sparsification_ratio() const override { return last_ratio_; }

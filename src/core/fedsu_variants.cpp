@@ -1,7 +1,9 @@
 #include "core/fedsu_variants.h"
 
+#include <array>
 #include <stdexcept>
 
+#include "io/serialize.h"
 #include "util/reduce.h"
 #include "util/thread_pool.h"
 
@@ -18,13 +20,13 @@ struct FixedPeriodRound {
 };
 
 FixedPeriodRound run_fixed_period_round(
-    const std::vector<float>& global,
+    std::span<const float> global,
     const std::vector<std::span<const float>>& client_states,
     const std::vector<std::uint8_t>& predictable,
     const std::vector<float>& slope) {
   const std::size_t p = global.size();
   FixedPeriodRound out;
-  out.new_global = global;
+  out.new_global.assign(global.begin(), global.end());
   std::vector<std::size_t> unpredictable;
   for (std::size_t j = 0; j < p; ++j) {
     if (predictable[j]) {
@@ -67,6 +69,11 @@ double fraction_of(const std::vector<std::uint8_t>& mask) {
   for (auto m : mask) count += m;
   return static_cast<double>(count) / static_cast<double>(mask.size());
 }
+
+// 0xFED5B1xx: the variants' snapshots (mask, slopes, remaining periods,
+// then each variant's own diagnosis state).
+constexpr std::uint32_t kFedSuV1SnapshotMagic = 0xFED5'B101;
+constexpr std::uint32_t kFedSuV2SnapshotMagic = 0xFED5'B102;
 }  // namespace
 
 FedSuV1::FedSuV1(FedSuV1Options options) : options_(options) {
@@ -76,25 +83,23 @@ FedSuV1::FedSuV1(FedSuV1Options options) : options_(options) {
 }
 
 void FedSuV1::initialize(std::span<const float> global_state) {
-  global_.assign(global_state.begin(), global_state.end());
+  const std::size_t p = global_state.size();
   OscillationOptions osc_options;
   osc_options.ema_decay = options_.ema_decay;
   osc_options.warmup = options_.warmup;
-  osc_ = OscillationTracker(global_.size(), osc_options);
-  predictable_.assign(global_.size(), 0);
-  slope_.assign(global_.size(), 0.0f);
-  remaining_.assign(global_.size(), 0);
+  osc_ = OscillationTracker(p, osc_options);
+  predictable_.assign(p, 0);
+  slope_.assign(p, 0.0f);
+  remaining_.assign(p, 0);
 }
 
 compress::SyncResult FedSuV1::synchronize(
     const compress::RoundContext& ctx,
     const std::vector<std::span<const float>>& client_states) {
-  if (client_states.size() != ctx.participants.size() || client_states.empty()) {
-    throw std::invalid_argument("FedSuV1: participants/state mismatch");
-  }
-  const std::size_t p = global_.size();
+  const std::size_t p = predictable_.size();
+  compress::check_sync_inputs(name(), ctx, client_states, p, true);
   auto round =
-      run_fixed_period_round(global_, client_states, predictable_, slope_);
+      run_fixed_period_round(ctx.global, client_states, predictable_, slope_);
 
   // Expire fixed periods (no feedback, no correction).
   for (std::size_t j = 0; j < p; ++j) {
@@ -106,7 +111,7 @@ compress::SyncResult FedSuV1::synchronize(
   // Diagnose newly-synchronized parameters.
   for (std::size_t j = 0; j < p; ++j) {
     if (predictable_[j]) continue;
-    const float g_new = round.new_global[j] - global_[j];
+    const float g_new = round.new_global[j] - ctx.global[j];
     const double r = osc_.observe(j, g_new);
     if (osc_.ready(j) && r < options_.t_r) {
       predictable_[j] = 1;
@@ -114,14 +119,35 @@ compress::SyncResult FedSuV1::synchronize(
       remaining_[j] = options_.fixed_period;
     }
   }
-  global_ = round.new_global;
   return make_result(std::move(round), p, client_states.size(), last_ratio_);
 }
 
-std::size_t FedSuV1::state_bytes() const {
-  return global_.size() * sizeof(float) + osc_.state_bytes() +
-         predictable_.size() + slope_.size() * sizeof(float) +
-         remaining_.size() * sizeof(std::int32_t);
+std::vector<std::uint8_t> FedSuV1::snapshot() const {
+  io::BinaryWriter writer;
+  writer.write_magic(kFedSuV1SnapshotMagic);
+  writer.write_vector(predictable_);
+  writer.write_vector(slope_);
+  writer.write_vector(remaining_);
+  osc_.serialize(writer);
+  return writer.take();
+}
+
+void FedSuV1::restore(const std::vector<std::uint8_t>& bytes) {
+  io::BinaryReader reader(bytes);
+  reader.expect_magic(kFedSuV1SnapshotMagic, "FedSU-v1 snapshot");
+  const std::size_t p = predictable_.size();
+  auto predictable = reader.read_vector<std::uint8_t>(p);
+  auto slope = reader.read_vector<float>(p);
+  auto remaining = reader.read_vector<std::int32_t>(p);
+  OscillationTracker osc(0);
+  osc.deserialize(reader);
+  if (osc.size() != p || !reader.at_end()) {
+    throw std::runtime_error("FedSU-v1 snapshot: inconsistent tracker");
+  }
+  predictable_ = std::move(predictable);
+  slope_ = std::move(slope);
+  remaining_ = std::move(remaining);
+  osc_ = std::move(osc);
 }
 
 double FedSuV1::predictable_fraction() const { return fraction_of(predictable_); }
@@ -135,23 +161,20 @@ FedSuV2::FedSuV2(FedSuV2Options options)
 }
 
 void FedSuV2::initialize(std::span<const float> global_state) {
-  global_.assign(global_state.begin(), global_state.end());
-  prev_update_.assign(global_.size(), 0.0f);
+  const std::size_t p = global_state.size();
   has_prev_update_ = false;
-  predictable_.assign(global_.size(), 0);
-  slope_.assign(global_.size(), 0.0f);
-  remaining_.assign(global_.size(), 0);
+  predictable_.assign(p, 0);
+  slope_.assign(p, 0.0f);
+  remaining_.assign(p, 0);
 }
 
 compress::SyncResult FedSuV2::synchronize(
     const compress::RoundContext& ctx,
     const std::vector<std::span<const float>>& client_states) {
-  if (client_states.size() != ctx.participants.size() || client_states.empty()) {
-    throw std::invalid_argument("FedSuV2: participants/state mismatch");
-  }
-  const std::size_t p = global_.size();
+  const std::size_t p = predictable_.size();
+  compress::check_sync_inputs(name(), ctx, client_states, p, true);
   auto round =
-      run_fixed_period_round(global_, client_states, predictable_, slope_);
+      run_fixed_period_round(ctx.global, client_states, predictable_, slope_);
 
   for (std::size_t j = 0; j < p; ++j) {
     if (predictable_[j] && --remaining_[j] <= 0) predictable_[j] = 0;
@@ -160,23 +183,45 @@ compress::SyncResult FedSuV2::synchronize(
   // update so a slope exists.
   for (std::size_t j = 0; j < p; ++j) {
     if (predictable_[j]) continue;
-    const float g_new = round.new_global[j] - global_[j];
     if (has_prev_update_ && rng_.bernoulli(options_.enter_probability)) {
       predictable_[j] = 1;
-      slope_[j] = g_new;
+      slope_[j] = round.new_global[j] - ctx.global[j];
       remaining_[j] = options_.fixed_period;
     }
-    prev_update_[j] = g_new;
   }
   has_prev_update_ = true;
-  global_ = round.new_global;
   return make_result(std::move(round), p, client_states.size(), last_ratio_);
 }
 
-std::size_t FedSuV2::state_bytes() const {
-  return global_.size() * sizeof(float) + prev_update_.size() * sizeof(float) +
-         predictable_.size() + slope_.size() * sizeof(float) +
-         remaining_.size() * sizeof(std::int32_t);
+std::vector<std::uint8_t> FedSuV2::snapshot() const {
+  io::BinaryWriter writer;
+  writer.write_magic(kFedSuV2SnapshotMagic);
+  writer.write_vector(predictable_);
+  writer.write_vector(slope_);
+  writer.write_vector(remaining_);
+  writer.write_bool(has_prev_update_);
+  for (const std::uint64_t w : rng_.state_words()) writer.write_u64(w);
+  return writer.take();
+}
+
+void FedSuV2::restore(const std::vector<std::uint8_t>& bytes) {
+  io::BinaryReader reader(bytes);
+  reader.expect_magic(kFedSuV2SnapshotMagic, "FedSU-v2 snapshot");
+  const std::size_t p = predictable_.size();
+  auto predictable = reader.read_vector<std::uint8_t>(p);
+  auto slope = reader.read_vector<float>(p);
+  auto remaining = reader.read_vector<std::int32_t>(p);
+  const bool has_prev_update = reader.read_bool();
+  std::array<std::uint64_t, util::Rng::kStateWords> words{};
+  for (auto& w : words) w = reader.read_u64();
+  if (!reader.at_end()) {
+    throw std::runtime_error("FedSU-v2 snapshot: trailing bytes");
+  }
+  predictable_ = std::move(predictable);
+  slope_ = std::move(slope);
+  remaining_ = std::move(remaining);
+  has_prev_update_ = has_prev_update;
+  rng_.restore_state_words(words);
 }
 
 double FedSuV2::predictable_fraction() const { return fraction_of(predictable_); }

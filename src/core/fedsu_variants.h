@@ -35,13 +35,16 @@ class FedSuV1 : public compress::SyncProtocol {
   compress::SyncResult synchronize(
       const compress::RoundContext& ctx,
       const std::vector<std::span<const float>>& client_states) override;
-  std::size_t state_bytes() const override;
+  std::vector<std::uint8_t> snapshot() const override;
+  void restore(const std::vector<std::uint8_t>& bytes) override;
   double last_sparsification_ratio() const override { return last_ratio_; }
+  Telemetry last_round_telemetry() const override {
+    return {predictable_fraction(), 0};
+  }
   double predictable_fraction() const;
 
  private:
   FedSuV1Options options_;
-  std::vector<float> global_;
   OscillationTracker osc_{0};
   std::vector<std::uint8_t> predictable_;
   std::vector<float> slope_;
@@ -64,14 +67,16 @@ class FedSuV2 : public compress::SyncProtocol {
   compress::SyncResult synchronize(
       const compress::RoundContext& ctx,
       const std::vector<std::span<const float>>& client_states) override;
-  std::size_t state_bytes() const override;
+  std::vector<std::uint8_t> snapshot() const override;
+  void restore(const std::vector<std::uint8_t>& bytes) override;
   double last_sparsification_ratio() const override { return last_ratio_; }
+  Telemetry last_round_telemetry() const override {
+    return {predictable_fraction(), 0};
+  }
   double predictable_fraction() const;
 
  private:
   FedSuV2Options options_;
-  std::vector<float> global_;
-  std::vector<float> prev_update_;
   bool has_prev_update_ = false;
   std::vector<std::uint8_t> predictable_;
   std::vector<float> slope_;

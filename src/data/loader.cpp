@@ -26,20 +26,25 @@ void BatchLoader::serialize(io::BinaryWriter& writer) const {
   writer.write_u64(epochs_);
 }
 
-void BatchLoader::deserialize(io::BinaryReader& reader) {
-  std::array<std::uint64_t, util::Rng::kStateWords> words{};
-  for (auto& w : words) w = reader.read_u64();
-  auto order = reader.read_vector<std::size_t>();
+BatchLoader::Snapshot BatchLoader::parse(io::BinaryReader& reader) const {
+  Snapshot snapshot;
+  for (auto& w : snapshot.rng_words) w = reader.read_u64();
+  snapshot.order = reader.read_vector<std::size_t>(view_.size());
   const std::uint64_t cursor = reader.read_u64();
-  const std::uint64_t epochs = reader.read_u64();
-  if (order.size() != view_.size() || cursor > order.size()) {
+  snapshot.epochs = static_cast<std::size_t>(reader.read_u64());
+  if (cursor > snapshot.order.size()) {
     throw std::runtime_error(
         "BatchLoader: snapshot does not match this shard");
   }
-  rng_.restore_state_words(words);
-  order_ = std::move(order);
-  cursor_ = static_cast<std::size_t>(cursor);
-  epochs_ = static_cast<std::size_t>(epochs);
+  snapshot.cursor = static_cast<std::size_t>(cursor);
+  return snapshot;
+}
+
+void BatchLoader::restore(Snapshot snapshot) {
+  rng_.restore_state_words(snapshot.rng_words);
+  order_ = std::move(snapshot.order);
+  cursor_ = snapshot.cursor;
+  epochs_ = snapshot.epochs;
 }
 
 void BatchLoader::next(tensor::Tensor& batch, std::vector<int>& labels) {

@@ -1,6 +1,7 @@
 // Shuffling mini-batch loader over a DatasetView.
 #pragma once
 
+#include <array>
 #include <vector>
 
 #include "data/dataset.h"
@@ -28,11 +29,21 @@ class BatchLoader {
   // Checkpoint support. The epoch permutation cannot be re-derived from the
   // seed alone — the constructor shuffles immediately and every epoch
   // boundary consumes RNG draws mid-stream — so serialize() captures the
-  // RNG words, the current `order_`, the cursor, and the epoch count.
-  // deserialize() restores them; the view itself is rebuilt by the caller
-  // (the shard partition is seed-deterministic).
+  // RNG words, the current `order_`, the cursor, and the epoch count. The
+  // view itself is rebuilt by the caller (the shard partition is
+  // seed-deterministic). parse() reads one record and checks it against
+  // this loader's shard without changing the loader; restore() commits it
+  // and cannot fail, so a caller can validate every loader before it
+  // commits any.
+  struct Snapshot {
+    std::array<std::uint64_t, util::Rng::kStateWords> rng_words{};
+    std::vector<std::size_t> order;
+    std::size_t cursor = 0;
+    std::size_t epochs = 0;
+  };
   void serialize(io::BinaryWriter& writer) const;
-  void deserialize(io::BinaryReader& reader);
+  Snapshot parse(io::BinaryReader& reader) const;
+  void restore(Snapshot snapshot);
 
  private:
   void reshuffle();

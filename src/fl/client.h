@@ -51,9 +51,15 @@ class Client {
   float train_round(nn::Model& model, const LocalTrainOptions& options);
 
   // Checkpoint support: the client's only mutable state is its batch
-  // loader (shuffle RNG + epoch permutation + cursor).
+  // loader (shuffle RNG + epoch permutation + cursor). See
+  // data::BatchLoader for the parse-then-restore split.
   void serialize(io::BinaryWriter& writer) const { loader_.serialize(writer); }
-  void deserialize(io::BinaryReader& reader) { loader_.deserialize(reader); }
+  data::BatchLoader::Snapshot parse_loader(io::BinaryReader& reader) const {
+    return loader_.parse(reader);
+  }
+  void restore_loader(data::BatchLoader::Snapshot snapshot) {
+    loader_.restore(std::move(snapshot));
+  }
 
  private:
   void apply_proximal_term(nn::Model& model,

@@ -334,8 +334,9 @@ RoundRecord Simulation::close_round(RoundRecord record,
 }
 
 compress::SyncResult Simulation::synchronize(
-    const compress::RoundContext& ctx,
+    compress::RoundContext& ctx,
     const std::vector<std::span<const float>>& views) {
+  ctx.global = global_;
   compress::SyncResult sync = [&] {
     OBS_SPAN("sim.sync");
     return protocol_->synchronize(ctx, views);
@@ -964,13 +965,6 @@ std::pair<int, std::size_t> Simulation::add_client(data::Dataset shard) {
   return {id, join_bytes};
 }
 
-void Simulation::load_global_state(std::vector<float> state) {
-  if (state.size() != global_.size()) {
-    throw std::invalid_argument("Simulation::load_global_state: size mismatch");
-  }
-  global_ = std::move(state);
-}
-
 void Simulation::drop_client(int client_id) {
   if (client_id < 0 || client_id >= static_cast<int>(clients_.size())) {
     throw std::out_of_range("Simulation::drop_client: bad id");
@@ -1095,9 +1089,10 @@ std::vector<std::uint8_t> Simulation::snapshot_state() const {
 void Simulation::restore_state(const std::vector<std::uint8_t>& payload) {
   io::BinaryReader reader(payload);
 
-  // The identity sections parse into locals, so a mismatched run is left
-  // untouched. The protocol and clients restore before the fault and async
-  // sections are parsed: damage found there leaves a partial restore.
+  // Every section parses and validates into locals first, so a mismatched
+  // run or a malformed payload throws before anything changes. The commit
+  // below starts with the protocol's restore, itself all-or-nothing, and
+  // nothing after it can fail.
   reader.expect_magic(kSnapCoreMagic, "run-checkpoint core section");
   const std::string protocol_name = reader.read_string();
   if (protocol_name != protocol_->name()) {
@@ -1151,28 +1146,31 @@ void Simulation::restore_state(const std::vector<std::uint8_t>& payload) {
     throw std::runtime_error(
         "Simulation::restore_state: client-section count mismatch");
   }
-
-  // All identity validation is done; mutations start here. (Byte-level
-  // damage never reaches this function: io::load_run_checkpoint rejects
-  // the file on its CRC footer before the payload is parsed.)
-  protocol_->restore(protocol_snapshot);
-
-  for (auto& client : clients_) client->deserialize(reader);
-
-  reader.expect_magic(kSnapFaultsMagic, "run-checkpoint faults section");
-  {
-    std::vector<std::int32_t> down32 = reader.read_vector<std::int32_t>();
-    faults_.restore_churn_state(std::vector<int>(down32.begin(), down32.end()));
+  std::vector<data::BatchLoader::Snapshot> loaders;
+  loaders.reserve(clients_.size());
+  for (const auto& client : clients_) {
+    loaders.push_back(client->parse_loader(reader));
   }
 
+  reader.expect_magic(kSnapFaultsMagic, "run-checkpoint faults section");
+  std::vector<int> down;
+  {
+    const std::vector<std::int32_t> down32 = reader.read_vector<std::int32_t>();
+    down.assign(down32.begin(), down32.end());
+  }
+
+  std::vector<std::uint8_t> busy;
+  std::vector<double> ready;
+  std::vector<net::Flow> flows;
+  std::vector<InFlight> inflight;
   if (async_engine_) {
     reader.expect_magic(kSnapAsyncMagic, "run-checkpoint async section");
-    std::vector<std::uint8_t> busy = reader.read_vector<std::uint8_t>();
+    busy = reader.read_vector<std::uint8_t>();
     if (busy.size() != client_busy_.size()) {
       throw std::runtime_error(
           "Simulation::restore_state: async busy-set size mismatch");
     }
-    std::vector<double> ready = reader.read_vector<double>();
+    ready = reader.read_vector<double>();
     if (ready.size() != client_ready_s_.size()) {
       throw std::runtime_error(
           "Simulation::restore_state: async ready-set size mismatch");
@@ -1191,7 +1189,7 @@ void Simulation::restore_state(const std::vector<std::uint8_t>& payload) {
     constexpr std::size_t kBaseMinBytes = 8;       // an empty vector
     // Seven 4-byte and five 8-byte fields, with an empty state vector.
     constexpr std::size_t kLegMinBytes = 7 * 4 + 5 * 8;
-    std::vector<net::Flow> flows(read_count(kFlowBytes, "uplink flow"));
+    flows.resize(read_count(kFlowBytes, "uplink flow"));
     for (net::Flow& flow : flows) {
       flow.start_time_s = reader.read_f64();
       flow.bytes = reader.read_f64();
@@ -1208,7 +1206,7 @@ void Simulation::restore_state(const std::vector<std::uint8_t>& payload) {
       bases.push_back(std::make_shared<const std::vector<float>>(
           reader.read_vector<float>()));
     }
-    std::vector<InFlight> inflight(read_count(kLegMinBytes, "in-flight leg"));
+    inflight.resize(read_count(kLegMinBytes, "in-flight leg"));
     for (InFlight& leg : inflight) {
       leg.client = reader.read_i32();
       leg.version = reader.read_i32();
@@ -1232,16 +1230,25 @@ void Simulation::restore_state(const std::vector<std::uint8_t>& payload) {
       }
       leg.dispatch_global = bases[base];
     }
-    uplink_->restore_flows(flows);
-    std::copy(busy.begin(), busy.end(), client_busy_.begin());
-    client_ready_s_ = std::move(ready);
-    inflight_ = std::move(inflight);
   }
   if (!reader.at_end()) {
     throw std::runtime_error(
         "Simulation::restore_state: trailing bytes after the last section");
   }
 
+  // Commit. (Byte-level damage never reaches this function: a run
+  // checkpoint file is rejected on its CRC footer before it is parsed.)
+  protocol_->restore(protocol_snapshot);
+  for (std::size_t i = 0; i < clients_.size(); ++i) {
+    clients_[i]->restore_loader(std::move(loaders[i]));
+  }
+  faults_.restore_churn_state(std::move(down));
+  if (async_engine_) {
+    uplink_->restore_flows(flows);
+    std::copy(busy.begin(), busy.end(), client_busy_.begin());
+    client_ready_s_ = std::move(ready);
+    inflight_ = std::move(inflight);
+  }
   round_ = round;
   model_version_ = model_version;
   elapsed_time_s_ = elapsed;

@@ -258,10 +258,6 @@ class Simulation {
   // Removes a client from future participation (simulated dropout).
   void drop_client(int client_id);
 
-  // Replaces the global model state (checkpoint restore). The protocol's own
-  // state is restored separately via SyncProtocol::restore().
-  void load_global_state(std::vector<float> state);
-
   // Serializes the full resume frontier (docs/RECOVERY.md): model, protocol
   // snapshot (FedSU promotion/demotion state, SparseErrorStore slabs, rejoin
   // stamps), per-client batch-loader RNG/permutation cursors, fault-plan
@@ -274,11 +270,13 @@ class Simulation {
   // Restores a snapshot_state() payload onto a Simulation constructed with
   // the SAME options (protocol, cohort, model, seed — `threads` may differ;
   // §5b holds across thread counts). Replaying the remaining rounds then
-  // produces output bitwise identical to the uninterrupted run. Throws on
-  // any mismatch (different protocol, cohort size, model size, or sync/async
-  // mode) and on malformed payloads, leaving no partial restore behind on a
-  // validation failure. Mid-run add_client joiners are outside the resume
-  // frontier: restore onto the constructed cohort, then re-add them.
+  // produces output bitwise identical to the uninterrupted run. This is the
+  // one resume path: the model and the protocol's state only ever restore
+  // together. Throws on any mismatch (different protocol, cohort size,
+  // model size, or sync/async mode) and on malformed payloads; either way
+  // the simulation is left exactly as it was (all-or-nothing). Mid-run
+  // add_client joiners are outside the resume frontier: restore onto the
+  // constructed cohort, then re-add them.
   void restore_state(const std::vector<std::uint8_t>& payload);
 
  private:
@@ -324,9 +322,10 @@ class Simulation {
   void train_participants(int round, const std::vector<int>& participants,
                           std::vector<std::vector<float>>& states,
                           std::vector<double>& losses);
-  // Runs the protocol under test and installs its new global.
+  // Runs the protocol under test on the current global (which it sets as
+  // ctx.global) and installs the new one.
   compress::SyncResult synchronize(
-      const compress::RoundContext& ctx,
+      compress::RoundContext& ctx,
       const std::vector<std::span<const float>>& views);
   // Ends the round `record` describes — aggregated (num_participants > 0)
   // or stalled — once its engine has set the clock: attaches protocol

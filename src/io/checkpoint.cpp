@@ -15,63 +15,6 @@
 namespace fedsu::io {
 
 namespace {
-constexpr std::uint32_t kCheckpointMagic = 0xC4EC'B01F;
-}  // namespace
-
-void save_checkpoint(const Checkpoint& checkpoint, const std::string& path) {
-  BinaryWriter writer;
-  writer.write_magic(kCheckpointMagic);
-  writer.write_string(checkpoint.protocol_name);
-  writer.write_i32(checkpoint.round);
-  writer.write_f64(checkpoint.elapsed_time_s);
-  writer.write_vector(checkpoint.model_state);
-  writer.write_vector(checkpoint.protocol_snapshot);
-  writer.save_to_file(path);
-}
-
-Checkpoint load_checkpoint(const std::string& path) {
-  BinaryReader reader = BinaryReader::from_file(path);
-  reader.expect_magic(kCheckpointMagic, "checkpoint");
-  Checkpoint checkpoint;
-  checkpoint.protocol_name = reader.read_string();
-  checkpoint.round = reader.read_i32();
-  checkpoint.elapsed_time_s = reader.read_f64();
-  checkpoint.model_state = reader.read_vector<float>();
-  checkpoint.protocol_snapshot = reader.read_vector<std::uint8_t>();
-  return checkpoint;
-}
-
-Checkpoint make_checkpoint(const compress::SyncProtocol& protocol,
-                           std::vector<float> model_state, int round,
-                           double elapsed_time_s) {
-  Checkpoint checkpoint;
-  checkpoint.protocol_name = protocol.name();
-  checkpoint.round = round;
-  checkpoint.elapsed_time_s = elapsed_time_s;
-  checkpoint.model_state = std::move(model_state);
-  checkpoint.protocol_snapshot = protocol.snapshot();
-  return checkpoint;
-}
-
-void restore_protocol(compress::SyncProtocol& protocol,
-                      const Checkpoint& checkpoint,
-                      const std::vector<int>& absent_clients) {
-  if (protocol.name() != checkpoint.protocol_name) {
-    throw std::runtime_error("restore_protocol: checkpoint is for '" +
-                             checkpoint.protocol_name + "', not '" +
-                             protocol.name() + "'");
-  }
-  protocol.restore(checkpoint.protocol_snapshot);
-  // The snapshot's rejoin stamps describe checkpoint time, not restore
-  // time: any client that is down (or of unknown continuity) now must be
-  // treated as a rejoiner — release its stale error slab and re-stamp it —
-  // or its snapshot-era residuals feed every later correction.
-  for (const int client : absent_clients) {
-    protocol.on_client_rejoin(client);
-  }
-}
-
-namespace {
 
 std::string checkpoint_filename(int round) {
   char name[32];

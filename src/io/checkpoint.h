@@ -1,53 +1,16 @@
-// Training checkpoints: model state + protocol snapshot + round metadata,
-// persisted to one file so an FL run can be stopped and resumed.
+// Run checkpoints (docs/RECOVERY.md): full resume-frontier snapshots written
+// periodically by fl::Simulation — the one file format an FL run is stopped
+// and resumed through. This layer owns only the outer framing — magic,
+// format version, opaque payload, CRC-32 footer — plus the atomic write
+// (tmp file + rename) and latest-file discovery. The payload is produced
+// and consumed by Simulation::snapshot_state/restore_state.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "compress/protocol.h"
-
 namespace fedsu::io {
-
-struct Checkpoint {
-  std::string protocol_name;
-  int round = 0;
-  double elapsed_time_s = 0.0;
-  std::vector<float> model_state;
-  std::vector<std::uint8_t> protocol_snapshot;  // may be empty
-};
-
-void save_checkpoint(const Checkpoint& checkpoint, const std::string& path);
-
-Checkpoint load_checkpoint(const std::string& path);
-
-// Convenience: captures the protocol's snapshot alongside the given model
-// state and metadata.
-Checkpoint make_checkpoint(const compress::SyncProtocol& protocol,
-                           std::vector<float> model_state, int round,
-                           double elapsed_time_s);
-
-// Restores `protocol` from `checkpoint`, then re-derives the rejoin stamp
-// for every client in `absent_clients` (ids of clients that are down — or
-// of unknown continuity — at restore time). A snapshot's stamps describe
-// the world *when it was taken*: a client that churned between snapshot and
-// restore still has its stale error slab live in the snapshot, and blindly
-// trusting it replays stale feedback into every subsequent correction
-// (exactly the live rejoin hole docs/FAULT_MODEL.md §4 closed). Callers
-// that restore the full churn state alongside the snapshot (the auto-resume
-// path, docs/RECOVERY.md) have proven continuity and pass an empty list.
-void restore_protocol(compress::SyncProtocol& protocol,
-                      const Checkpoint& checkpoint,
-                      const std::vector<int>& absent_clients);
-
-// ---------------------------------------------------------------------------
-// Run checkpoints (docs/RECOVERY.md): full resume-frontier snapshots written
-// periodically by fl::Simulation. This layer owns only the outer framing —
-// magic, format version, opaque payload, CRC-32 footer — plus the atomic
-// write (tmp file + rename) and latest-file discovery. The payload is
-// produced and consumed by Simulation::snapshot_state/restore_state.
-// ---------------------------------------------------------------------------
 
 inline constexpr std::uint32_t kRunCheckpointMagic = 0xFED5'C4EC;
 inline constexpr std::uint32_t kRunCheckpointVersion = 1;

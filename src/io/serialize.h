@@ -74,6 +74,17 @@ class BinaryReader {
     return out;
   }
 
+  // read_vector() that also throws unless the vector has `expected`
+  // elements — a snapshot field checked against the model it restores into.
+  template <typename T>
+  std::vector<T> read_vector(std::size_t expected) {
+    std::vector<T> out = read_vector<T>();
+    if (out.size() != expected) {
+      throw std::runtime_error("BinaryReader: vector length mismatch");
+    }
+    return out;
+  }
+
   // Reads a u32 and throws unless it matches.
   void expect_magic(std::uint32_t magic, const char* what);
 

@@ -54,12 +54,17 @@ FaultOptions churn_and_stragglers() {
   return faults;
 }
 
-Simulation make_sim(const SimulationOptions& options,
-                    const std::string& scheme = "fedsu") {
+std::unique_ptr<compress::SyncProtocol> make_scheme(const std::string& scheme,
+                                                    int num_clients) {
   ProtocolConfig config;
   config.name = scheme;
-  config.num_clients = options.num_clients;
-  return Simulation(options, make_protocol(config));
+  config.num_clients = num_clients;
+  return make_protocol(config);
+}
+
+Simulation make_sim(const SimulationOptions& options,
+                    const std::string& scheme = "fedsu") {
+  return Simulation(options, make_scheme(scheme, options.num_clients));
 }
 
 // A per-test scratch directory under the gtest temp root, emptied up front
@@ -77,26 +82,45 @@ void expect_bitwise(const std::vector<float>& a, const std::vector<float>& b) {
 
 // Kill at round `kill_at`, restore through the file layer into a fresh
 // simulation, finish, and compare against the uninterrupted run bitwise.
+//
+// When the protocol has cross-round state (a non-empty snapshot), a control
+// run restores the same checkpoint and then overwrites the protocol's state
+// with that of a protocol freshly initialized on the kill-round global. The
+// control must diverge from the uninterrupted run: that proves the kill
+// landed on live state, so the bitwise match above is not trivial.
 void expect_bitwise_resume(const SimulationOptions& options, int total_rounds,
-                           int kill_at, const std::string& label) {
-  Simulation reference = make_sim(options);
+                           int kill_at, const std::string& scheme,
+                           const std::string& label) {
+  SCOPED_TRACE(label);
+  Simulation reference = make_sim(options, scheme);
   for (int r = 0; r < total_rounds; ++r) reference.step();
 
   const std::string dir = fresh_dir("run_ckpt_" + label);
   std::string path;
   {
-    Simulation first = make_sim(options);
+    Simulation first = make_sim(options, scheme);
     for (int r = 0; r < kill_at; ++r) first.step();
     path = io::save_run_checkpoint(dir, kill_at, first.snapshot_state());
   }  // the first process is dead; only the file survives
 
-  Simulation resumed = make_sim(options);
+  Simulation resumed = make_sim(options, scheme);
   resumed.restore_state(io::load_run_checkpoint(path));
-  EXPECT_EQ(resumed.rounds_completed(), kill_at) << label;
+  EXPECT_EQ(resumed.rounds_completed(), kill_at);
   for (int r = kill_at; r < total_rounds; ++r) resumed.step();
-
-  SCOPED_TRACE(label);
   expect_bitwise(reference.global_state(), resumed.global_state());
+
+  Simulation control = make_sim(options, scheme);
+  control.restore_state(io::load_run_checkpoint(path));
+  if (control.protocol().snapshot().empty()) return;  // no cross-round state
+  const auto fresh = make_scheme(scheme, options.num_clients);
+  fresh->initialize(control.global_state());
+  control.protocol().restore(fresh->snapshot());
+  for (int r = kill_at; r < total_rounds; ++r) control.step();
+  const std::vector<float>& a = reference.global_state();
+  const std::vector<float>& b = control.global_state();
+  EXPECT_NE(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0)
+      << "resetting the protocol's state at the kill changed nothing: the "
+         "kill lands before the protocol has live state";
 }
 
 // --- file frame ------------------------------------------------------------
@@ -269,23 +293,28 @@ TEST(RunCheckpointCadence, CheckpointingNeverPerturbsTheRun) {
 
 // --- the bitwise-resume contract -------------------------------------------
 
+// Every protocol the factory builds resumes byte-exact, in both engines.
 TEST(RunCheckpointResume, SyncBitwiseAcrossThreadCountsUnderFaults) {
-  for (const int threads : {1, 4, 8}) {
-    SimulationOptions options = tiny_options(threads);
-    options.faults = churn_and_stragglers();
-    expect_bitwise_resume(options, 10, 5,
-                          "sync_t" + std::to_string(threads));
+  for (const std::string& scheme : known_protocols()) {
+    for (const int threads : {1, 4, 8}) {
+      SimulationOptions options = tiny_options(threads);
+      options.faults = churn_and_stragglers();
+      expect_bitwise_resume(options, 10, 5, scheme,
+                            scheme + "_sync_t" + std::to_string(threads));
+    }
   }
 }
 
 TEST(RunCheckpointResume, AsyncBitwiseAcrossThreadCountsUnderFaults) {
-  for (const int threads : {1, 4, 8}) {
-    SimulationOptions options = tiny_options(threads);
-    options.faults = churn_and_stragglers();
-    options.async.enabled = true;
-    options.async.buffer_k = 3;
-    expect_bitwise_resume(options, 10, 5,
-                          "async_t" + std::to_string(threads));
+  for (const std::string& scheme : known_protocols()) {
+    for (const int threads : {1, 4, 8}) {
+      SimulationOptions options = tiny_options(threads);
+      options.faults = churn_and_stragglers();
+      options.async.enabled = true;
+      options.async.buffer_k = 3;  // K < cohort: the async engine proper
+      expect_bitwise_resume(options, 10, 5, scheme,
+                            scheme + "_async_t" + std::to_string(threads));
+    }
   }
 }
 
@@ -392,28 +421,30 @@ TEST(RunCheckpointRestore, RejectsAMismatchedRunIdentity) {
   EXPECT_EQ(right.rounds_completed(), 3);
 }
 
+// Offset of the first `magic` followed by a u64 equal to `next`. The faults
+// section's churn vector and the async section's busy set both open with
+// one entry per client, which tells a section header from model bytes.
+std::size_t section_offset(const std::vector<std::uint8_t>& payload,
+                           std::uint32_t magic, std::uint64_t next) {
+  for (std::size_t at = 0; at + 12 <= payload.size(); ++at) {
+    std::uint32_t m = 0;
+    std::uint64_t n = 0;
+    std::memcpy(&m, payload.data() + at, sizeof(m));
+    std::memcpy(&n, payload.data() + at + 4, sizeof(n));
+    if (m == magic && n == next) return at;
+  }
+  ADD_FAILURE() << "no section with magic " << std::hex << magic;
+  return 0;
+}
+
 // Byte offset of the uplink flow count in an async snapshot: after the
 // async section's magic come the busy set (u64 length, one byte per client)
 // and the ready times (u64 length, one double per client).
 std::size_t async_flow_count_offset(const std::vector<std::uint8_t>& payload,
                                     std::uint64_t clients) {
-  auto u64_at = [&](std::size_t at) {
-    std::uint64_t v = 0;
-    std::memcpy(&v, payload.data() + at, sizeof(v));
-    return v;
-  };
-  for (std::size_t at = 0; at + 4 <= payload.size(); ++at) {
-    std::uint32_t magic = 0;
-    std::memcpy(&magic, payload.data() + at, sizeof(magic));
-    const std::size_t ready_at = at + 4 + 8 + clients;
-    const std::size_t count_at = ready_at + 8 + 8 * clients;
-    if (magic == 0xFED5'C405 && count_at + 8 <= payload.size() &&
-        u64_at(at + 4) == clients && u64_at(ready_at) == clients) {
-      return count_at;
-    }
-  }
-  ADD_FAILURE() << "no async section in the snapshot";
-  return 0;
+  const std::size_t at = section_offset(payload, 0xFED5'C405, clients);
+  const std::size_t count_at = at + 4 + 8 + clients + 8 + 8 * clients;
+  return at == 0 || count_at + 8 > payload.size() ? 0 : count_at;
 }
 
 TEST(RunCheckpointRestore, RejectsAnOversizedOrInvalidUplinkFlowRecord) {
@@ -452,6 +483,44 @@ TEST(RunCheckpointRestore, RejectsAnOversizedOrInvalidUplinkFlowRecord) {
 
   Simulation right = make_sim(options);
   EXPECT_NO_THROW(right.restore_state(snapshot));
+}
+
+TEST(RunCheckpointRestore, ATruncatedSectionLeavesTheRunUntouched) {
+  // The protocol and the client loaders come before the faults and async
+  // sections in the payload; damage found in a late section must still
+  // leave the whole simulation as it was.
+  for (const bool async : {false, true}) {
+    SCOPED_TRACE(async ? "truncated async section" : "truncated faults section");
+    SimulationOptions options = tiny_options();
+    options.faults = churn_and_stragglers();
+    if (async) {
+      options.async.enabled = true;
+      options.async.buffer_k = 3;
+    }
+    std::vector<std::uint8_t> snapshot;
+    {
+      Simulation sim = make_sim(options);
+      for (int r = 0; r < 5; ++r) sim.step();
+      snapshot = sim.snapshot_state();
+    }
+    const std::size_t at =
+        section_offset(snapshot, async ? 0xFED5'C405 : 0xFED5'C404,
+                       static_cast<std::uint64_t>(options.num_clients));
+    ASSERT_GT(at, 0u);
+    // Cut inside the section: past its magic and first length prefix.
+    const std::size_t cut = async ? at + (snapshot.size() - at) / 2 : at + 14;
+    const std::vector<std::uint8_t> truncated(
+        snapshot.begin(), snapshot.begin() + static_cast<std::ptrdiff_t>(cut));
+
+    Simulation target = make_sim(options);
+    for (int r = 0; r < 2; ++r) target.step();
+    const std::vector<std::uint8_t> before = target.snapshot_state();
+    EXPECT_THROW(target.restore_state(truncated), std::runtime_error);
+    EXPECT_EQ(target.snapshot_state(), before);
+    // The intact snapshot still restores.
+    EXPECT_NO_THROW(target.restore_state(snapshot));
+    EXPECT_EQ(target.rounds_completed(), 5);
+  }
 }
 
 // --- checkpoint-write failure ----------------------------------------------

@@ -2,8 +2,8 @@
 // the payload-audit mode, §5b bitwise identity of every parallelized
 // protocol across thread counts, the sparse Top-K residual store against a
 // dense reference (including rejoin slab release and the ±0.0 edge), the
-// Top-K snapshot round-trip, and the steady-state allocation budget of the
-// Top-K round loop.
+// Top-K snapshot round-trip and its all-or-nothing restore, and the
+// steady-state allocation budget of the Top-K round loop.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -150,9 +150,12 @@ std::vector<std::span<const float>> views(
   return v;
 }
 
-RoundContext ctx_of(int round, int n) {
+// `global` is the model the participants started from; the caller tracks
+// it across rounds (the protocols keep no copy of it).
+RoundContext ctx_of(int round, int n, std::span<const float> global) {
   RoundContext ctx;
   ctx.round = round;
+  ctx.global = global;
   for (int i = 0; i < n; ++i) ctx.participants.push_back(i);
   return ctx;
 }
@@ -175,7 +178,10 @@ TEST(PayloadAudit, EveryProtocolMeasuresItsEncodedSize) {
     protocol->initialize(global);
     for (int round = 0; round < 4; ++round) {
       const auto states = random_states(n, p, base.fork(round + 1));
-      EXPECT_NO_THROW(protocol->synchronize(ctx_of(round, n), views(states)))
+      EXPECT_NO_THROW(global = protocol
+                                   ->synchronize(ctx_of(round, n, global),
+                                                 views(states))
+                                   .new_global)
           << scheme << " round " << round;
     }
   }
@@ -201,7 +207,9 @@ RunTrace run_protocol(const std::string& scheme, int n, std::size_t p,
   for (int round = 0; round < rounds; ++round) {
     const auto states =
         random_states(static_cast<std::size_t>(n), p, base.fork(round + 1));
-    const auto result = protocol->synchronize(ctx_of(round, n), views(states));
+    const auto result =
+        protocol->synchronize(ctx_of(round, n, global), views(states));
+    global = result.new_global;
     trace.globals.push_back(result.new_global);
     trace.bytes_up.push_back(result.bytes_up[0]);
     trace.bytes_down.push_back(result.bytes_down[0]);
@@ -334,9 +342,11 @@ TEST(SparseResidual, MatchesDenseReferenceOverRounds) {
   for (int round = 0; round < 5; ++round) {
     const auto states =
         random_states(static_cast<std::size_t>(n), p, base.fork(round + 1));
-    const auto result = sparse.synchronize(ctx_of(round, n), views(states));
+    const auto result =
+        sparse.synchronize(ctx_of(round, n, global), views(states));
     const auto ref_global = dense.step(views(states));
     expect_bitwise(result.new_global, ref_global);
+    global = result.new_global;
   }
   // Continuous random data leaves every client with residual mass, so every
   // slab is resident — sparsity comes from churn, not from the data.
@@ -356,7 +366,8 @@ TEST(SparseResidual, RejoinReleasesSlabAndMatchesZeroedReference) {
   for (int round = 0; round < 3; ++round) {
     const auto states =
         random_states(static_cast<std::size_t>(n), p, base.fork(round + 1));
-    sparse.synchronize(ctx_of(round, n), views(states));
+    global = sparse.synchronize(ctx_of(round, n, global), views(states))
+                 .new_global;
     dense.step(views(states));
   }
   ASSERT_EQ(sparse.resident_residual_slabs(), static_cast<std::size_t>(n));
@@ -368,9 +379,11 @@ TEST(SparseResidual, RejoinReleasesSlabAndMatchesZeroedReference) {
   for (int round = 3; round < 6; ++round) {
     const auto states =
         random_states(static_cast<std::size_t>(n), p, base.fork(round + 1));
-    const auto result = sparse.synchronize(ctx_of(round, n), views(states));
+    const auto result =
+        sparse.synchronize(ctx_of(round, n, global), views(states));
     const auto ref_global = dense.step(views(states));
     expect_bitwise(result.new_global, ref_global);
+    global = result.new_global;
   }
 }
 
@@ -383,12 +396,12 @@ TEST(SparseResidual, NegativeZeroResidualStaysSlabless) {
   std::vector<float> global{0.0f, 0.0f, 0.0f, 0.0f};
   sparse.initialize(global);
   std::vector<std::vector<float>> states{{1.0f, -0.0f, 0.0f, 0.0f}};
-  const auto result = sparse.synchronize(ctx_of(0, 1), views(states));
+  const auto result = sparse.synchronize(ctx_of(0, 1, global), views(states));
   EXPECT_EQ(sparse.resident_residual_slabs(), 0u);
   EXPECT_FLOAT_EQ(result.new_global[0], 1.0f);
   // A later round with real leftover mass materializes the slab.
   states[0] = {2.0f, 0.5f, 0.0f, 0.0f};
-  sparse.synchronize(ctx_of(1, 1), views(states));
+  sparse.synchronize(ctx_of(1, 1, result.new_global), views(states));
   EXPECT_EQ(sparse.resident_residual_slabs(), 1u);
 }
 
@@ -402,21 +415,75 @@ TEST(SparseResidual, SnapshotRestoreRoundTrip) {
   for (int round = 0; round < 3; ++round) {
     const auto states =
         random_states(static_cast<std::size_t>(n), p, base.fork(round + 1));
-    original.synchronize(ctx_of(round, n), views(states));
+    global = original.synchronize(ctx_of(round, n, global), views(states))
+                 .new_global;
   }
   const auto snap = original.snapshot();
 
   TopK restored(n, {0.2});
+  restored.initialize(std::vector<float>(p, 0.0f));
   restored.restore(snap);
   EXPECT_EQ(restored.resident_residual_slabs(),
             original.resident_residual_slabs());
   for (int round = 3; round < 5; ++round) {
     const auto states =
         random_states(static_cast<std::size_t>(n), p, base.fork(round + 1));
-    const auto a = original.synchronize(ctx_of(round, n), views(states));
-    const auto b = restored.synchronize(ctx_of(round, n), views(states));
+    const auto a = original.synchronize(ctx_of(round, n, global), views(states));
+    const auto b = restored.synchronize(ctx_of(round, n, global), views(states));
     expect_bitwise(a.new_global, b.new_global);
+    global = a.new_global;
   }
+}
+
+// Drives a TopK of the given shape through three rounds, so its residual
+// slabs are resident and its snapshot carries real state.
+TopK warmed_topk(int n, std::size_t p, std::uint64_t seed) {
+  TopK topk(n, {0.2});
+  std::vector<float> global(p, 0.0f);
+  topk.initialize(global);
+  const util::Rng base(seed);
+  for (int round = 0; round < 3; ++round) {
+    const auto states =
+        random_states(static_cast<std::size_t>(n), p, base.fork(round + 1));
+    global = topk.synchronize(ctx_of(round, n, global), views(states))
+                 .new_global;
+  }
+  return topk;
+}
+
+TEST(SparseResidual, RestoreIsAllOrNothing) {
+  const std::vector<std::uint8_t> snap = warmed_topk(5, 16, 61).snapshot();
+  // Targets with live state of their own: the snapshot's shape, and a
+  // smaller cohort over a smaller model. Every truncation must throw and
+  // leave the target exactly as it was.
+  for (const auto& [n, p] : {std::pair<int, std::size_t>{5, 16}, {3, 8}}) {
+    TopK target = warmed_topk(n, p, 67);
+    const std::vector<std::uint8_t> before = target.snapshot();
+    for (std::size_t len = 0; len < snap.size(); ++len) {
+      const std::vector<std::uint8_t> prefix(
+          snap.begin(), snap.begin() + static_cast<std::ptrdiff_t>(len));
+      EXPECT_THROW(target.restore(prefix), std::runtime_error);
+      ASSERT_EQ(target.snapshot(), before)
+          << n << " clients: a " << len << "-byte prefix changed the TopK";
+    }
+  }
+  // The whole snapshot only restores onto the cohort it came from.
+  TopK smaller = warmed_topk(3, 8, 67);
+  const std::vector<std::uint8_t> before = smaller.snapshot();
+  EXPECT_THROW(smaller.restore(snap), std::runtime_error);
+  EXPECT_EQ(smaller.snapshot(), before);
+}
+
+TEST(SparseResidual, RestoreBoundsTheClientCountBeforeAllocating) {
+  // The client count follows the 4-byte magic. 2^31 - 1 clients would
+  // shape the residual store with 16 GiB of slab pointers.
+  std::vector<std::uint8_t> snap = warmed_topk(5, 16, 61).snapshot();
+  const std::int32_t huge = 0x7fffffff;
+  std::memcpy(snap.data() + 4, &huge, sizeof(huge));
+  TopK target = warmed_topk(5, 16, 67);
+  const std::vector<std::uint8_t> before = target.snapshot();
+  EXPECT_THROW(target.restore(snap), std::runtime_error);
+  EXPECT_EQ(target.snapshot(), before);
 }
 
 // --- steady-state allocation budget --------------------------------------
@@ -435,7 +502,7 @@ TEST(SteadyState, TopKRoundLoopAllocatesOnlyTheResult) {
       static_cast<std::size_t>(n), std::vector<float>(p));
   const auto state_views = views(states);
   const util::Rng base(53);
-  RoundContext ctx = ctx_of(0, n);
+  RoundContext ctx = ctx_of(0, n, global);
   const auto run_round = [&](int round) {
     const util::Rng round_rng = base.fork(round + 1);
     for (std::size_t i = 0; i < states.size(); ++i) {

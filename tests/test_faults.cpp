@@ -16,7 +16,6 @@
 #include "fl/faults.h"
 #include "fl/protocol_factory.h"
 #include "fl/simulation.h"
-#include "io/checkpoint.h"
 
 namespace fedsu::fl {
 namespace {
@@ -715,7 +714,7 @@ TEST(FedSuRejoin, RejoinValidatesClientId) {
   EXPECT_EQ(manager.on_client_rejoin(0), manager.join_state_bytes());
 }
 
-// --- legacy-checkpoint restore onto a churned cohort -----------------------
+// --- snapshot restore onto a churned cohort --------------------------------
 
 // A full "fedsu" protocol with the drive_manager thresholds, so the same
 // alternating-sign trajectory promotes parameters and accumulates errors.
@@ -754,6 +753,7 @@ std::vector<float> drive_protocol(compress::SyncProtocol& protocol,
     }
     compress::RoundContext ctx;
     ctx.round = r;
+    ctx.global = global;
     ctx.participants = {0, 1};
     std::vector<std::span<const float>> views = {
         std::span<const float>(submitted[0]),
@@ -769,13 +769,12 @@ std::vector<float> drive_protocol(compress::SyncProtocol& protocol,
 }
 
 TEST(FedSuRejoin, CheckpointRestoreOntoChurnedCohortRederivesRejoinStamps) {
-  // The pre-fix hole: restoring a legacy checkpoint onto a cohort where a
-  // client churned between snapshot and restore kept that client's
+  // Restoring a protocol snapshot onto a cohort where a client churned
+  // between snapshot and restore must re-derive that client's rejoin stamp
+  // (restore, then on_client_rejoin): a blind restore keeps its
   // snapshot-era error slab live, replaying stale residuals into every
-  // later correction. io::restore_protocol re-derives the rejoin stamps
-  // for the named absentees; this test pins (a) that it matches the
-  // explicit restore-then-on_client_rejoin semantics bitwise, and (b) that
-  // the blind restore it replaces really does diverge.
+  // later correction. This test pins that the blind restore really does
+  // diverge from the explicit rejoin contract.
   const std::size_t p = 6;
   auto seed_proto = rejoinable_proto();
   std::vector<float> global(p, 0.0f);
@@ -796,44 +795,29 @@ TEST(FedSuRejoin, CheckpointRestoreOntoChurnedCohortRederivesRejoinStamps) {
     }
   }
   ASSERT_EQ(speculative_streak, 2) << "the trajectory never speculated";
-  const io::Checkpoint checkpoint =
-      io::make_checkpoint(*seed_proto, global, k, 0.0);
+  const std::vector<std::uint8_t> snapshot = seed_proto->snapshot();
 
-  // Reference: the explicit rejoin contract, by hand.
+  // Reference: the explicit rejoin contract — client 1 churned while the
+  // snapshot sat on disk.
   auto explicit_proto = rejoinable_proto();
-  explicit_proto->initialize(checkpoint.model_state);
-  explicit_proto->restore(checkpoint.protocol_snapshot);
+  explicit_proto->initialize(global);
+  explicit_proto->restore(snapshot);
   explicit_proto->on_client_rejoin(1);
   const std::vector<float> explicit_final =
-      drive_protocol(*explicit_proto, checkpoint.model_state, k, 12);
+      drive_protocol(*explicit_proto, global, k, 12);
 
-  // The helper with client 1 listed absent must match it bitwise.
-  auto helper_proto = rejoinable_proto();
-  helper_proto->initialize(checkpoint.model_state);
-  io::restore_protocol(*helper_proto, checkpoint, {1});
-  const std::vector<float> helper_final =
-      drive_protocol(*helper_proto, checkpoint.model_state, k, 12);
-  EXPECT_EQ(std::memcmp(explicit_final.data(), helper_final.data(),
-                        p * sizeof(float)),
-            0);
-
-  // The blind restore (what callers did before the helper existed) keeps
-  // client 1's stale slab and bends the corrections away.
+  // The blind restore keeps client 1's stale slab and bends the
+  // corrections away.
   auto blind_proto = rejoinable_proto();
-  blind_proto->initialize(checkpoint.model_state);
-  blind_proto->restore(checkpoint.protocol_snapshot);
+  blind_proto->initialize(global);
+  blind_proto->restore(snapshot);
   const std::vector<float> blind_final =
-      drive_protocol(*blind_proto, checkpoint.model_state, k, 12);
+      drive_protocol(*blind_proto, global, k, 12);
   EXPECT_NE(std::memcmp(explicit_final.data(), blind_final.data(),
                         p * sizeof(float)),
             0)
       << "blind restore matched the rejoin-correct run; the stale-slab "
          "scenario no longer bites — strengthen the trajectory";
-
-  // And the helper refuses a checkpoint from a different scheme.
-  auto wrong = proto_for("fedavg", 2);
-  EXPECT_THROW(io::restore_protocol(*wrong, checkpoint, {}),
-               std::runtime_error);
 }
 
 TEST(FedSuRejoin, SnapshotRoundTripsTheRejoinState) {

@@ -24,9 +24,12 @@ std::vector<std::span<const float>> views(
   return v;
 }
 
-RoundContext ctx_of(int round, int n) {
+// `global` is the model the participants started from; FedSU-v1/v2 read
+// it, FedSuManager runs without it.
+RoundContext ctx_of(int round, int n, std::span<const float> global = {}) {
   RoundContext ctx;
   ctx.round = round;
+  ctx.global = global;
   for (int i = 0; i < n; ++i) ctx.participants.push_back(i);
   return ctx;
 }
@@ -60,8 +63,8 @@ class TrajectoryDriver {
                static_cast<float>(noise_ * rng_.normal());
       }
     }
-    SyncResult result = proto_.synchronize(ctx_of(round_++, num_clients_),
-                                           views(states));
+    SyncResult result = proto_.synchronize(
+        ctx_of(round_++, num_clients_, global_), views(states));
     global_ = result.new_global;
     return result;
   }
@@ -476,7 +479,7 @@ TEST(FedSuVariants, FoldUnmaskedColumnsLikeColumnSumsBeyondOneBlock) {
         std::vector<double> sums(kParams);
         util::column_sums(views(rows), sums, nullptr);
         const SyncResult result =
-            proto->synchronize(ctx_of(r, 40), views(rows));
+            proto->synchronize(ctx_of(r, 40, global), views(rows));
         speculated |= result.bytes_up[0] < kParams * sizeof(float);
         for (std::size_t j = 0; j < kParams; ++j) {
           // Nothing speculates in round 0; v1 never speculates on noise.

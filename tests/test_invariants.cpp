@@ -20,9 +20,13 @@ std::vector<std::span<const float>> views(
   return v;
 }
 
-compress::RoundContext ctx_of(int round, int n) {
+// `global` is the model the participants started from: the caller tracks
+// it across rounds (FedAvg and FedSU run without it).
+compress::RoundContext ctx_of(int round, int n,
+                              std::span<const float> global = {}) {
   compress::RoundContext ctx;
   ctx.round = round;
+  ctx.global = global;
   for (int i = 0; i < n; ++i) ctx.participants.push_back(i);
   return ctx;
 }
@@ -107,8 +111,7 @@ TEST(Invariants, ProtocolsHandleVaryingParticipantSubsets) {
     for (int round = 0; round < 6; ++round) {
       // Rotate through subsets of size 2..5 with varying membership.
       const int n = 2 + round % 4;
-      compress::RoundContext ctx;
-      ctx.round = round;
+      compress::RoundContext ctx = ctx_of(round, 0, global);
       std::vector<std::vector<float>> states;
       for (int i = 0; i < n; ++i) {
         ctx.participants.push_back((round + i * 2) % 6);
@@ -120,7 +123,40 @@ TEST(Invariants, ProtocolsHandleVaryingParticipantSubsets) {
       ASSERT_EQ(result.new_global.size(), 32u) << name;
       ASSERT_EQ(result.bytes_up.size(), static_cast<std::size_t>(n)) << name;
       ASSERT_EQ(result.bytes_down.size(), static_cast<std::size_t>(n)) << name;
+      global = result.new_global;
     }
+  }
+}
+
+// INVARIANT: every protocol enforces one input contract before it reads a
+// state — one entry short or one entry long is std::invalid_argument, never
+// an out-of-bounds read — and a protocol that reads ctx.global rejects a
+// call that forgot to set it.
+TEST(Invariants, EveryProtocolRejectsMisshapenInputs) {
+  const std::size_t p = 16;
+  for (const auto& name : fl::known_protocols()) {
+    fl::ProtocolConfig config;
+    config.name = name;
+    config.num_clients = 2;
+    auto proto = fl::make_protocol(config);
+    const std::vector<float> global(p, 0.0f);
+    proto->initialize(global);
+    const std::vector<float> good(p, 0.1f);
+    for (const std::size_t size : {p - 1, p + 1}) {
+      std::vector<std::vector<float>> states{good, std::vector<float>(size)};
+      EXPECT_THROW(proto->synchronize(ctx_of(0, 2, global), views(states)),
+                   std::invalid_argument)
+          << name << " accepted a state of " << size << " entries";
+    }
+    std::vector<std::vector<float>> states{good, good};
+    const bool reads_global = name != "fedavg" && name != "fedsu";
+    if (reads_global) {
+      EXPECT_THROW(proto->synchronize(ctx_of(0, 2), views(states)),
+                   std::invalid_argument)
+          << name << " ran without ctx.global";
+    }
+    EXPECT_NO_THROW(proto->synchronize(ctx_of(0, 2, global), views(states)))
+        << name;
   }
 }
 
@@ -139,7 +175,8 @@ TEST(Invariants, SparsificationRatioInUnitInterval) {
     for (int round = 0; round < 15; ++round) {
       for (auto& v : state) v += 0.125f + static_cast<float>(0.01 * rng.normal());
       std::vector<std::vector<float>> states{state, state, state};
-      (void)proto->synchronize(ctx_of(round, 3), views(states));
+      global = proto->synchronize(ctx_of(round, 3, global), views(states))
+                   .new_global;
       const double ratio = proto->last_sparsification_ratio();
       EXPECT_GE(ratio, 0.0) << name << " round " << round;
       EXPECT_LE(ratio, 1.0) << name << " round " << round;
@@ -160,11 +197,12 @@ TEST(Invariants, ApfFrozenValuesHoldStill) {
   for (int r = 0; r < 40; ++r) {
     const float zigzag = (r % 2 == 0) ? 0.1f : -0.1f;
     std::vector<std::vector<float>> states{{zigzag}};
-    const auto result = proto.synchronize(ctx_of(r, 1), views(states));
+    const auto result = proto.synchronize(ctx_of(r, 1, global), views(states));
     if (result.bytes_up[0] == 0) {
       EXPECT_EQ(result.new_global[0], prev) << "frozen value moved at " << r;
     }
     prev = result.new_global[0];
+    global = result.new_global;
   }
 }
 

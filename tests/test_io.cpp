@@ -4,7 +4,6 @@
 
 #include "compress/fedavg.h"
 #include "core/fedsu_manager.h"
-#include "io/checkpoint.h"
 #include "io/serialize.h"
 #include "util/bitset.h"
 #include "util/rng.h"
@@ -186,28 +185,6 @@ TEST(FedSuSnapshot, RejectsForeignBuffers) {
   io::BinaryWriter writer;
   writer.write_magic(0x12345678);
   EXPECT_THROW(manager.restore(writer.take()), std::runtime_error);
-}
-
-TEST(Checkpoint, SaveLoadRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/fedsu_ckpt_test.bin";
-  core::FedSuManager manager = warmed_manager(6);
-  const io::Checkpoint saved =
-      io::make_checkpoint(manager, {1.0f, 2.0f, 3.0f}, 6, 123.5);
-  io::save_checkpoint(saved, path);
-  const io::Checkpoint loaded = io::load_checkpoint(path);
-  EXPECT_EQ(loaded.protocol_name, "FedSU");
-  EXPECT_EQ(loaded.round, 6);
-  EXPECT_DOUBLE_EQ(loaded.elapsed_time_s, 123.5);
-  EXPECT_EQ(loaded.model_state, saved.model_state);
-  EXPECT_EQ(loaded.protocol_snapshot, saved.protocol_snapshot);
-
-  // The snapshot inside the checkpoint restores a working manager.
-  core::FedSuManager restored(2);
-  std::vector<float> dummy(3, 0.0f);
-  restored.initialize(dummy);
-  restored.restore(loaded.protocol_snapshot);
-  EXPECT_EQ(restored.predictable_mask(), manager.predictable_mask());
-  std::remove(path.c_str());
 }
 
 TEST(Checkpoint, StatelessProtocolHasEmptySnapshot) {

@@ -21,9 +21,12 @@ std::vector<std::span<const float>> views(
   return v;
 }
 
-RoundContext ctx_of(int round, int n) {
+// The caller tracks the global model across rounds (the protocols keep no
+// copy of it) and passes it back in each round's context.
+RoundContext ctx_of(int round, int n, std::span<const float> global) {
   RoundContext ctx;
   ctx.round = round;
+  ctx.global = global;
   for (int i = 0; i < n; ++i) ctx.participants.push_back(i);
   return ctx;
 }
@@ -41,7 +44,7 @@ TEST(FedAvgProtocol, FullBytesBothWays) {
   std::vector<float> global{0, 0, 0};
   proto.initialize(global);
   std::vector<std::vector<float>> states{{1, 2, 3}, {3, 4, 5}};
-  const auto result = proto.synchronize(ctx_of(0, 2), views(states));
+  const auto result = proto.synchronize(ctx_of(0, 2, global), views(states));
   EXPECT_FLOAT_EQ(result.new_global[0], 2.0f);
   EXPECT_EQ(result.bytes_up[0], 12u);
   EXPECT_EQ(result.bytes_down[1], 12u);
@@ -54,7 +57,7 @@ TEST(CmflProtocol, FirstRoundEveryoneReports) {
   std::vector<float> global{0, 0};
   proto.initialize(global);
   std::vector<std::vector<float>> states{{1, 1}, {-1, -1}};
-  const auto result = proto.synchronize(ctx_of(0, 2), views(states));
+  const auto result = proto.synchronize(ctx_of(0, 2, global), views(states));
   EXPECT_EQ(result.bytes_up[0], 8u);
   EXPECT_EQ(result.bytes_up[1], 8u);
   EXPECT_DOUBLE_EQ(proto.last_sparsification_ratio(), 0.0);
@@ -67,11 +70,11 @@ TEST(CmflProtocol, IrrelevantClientWithheld) {
   // Round 0: both push +1 updates -> global update is +1 everywhere.
   std::vector<std::vector<float>> round0{std::vector<float>(10, 1.0f),
                                          std::vector<float>(10, 1.0f)};
-  (void)proto.synchronize(ctx_of(0, 2), views(round0));
+  global = proto.synchronize(ctx_of(0, 2, global), views(round0)).new_global;
   // Round 1: client 0 keeps the +1 direction; client 1 reverses everywhere.
   std::vector<float> up(10, 2.0f), down(10, 0.0f);
   std::vector<std::vector<float>> round1{up, down};
-  const auto result = proto.synchronize(ctx_of(1, 2), views(round1));
+  const auto result = proto.synchronize(ctx_of(1, 2, global), views(round1));
   EXPECT_GT(result.bytes_up[0], 0u);   // relevant
   EXPECT_EQ(result.bytes_up[1], 0u);   // withheld
   EXPECT_DOUBLE_EQ(proto.last_sparsification_ratio(), 0.5);
@@ -87,10 +90,10 @@ TEST(CmflProtocol, AllWithheldKeepsGlobal) {
   std::vector<float> global(4, 0.0f);
   proto.initialize(global);
   std::vector<std::vector<float>> round0{std::vector<float>(4, 1.0f)};
-  (void)proto.synchronize(ctx_of(0, 1), views(round0));
+  global = proto.synchronize(ctx_of(0, 1, global), views(round0)).new_global;
   // Every client reverses: all withheld.
   std::vector<std::vector<float>> round1{std::vector<float>(4, -5.0f)};
-  const auto result = proto.synchronize(ctx_of(1, 1), views(round1));
+  const auto result = proto.synchronize(ctx_of(1, 1, global), views(round1));
   EXPECT_FLOAT_EQ(result.new_global[0], 1.0f);  // unchanged
 }
 
@@ -115,11 +118,8 @@ TEST(ApfProtocol, StableParameterGetsFrozen) {
     x1 += 1.0f;
     const float zigzag = (r % 2 == 0) ? 0.1f : -0.1f;
     std::vector<std::vector<float>> states{{zigzag, x1}};
-    const auto result = proto.synchronize(ctx_of(r, 1), views(states));
+    global = proto.synchronize(ctx_of(r, 1, global), views(states)).new_global;
     if (proto.frozen_fraction() > 0.0) was_frozen = true;
-    // Parameter 1 must keep being synchronized (never frozen): its value
-    // tracks the client value whenever it is synced.
-    (void)result;
   }
   EXPECT_TRUE(was_frozen);
   EXPECT_LE(proto.frozen_fraction(), 0.5);  // param 1 never frozen
@@ -136,7 +136,8 @@ TEST(ApfProtocol, FrozenParameterNotTransmitted) {
   for (int r = 0; r < 40; ++r) {
     const float zigzag = (r % 2 == 0) ? 0.1f : -0.1f;
     std::vector<std::vector<float>> states{{zigzag}};
-    const auto result = proto.synchronize(ctx_of(r, 1), views(states));
+    const auto result = proto.synchronize(ctx_of(r, 1, global), views(states));
+    global = result.new_global;
     if (result.bytes_up[0] == 0) saw_zero_bytes = true;
   }
   EXPECT_TRUE(saw_zero_bytes);
@@ -157,7 +158,8 @@ TEST(ApfProtocol, FreezingPeriodGrowsAdditively) {
   for (int r = 0; r < horizon; ++r) {
     const float zigzag = (r % 2 == 0) ? 0.1f : -0.1f;
     std::vector<std::vector<float>> states{{zigzag}};
-    const auto result = proto.synchronize(ctx_of(r, 1), views(states));
+    const auto result = proto.synchronize(ctx_of(r, 1, global), views(states));
+    global = result.new_global;
     if (result.bytes_up[0] > 0) {
       (r < horizon / 2 ? synced_first_half : synced_second_half) += 1;
     }
@@ -176,7 +178,7 @@ TEST(TopKProtocol, UploadsExactlyKCoordinates) {
   s0[3] = 10.0f;
   s1[5] = -7.0f;
   std::vector<std::vector<float>> states{s0, s1};
-  const auto result = proto.synchronize(ctx_of(0, 2), views(states));
+  const auto result = proto.synchronize(ctx_of(0, 2, global), views(states));
   EXPECT_EQ(result.bytes_up[0], 2u * 8u);  // k=2 entries, 8 bytes each
   EXPECT_FLOAT_EQ(result.new_global[3], 5.0f);   // 10 averaged over 2 clients
   EXPECT_FLOAT_EQ(result.new_global[5], -3.5f);
@@ -191,13 +193,14 @@ TEST(TopKProtocol, ResidualCarriesSkippedMass) {
   proto.initialize(global);
   // Round 0: update (1.0, 0.6) -> only coord 0 ships; 0.6 goes to residual.
   std::vector<std::vector<float>> r0{{1.0f, 0.6f}};
-  auto result = proto.synchronize(ctx_of(0, 1), views(r0));
+  auto result = proto.synchronize(ctx_of(0, 1, global), views(r0));
   EXPECT_FLOAT_EQ(result.new_global[0], 1.0f);
   EXPECT_FLOAT_EQ(result.new_global[1], 0.0f);
+  global = result.new_global;
   // Round 1: no further local change; the residual alone must now ship.
   std::vector<std::vector<float>> r1{{result.new_global[0],
                                       result.new_global[1]}};
-  result = proto.synchronize(ctx_of(1, 1), views(r1));
+  result = proto.synchronize(ctx_of(1, 1, global), views(r1));
   EXPECT_FLOAT_EQ(result.new_global[1], 0.6f);
 }
 
@@ -221,7 +224,7 @@ TEST(QsgdProtocol, BytesShrinkFourfold) {
   std::vector<float> global(100, 0.0f);
   proto.initialize(global);
   std::vector<std::vector<float>> states{std::vector<float>(100, 0.5f)};
-  const auto result = proto.synchronize(ctx_of(0, 1), views(states));
+  const auto result = proto.synchronize(ctx_of(0, 1, global), views(states));
   EXPECT_EQ(result.bytes_up[0], 100u + 4u);  // 1 byte/coord + scale
 }
 
@@ -241,7 +244,7 @@ TEST(SignSgdProtocol, MovesAlongMajoritySign) {
   // 1 down -> majority up).
   std::vector<std::vector<float>> states{
       {1.0f, -1.0f, 1.0f}, {1.0f, -1.0f, 1.0f}, {1.0f, -1.0f, -1.0f}};
-  const auto result = proto.synchronize(ctx_of(0, 3), views(states));
+  const auto result = proto.synchronize(ctx_of(0, 3, global), views(states));
   EXPECT_GT(result.new_global[0], 0.0f);
   EXPECT_LT(result.new_global[1], 0.0f);
   EXPECT_GT(result.new_global[2], 0.0f);
@@ -253,7 +256,7 @@ TEST(SignSgdProtocol, BytesAreOneBitPerCoordinate) {
   std::vector<float> global(800, 0.0f);
   proto.initialize(global);
   std::vector<std::vector<float>> states{std::vector<float>(800, 1.0f)};
-  const auto result = proto.synchronize(ctx_of(0, 1), views(states));
+  const auto result = proto.synchronize(ctx_of(0, 1, global), views(states));
   // Exact serialized mask (ceil(800/8) bytes) + the f32 scale.
   EXPECT_EQ(result.bytes_up[0], (800u + 7) / 8 + sizeof(float));
 }
@@ -263,7 +266,7 @@ TEST(SignSgdProtocol, TieMeansNoMovement) {
   std::vector<float> global{0.0f};
   proto.initialize(global);
   std::vector<std::vector<float>> states{{1.0f}, {-1.0f}};
-  const auto result = proto.synchronize(ctx_of(0, 2), views(states));
+  const auto result = proto.synchronize(ctx_of(0, 2, global), views(states));
   EXPECT_FLOAT_EQ(result.new_global[0], 0.0f);
 }
 
@@ -284,7 +287,7 @@ TEST(ProtocolFactory, BuildsEveryKnownProtocol) {
     proto->initialize(global);
     std::vector<std::vector<float>> states{std::vector<float>(16, 0.1f),
                                            std::vector<float>(16, 0.2f)};
-    RoundContext ctx = ctx_of(0, 2);
+    RoundContext ctx = ctx_of(0, 2, global);
     const auto result = proto->synchronize(ctx, views(states));
     EXPECT_EQ(result.new_global.size(), 16u) << name;
   }

@@ -113,6 +113,26 @@ TEST(Simulation, FedSuEventuallySparsifies) {
   EXPECT_GT(best_ratio, 0.05);
 }
 
+TEST(Simulation, FedSuVariantsReportTheirSpeculatedFraction) {
+  // A variant round that skips scalars (sparsification ratio > 0) does so
+  // because parameters speculate, and the round record must say so: the
+  // telemetry JSONL and the health monitor read speculated_fraction.
+  for (const std::string scheme : {"fedsu-v1", "fedsu-v2"}) {
+    SimulationOptions options = tiny_options();
+    options.eval_every = 0;
+    Simulation sim(options, proto_for(scheme, options.num_clients));
+    int sparse_rounds = 0;
+    for (int r = 0; r < 8; ++r) {
+      const auto record = sim.step();
+      if (record.sparsification_ratio <= 0.0) continue;
+      ++sparse_rounds;
+      EXPECT_GT(record.speculated_fraction, 0.0)
+          << scheme << " round " << r;
+    }
+    EXPECT_GT(sparse_rounds, 0) << scheme << " never speculated";
+  }
+}
+
 TEST(Simulation, FedSuRoundsAreCheaperThanFedAvg) {
   SimulationOptions options = tiny_options();
   options.eval_every = 0;

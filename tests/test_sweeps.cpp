@@ -99,6 +99,7 @@ TEST_P(ProtocolSweep, RunsAndIsDeterministic) {
       std::vector<std::vector<float>> states;
       compress::RoundContext ctx;
       ctx.round = round;
+      ctx.global = base;
       for (int i = 0; i < clients; ++i) {
         ctx.participants.push_back(i);
         std::vector<float> s(24);
