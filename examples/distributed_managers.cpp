@@ -90,8 +90,13 @@ int main(int argc, char** argv) {
                   100.0 * managers[0].predictable_fraction());
     }
   }
-  // All replicas hold the same state — pick any for a final sanity print.
+  // The claim of Fig. 4: every replica holds replica 0's state and mask.
+  bool identical = true;
+  for (const core::FedSuClientManager& manager : managers) {
+    identical = identical && manager.state() == managers[0].state() &&
+                manager.predictable_mask() == managers[0].predictable_mask();
+  }
   std::printf("\nall %d client replicas identical: %s\n", num_clients,
-              managers[0].state() == managers[1].state() ? "yes" : "NO");
-  return 0;
+              identical ? "yes" : "NO");
+  return identical ? 0 : 1;
 }

@@ -1,6 +1,5 @@
 #include "core/distributed.h"
 
-#include <cmath>
 #include <stdexcept>
 
 #include "util/reduce.h"
@@ -44,21 +43,8 @@ FedSuDownload FedSuServer::aggregate(
 
 FedSuClientManager::FedSuClientManager(std::size_t state_size,
                                        FedSuOptions options)
-    : options_(options) {
-  if (options_.t_r <= 0.0 || options_.t_s <= 0.0 ||
-      options_.initial_no_check < 1) {
-    throw std::invalid_argument("FedSuClientManager: bad options");
-  }
-  global_.assign(state_size, 0.0f);
-  OscillationOptions osc_options;
-  osc_options.ema_decay = options_.ema_decay;
-  osc_options.warmup = options_.warmup;
-  osc_ = OscillationTracker(state_size, osc_options);
-  predictable_.assign(state_size, 0);
-  slope_.assign(state_size, 0.0f);
-  no_check_period_.assign(state_size, 0);
-  no_check_remaining_.assign(state_size, 0);
-  local_err_.assign(state_size, 0.0f);
+    : spec_(options), global_(state_size, 0.0f), local_err_(state_size, 0.0f) {
+  spec_.initialize(state_size);
 }
 
 void FedSuClientManager::initialize(std::span<const float> global_state) {
@@ -75,21 +61,21 @@ FedSuUpload FedSuClientManager::begin_sync(std::span<const float> local_state) {
   if (local_state.size() != global_.size()) {
     throw std::invalid_argument("FedSuClientManager::begin_sync: bad size");
   }
+  next_ = global_;
+  pending_ = spec_.walk(global_, next_);
   FedSuUpload upload;
-  pending_expiring_.clear();
-  for (std::size_t j = 0; j < global_.size(); ++j) {
-    if (!predictable_[j]) {
-      // Algorithm 1 line 2: masked-select the non-linear parameters.
-      upload.unpredictable_values.push_back(local_state[j]);
-      continue;
+  // Algorithm 1 line 2: masked-select the non-linear parameters.
+  for (const std::size_t j : pending_.unpredictable) {
+    upload.unpredictable_values.push_back(local_state[j]);
+  }
+  // Line 5: accumulate the local prediction error e += x - x_spec.
+  for (const auto& [b, e] : pending_.runs) {
+    for (std::size_t j = b; j < e; ++j) {
+      local_err_[j] += local_state[j] - next_[j];
     }
-    // Accumulate the local prediction error e += x - x_spec (line 5).
-    const float x_spec = global_[j] + slope_[j];
-    local_err_[j] += local_state[j] - x_spec;
-    if (--no_check_remaining_[j] <= 0) {
-      pending_expiring_.push_back(j);
-      upload.expiring_errors.push_back(local_err_[j]);
-    }
+  }
+  for (const std::size_t j : pending_.expiring) {
+    upload.expiring_errors.push_back(local_err_[j]);
   }
   sync_in_flight_ = true;
   return upload;
@@ -101,72 +87,29 @@ std::vector<float> FedSuClientManager::finish_sync(
     throw std::logic_error("FedSuClientManager: finish_sync without begin");
   }
   sync_in_flight_ = false;
-  if (download.aggregated_errors.size() != pending_expiring_.size()) {
+  if (download.aggregated_values.size() != pending_.unpredictable.size() ||
+      download.aggregated_errors.size() != pending_.expiring.size()) {
     throw std::invalid_argument(
-        "FedSuClientManager::finish_sync: error payload mismatch");
+        "FedSuClientManager::finish_sync: payload mismatch");
   }
-
-  std::vector<float> new_global = global_;
-  // Restore the aggregated unpredictable values (line 4) and apply the
-  // speculative update to the predictable ones (line 8).
-  std::size_t cursor = 0;
-  for (std::size_t j = 0; j < global_.size(); ++j) {
-    if (!predictable_[j]) {
-      if (cursor >= download.aggregated_values.size()) {
-        throw std::invalid_argument(
-            "FedSuClientManager::finish_sync: value payload mismatch");
-      }
-      new_global[j] = download.aggregated_values[cursor++];
-    } else {
-      new_global[j] = global_[j] + slope_[j];
-    }
+  // Restore the aggregated unpredictable values (line 4); next_ already
+  // holds the speculative update of the predictable ones (line 8).
+  for (std::size_t k = 0; k < pending_.unpredictable.size(); ++k) {
+    next_[pending_.unpredictable[k]] = download.aggregated_values[k];
   }
-  if (cursor != download.aggregated_values.size()) {
-    throw std::invalid_argument(
-        "FedSuClientManager::finish_sync: value payload mismatch");
-  }
-
-  // Error feedback (line 9): extend or terminate the expiring speculations.
-  for (std::size_t k = 0; k < pending_expiring_.size(); ++k) {
-    const std::size_t j = pending_expiring_[k];
-    const float mean_err = download.aggregated_errors[k];
-    const double denom = std::fabs(static_cast<double>(slope_[j])) + 1e-8;
-    const double s = std::fabs(static_cast<double>(mean_err)) / denom;
-    if (s < options_.t_s) {
-      no_check_period_[j] += 1;
-      no_check_remaining_[j] = no_check_period_[j];
-    } else {
-      predictable_[j] = 0;
-      no_check_period_[j] = 0;
-      no_check_remaining_[j] = 0;
-      new_global[j] = static_cast<float>(new_global[j] + mean_err);
+  // Error feedback (line 9): extend or end the expiring speculations; a new
+  // phase, like regular updating, starts from zero error.
+  for (std::size_t k = 0; k < pending_.expiring.size(); ++k) {
+    const std::size_t j = pending_.expiring[k];
+    if (spec_.check(j, download.aggregated_errors[k], next_[j])) {
       local_err_[j] = 0.0f;
-      if (options_.reset_on_demote) osc_.reset(j);
     }
   }
-
   // Linearity diagnosis for the normally-synchronized parameters (line 10).
-  for (std::size_t j = 0; j < global_.size(); ++j) {
-    if (predictable_[j]) continue;
-    const float g_new = new_global[j] - global_[j];
-    const double r = osc_.observe(j, g_new);
-    if (osc_.ready(j) && r < options_.t_r) {
-      predictable_[j] = 1;
-      slope_[j] = g_new;
-      no_check_period_[j] = options_.initial_no_check;
-      no_check_remaining_[j] = options_.initial_no_check;
-      local_err_[j] = 0.0f;
-    }
-  }
-  global_ = new_global;
-  return new_global;
-}
-
-double FedSuClientManager::predictable_fraction() const {
-  if (predictable_.empty()) return 0.0;
-  std::size_t count = 0;
-  for (auto m : predictable_) count += m;
-  return static_cast<double>(count) / static_cast<double>(predictable_.size());
+  spec_.diagnose(global_, next_, nullptr,
+                 [&](std::size_t j) { local_err_[j] = 0.0f; });
+  global_ = next_;
+  return next_;
 }
 
 }  // namespace fedsu::core

@@ -1,7 +1,5 @@
 #include "core/fedsu_manager.h"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -14,33 +12,19 @@
 namespace fedsu::core {
 
 FedSuManager::FedSuManager(int num_clients, FedSuOptions options)
-    : options_(options), num_clients_(num_clients) {
+    : spec_(options), num_clients_(num_clients) {
   if (num_clients <= 0) {
     throw std::invalid_argument("FedSuManager: num_clients <= 0");
-  }
-  if (options_.t_r <= 0.0 || options_.t_s <= 0.0) {
-    throw std::invalid_argument("FedSuManager: thresholds must be positive");
-  }
-  if (options_.initial_no_check < 1) {
-    throw std::invalid_argument("FedSuManager: initial_no_check must be >= 1");
   }
 }
 
 void FedSuManager::initialize(std::span<const float> global_state) {
   global_.assign(global_state.begin(), global_state.end());
   const std::size_t p = global_.size();
-  OscillationOptions osc_options;
-  osc_options.ema_decay = options_.ema_decay;
-  osc_options.warmup = options_.warmup;
-  osc_ = OscillationTracker(p, osc_options);
-  predictable_.assign(p, 0);
-  slope_.assign(p, 0.0f);
-  no_check_period_.assign(p, 0);
-  no_check_remaining_.assign(p, 0);
+  spec_.initialize(p);
   client_err_.reset(num_clients_, p);
   phase_start_round_.assign(p, 0);
   rejoin_stamp_.assign(static_cast<std::size_t>(num_clients_), 0);
-  linear_rounds_.assign(p, 0);
   rounds_seen_ = 0;
   last_ratio_ = 0.0;
 }
@@ -93,15 +77,11 @@ compress::SyncResult FedSuManager::synchronize(
   }
 
   std::vector<float> new_global = global_;
-  const double inv_n = 1.0 / static_cast<double>(n);
   diag_ = RoundDiagnostics{};
 
-  // Client 0's wire upload: unpredictable values (pass 1) followed by
-  // expiring error scalars (pass 2). The byte accounting below is
-  // measure_dense over those counts; the payload itself is only
-  // materialized under payload audit to cross-check the measured size.
+  // Client 0's wire upload, built under payload audit only: unpredictable
+  // values (pass 1) followed by expiring error scalars (pass 2).
   const bool audit = compress::wire::payload_audit();
-  std::vector<float> up_payload;
 
   // Every pass walks one of three lists built by a single serial mask walk,
   // so each touches only the parameters it needs. The parallel stages have
@@ -110,45 +90,18 @@ compress::SyncResult FedSuManager::synchronize(
   // identical for every --threads value (§5b).
   util::ThreadPool* pool = &util::ThreadPool::global();
   const bool fan_out = pool->worth_parallelizing();
-  std::vector<std::size_t> unpredictable;  // ascending j
-  std::vector<std::pair<std::size_t, std::size_t>> runs;  // predictable [b, e)
-  std::vector<std::size_t> expiring;  // ascending j whose period lapsed
+  Speculation::Round round;
 
   // Pass 1: synchronize unpredictable parameters; speculatively update the
   // predictable ones and accumulate prediction errors.
   {
   OBS_SPAN("core.fedsu.speculate");
-  for (std::size_t j = 0; j < p; ++j) {
-    if (!predictable_[j]) {
-      unpredictable.push_back(j);
-      continue;
-    }
-    if (runs.empty() || runs.back().second != j) {
-      runs.emplace_back(j, j + 1);
-    } else {
-      ++runs.back().second;
-    }
-    // Speculative update: persist the profiled per-round slope.
-    new_global[j] = global_[j] + slope_[j];
-    ++linear_rounds_[j];
-    if (--no_check_remaining_[j] <= 0) expiring.push_back(j);
-  }
-  diag_.unpredictable = unpredictable.size();
-  diag_.expiring = expiring.size();
-
-  // Only the unpredictable columns are averaged, each in the fixed block
-  // shape: for cohorts up to util::kReduceClientBlock the historical
-  // per-column serial chain, beyond it the deterministic two-level tree
-  // (documented §5b extension).
-  {
-    std::vector<double> sums(unpredictable.size());
-    util::listed_column_sums(client_states, unpredictable, sums, pool);
-    for (std::size_t k = 0; k < unpredictable.size(); ++k) {
-      const std::size_t j = unpredictable[k];
-      new_global[j] = static_cast<float>(sums[k] * inv_n);
-      if (audit) up_payload.push_back(client_states[0][j]);
-    }
-  }
+  round = spec_.walk(global_, new_global);
+  const auto& runs = round.runs;
+  diag_.unpredictable = round.unpredictable.size();
+  diag_.expiring = round.expiring.size();
+  // Only the unpredictable columns are averaged.
+  Speculation::average(client_states, round, new_global, pool);
 
   // Each participating client logs its local prediction error
   // e = (local update) - slope = x_local - x_spec, where x_spec is the
@@ -235,6 +188,7 @@ compress::SyncResult FedSuManager::synchronize(
   // filtered column, the block shape every other aggregation uses, keeping
   // the centralized and distributed decompositions bit-identical at any
   // cohort size. Chunks of expiring columns run in parallel.
+  const auto& expiring = round.expiring;
   std::vector<util::BlockedSum> folds(expiring.size());
   if (!expiring.empty()) {
     auto fold_rows = [&](std::size_t k0, std::size_t k1) {
@@ -260,37 +214,22 @@ compress::SyncResult FedSuManager::synchronize(
   for (std::size_t k = 0; k < expiring.size(); ++k) {
     const std::size_t j = expiring[k];
     // The client uploads its accumulated local error for this parameter.
-    if (audit) up_payload.push_back(client_err_.value(ctx.participants[0], j));
+    if (audit) {
+      round.upload.push_back(client_err_.value(ctx.participants[0], j));
+    }
     const std::size_t valid = folds[k].count;
     if (valid == 0) {
       // Every participant's view of this phase is partial (all rejoined
-      // mid-phase): the check cannot be evaluated. Re-arm for next round
-      // without extending the period.
-      no_check_remaining_[j] = 1;
+      // mid-phase): the check cannot be evaluated.
+      spec_.rearm(j);
       continue;
     }
     // The aggregate crosses the wire as float32 (matching the distributed
     // decomposition in core/distributed.h bit-for-bit).
     const float mean_err = static_cast<float>(
         folds[k].result() * (1.0 / static_cast<double>(valid)));
-    const double denom = std::fabs(static_cast<double>(slope_[j])) + 1e-8;
-    const double s = std::fabs(static_cast<double>(mean_err)) / denom;
-    if (s < options_.t_s) {
-      // Linear pattern persists: lengthen the no-checking period by one
-      // round (paper §IV-C) and keep speculating. Errors keep accumulating
-      // since Eq. 3 sums from the start of the speculation phase.
-      no_check_period_[j] += 1;
-      no_check_remaining_[j] = no_check_period_[j];
-    } else {
-      // Pattern broke: correct the value with the aggregated error so the
-      // trajectory rejoins the true one, return to regular updating and
-      // restart linearity diagnosis from scratch.
-      predictable_[j] = 0;
-      no_check_period_[j] = 0;
-      no_check_remaining_[j] = 0;
-      new_global[j] = static_cast<float>(new_global[j] + mean_err);
+    if (spec_.check(j, mean_err, new_global[j])) {
       cleared.push_back(j);
-      if (options_.reset_on_demote) osc_.reset(j);
       ++diag_.demotions;
       emit(SpecEvent{ctx.round, j, /*start=*/false});
     }
@@ -311,23 +250,12 @@ compress::SyncResult FedSuManager::synchronize(
     osc_hist = &obs::MetricsRegistry::global().histogram(
         "core.fedsu.oscillation_ratio", osc_opts);
   }
-  for (std::size_t j = 0; j < p; ++j) {
-    if (predictable_[j]) continue;
-    const float g_new = new_global[j] - global_[j];
-    const double r = osc_.observe(j, g_new);
-    if (!osc_.ready(j)) continue;
-    if (osc_hist) osc_hist->record(r);
-    if (r < options_.t_r) {
-      predictable_[j] = 1;
-      slope_[j] = g_new;  // "use the update of the last round" (§IV-B)
-      no_check_period_[j] = options_.initial_no_check;
-      no_check_remaining_[j] = options_.initial_no_check;
-      phase_start_round_[j] = rounds_seen_;
-      cleared.push_back(j);
-      ++diag_.promotions;
-      emit(SpecEvent{ctx.round, j, /*start=*/true});
-    }
-  }
+  spec_.diagnose(global_, new_global, osc_hist, [&](std::size_t j) {
+    phase_start_round_[j] = rounds_seen_;
+    cleared.push_back(j);
+    ++diag_.promotions;
+    emit(SpecEvent{ctx.round, j, /*start=*/true});
+  });
   // A new phase (promotion) or regular updating (demotion) starts from
   // zero error: one pass over the allocated slabs, in parallel over them.
   client_err_.clear_params(cleared, pool);
@@ -336,60 +264,32 @@ compress::SyncResult FedSuManager::synchronize(
   global_ = new_global;
   ++rounds_seen_;
 
-  compress::SyncResult result;
-  result.new_global = std::move(new_global);
   // Wire accounting: unpredictable values travel both ways; expiring
   // parameters add one error scalar per direction (upload local error,
-  // download the aggregated verdict/correction). Masks and periods are
-  // derived locally on every client and cost nothing (§V).
-  const std::size_t per_client_scalars = diag_.unpredictable + diag_.expiring;
-  // One f32 per unpredictable value plus one per expiring error scalar,
-  // sized without encoding (DESIGN.md §15).
-  const std::size_t bytes = compress::wire::measure_dense(per_client_scalars);
-  if (audit) {
-    compress::wire::audit_bytes(
-        "fedsu up", bytes, compress::wire::encode_dense(up_payload).size());
-  }
-  result.bytes_up.assign(n, bytes);
-  result.bytes_down.assign(n, bytes);
-  result.scalars_up = per_client_scalars * n;
-  result.scalars_down = per_client_scalars * n;
-  last_ratio_ = p == 0 ? 0.0
-                       : 1.0 - static_cast<double>(per_client_scalars) /
-                                   static_cast<double>(p);
+  // download the aggregated verdict/correction).
+  compress::SyncResult result =
+      spec_.result(std::move(new_global), n,
+                   diag_.unpredictable + diag_.expiring, round, "fedsu",
+                   last_ratio_);
   if (obs::metrics_enabled()) {
     auto& reg = obs::MetricsRegistry::global();
     reg.counter("core.fedsu.promotions").add(diag_.promotions);
     reg.counter("core.fedsu.demotions").add(diag_.demotions);
     reg.gauge("core.fedsu.predictable_fraction").set(predictable_fraction());
-    compress::wire::record_round_bytes("fedsu", bytes * n, bytes * n);
   }
   return result;
 }
 
-std::size_t FedSuManager::join_state_bytes() const {
-  // Mask (1 bit/param, sent packed) + no-checking periods + slopes.
-  return predictable_.size() / 8 + 1 +
-         no_check_period_.size() * sizeof(std::int32_t) +
-         slope_.size() * sizeof(float);
-}
-
 std::size_t FedSuManager::state_bytes() const {
   // Extra resident memory FedSU adds on a device. Excluded: `global_` (the
-  // client's own model copy, present with or without FedSU),
-  // `linear_rounds_` (bench instrumentation only), and the churn
+  // client's own model copy, present with or without FedSU), the kernel's
+  // linear_rounds() (bench instrumentation only), and the churn
   // reconciliation stamps (server-side bookkeeping, not device-resident) —
   // keeping the Table II accounting identical with the fault layer off.
-  std::size_t bytes = osc_.state_bytes() +
-                      predictable_.size() * sizeof(std::uint8_t) +
-                      slope_.size() * sizeof(float) +
-                      no_check_period_.size() * sizeof(std::int32_t) +
-                      no_check_remaining_.size() * sizeof(std::int32_t);
-  // Per-client error accumulator: on a real device each client stores one
-  // (dense — the device always observes its own errors; sparsity is a
-  // server-side phenomenon driven by never-selected and churned clients).
-  bytes += global_.size() * sizeof(float);
-  return bytes;
+  // Added: the per-client error accumulator, which a real device stores
+  // dense (it always observes its own errors; sparsity is a server-side
+  // phenomenon driven by never-selected and churned clients).
+  return spec_.state_bytes() + global_.size() * sizeof(float);
 }
 
 namespace {
@@ -408,12 +308,7 @@ std::vector<std::uint8_t> FedSuManager::snapshot() const {
   writer.write_i32(rounds_seen_);
   writer.write_f64(last_ratio_);
   writer.write_vector(global_);
-  osc_.serialize(writer);
-  writer.write_vector(predictable_);
-  writer.write_vector(slope_);
-  writer.write_vector(no_check_period_);
-  writer.write_vector(no_check_remaining_);
-  writer.write_vector(linear_rounds_);
+  spec_.serialize(writer);
   writer.write_vector(phase_start_round_);
   writer.write_vector(rejoin_stamp_);
   client_err_.serialize(writer);
@@ -429,25 +324,14 @@ void FedSuManager::restore(const std::vector<std::uint8_t>& bytes) {
   const int rounds_seen = reader.read_i32();
   const double last_ratio = reader.read_f64();
   std::vector<float> global = reader.read_vector<float>();
-  OscillationTracker osc(0);
-  osc.deserialize(reader);
-  std::vector<std::uint8_t> predictable = reader.read_vector<std::uint8_t>();
-  std::vector<float> slope = reader.read_vector<float>();
-  std::vector<std::int32_t> no_check_period =
-      reader.read_vector<std::int32_t>();
-  std::vector<std::int32_t> no_check_remaining =
-      reader.read_vector<std::int32_t>();
-  std::vector<std::int32_t> linear_rounds = reader.read_vector<std::int32_t>();
-  std::vector<std::int32_t> phase_start_round =
-      reader.read_vector<std::int32_t>();
-  std::vector<std::int32_t> rejoin_stamp = reader.read_vector<std::int32_t>();
   const std::size_t p = global.size();
+  Speculation spec = spec_.parse(reader, p);
+  std::vector<std::int32_t> phase_start_round =
+      reader.read_vector<std::int32_t>(p);
+  std::vector<std::int32_t> rejoin_stamp = reader.read_vector<std::int32_t>();
   // Checked before the error store is shaped: rejoin_stamp's length was
   // bounded by the bytes read, so num_clients is too.
-  if (num_clients <= 0 || predictable.size() != p || slope.size() != p ||
-      no_check_period.size() != p || no_check_remaining.size() != p ||
-      linear_rounds.size() != p || osc.size() != p ||
-      phase_start_round.size() != p ||
+  if (num_clients <= 0 ||
       rejoin_stamp.size() != static_cast<std::size_t>(num_clients)) {
     throw std::runtime_error("FedSuManager: inconsistent snapshot");
   }
@@ -458,22 +342,10 @@ void FedSuManager::restore(const std::vector<std::uint8_t>& bytes) {
   rounds_seen_ = rounds_seen;
   last_ratio_ = last_ratio;
   global_ = std::move(global);
-  osc_ = std::move(osc);
-  predictable_ = std::move(predictable);
-  slope_ = std::move(slope);
-  no_check_period_ = std::move(no_check_period);
-  no_check_remaining_ = std::move(no_check_remaining);
-  linear_rounds_ = std::move(linear_rounds);
+  spec_ = std::move(spec);
   phase_start_round_ = std::move(phase_start_round);
   rejoin_stamp_ = std::move(rejoin_stamp);
   client_err_ = std::move(client_err);
-}
-
-double FedSuManager::predictable_fraction() const {
-  if (predictable_.empty()) return 0.0;
-  std::size_t count = 0;
-  for (auto m : predictable_) count += m;
-  return static_cast<double>(count) / static_cast<double>(predictable_.size());
 }
 
 }  // namespace fedsu::core

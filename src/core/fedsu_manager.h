@@ -13,10 +13,15 @@
 //     applying the aggregated error as a correction so the trajectory
 //     rejoins the true one (Fig. 6's red crosses).
 //
+// The per-parameter state machine is core::Speculation (core/speculation.h);
+// the manager adds the per-client error accumulators, the churn and
+// version bookkeeping around them, the parallel passes and the events.
 // Masks and periods are derived purely from globally-identical quantities,
 // so every client can maintain its own replica without extra communication
 // (paper §V); a late joiner only downloads mask + periods + slopes once
-// (join_state_bytes()).
+// (join_state_bytes()). A speculation phase that fails its S check keeps
+// the parameter's R statistics: Fig. 6 shows speculation re-starting
+// shortly after each ending, which a full re-warmup would prevent.
 #pragma once
 
 #include <functional>
@@ -24,24 +29,9 @@
 
 #include "compress/protocol.h"
 #include "core/error_store.h"
-#include "core/oscillation.h"
+#include "core/speculation.h"
 
 namespace fedsu::core {
-
-struct FedSuOptions {
-  double t_r = 0.01;        // predictability threshold T_R (paper §VI-A)
-  double t_s = 1.0;         // error-feedback threshold T_S (paper §VI-A)
-  double ema_decay = 0.9;   // theta of Eq. 2 ("close to 1", paper §IV-A)
-  int warmup = 3;           // R observations before speculation may start
-  int initial_no_check = 1; // first no-checking period, in rounds
-  // When a speculation phase fails its S check, optionally wipe the
-  // parameter's oscillation statistics. The paper's trajectories (Fig. 6)
-  // show speculation re-starting shortly after a red-cross ending, which
-  // requires the diagnosis state to survive demotion; resetting instead
-  // forces a full re-warmup and collapses the steady-state sparsification
-  // ratio under noisy (few-iteration) rounds. Kept as an ablation knob.
-  bool reset_on_demote = false;
-};
 
 // Emitted when a parameter enters/leaves speculative mode (Fig. 6 markers).
 struct SpecEvent {
@@ -89,7 +79,9 @@ class FedSuManager : public compress::SyncProtocol {
       const compress::RoundContext& ctx,
       const std::vector<std::span<const float>>& client_states) override;
 
-  std::size_t join_state_bytes() const override;
+  std::size_t join_state_bytes() const override {
+    return spec_.join_state_bytes();
+  }
   // Resident memory FedSU adds on a device (Table II memory inflation).
   std::size_t state_bytes() const;
   std::vector<std::uint8_t> snapshot() const override;
@@ -112,15 +104,14 @@ class FedSuManager : public compress::SyncProtocol {
   // --- introspection (tests, Fig. 6 / Fig. 7 benches) ---
   const RoundDiagnostics& last_round_diagnostics() const { return diag_; }
   const std::vector<std::uint8_t>& predictable_mask() const {
-    return predictable_;
+    return spec_.mask();
   }
-  double predictable_fraction() const;
+  double predictable_fraction() const { return spec_.predictable_fraction(); }
   // Rounds each parameter spent in speculative mode so far.
   const std::vector<std::int32_t>& linear_rounds() const {
-    return linear_rounds_;
+    return spec_.linear_rounds();
   }
   int rounds_seen() const { return rounds_seen_; }
-  const FedSuOptions& options() const { return options_; }
   // The sparse per-client error-feedback store (slab residency is what
   // bench_scale contrasts with the dense num_clients x params matrix).
   const SparseErrorStore& error_store() const { return client_err_; }
@@ -134,14 +125,9 @@ class FedSuManager : public compress::SyncProtocol {
     if (event_hook_) event_hook_(event);
   }
 
-  FedSuOptions options_;
+  Speculation spec_;
   int num_clients_;
   std::vector<float> global_;
-  OscillationTracker osc_{0};
-  std::vector<std::uint8_t> predictable_;
-  std::vector<float> slope_;
-  std::vector<std::int32_t> no_check_period_;
-  std::vector<std::int32_t> no_check_remaining_;
   // Accumulated local prediction error per (client, parameter). Sparse:
   // slabs materialize on first nonzero accumulation and are released on
   // rejoin, with reads of absent slabs yielding exact 0.0f — bit-identical
@@ -154,7 +140,6 @@ class FedSuManager : public compress::SyncProtocol {
   // First round from which client i's error accumulation is complete again
   // (0 = always was; bumped by on_client_rejoin).
   std::vector<std::int32_t> rejoin_stamp_;
-  std::vector<std::int32_t> linear_rounds_;
   RoundDiagnostics diag_;
   int rounds_seen_ = 0;
   double last_ratio_ = 0.0;

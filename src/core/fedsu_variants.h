@@ -8,13 +8,17 @@
 //             parameter enters speculative mode with a preset probability,
 //             using the last observed update as its slope, again for a
 //             fixed period.
+//
+// Both run the core::Speculation state machine with the fixed period as
+// its first (and only) no-checking period; each keeps only its own exit or
+// entry rule. FedSU-v2 never consults the kernel's oscillation tracker.
 #pragma once
 
 #include <cstdint>
 #include <string>
 
 #include "compress/protocol.h"
-#include "core/oscillation.h"
+#include "core/speculation.h"
 #include "util/rng.h"
 
 namespace fedsu::core {
@@ -41,14 +45,10 @@ class FedSuV1 : public compress::SyncProtocol {
   Telemetry last_round_telemetry() const override {
     return {predictable_fraction(), 0};
   }
-  double predictable_fraction() const;
+  double predictable_fraction() const { return spec_.predictable_fraction(); }
 
  private:
-  FedSuV1Options options_;
-  OscillationTracker osc_{0};
-  std::vector<std::uint8_t> predictable_;
-  std::vector<float> slope_;
-  std::vector<std::int32_t> remaining_;
+  Speculation spec_;
   double last_ratio_ = 0.0;
 };
 
@@ -73,15 +73,13 @@ class FedSuV2 : public compress::SyncProtocol {
   Telemetry last_round_telemetry() const override {
     return {predictable_fraction(), 0};
   }
-  double predictable_fraction() const;
+  double predictable_fraction() const { return spec_.predictable_fraction(); }
 
  private:
-  FedSuV2Options options_;
+  double enter_probability_;
+  Speculation spec_;
   bool has_prev_update_ = false;
-  std::vector<std::uint8_t> predictable_;
-  std::vector<float> slope_;
-  std::vector<std::int32_t> remaining_;
-  util::Rng rng_{0};
+  util::Rng rng_;
   double last_ratio_ = 0.0;
 };
 

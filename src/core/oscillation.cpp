@@ -5,6 +5,15 @@
 
 namespace fedsu::core {
 
+namespace {
+// The one check of a tracker's options, from code or from a snapshot; the
+// comparisons are written so that a NaN decay fails them.
+bool valid(const OscillationOptions& options) {
+  return options.ema_decay > 0.0 && options.ema_decay < 1.0 &&
+         options.warmup >= 1;
+}
+}  // namespace
+
 OscillationTracker::OscillationTracker(std::size_t num_params,
                                        OscillationOptions options)
     : options_(options),
@@ -12,11 +21,9 @@ OscillationTracker::OscillationTracker(std::size_t num_params,
       ema_abs_g2_(num_params, 0.0f),
       g_prev_(num_params, 0.0f),
       observations_(num_params, -1) {
-  if (options_.ema_decay <= 0.0 || options_.ema_decay >= 1.0) {
-    throw std::invalid_argument("OscillationTracker: decay must be in (0, 1)");
-  }
-  if (options_.warmup < 1) {
-    throw std::invalid_argument("OscillationTracker: warmup must be >= 1");
+  if (!valid(options_)) {
+    throw std::invalid_argument(
+        "OscillationTracker: decay must be in (0, 1) and warmup >= 1");
   }
 }
 
@@ -73,6 +80,9 @@ void OscillationTracker::serialize(io::BinaryWriter& writer) const {
 void OscillationTracker::deserialize(io::BinaryReader& reader) {
   options_.ema_decay = reader.read_f64();
   options_.warmup = reader.read_i32();
+  if (!valid(options_)) {
+    throw std::runtime_error("OscillationTracker: invalid options in snapshot");
+  }
   ema_g2_ = reader.read_vector<float>();
   ema_abs_g2_ = reader.read_vector<float>();
   g_prev_ = reader.read_vector<float>();

@@ -47,7 +47,9 @@ class OscillationTracker {
 
   std::size_t state_bytes() const;
 
-  // Checkpoint support.
+  // Checkpoint support. deserialize() throws std::runtime_error on invalid
+  // options or inconsistent lengths, possibly after overwriting part of the
+  // tracker: read into a fresh one.
   void serialize(io::BinaryWriter& writer) const;
   void deserialize(io::BinaryReader& reader);
 

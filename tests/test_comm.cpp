@@ -168,8 +168,7 @@ TEST(PayloadAudit, EveryProtocolMeasuresItsEncodedSize) {
   const int n = 5;
   const std::size_t p = 97;  // odd size: exercises the sub-byte tails
   const util::Rng base(7);
-  for (const std::string& scheme :
-       {"fedavg", "cmfl", "apf", "topk", "qsgd", "signsgd", "fedsu"}) {
+  for (const std::string& scheme : fl::known_protocols()) {
     fl::ProtocolConfig config;
     config.name = scheme;
     config.num_clients = n;
@@ -230,8 +229,7 @@ TEST(ThreadInvariance, EveryProtocolBitwiseAcrossThreadCounts) {
   const int n = 40;
   const std::size_t p = 514;
   const int rounds = 3;
-  for (const std::string& scheme :
-       {"fedavg", "cmfl", "apf", "topk", "qsgd", "signsgd", "fedsu"}) {
+  for (const std::string& scheme : fl::known_protocols()) {
     util::ThreadPool::set_global_threads(1);
     const RunTrace serial = run_protocol(scheme, n, p, rounds);
     for (int threads : {4, 8}) {

@@ -2,12 +2,16 @@
 // (§IV-C, §IV-D) relies on, checked against the actual implementations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
 
 #include "compress/apf.h"
 #include "compress/fedavg.h"
 #include "core/fedsu_manager.h"
 #include "fl/protocol_factory.h"
+#include "io/serialize.h"
 #include "util/rng.h"
 
 namespace fedsu {
@@ -157,6 +161,83 @@ TEST(Invariants, EveryProtocolRejectsMisshapenInputs) {
     }
     EXPECT_NO_THROW(proto->synchronize(ctx_of(0, 2, global), views(states)))
         << name;
+  }
+}
+
+// Offset of an oscillation tracker's serialized header — f64 decay, i32
+// warmup, then the u64 length of its first vector — in `bytes`, or npos.
+std::size_t find_tracker(const std::vector<std::uint8_t>& bytes,
+                         double decay, std::int32_t warmup,
+                         std::uint64_t params) {
+  io::BinaryWriter header;
+  header.write_f64(decay);
+  header.write_i32(warmup);
+  header.write_u64(params);
+  const auto& needle = header.buffer();
+  const auto it =
+      std::search(bytes.begin(), bytes.end(), needle.begin(), needle.end());
+  return it == bytes.end() ? std::string::npos
+                           : static_cast<std::size_t>(it - bytes.begin());
+}
+
+// INVARIANT: a restore that throws leaves the protocol exactly as it was.
+// Every strict prefix of a warmed snapshot is malformed, and so is a
+// snapshot whose oscillation tracker claims a NaN decay or a zero warmup
+// (a tracker restored with either would never promote again).
+TEST(Invariants, EveryProtocolRestoreIsAllOrNothing) {
+  const std::size_t p = 24;
+  const int n = 4;
+  std::vector<std::string> carriers;
+  for (const auto& name : fl::known_protocols()) {
+    fl::ProtocolConfig config;
+    config.name = name;
+    config.num_clients = n;
+    auto proto = fl::make_protocol(config);
+    std::vector<float> global(p, 0.0f);
+    proto->initialize(global);
+    util::Rng rng(41);
+    for (int round = 0; round < 8; ++round) {
+      std::vector<std::vector<float>> states(n, global);
+      for (auto& s : states) {
+        for (std::size_t j = 0; j < p; ++j) {
+          s[j] += j % 2 == 0 ? 0.125f : static_cast<float>(0.1 * rng.normal());
+        }
+      }
+      global = proto->synchronize(ctx_of(round, n, global), views(states))
+                   .new_global;
+    }
+    const std::vector<std::uint8_t> before = proto->snapshot();
+    auto expect_rejected = [&](const std::vector<std::uint8_t>& bytes,
+                               const std::string& what) {
+      EXPECT_THROW(proto->restore(bytes), std::runtime_error)
+          << name << ": " << what;
+      ASSERT_EQ(proto->snapshot(), before) << name << ": " << what;
+    };
+    for (std::size_t cut = 0; cut < before.size(); ++cut) {
+      expect_rejected({before.begin(), before.begin() + cut},
+                      "truncated to " + std::to_string(cut) + " bytes");
+    }
+    for (const auto& [decay, warmup] :
+         {std::pair{config.fedsu.ema_decay, config.fedsu.warmup},
+          std::pair{config.fedsu_v1.ema_decay, config.fedsu_v1.warmup}}) {
+      const std::size_t at = find_tracker(before, decay, warmup, p);
+      if (at == std::string::npos) continue;
+      carriers.push_back(name);
+      std::vector<std::uint8_t> nan_decay = before;
+      const double nan = std::nan("");
+      std::memcpy(nan_decay.data() + at, &nan, sizeof(nan));
+      expect_rejected(nan_decay, "tracker decay NaN");
+      std::vector<std::uint8_t> zero_warmup = before;
+      std::memset(zero_warmup.data() + at + sizeof(double), 0,
+                  sizeof(std::int32_t));
+      expect_rejected(zero_warmup, "tracker warmup 0");
+      break;
+    }
+  }
+  for (const std::string carrier : {"fedsu", "fedsu-v1"}) {
+    EXPECT_NE(std::find(carriers.begin(), carriers.end(), carrier),
+              carriers.end())
+        << carrier << "'s snapshot shows no tracker header";
   }
 }
 

@@ -115,6 +115,8 @@ TEST(Oscillation, BoundsAndErrors) {
   OscillationOptions bad;
   bad.ema_decay = 1.5;
   EXPECT_THROW(OscillationTracker(1, bad), std::invalid_argument);
+  bad.ema_decay = std::nan("");
+  EXPECT_THROW(OscillationTracker(1, bad), std::invalid_argument);
   bad.ema_decay = 0.9;
   bad.warmup = 0;
   EXPECT_THROW(OscillationTracker(1, bad), std::invalid_argument);

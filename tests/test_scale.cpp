@@ -594,6 +594,110 @@ TEST(FedSuManager, TraceBeyondOneBlockIsPinned) {
   util::ThreadPool::set_global_threads(1);
 }
 
+// --- FedSU-v1/v2 past one reduction block: pinned traces ------------------
+
+struct VariantTraceDigest {
+  std::uint64_t rounds = 0xcbf29ce484222325ULL;  // globals, bytes, scalars
+  int entries = 0;   // rounds whose speculated fraction rose
+  int exits = 0;     // rounds whose speculated fraction fell
+  bool reentered = false;  // a rise after the first fall
+};
+
+// 40 clients, 36 participating per round (a rotating four sit out), over
+// 24 parameters in three families: exactly linear, linear until round 14
+// and then reversed, and noise whose ±2^40 pair in participant rows 0 and
+// 33 makes a flat fold and the block tree round to different means. 30
+// rounds see entries, fixed-period exits and re-entries. Payload audit is
+// on throughout.
+VariantTraceDigest run_pinned_variant_trace(const std::string& scheme) {
+  constexpr int kClients = 40;
+  constexpr std::size_t kParams = 24;
+  constexpr int kRounds = 30;
+  compress::wire::set_payload_audit(true);
+  fl::ProtocolConfig config;
+  config.name = scheme;
+  config.num_clients = kClients;
+  config.fedsu_v1.fixed_period = 5;
+  config.fedsu_v2.enter_probability = 0.2;
+  config.fedsu_v2.fixed_period = 3;
+  auto proto = fl::make_protocol(config);
+  std::vector<float> global(kParams);
+  for (std::size_t j = 0; j < kParams; ++j) {
+    global[j] = 0.01f * static_cast<float>(j);
+  }
+  proto->initialize(global);
+  util::Rng rng(0xfed5b1);
+  VariantTraceDigest digest;
+  double fraction = 0.0;
+  for (int r = 0; r < kRounds; ++r) {
+    compress::RoundContext ctx;
+    ctx.round = r;
+    ctx.global = global;
+    std::vector<std::vector<float>> locals;
+    for (int i = 0; i < kClients; ++i) {
+      if (i % 10 == r % 10) continue;
+      const std::size_t row = ctx.participants.size();
+      ctx.participants.push_back(i);
+      std::vector<float> local(kParams);
+      for (std::size_t j = 0; j < kParams; ++j) {
+        float drift = 0.0625f;
+        if (j % 3 == 1 && r >= 14) {
+          drift = -0.0625f;
+        } else if (j % 3 == 2) {
+          drift = row == 0    ? 0x1p40f
+                  : row == 33 ? -0x1p40f
+                              : static_cast<float>(0.1 * rng.normal());
+        }
+        local[j] = global[j] + drift;
+      }
+      locals.push_back(std::move(local));
+    }
+    const compress::SyncResult result = proto->synchronize(ctx, views(locals));
+    global = result.new_global;
+    digest.rounds =
+        fnv1a(digest.rounds, global.data(), global.size() * sizeof(float));
+    digest.rounds = fnv1a(digest.rounds, result.bytes_up.data(),
+                          result.bytes_up.size() * sizeof(std::size_t));
+    digest.rounds = fnv1a(digest.rounds, result.bytes_down.data(),
+                          result.bytes_down.size() * sizeof(std::size_t));
+    const std::size_t scalars[] = {result.scalars_up, result.scalars_down};
+    digest.rounds = fnv1a(digest.rounds, scalars, sizeof(scalars));
+    const double ratios[] = {proto->last_sparsification_ratio(),
+                             proto->last_round_telemetry().speculated_fraction};
+    digest.rounds = fnv1a(digest.rounds, ratios, sizeof(ratios));
+    if (ratios[1] > fraction) {
+      ++digest.entries;
+      digest.reentered |= digest.exits > 0;
+    }
+    if (ratios[1] < fraction) ++digest.exits;
+    fraction = ratios[1];
+  }
+  compress::wire::set_payload_audit(false);
+  return digest;
+}
+
+TEST(FedSuVariants, TracesBeyondOneBlockArePinned) {
+  // Hashes recorded from the variants' own loops, before they moved onto
+  // the shared speculation kernel; the kernel must reproduce these bits.
+  const std::pair<std::string, std::uint64_t> pinned[] = {
+      {"fedsu-v1", 0xd284d736ca40d19eULL},
+      {"fedsu-v2", 0xca380c0d9fc59a79ULL},
+  };
+  for (const auto& [scheme, hash] : pinned) {
+    for (const int threads : {1, 4}) {
+      util::ThreadPool::set_global_threads(threads);
+      const VariantTraceDigest digest = run_pinned_variant_trace(scheme);
+      EXPECT_GT(digest.entries, 1) << scheme;
+      EXPECT_GT(digest.exits, 0) << scheme;
+      EXPECT_TRUE(digest.reentered) << scheme;
+      EXPECT_EQ(digest.rounds, hash)
+          << scheme << " threads=" << threads << std::hex << " got 0x"
+          << digest.rounds;
+    }
+  }
+  util::ThreadPool::set_global_threads(1);
+}
+
 // --- fl: §5b at cohort scale ---------------------------------------------
 
 fl::SimulationOptions cohort_options(int clients, int threads, bool async) {
