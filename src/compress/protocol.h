@@ -30,7 +30,10 @@ struct RoundContext {
   std::span<const float> global;
   // Ids of the clients whose updates participate in aggregation this round
   // (the 70 % earliest under the paper's participation model). Parallel to
-  // the `client_states` argument of synchronize().
+  // the `client_states` argument of synchronize(). Ids are distinct: one
+  // update per client per round, which lets protocols give each
+  // participant's per-client state (residuals, error slabs) to exactly one
+  // task. Both engines pass them in ascending order.
   std::vector<int> participants;
   // Buffered-async execution (DESIGN.md §11): the model version (protocol
   // aggregation count) each participant's update was trained against,
@@ -121,9 +124,10 @@ class SyncProtocol {
 };
 
 // The input contract of synchronize(), checked once for every protocol: at
-// least one participant, one state per participant, and every state
-// `params` long. With `reads_global`, ctx.global must be `params` long too.
-// Throws std::invalid_argument naming `who`.
+// least one participant, distinct participant ids, one state per
+// participant, and every state `params` long. With `reads_global`,
+// ctx.global must be `params` long too. Throws std::invalid_argument naming
+// `who`.
 void check_sync_inputs(const std::string& who, const RoundContext& ctx,
                        const std::vector<std::span<const float>>& client_states,
                        std::size_t params, bool reads_global);

@@ -33,7 +33,7 @@ float Client::train_round(nn::Model& model, const LocalTrainOptions& options) {
   for (int it = 0; it < options.iterations; ++it) {
     loader_.next(batch, labels);
     model.zero_grads();
-    const tensor::Tensor logits = model.forward(batch, /*train=*/true);
+    const tensor::Tensor& logits = model.forward(batch, /*train=*/true);
     total_loss += loss.forward(logits, labels);
     model.backward(loss.backward());
     if (options.proximal_mu != 0.0f) {

@@ -933,13 +933,14 @@ float Simulation::evaluate() const {
   double correct_weighted = 0.0;
   tensor::Tensor batch;
   std::vector<int> labels;
+  std::vector<std::size_t> idx;
   while (done < n) {
     const std::size_t take =
         std::min(static_cast<std::size_t>(options_.eval_batch), n - done);
-    std::vector<std::size_t> idx(take);
+    idx.resize(take);
     std::iota(idx.begin(), idx.end(), done);
     test.gather(idx, batch, labels);
-    const tensor::Tensor logits =
+    const tensor::Tensor& logits =
         scratch_model_.forward(batch, /*train=*/false);
     correct_weighted +=
         static_cast<double>(nn::accuracy(logits, labels)) * take;

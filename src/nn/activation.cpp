@@ -1,64 +1,48 @@
 #include "nn/activation.h"
 
-#include <cmath>
+#include <algorithm>
 #include <stdexcept>
+
+#include "tensor/vectorized.h"
 
 namespace fedsu::nn {
 
-tensor::Tensor ReLU::forward(const tensor::Tensor& input, bool /*train*/) {
-  cached_input_ = input;
-  tensor::Tensor out = input;
-  float* p = out.data();
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    if (p[i] < 0.0f) p[i] = 0.0f;
-  }
-  return out;
+const tensor::Tensor& ReLU::forward(const tensor::Tensor& input,
+                                    bool /*train*/) {
+  out_.resize(input.shape());
+  tensor::vec::relu(out_.data(), input.data(), input.size());
+  return out_;
 }
 
-tensor::Tensor ReLU::backward(const tensor::Tensor& grad_output) {
-  if (!grad_output.same_shape(cached_input_)) {
+const tensor::Tensor& ReLU::backward(const tensor::Tensor& grad_output) {
+  if (!grad_output.same_shape(out_)) {
     throw std::invalid_argument("ReLU::backward: shape mismatch");
   }
-  tensor::Tensor dx = grad_output;
-  float* p = dx.data();
-  const float* x = cached_input_.data();
-  for (std::size_t i = 0; i < dx.size(); ++i) {
-    if (x[i] <= 0.0f) p[i] = 0.0f;
-  }
-  return dx;
+  dx_.resize(out_.shape());
+  tensor::vec::relu_grad(dx_.data(), grad_output.data(), out_.data(),
+                         out_.size());
+  return dx_;
 }
 
-tensor::Tensor Tanh::forward(const tensor::Tensor& input, bool /*train*/) {
-  tensor::Tensor out = input;
-  float* p = out.data();
-  for (std::size_t i = 0; i < out.size(); ++i) p[i] = std::tanh(p[i]);
-  cached_output_ = out;
-  return out;
-}
-
-tensor::Tensor Tanh::backward(const tensor::Tensor& grad_output) {
-  if (!grad_output.same_shape(cached_output_)) {
-    throw std::invalid_argument("Tanh::backward: shape mismatch");
-  }
-  tensor::Tensor dx = grad_output;
-  float* p = dx.data();
-  const float* y = cached_output_.data();
-  for (std::size_t i = 0; i < dx.size(); ++i) p[i] *= (1.0f - y[i] * y[i]);
-  return dx;
-}
-
-tensor::Tensor Flatten::forward(const tensor::Tensor& input, bool /*train*/) {
+const tensor::Tensor& Flatten::forward(const tensor::Tensor& input,
+                                       bool /*train*/) {
   if (input.rank() < 2) {
     throw std::invalid_argument("Flatten::forward: rank < 2");
   }
-  cached_shape_ = input.shape();
+  in_shape_ = input.shape();
   const int n = input.dim(0);
-  const int rest = static_cast<int>(input.size()) / n;
-  return input.reshaped({n, rest});
+  out_.resize({n, static_cast<int>(input.size()) / n});
+  std::copy_n(input.data(), input.size(), out_.data());
+  return out_;
 }
 
-tensor::Tensor Flatten::backward(const tensor::Tensor& grad_output) {
-  return grad_output.reshaped(cached_shape_);
+const tensor::Tensor& Flatten::backward(const tensor::Tensor& grad_output) {
+  if (grad_output.size() != tensor::shape_size(in_shape_)) {
+    throw std::invalid_argument("Flatten::backward: shape mismatch");
+  }
+  dx_.resize(in_shape_);
+  std::copy_n(grad_output.data(), grad_output.size(), dx_.data());
+  return dx_;
 }
 
 }  // namespace fedsu::nn

@@ -24,7 +24,8 @@ BatchNorm2d::BatchNorm2d(int channels, float momentum, float epsilon)
   running_var_.trainable = false;
 }
 
-tensor::Tensor BatchNorm2d::forward(const tensor::Tensor& input, bool train) {
+const tensor::Tensor& BatchNorm2d::forward(const tensor::Tensor& input,
+                                           bool train) {
   if (input.rank() != 4 || input.dim(1) != channels_) {
     throw std::invalid_argument("BatchNorm2d::forward: bad input " +
                                 input.shape_string());
@@ -33,13 +34,14 @@ tensor::Tensor BatchNorm2d::forward(const tensor::Tensor& input, bool train) {
   const std::size_t plane = static_cast<std::size_t>(h) * w;
   const std::size_t per_channel = static_cast<std::size_t>(n) * plane;
   last_forward_train_ = train;
-  tensor::Tensor out(input.shape());
+  // Every element of out_ (and, in training, xhat_) is written below.
+  out_.resize(input.shape());
+  float* out = out_.data();
 
   if (train) {
-    cached_input_ = input;
     batch_mean_.assign(channels_, 0.0f);
     batch_inv_std_.assign(channels_, 0.0f);
-    cached_xhat_.assign(input.size(), 0.0f);
+    xhat_.resize(input.shape());
     for (int c = 0; c < channels_; ++c) {
       double sum = 0.0, sq = 0.0;
       for (int in = 0; in < n; ++in) {
@@ -70,8 +72,8 @@ tensor::Tensor BatchNorm2d::forward(const tensor::Tensor& input, bool train) {
         for (std::size_t i = 0; i < plane; ++i) {
           const float xhat =
               (input.data()[base + i] - batch_mean_[c]) * batch_inv_std_[c];
-          cached_xhat_[base + i] = xhat;
-          out.data()[base + i] = g * xhat + b;
+          xhat_[base + i] = xhat;
+          out[base + i] = g * xhat + b;
         }
       }
     }
@@ -86,27 +88,26 @@ tensor::Tensor BatchNorm2d::forward(const tensor::Tensor& input, bool train) {
         const std::size_t base =
             (static_cast<std::size_t>(in) * channels_ + c) * plane;
         for (std::size_t i = 0; i < plane; ++i) {
-          out.data()[base + i] =
+          out[base + i] =
               g * ((input.data()[base + i] - mean) * inv_std) + b;
         }
       }
     }
   }
-  return out;
+  return out_;
 }
 
-tensor::Tensor BatchNorm2d::backward(const tensor::Tensor& grad_output) {
+const tensor::Tensor& BatchNorm2d::backward(const tensor::Tensor& grad_output) {
   if (!last_forward_train_) {
     throw std::logic_error("BatchNorm2d::backward: last forward was eval-mode");
   }
-  if (!grad_output.same_shape(cached_input_)) {
+  if (!grad_output.same_shape(xhat_)) {
     throw std::invalid_argument("BatchNorm2d::backward: shape mismatch");
   }
-  const int n = cached_input_.dim(0), h = cached_input_.dim(2),
-            w = cached_input_.dim(3);
+  const int n = xhat_.dim(0), h = xhat_.dim(2), w = xhat_.dim(3);
   const std::size_t plane = static_cast<std::size_t>(h) * w;
   const double m = static_cast<double>(n) * plane;
-  tensor::Tensor dx(cached_input_.shape());
+  dx_.resize(xhat_.shape());  // every element is written below
 
   for (int c = 0; c < channels_; ++c) {
     // Accumulate sum(dy) and sum(dy * xhat) for this channel.
@@ -117,7 +118,7 @@ tensor::Tensor BatchNorm2d::backward(const tensor::Tensor& grad_output) {
       for (std::size_t i = 0; i < plane; ++i) {
         const float dy = grad_output.data()[base + i];
         sum_dy += dy;
-        sum_dy_xhat += static_cast<double>(dy) * cached_xhat_[base + i];
+        sum_dy_xhat += static_cast<double>(dy) * xhat_[base + i];
       }
     }
     gamma_.grad[static_cast<std::size_t>(c)] += static_cast<float>(sum_dy_xhat);
@@ -131,13 +132,13 @@ tensor::Tensor BatchNorm2d::backward(const tensor::Tensor& grad_output) {
           (static_cast<std::size_t>(in) * channels_ + c) * plane;
       for (std::size_t i = 0; i < plane; ++i) {
         const float dy = grad_output.data()[base + i];
-        dx.data()[base + i] =
+        dx_[base + i] =
             k * (static_cast<float>(m) * dy - static_cast<float>(sum_dy) -
-                 cached_xhat_[base + i] * static_cast<float>(sum_dy_xhat));
+                 xhat_[base + i] * static_cast<float>(sum_dy_xhat));
       }
     }
   }
-  return dx;
+  return dx_;
 }
 
 void BatchNorm2d::collect_params(std::vector<Param*>& out) {

@@ -14,8 +14,9 @@ class BatchNorm2d : public Module {
   explicit BatchNorm2d(int channels, float momentum = 0.1f,
                        float epsilon = 1e-5f);
 
-  tensor::Tensor forward(const tensor::Tensor& input, bool train) override;
-  tensor::Tensor backward(const tensor::Tensor& grad_output) override;
+  const tensor::Tensor& forward(const tensor::Tensor& input,
+                                bool train) override;
+  const tensor::Tensor& backward(const tensor::Tensor& grad_output) override;
   void collect_params(std::vector<Param*>& out) override;
   std::string name() const override { return "BatchNorm2d"; }
 
@@ -27,12 +28,13 @@ class BatchNorm2d : public Module {
   Param beta_;          // shift, trainable
   Param running_mean_;  // buffer
   Param running_var_;   // buffer
-  // Cached statistics of the last training forward, needed in backward.
-  tensor::Tensor cached_input_;
+  // Statistics of the last training forward, needed in backward.
   std::vector<float> batch_mean_;
   std::vector<float> batch_inv_std_;
-  std::vector<float> cached_xhat_;  // normalized activations
+  tensor::Tensor xhat_;  // normalized activations, input-shaped
   bool last_forward_train_ = false;
+  tensor::Tensor out_;
+  tensor::Tensor dx_;
 };
 
 }  // namespace fedsu::nn

@@ -1,11 +1,11 @@
 #include "nn/blocks.h"
 
-#include <cstring>
+#include <algorithm>
 #include <stdexcept>
 
-#include "nn/activation.h"
 #include "nn/pooling.h"
-#include "tensor/ops.h"
+#include "tensor/vectorized.h"
+#include "util/scratch_arena.h"
 
 namespace fedsu::nn {
 
@@ -22,53 +22,53 @@ ResidualBlock::ResidualBlock(int in_channels, int out_channels, int stride,
   }
 }
 
-tensor::Tensor ResidualBlock::forward(const tensor::Tensor& input, bool train) {
-  tensor::Tensor main = bn1_.forward(conv1_.forward(input, train), train);
-  // In-place ReLU on the main path; cache where it was clipped via sign of
-  // the stored pre-activation (we re-run the standard module-free ReLU here
-  // and reconstruct the gate in backward from cached_sum_ instead).
-  for (std::size_t i = 0; i < main.size(); ++i) {
-    if (main[i] < 0.0f) main[i] = 0.0f;
-  }
-  relu1_gate_ = main;  // post-ReLU activations double as the gate (0 => clipped)
-  main = bn2_.forward(conv2_.forward(main, train), train);
-
-  tensor::Tensor shortcut =
+const tensor::Tensor& ResidualBlock::forward(const tensor::Tensor& input,
+                                             bool train) {
+  const tensor::Tensor& pre_mid =
+      bn1_.forward(conv1_.forward(input, train), train);
+  mid_.resize(pre_mid.shape());
+  tensor::vec::relu(mid_.data(), pre_mid.data(), pre_mid.size());
+  const tensor::Tensor& main = bn2_.forward(conv2_.forward(mid_, train), train);
+  const tensor::Tensor& shortcut =
       projection_ ? projection_bn_->forward(projection_->forward(input, train),
                                             train)
                   : input;
-  tensor::add_inplace(main, shortcut);
-  cached_sum_ = main;
-  for (std::size_t i = 0; i < main.size(); ++i) {
-    if (main[i] < 0.0f) main[i] = 0.0f;
-  }
-  return main;
+  // The pre-activation sum lives only until the clamp: backward gates on
+  // the clamped output.
+  const std::size_t n = main.size();
+  util::ScratchArena& arena = util::ScratchArena::local();
+  util::ScratchArena::Frame frame(arena);
+  float* sum = arena.floats(n);
+  std::copy_n(main.data(), n, sum);
+  tensor::vec::add(sum, shortcut.data(), n);
+  out_.resize(main.shape());
+  tensor::vec::relu(out_.data(), sum, n);
+  return out_;
 }
 
-tensor::Tensor ResidualBlock::backward(const tensor::Tensor& grad_output) {
-  if (!grad_output.same_shape(cached_sum_)) {
+const tensor::Tensor& ResidualBlock::backward(
+    const tensor::Tensor& grad_output) {
+  if (!grad_output.same_shape(out_)) {
     throw std::invalid_argument("ResidualBlock::backward: shape mismatch");
   }
   // Final ReLU gate.
-  tensor::Tensor g = grad_output;
-  for (std::size_t i = 0; i < g.size(); ++i) {
-    if (cached_sum_[i] <= 0.0f) g[i] = 0.0f;
-  }
-  // Main path.
-  tensor::Tensor gm = conv2_.backward(bn2_.backward(g));
-  // Mid ReLU gate: relu1_gate_ holds post-ReLU values (0 where clipped).
-  for (std::size_t i = 0; i < gm.size(); ++i) {
-    if (relu1_gate_[i] <= 0.0f) gm[i] = 0.0f;
-  }
-  tensor::Tensor dx = conv1_.backward(bn1_.backward(gm));
+  grad_out_.resize(out_.shape());
+  tensor::vec::relu_grad(grad_out_.data(), grad_output.data(), out_.data(),
+                         out_.size());
+  // Main path, through the mid ReLU gate.
+  const tensor::Tensor& g_mid = conv2_.backward(bn2_.backward(grad_out_));
+  grad_mid_.resize(mid_.shape());
+  tensor::vec::relu_grad(grad_mid_.data(), g_mid.data(), mid_.data(),
+                         mid_.size());
+  const tensor::Tensor& d_main = conv1_.backward(bn1_.backward(grad_mid_));
   // Shortcut path.
-  if (projection_) {
-    tensor::Tensor gs = projection_->backward(projection_bn_->backward(g));
-    tensor::add_inplace(dx, gs);
-  } else {
-    tensor::add_inplace(dx, g);
-  }
-  return dx;
+  const tensor::Tensor& d_shortcut =
+      projection_ ? projection_->backward(projection_bn_->backward(grad_out_))
+                  : grad_out_;
+  dx_.resize(d_main.shape());
+  std::copy_n(d_main.data(), d_main.size(), dx_.data());
+  tensor::vec::add(dx_.data(), d_shortcut.data(), dx_.size());
+  return dx_;
 }
 
 void ResidualBlock::collect_params(std::vector<Param*>& out) {
@@ -86,63 +86,58 @@ DenseLayer::DenseLayer(int in_channels, int growth, util::Rng& rng)
     : in_channels_(in_channels),
       growth_(growth),
       bn_(in_channels),
-      relu_(std::make_unique<ReLU>()),
       conv_(in_channels, growth, 3, rng, 1, 1, /*bias=*/false) {}
 
-tensor::Tensor DenseLayer::forward(const tensor::Tensor& input, bool train) {
+const tensor::Tensor& DenseLayer::forward(const tensor::Tensor& input,
+                                          bool train) {
   if (input.rank() != 4 || input.dim(1) != in_channels_) {
     throw std::invalid_argument("DenseLayer::forward: bad input " +
                                 input.shape_string());
   }
-  cached_input_shape_ = input.shape();
-  tensor::Tensor fresh =
-      conv_.forward(relu_->forward(bn_.forward(input, train), train), train);
+  in_shape_ = input.shape();
+  const tensor::Tensor& fresh =
+      conv_.forward(relu_.forward(bn_.forward(input, train), train), train);
   // Concatenate [input, fresh] along channels.
   const int n = input.dim(0), h = input.dim(2), w = input.dim(3);
   const std::size_t plane = static_cast<std::size_t>(h) * w;
-  tensor::Tensor out({n, in_channels_ + growth_, h, w});
+  const std::size_t in_size = in_channels_ * plane;
+  const std::size_t fresh_size = growth_ * plane;
+  out_.resize({n, in_channels_ + growth_, h, w});
   for (int in = 0; in < n; ++in) {
-    std::memcpy(out.data() +
-                    static_cast<std::size_t>(in) * (in_channels_ + growth_) * plane,
-                input.data() + static_cast<std::size_t>(in) * in_channels_ * plane,
-                sizeof(float) * in_channels_ * plane);
-    std::memcpy(out.data() +
-                    (static_cast<std::size_t>(in) * (in_channels_ + growth_) +
-                     in_channels_) *
-                        plane,
-                fresh.data() + static_cast<std::size_t>(in) * growth_ * plane,
-                sizeof(float) * growth_ * plane);
+    float* y = out_.data() + in * (in_size + fresh_size);
+    std::copy_n(input.data() + in * in_size, in_size, y);
+    std::copy_n(fresh.data() + in * fresh_size, fresh_size, y + in_size);
   }
-  return out;
+  return out_;
 }
 
-tensor::Tensor DenseLayer::backward(const tensor::Tensor& grad_output) {
-  const int n = cached_input_shape_[0], h = cached_input_shape_[2],
-            w = cached_input_shape_[3];
+const tensor::Tensor& DenseLayer::backward(const tensor::Tensor& grad_output) {
+  const int n = in_shape_[0], h = in_shape_[2], w = in_shape_[3];
   if (grad_output.rank() != 4 ||
       grad_output.dim(1) != in_channels_ + growth_) {
     throw std::invalid_argument("DenseLayer::backward: bad grad " +
                                 grad_output.shape_string());
   }
   const std::size_t plane = static_cast<std::size_t>(h) * w;
-  // Split the concat gradient back into the passthrough and fresh slices.
-  tensor::Tensor g_pass({n, in_channels_, h, w});
-  tensor::Tensor g_fresh({n, growth_, h, w});
+  const std::size_t in_size = in_channels_ * plane;
+  const std::size_t fresh_size = growth_ * plane;
+  // The fresh channels' gradient runs back through conv-relu-bn; the
+  // passthrough channels' gradient adds onto the result.
+  grad_fresh_.resize({n, growth_, h, w});
   for (int in = 0; in < n; ++in) {
-    std::memcpy(g_pass.data() + static_cast<std::size_t>(in) * in_channels_ * plane,
-                grad_output.data() +
-                    static_cast<std::size_t>(in) * (in_channels_ + growth_) * plane,
-                sizeof(float) * in_channels_ * plane);
-    std::memcpy(g_fresh.data() + static_cast<std::size_t>(in) * growth_ * plane,
-                grad_output.data() +
-                    (static_cast<std::size_t>(in) * (in_channels_ + growth_) +
-                     in_channels_) *
-                        plane,
-                sizeof(float) * growth_ * plane);
+    std::copy_n(grad_output.data() + in * (in_size + fresh_size) + in_size,
+                fresh_size, grad_fresh_.data() + in * fresh_size);
   }
-  tensor::Tensor dx = bn_.backward(relu_->backward(conv_.backward(g_fresh)));
-  tensor::add_inplace(dx, g_pass);
-  return dx;
+  const tensor::Tensor& d_fresh =
+      bn_.backward(relu_.backward(conv_.backward(grad_fresh_)));
+  dx_.resize(in_shape_);
+  for (int in = 0; in < n; ++in) {
+    float* dx = dx_.data() + in * in_size;
+    std::copy_n(d_fresh.data() + in * in_size, in_size, dx);
+    tensor::vec::add(dx, grad_output.data() + in * (in_size + fresh_size),
+                     in_size);
+  }
+  return dx_;
 }
 
 void DenseLayer::collect_params(std::vector<Param*>& out) {
@@ -159,12 +154,13 @@ TransitionLayer::TransitionLayer(int in_channels, int out_channels,
   body_.add(std::make_unique<AvgPool2d>(2));
 }
 
-tensor::Tensor TransitionLayer::forward(const tensor::Tensor& input,
-                                        bool train) {
+const tensor::Tensor& TransitionLayer::forward(const tensor::Tensor& input,
+                                               bool train) {
   return body_.forward(input, train);
 }
 
-tensor::Tensor TransitionLayer::backward(const tensor::Tensor& grad_output) {
+const tensor::Tensor& TransitionLayer::backward(
+    const tensor::Tensor& grad_output) {
   return body_.backward(grad_output);
 }
 

@@ -3,6 +3,7 @@
 
 #include <memory>
 
+#include "nn/activation.h"
 #include "nn/batchnorm.h"
 #include "nn/conv2d.h"
 #include "nn/module.h"
@@ -17,8 +18,9 @@ class ResidualBlock : public Module {
  public:
   ResidualBlock(int in_channels, int out_channels, int stride, util::Rng& rng);
 
-  tensor::Tensor forward(const tensor::Tensor& input, bool train) override;
-  tensor::Tensor backward(const tensor::Tensor& grad_output) override;
+  const tensor::Tensor& forward(const tensor::Tensor& input,
+                                bool train) override;
+  const tensor::Tensor& backward(const tensor::Tensor& grad_output) override;
   void collect_params(std::vector<Param*>& out) override;
   std::string name() const override { return "ResidualBlock"; }
 
@@ -29,8 +31,11 @@ class ResidualBlock : public Module {
   BatchNorm2d bn2_;
   std::unique_ptr<Conv2d> projection_;  // nullptr when identity shortcut
   std::unique_ptr<BatchNorm2d> projection_bn_;
-  tensor::Tensor cached_sum_;   // pre-activation sum, for final ReLU backward
-  tensor::Tensor relu1_gate_;   // post-ReLU mid activations (0 where clipped)
+  tensor::Tensor mid_;       // post-ReLU mid activations; gate of the mid ReLU
+  tensor::Tensor out_;       // post-ReLU block output; gate of the final ReLU
+  tensor::Tensor grad_out_;  // grad_output through the final ReLU gate
+  tensor::Tensor grad_mid_;  // conv2's dL/d input through the mid ReLU gate
+  tensor::Tensor dx_;
 };
 
 // DenseNet-style layer: bn-relu-conv(growth) whose output is concatenated
@@ -39,8 +44,9 @@ class DenseLayer : public Module {
  public:
   DenseLayer(int in_channels, int growth, util::Rng& rng);
 
-  tensor::Tensor forward(const tensor::Tensor& input, bool train) override;
-  tensor::Tensor backward(const tensor::Tensor& grad_output) override;
+  const tensor::Tensor& forward(const tensor::Tensor& input,
+                                bool train) override;
+  const tensor::Tensor& backward(const tensor::Tensor& grad_output) override;
   void collect_params(std::vector<Param*>& out) override;
   std::string name() const override { return "DenseLayer"; }
 
@@ -50,9 +56,12 @@ class DenseLayer : public Module {
   int in_channels_;
   int growth_;
   BatchNorm2d bn_;
-  std::unique_ptr<Module> relu_;
+  ReLU relu_;
   Conv2d conv_;
-  std::vector<int> cached_input_shape_;
+  std::vector<int> in_shape_;
+  tensor::Tensor out_;
+  tensor::Tensor grad_fresh_;  // the new channels' slice of grad_output
+  tensor::Tensor dx_;
 };
 
 // DenseNet transition: bn-relu-1x1 conv (channel compression) + 2x2 avg pool.
@@ -60,8 +69,9 @@ class TransitionLayer : public Module {
  public:
   TransitionLayer(int in_channels, int out_channels, util::Rng& rng);
 
-  tensor::Tensor forward(const tensor::Tensor& input, bool train) override;
-  tensor::Tensor backward(const tensor::Tensor& grad_output) override;
+  const tensor::Tensor& forward(const tensor::Tensor& input,
+                                bool train) override;
+  const tensor::Tensor& backward(const tensor::Tensor& grad_output) override;
   void collect_params(std::vector<Param*>& out) override;
   std::string name() const override { return "TransitionLayer"; }
 

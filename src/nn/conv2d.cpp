@@ -85,6 +85,8 @@ void Conv2d::col2im(const float* cols, int h, int w, float* image) const {
   const int oh = out_height(h);
   const int ow = out_width(w);
   const int patch = oh * ow;
+  std::memset(image, 0,
+              sizeof(float) * static_cast<std::size_t>(in_channels_) * h * w);
   for (int c = 0; c < in_channels_; ++c) {
     float* plane = image + static_cast<std::size_t>(c) * h * w;
     for (int kr = 0; kr < kernel_; ++kr) {
@@ -108,7 +110,8 @@ void Conv2d::col2im(const float* cols, int h, int w, float* image) const {
   }
 }
 
-tensor::Tensor Conv2d::forward(const tensor::Tensor& input, bool /*train*/) {
+const tensor::Tensor& Conv2d::forward(const tensor::Tensor& input,
+                                      bool /*train*/) {
   if (input.rank() != 4 || input.dim(1) != in_channels_) {
     throw std::invalid_argument("Conv2d::forward: bad input " +
                                 input.shape_string());
@@ -119,32 +122,26 @@ tensor::Tensor Conv2d::forward(const tensor::Tensor& input, bool /*train*/) {
   if (oh <= 0 || ow <= 0) {
     throw std::invalid_argument("Conv2d::forward: output would be empty");
   }
-  cached_input_ = input;
-  cached_oh_ = oh;
-  cached_ow_ = ow;
+  in_n_ = n;
+  in_h_ = h;
+  in_w_ = w;
   const int fan_in = in_channels_ * kernel_ * kernel_;
   const int patch = oh * ow;
-  // resize() reuses the previous batch's buffer; im2col overwrites every
-  // element, so no clearing is needed. The shape check keeps steady-state
-  // batches from even building the temporary shape vector (one heap
-  // allocation the zero-alloc training-step test would see).
-  const auto& cshape = cached_cols_.shape();
-  if (cshape.size() != 3 || cshape[0] != n || cshape[1] != fan_in ||
-      cshape[2] != patch) {
-    cached_cols_.resize({n, fan_in, patch});
-  }
-  tensor::Tensor out({n, out_channels_, oh, ow});
+  // im2col and the GEMM (or bias fill) overwrite every element of both
+  // buffers, so neither needs clearing.
+  cols_.resize({n, fan_in, patch});
+  out_.resize({n, out_channels_, oh, ow});
 
   const float* wmat = weight_.value.data();
   // Each sample touches only its own cols/out slices, so samples fan out
   // across workers without changing any result bit.
   auto forward_sample = [&](int in) {
-    float* cols = cached_cols_.data() +
-                  static_cast<std::size_t>(in) * fan_in * patch;
+    float* cols = cols_.data() + static_cast<std::size_t>(in) * fan_in * patch;
     im2col(input.data() + static_cast<std::size_t>(in) * in_channels_ * h * w,
            h, w, cols);
     // out[in] = W[outC, fan_in] * cols[fan_in, patch] (+ bias)
-    float* y = out.data() + static_cast<std::size_t>(in) * out_channels_ * patch;
+    float* y =
+        out_.data() + static_cast<std::size_t>(in) * out_channels_ * patch;
     if (has_bias_) {
       for (int oc = 0; oc < out_channels_; ++oc) {
         tensor::vec::fill(y + static_cast<std::size_t>(oc) * patch,
@@ -168,13 +165,22 @@ tensor::Tensor Conv2d::forward(const tensor::Tensor& input, bool /*train*/) {
   } else {
     for (int in = 0; in < n; ++in) forward_sample(in);
   }
-  return out;
+  return out_;
 }
 
-tensor::Tensor Conv2d::backward(const tensor::Tensor& grad_output) {
-  const int n = cached_input_.dim(0), h = cached_input_.dim(2),
-            w = cached_input_.dim(3);
-  const int oh = cached_oh_, ow = cached_ow_;
+const tensor::Tensor& Conv2d::backward(const tensor::Tensor& grad_output) {
+  dx_.resize({in_n_, in_channels_, in_h_, in_w_});
+  backward_into(grad_output, dx_.data());
+  return dx_;
+}
+
+void Conv2d::backward_params(const tensor::Tensor& grad_output) {
+  backward_into(grad_output, nullptr);
+}
+
+void Conv2d::backward_into(const tensor::Tensor& grad_output, float* dx) {
+  const int n = in_n_, h = in_h_, w = in_w_;
+  const int oh = out_height(h), ow = out_width(w);
   if (grad_output.rank() != 4 || grad_output.dim(0) != n ||
       grad_output.dim(1) != out_channels_ || grad_output.dim(2) != oh ||
       grad_output.dim(3) != ow) {
@@ -183,21 +189,22 @@ tensor::Tensor Conv2d::backward(const tensor::Tensor& grad_output) {
   }
   const int fan_in = in_channels_ * kernel_ * kernel_;
   const int patch = oh * ow;
-  tensor::Tensor dx(cached_input_.shape());
 
   float* dwmat = weight_.grad.data();
   const float* wmat = weight_.value.data();
   const std::size_t wsize = static_cast<std::size_t>(out_channels_) * fan_in;
+  const std::size_t dcols_size =
+      dx ? static_cast<std::size_t>(fan_in) * patch : 0;
 
   // Computes sample `in`'s weight/bias gradient contribution into
-  // dw_out/db_out (not into the shared grads) and its dx slice. dcols is
-  // caller-provided scratch of fan_in * patch floats.
+  // dw_out/db_out (not into the shared grads) and, when dx is wanted, its
+  // dx slice. dcols is caller-provided scratch of dcols_size floats.
   auto backward_sample = [&](int in, float* dw_out, float* db_out,
                              float* dcols) {
     const float* g = grad_output.data() +
                      static_cast<std::size_t>(in) * out_channels_ * patch;
-    const float* cols = cached_cols_.data() +
-                        static_cast<std::size_t>(in) * fan_in * patch;
+    const float* cols =
+        cols_.data() + static_cast<std::size_t>(in) * fan_in * patch;
     // dW_contrib = g[outC, patch] * cols[fan_in, patch]^T
     tensor::gemm::sgemm(tensor::gemm::Variant::kNT, out_channels_, fan_in,
                         patch, g, cols, dw_out,
@@ -210,18 +217,19 @@ tensor::Tensor Conv2d::backward(const tensor::Tensor& grad_output) {
         db_out[oc] = acc;
       }
     }
+    if (!dx) return;
     // dcols = W^T[fan_in, outC] * g[outC, patch]
     tensor::gemm::sgemm(tensor::gemm::Variant::kTN, fan_in, patch,
                         out_channels_, wmat, g, dcols,
                         tensor::gemm::Accumulate::kOverwrite);
     col2im(dcols, h, w,
-           dx.data() + static_cast<std::size_t>(in) * in_channels_ * h * w);
+           dx + static_cast<std::size_t>(in) * in_channels_ * h * w);
   };
 
   // All scratch below comes from per-thread arenas: after the first batch
-  // of a given shape, backward makes no heap allocations (test_gemm.cpp).
-  const std::size_t macs = 2 * static_cast<std::size_t>(n) * out_channels_ *
-                           fan_in * patch;
+  // of a given shape, backward makes no heap allocations (test_nn_step.cpp).
+  const std::size_t macs = (dx ? 2 : 1) * static_cast<std::size_t>(n) *
+                           out_channels_ * fan_in * patch;
   if (should_parallelize(static_cast<std::size_t>(n), macs)) {
     // Per-sample contributions are computed in parallel (disjoint buffers),
     // then folded into the shared grads in ascending sample order — the very
@@ -236,8 +244,7 @@ tensor::Tensor Conv2d::backward(const tensor::Tensor& grad_output) {
         0, static_cast<std::size_t>(n), [&](std::size_t b, std::size_t e) {
           util::ScratchArena& worker_arena = util::ScratchArena::local();
           util::ScratchArena::Frame worker_frame(worker_arena);
-          float* dcols =
-              worker_arena.floats(static_cast<std::size_t>(fan_in) * patch);
+          float* dcols = worker_arena.floats(dcols_size);
           for (std::size_t in = b; in < e; ++in) {
             backward_sample(static_cast<int>(in), dw_contrib + in * wsize,
                             has_bias_ ? db_contrib + in * out_channels_
@@ -258,7 +265,7 @@ tensor::Tensor Conv2d::backward(const tensor::Tensor& grad_output) {
   } else {
     util::ScratchArena& arena = util::ScratchArena::local();
     util::ScratchArena::Frame frame(arena);
-    float* dcols = arena.floats(static_cast<std::size_t>(fan_in) * patch);
+    float* dcols = arena.floats(dcols_size);
     float* dw_sample = arena.floats(wsize);
     float* db_sample =
         has_bias_ ? arena.floats(static_cast<std::size_t>(out_channels_))
@@ -272,7 +279,6 @@ tensor::Tensor Conv2d::backward(const tensor::Tensor& grad_output) {
       }
     }
   }
-  return dx;
 }
 
 void Conv2d::collect_params(std::vector<Param*>& out) {

@@ -11,8 +11,11 @@ class Conv2d : public Module {
   Conv2d(int in_channels, int out_channels, int kernel, util::Rng& rng,
          int stride = 1, int padding = 0, bool bias = true);
 
-  tensor::Tensor forward(const tensor::Tensor& input, bool train) override;
-  tensor::Tensor backward(const tensor::Tensor& grad_output) override;
+  const tensor::Tensor& forward(const tensor::Tensor& input,
+                                bool train) override;
+  const tensor::Tensor& backward(const tensor::Tensor& grad_output) override;
+  // Skips the dcols GEMM and col2im: only the weight/bias grads.
+  void backward_params(const tensor::Tensor& grad_output) override;
   void collect_params(std::vector<Param*>& out) override;
   std::string name() const override { return "Conv2d"; }
 
@@ -22,8 +25,11 @@ class Conv2d : public Module {
  private:
   // Unpacks one sample [C,H,W] into columns [C*k*k, oh*ow].
   void im2col(const float* image, int h, int w, float* cols) const;
-  // Scatter-adds columns back into a [C,H,W] image buffer.
+  // Zeroes a [C,H,W] image buffer and scatter-adds the columns into it.
   void col2im(const float* cols, int h, int w, float* image) const;
+  // Accumulates the parameter grads and, when `dx` is non-null, writes
+  // dL/d input there.
+  void backward_into(const tensor::Tensor& grad_output, float* dx);
 
   int in_channels_;
   int out_channels_;
@@ -33,12 +39,11 @@ class Conv2d : public Module {
   bool has_bias_;
   Param weight_;  // [outC, inC*k*k]
   Param bias_;    // [outC]
-  tensor::Tensor cached_input_;
-  // [N, inC*k*k, oh*ow] flattened; resize()d per forward so the buffer's
-  // capacity is reused across batches instead of reallocated.
-  tensor::Tensor cached_cols_;
-  int cached_oh_ = 0;
-  int cached_ow_ = 0;
+  // [N, inC*k*k, oh*ow] im2col columns of the last forward.
+  tensor::Tensor cols_;
+  int in_n_ = 0, in_h_ = 0, in_w_ = 0;  // last forward's input dims
+  tensor::Tensor out_;
+  tensor::Tensor dx_;
 };
 
 }  // namespace fedsu::nn

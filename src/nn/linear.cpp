@@ -1,10 +1,10 @@
 #include "nn/linear.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "tensor/gemm.h"
 #include "tensor/init.h"
-#include "tensor/ops.h"
 #include "tensor/vectorized.h"
 
 namespace fedsu::nn {
@@ -22,37 +22,43 @@ Linear::Linear(int in_features, int out_features, util::Rng& rng, bool bias)
   }
 }
 
-tensor::Tensor Linear::forward(const tensor::Tensor& input, bool /*train*/) {
+const tensor::Tensor& Linear::forward(const tensor::Tensor& input,
+                                      bool /*train*/) {
   if (input.rank() != 2 || input.dim(1) != in_features_) {
     throw std::invalid_argument("Linear::forward: expected [N, " +
                                 std::to_string(in_features_) + "], got " +
                                 input.shape_string());
   }
-  cached_input_ = input;
+  const int n = input.dim(0);
+  input_.resize(input.shape());
+  std::copy_n(input.data(), input.size(), input_.data());
   // y[N,out] = x[N,in] * W[out,in]^T
-  tensor::Tensor out = tensor::matmul_nt(input, weight_.value);
+  out_.resize({n, out_features_});
+  tensor::gemm::sgemm(tensor::gemm::Variant::kNT, n, out_features_,
+                      in_features_, input.data(), weight_.value.data(),
+                      out_.data(), tensor::gemm::Accumulate::kOverwrite);
   if (has_bias_) {
-    const int n = out.dim(0);
     for (int i = 0; i < n; ++i) {
-      tensor::vec::add(out.data() + static_cast<std::size_t>(i) * out_features_,
-                       bias_.value.data(),
+      tensor::vec::add(
+          out_.data() + static_cast<std::size_t>(i) * out_features_,
+          bias_.value.data(),
                        static_cast<std::size_t>(out_features_));
     }
   }
-  return out;
+  return out_;
 }
 
-tensor::Tensor Linear::backward(const tensor::Tensor& grad_output) {
+const tensor::Tensor& Linear::backward(const tensor::Tensor& grad_output) {
   const int n = grad_output.dim(0);
   if (grad_output.rank() != 2 || grad_output.dim(1) != out_features_ ||
-      n != cached_input_.dim(0)) {
+      n != input_.dim(0)) {
     throw std::invalid_argument("Linear::backward: bad grad shape " +
                                 grad_output.shape_string());
   }
   // dW[out,in] += dy[N,out]^T * x[N,in] — accumulated straight into the
   // grad buffer (no temporary) via the GEMM's beta=1 mode.
   tensor::gemm::sgemm(tensor::gemm::Variant::kTN, out_features_, in_features_,
-                      n, grad_output.data(), cached_input_.data(),
+                      n, grad_output.data(), input_.data(),
                       weight_.grad.data(), tensor::gemm::Accumulate::kAdd);
   if (has_bias_) {
     for (int i = 0; i < n; ++i) {
@@ -62,7 +68,11 @@ tensor::Tensor Linear::backward(const tensor::Tensor& grad_output) {
     }
   }
   // dx[N,in] = dy[N,out] * W[out,in]
-  return tensor::matmul(grad_output, weight_.value);
+  dx_.resize({n, in_features_});
+  tensor::gemm::sgemm(tensor::gemm::Variant::kNN, n, in_features_,
+                      out_features_, grad_output.data(), weight_.value.data(),
+                      dx_.data(), tensor::gemm::Accumulate::kOverwrite);
+  return dx_;
 }
 
 void Linear::collect_params(std::vector<Param*>& out) {

@@ -11,8 +11,9 @@ class Linear : public Module {
   Linear(int in_features, int out_features, util::Rng& rng,
          bool bias = true);
 
-  tensor::Tensor forward(const tensor::Tensor& input, bool train) override;
-  tensor::Tensor backward(const tensor::Tensor& grad_output) override;
+  const tensor::Tensor& forward(const tensor::Tensor& input,
+                                bool train) override;
+  const tensor::Tensor& backward(const tensor::Tensor& grad_output) override;
   void collect_params(std::vector<Param*>& out) override;
   std::string name() const override { return "Linear"; }
 
@@ -25,7 +26,9 @@ class Linear : public Module {
   bool has_bias_;
   Param weight_;  // [out, in]
   Param bias_;    // [out]
-  tensor::Tensor cached_input_;
+  tensor::Tensor input_;  // copy of the last forward's (small) input
+  tensor::Tensor out_;
+  tensor::Tensor dx_;
 };
 
 }  // namespace fedsu::nn

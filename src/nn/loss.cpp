@@ -1,5 +1,6 @@
 #include "nn/loss.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -17,7 +18,7 @@ float SoftmaxCrossEntropy::forward(const tensor::Tensor& logits,
   if (static_cast<std::size_t>(n) != labels.size()) {
     throw std::invalid_argument("SoftmaxCrossEntropy: label count mismatch");
   }
-  probs_ = tensor::Tensor({n, c});
+  probs_.resize({n, c});  // every element is written below
   labels_ = labels;
   double total = 0.0;
   for (int i = 0; i < n; ++i) {
@@ -42,20 +43,21 @@ float SoftmaxCrossEntropy::forward(const tensor::Tensor& logits,
   return static_cast<float>(total / n);
 }
 
-tensor::Tensor SoftmaxCrossEntropy::backward() const {
+const tensor::Tensor& SoftmaxCrossEntropy::backward() {
   if (probs_.empty()) {
     throw std::logic_error("SoftmaxCrossEntropy::backward before forward");
   }
   const int n = probs_.dim(0);
   const int c = probs_.dim(1);
-  tensor::Tensor grad = probs_;
+  grad_.resize(probs_.shape());
+  std::copy_n(probs_.data(), probs_.size(), grad_.data());
   const float inv_n = 1.0f / static_cast<float>(n);
   for (int i = 0; i < n; ++i) {
-    float* row = grad.data() + static_cast<std::size_t>(i) * c;
+    float* row = grad_.data() + static_cast<std::size_t>(i) * c;
     row[labels_[static_cast<std::size_t>(i)]] -= 1.0f;
     for (int j = 0; j < c; ++j) row[j] *= inv_n;
   }
-  return grad;
+  return grad_;
 }
 
 float accuracy(const tensor::Tensor& logits, const std::vector<int>& labels) {

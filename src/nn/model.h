@@ -23,11 +23,14 @@ class Model {
   Model(Model&&) = default;
   Model& operator=(Model&&) = default;
 
-  tensor::Tensor forward(const tensor::Tensor& input, bool train) {
+  // The logits, valid until the next forward() or backward() (module.h).
+  const tensor::Tensor& forward(const tensor::Tensor& input, bool train) {
     return root_->forward(input, train);
   }
-  tensor::Tensor backward(const tensor::Tensor& grad_output) {
-    return root_->backward(grad_output);
+  // Accumulates every parameter grad for the last forward(). dL/d input is
+  // never computed: no caller reads it (Module::backward_params).
+  void backward(const tensor::Tensor& grad_output) {
+    root_->backward_params(grad_output);
   }
 
   const std::vector<Param*>& parameters() const { return params_; }

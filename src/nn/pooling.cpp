@@ -21,9 +21,10 @@ MaxPool2d::MaxPool2d(int kernel, int stride)
   }
 }
 
-tensor::Tensor MaxPool2d::forward(const tensor::Tensor& input, bool /*train*/) {
+const tensor::Tensor& MaxPool2d::forward(const tensor::Tensor& input,
+                                         bool /*train*/) {
   check_nchw(input, "MaxPool2d::forward");
-  cached_shape_ = input.shape();
+  in_shape_ = input.shape();
   const int n = input.dim(0), c = input.dim(1), h = input.dim(2),
             w = input.dim(3);
   const int oh = (h - kernel_) / stride_ + 1;
@@ -31,10 +32,11 @@ tensor::Tensor MaxPool2d::forward(const tensor::Tensor& input, bool /*train*/) {
   if (oh <= 0 || ow <= 0) {
     throw std::invalid_argument("MaxPool2d: kernel larger than input");
   }
-  tensor::Tensor out({n, c, oh, ow});
-  argmax_.assign(out.size(), 0);
+  // Every output element and its argmax are written below.
+  out_.resize({n, c, oh, ow});
+  argmax_.resize(out_.size());
   const float* x = input.data();
-  float* y = out.data();
+  float* y = out_.data();
   std::size_t oi = 0;
   for (int in = 0; in < n; ++in) {
     for (int ic = 0; ic < c; ++ic) {
@@ -61,18 +63,19 @@ tensor::Tensor MaxPool2d::forward(const tensor::Tensor& input, bool /*train*/) {
       }
     }
   }
-  return out;
+  return out_;
 }
 
-tensor::Tensor MaxPool2d::backward(const tensor::Tensor& grad_output) {
+const tensor::Tensor& MaxPool2d::backward(const tensor::Tensor& grad_output) {
   if (grad_output.size() != argmax_.size()) {
     throw std::invalid_argument("MaxPool2d::backward: shape mismatch");
   }
-  tensor::Tensor dx(cached_shape_);
-  float* p = dx.data();
+  dx_.resize(in_shape_);
+  dx_.zero();  // the scatter below accumulates
+  float* p = dx_.data();
   const float* g = grad_output.data();
   for (std::size_t i = 0; i < argmax_.size(); ++i) p[argmax_[i]] += g[i];
-  return dx;
+  return dx_;
 }
 
 AvgPool2d::AvgPool2d(int kernel, int stride)
@@ -82,9 +85,10 @@ AvgPool2d::AvgPool2d(int kernel, int stride)
   }
 }
 
-tensor::Tensor AvgPool2d::forward(const tensor::Tensor& input, bool /*train*/) {
+const tensor::Tensor& AvgPool2d::forward(const tensor::Tensor& input,
+                                         bool /*train*/) {
   check_nchw(input, "AvgPool2d::forward");
-  cached_shape_ = input.shape();
+  in_shape_ = input.shape();
   const int n = input.dim(0), c = input.dim(1), h = input.dim(2),
             w = input.dim(3);
   const int oh = (h - kernel_) / stride_ + 1;
@@ -92,7 +96,7 @@ tensor::Tensor AvgPool2d::forward(const tensor::Tensor& input, bool /*train*/) {
   if (oh <= 0 || ow <= 0) {
     throw std::invalid_argument("AvgPool2d: kernel larger than input");
   }
-  tensor::Tensor out({n, c, oh, ow});
+  out_.resize({n, c, oh, ow});  // every element is written below
   const float inv = 1.0f / static_cast<float>(kernel_ * kernel_);
   for (int in = 0; in < n; ++in) {
     for (int ic = 0; ic < c; ++ic) {
@@ -104,17 +108,18 @@ tensor::Tensor AvgPool2d::forward(const tensor::Tensor& input, bool /*train*/) {
               acc += input.at(in, ic, orow * stride_ + kr, ocol * stride_ + kc);
             }
           }
-          out.at(in, ic, orow, ocol) = acc * inv;
+          out_.at(in, ic, orow, ocol) = acc * inv;
         }
       }
     }
   }
-  return out;
+  return out_;
 }
 
-tensor::Tensor AvgPool2d::backward(const tensor::Tensor& grad_output) {
-  tensor::Tensor dx(cached_shape_);
-  const int n = cached_shape_[0], c = cached_shape_[1];
+const tensor::Tensor& AvgPool2d::backward(const tensor::Tensor& grad_output) {
+  dx_.resize(in_shape_);
+  dx_.zero();  // the window scatter below accumulates
+  const int n = in_shape_[0], c = in_shape_[1];
   const int oh = grad_output.dim(2), ow = grad_output.dim(3);
   const float inv = 1.0f / static_cast<float>(kernel_ * kernel_);
   for (int in = 0; in < n; ++in) {
@@ -124,23 +129,23 @@ tensor::Tensor AvgPool2d::backward(const tensor::Tensor& grad_output) {
           const float g = grad_output.at(in, ic, orow, ocol) * inv;
           for (int kr = 0; kr < kernel_; ++kr) {
             for (int kc = 0; kc < kernel_; ++kc) {
-              dx.at(in, ic, orow * stride_ + kr, ocol * stride_ + kc) += g;
+              dx_.at(in, ic, orow * stride_ + kr, ocol * stride_ + kc) += g;
             }
           }
         }
       }
     }
   }
-  return dx;
+  return dx_;
 }
 
-tensor::Tensor GlobalAvgPool::forward(const tensor::Tensor& input,
-                                      bool /*train*/) {
+const tensor::Tensor& GlobalAvgPool::forward(const tensor::Tensor& input,
+                                             bool /*train*/) {
   check_nchw(input, "GlobalAvgPool::forward");
-  cached_shape_ = input.shape();
+  in_shape_ = input.shape();
   const int n = input.dim(0), c = input.dim(1), h = input.dim(2),
             w = input.dim(3);
-  tensor::Tensor out({n, c});
+  out_.resize({n, c});  // every element is written below
   const float inv = 1.0f / static_cast<float>(h * w);
   for (int in = 0; in < n; ++in) {
     for (int ic = 0; ic < c; ++ic) {
@@ -148,26 +153,27 @@ tensor::Tensor GlobalAvgPool::forward(const tensor::Tensor& input,
       for (int r = 0; r < h; ++r) {
         for (int col = 0; col < w; ++col) acc += input.at(in, ic, r, col);
       }
-      out.at(in, ic) = acc * inv;
+      out_.at(in, ic) = acc * inv;
     }
   }
-  return out;
+  return out_;
 }
 
-tensor::Tensor GlobalAvgPool::backward(const tensor::Tensor& grad_output) {
-  tensor::Tensor dx(cached_shape_);
-  const int n = cached_shape_[0], c = cached_shape_[1], h = cached_shape_[2],
-            w = cached_shape_[3];
+const tensor::Tensor& GlobalAvgPool::backward(
+    const tensor::Tensor& grad_output) {
+  dx_.resize(in_shape_);  // every element is written below
+  const int n = in_shape_[0], c = in_shape_[1], h = in_shape_[2],
+            w = in_shape_[3];
   const float inv = 1.0f / static_cast<float>(h * w);
   for (int in = 0; in < n; ++in) {
     for (int ic = 0; ic < c; ++ic) {
       const float g = grad_output.at(in, ic) * inv;
       for (int r = 0; r < h; ++r) {
-        for (int col = 0; col < w; ++col) dx.at(in, ic, r, col) = g;
+        for (int col = 0; col < w; ++col) dx_.at(in, ic, r, col) = g;
       }
     }
   }
-  return dx;
+  return dx_;
 }
 
 }  // namespace fedsu::nn

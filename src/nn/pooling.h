@@ -13,40 +13,49 @@ class MaxPool2d : public Module {
   // Non-overlapping by default (stride = kernel).
   explicit MaxPool2d(int kernel, int stride = 0);
 
-  tensor::Tensor forward(const tensor::Tensor& input, bool train) override;
-  tensor::Tensor backward(const tensor::Tensor& grad_output) override;
+  const tensor::Tensor& forward(const tensor::Tensor& input,
+                                bool train) override;
+  const tensor::Tensor& backward(const tensor::Tensor& grad_output) override;
   std::string name() const override { return "MaxPool2d"; }
 
  private:
   int kernel_;
   int stride_;
-  std::vector<int> cached_shape_;
+  std::vector<int> in_shape_;
   std::vector<std::uint32_t> argmax_;  // flat input index per output element
+  tensor::Tensor out_;
+  tensor::Tensor dx_;
 };
 
 class AvgPool2d : public Module {
  public:
   explicit AvgPool2d(int kernel, int stride = 0);
 
-  tensor::Tensor forward(const tensor::Tensor& input, bool train) override;
-  tensor::Tensor backward(const tensor::Tensor& grad_output) override;
+  const tensor::Tensor& forward(const tensor::Tensor& input,
+                                bool train) override;
+  const tensor::Tensor& backward(const tensor::Tensor& grad_output) override;
   std::string name() const override { return "AvgPool2d"; }
 
  private:
   int kernel_;
   int stride_;
-  std::vector<int> cached_shape_;
+  std::vector<int> in_shape_;
+  tensor::Tensor out_;
+  tensor::Tensor dx_;
 };
 
 // Pools each channel plane to a single value: [N,C,H,W] -> [N,C].
 class GlobalAvgPool : public Module {
  public:
-  tensor::Tensor forward(const tensor::Tensor& input, bool train) override;
-  tensor::Tensor backward(const tensor::Tensor& grad_output) override;
+  const tensor::Tensor& forward(const tensor::Tensor& input,
+                                bool train) override;
+  const tensor::Tensor& backward(const tensor::Tensor& grad_output) override;
   std::string name() const override { return "GlobalAvgPool"; }
 
  private:
-  std::vector<int> cached_shape_;
+  std::vector<int> in_shape_;
+  tensor::Tensor out_;
+  tensor::Tensor dx_;
 };
 
 }  // namespace fedsu::nn

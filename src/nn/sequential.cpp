@@ -10,18 +10,28 @@ Sequential& Sequential::add(ModulePtr module) {
   return *this;
 }
 
-tensor::Tensor Sequential::forward(const tensor::Tensor& input, bool train) {
-  tensor::Tensor x = input;
-  for (auto& m : modules_) x = m->forward(x, train);
-  return x;
+const tensor::Tensor& Sequential::forward(const tensor::Tensor& input,
+                                          bool train) {
+  const tensor::Tensor* x = &input;
+  for (auto& m : modules_) x = &m->forward(*x, train);
+  return *x;
 }
 
-tensor::Tensor Sequential::backward(const tensor::Tensor& grad_output) {
-  tensor::Tensor g = grad_output;
+const tensor::Tensor& Sequential::backward(const tensor::Tensor& grad_output) {
+  const tensor::Tensor* g = &grad_output;
   for (auto it = modules_.rbegin(); it != modules_.rend(); ++it) {
-    g = (*it)->backward(g);
+    g = &(*it)->backward(*g);
   }
-  return g;
+  return *g;
+}
+
+void Sequential::backward_params(const tensor::Tensor& grad_output) {
+  if (modules_.empty()) return;
+  const tensor::Tensor* g = &grad_output;
+  for (std::size_t i = modules_.size() - 1; i > 0; --i) {
+    g = &modules_[i]->backward(*g);
+  }
+  modules_.front()->backward_params(*g);
 }
 
 void Sequential::collect_params(std::vector<Param*>& out) {

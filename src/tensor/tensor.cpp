@@ -1,11 +1,12 @@
 #include "tensor/tensor.h"
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 
 namespace fedsu::tensor {
 
-std::size_t shape_size(const std::vector<int>& shape) {
+std::size_t shape_size(std::span<const int> shape) {
   std::size_t n = 1;
   for (int d : shape) {
     if (d < 0) throw std::invalid_argument("Tensor: negative dimension");
@@ -37,9 +38,13 @@ Tensor Tensor::reshaped(std::vector<int> new_shape) const {
   return Tensor(std::move(new_shape), data_);
 }
 
-void Tensor::resize(std::vector<int> new_shape) {
+void Tensor::resize(std::span<const int> new_shape) {
+  if (std::equal(new_shape.begin(), new_shape.end(), shape_.begin(),
+                 shape_.end())) {
+    return;
+  }
   const std::size_t n = shape_size(new_shape);
-  shape_ = std::move(new_shape);
+  shape_.assign(new_shape.begin(), new_shape.end());
   data_.resize(n);
 }
 

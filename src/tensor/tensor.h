@@ -9,6 +9,7 @@
 #include <cassert>
 #include <cstddef>
 #include <initializer_list>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -77,11 +78,16 @@ class Tensor {
   Tensor reshaped(std::vector<int> new_shape) const;
 
   // Re-shapes in place, reusing the existing heap buffer whenever its
-  // capacity suffices (the per-batch scratch tensors in the training loop
-  // rely on this to stop reallocating). Surviving elements keep their old
-  // values and grown elements are zero — callers that need a clean buffer
-  // must overwrite or zero() it.
-  void resize(std::vector<int> new_shape);
+  // capacity suffices (the layer buffers and per-batch scratch tensors in
+  // the training loop rely on this to stop reallocating). An unchanged
+  // shape is a no-op, and the braced form `t.resize({n, c, h, w})` builds no
+  // temporary vector, so a steady-state resize never touches the heap.
+  // Surviving elements keep their old values and grown elements are zero —
+  // callers that need a clean buffer must overwrite or zero() it.
+  void resize(std::initializer_list<int> new_shape) {
+    resize(std::span<const int>(new_shape.begin(), new_shape.size()));
+  }
+  void resize(std::span<const int> new_shape);
 
   void fill(float value);
   void zero() { fill(0.0f); }
@@ -103,7 +109,7 @@ class Tensor {
   std::vector<float> data_;
 };
 
-// Number of elements implied by a shape (asserts non-negative dims).
-std::size_t shape_size(const std::vector<int>& shape);
+// Number of elements implied by a shape (throws on a negative dim).
+std::size_t shape_size(std::span<const int> shape);
 
 }  // namespace fedsu::tensor

@@ -1,12 +1,12 @@
 // Per-thread, capacity-retaining bump allocator for kernel scratch memory.
 //
-// The training hot path (im2col columns, GEMM pack panels, per-sample
+// The training hot path (conv gradient columns, GEMM pack panels, per-sample
 // gradient staging) needs short-lived buffers on every batch. Allocating
 // them with new/std::vector costs a heap round-trip per call and, worse,
 // makes throughput dependent on allocator state. A ScratchArena instead
 // bumps a cursor through blocks it never returns to the heap: the first
 // batch grows the arena to the workload's peak demand, and every batch
-// after that is allocation-free (verified by test_gemm.cpp).
+// after that is allocation-free (verified by test_nn_step.cpp).
 //
 // Usage pattern:
 //   ScratchArena& arena = ScratchArena::local();   // this thread's arena

@@ -27,7 +27,7 @@
 // Counts every global operator new so the steady-state Top-K round can be
 // shown to allocate nothing beyond its returned SyncResult vectors.
 // Sanitizer builds replace the allocator themselves, so the interposer is
-// compiled out there (test_gemm.cpp idiom).
+// compiled out there (test_nn_step.cpp idiom).
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define FEDSU_SANITIZED 1
 #elif defined(__has_feature)

@@ -1,66 +1,18 @@
 // tensor/gemm blocked kernels: correctness vs a double-precision reference
 // on randomized shapes (including tails and degenerate edges), accumulate
-// mode, bitwise thread-count invariance (the DESIGN.md §5b contract, same
-// pattern as test_thread_pool.cpp), and the zero-allocation contract of the
-// scratch-arena-backed Conv2d/GEMM training path.
+// mode, and bitwise thread-count invariance (the DESIGN.md §5b contract,
+// same pattern as test_thread_pool.cpp). The zero-allocation contract of
+// the arena-backed training path is tested in test_nn_step.cpp.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <cstring>
-#include <new>
 #include <vector>
 
-#include "nn/conv2d.h"
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 #include "util/rng.h"
-#include "util/scratch_arena.h"
 #include "util/thread_pool.h"
-
-// Counts every global operator new so the steady-state training step can be
-// shown to allocate nothing beyond its returned tensors. Sanitizer builds
-// replace the allocator themselves, so the interposer is compiled out there
-// and those tests fall back to arena-level accounting only.
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define FEDSU_SANITIZED 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-#define FEDSU_SANITIZED 1
-#endif
-#endif
-#ifndef FEDSU_SANITIZED
-#define FEDSU_COUNT_ALLOCS 1
-#endif
-
-#ifdef FEDSU_COUNT_ALLOCS
-namespace {
-std::atomic<std::size_t> g_alloc_count{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(align),
-                                   (size + static_cast<std::size_t>(align) - 1) /
-                                       static_cast<std::size_t>(align) *
-                                       static_cast<std::size_t>(align))) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-#endif  // FEDSU_COUNT_ALLOCS
 
 namespace fedsu::tensor {
 namespace {
@@ -227,59 +179,3 @@ TEST(Gemm, MatmulWrappersRouteThroughBlockedKernel) {
 
 }  // namespace
 }  // namespace fedsu::tensor
-
-namespace fedsu::nn {
-namespace {
-
-// One warmed-up Conv2d training step must not grow any scratch arena and —
-// where the allocation interposer is active — must heap-allocate only the
-// tensors it returns (the forward activation and backward dx, two vector
-// buffers each: shape + data).
-TEST(ScratchPath, ConvTrainingStepIsAllocationFreeAfterWarmup) {
-  util::Rng rng(5);
-  // Small enough that neither the batch loop nor the GEMMs fan out, so the
-  // whole step runs on this thread and its arena.
-  Conv2d conv(3, 8, 3, rng, /*stride=*/1, /*padding=*/1);
-  tensor::Tensor input({2, 3, 12, 12});
-  for (std::size_t i = 0; i < input.size(); ++i) {
-    input[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
-  }
-  tensor::Tensor grad({2, 8, 12, 12});
-  for (std::size_t i = 0; i < grad.size(); ++i) {
-    grad[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
-  }
-
-  auto step = [&] {
-    tensor::Tensor out = conv.forward(input, /*train=*/true);
-    tensor::Tensor dx = conv.backward(grad);
-    return out[0] + dx[0];  // keep both live
-  };
-
-  step();  // warm-up: grows the arena and cached_cols_ to steady state
-
-  util::ScratchArena& arena = util::ScratchArena::local();
-  const std::size_t grow_before = arena.grow_count();
-  const std::size_t capacity_before = arena.capacity_bytes();
-
-#ifdef FEDSU_COUNT_ALLOCS
-  const std::size_t alloc_base = g_alloc_count.load();
-  step();
-  const std::size_t alloc_step2 = g_alloc_count.load() - alloc_base;
-  step();
-  const std::size_t alloc_step3 = g_alloc_count.load() - alloc_base - alloc_step2;
-  // Steady state: identical allocation count per step, and only the
-  // returned tensors (out: shape+data, dx: shape+data) plus nothing else.
-  EXPECT_EQ(alloc_step2, alloc_step3);
-  EXPECT_LE(alloc_step2, 4u);
-#else
-  step();
-  step();
-#endif
-
-  EXPECT_EQ(arena.grow_count(), grow_before)
-      << "scratch arena grew after warm-up";
-  EXPECT_EQ(arena.capacity_bytes(), capacity_before);
-}
-
-}  // namespace
-}  // namespace fedsu::nn

@@ -113,12 +113,13 @@ TEST(Invariants, ProtocolsHandleVaryingParticipantSubsets) {
     std::vector<float> global(32, 0.0f);
     proto->initialize(global);
     for (int round = 0; round < 6; ++round) {
-      // Rotate through subsets of size 2..5 with varying membership.
+      // Rotate through subsets of size 2..5 of distinct ids with varying
+      // membership (and, once the rotation wraps, not ascending).
       const int n = 2 + round % 4;
       compress::RoundContext ctx = ctx_of(round, 0, global);
       std::vector<std::vector<float>> states;
       for (int i = 0; i < n; ++i) {
-        ctx.participants.push_back((round + i * 2) % 6);
+        ctx.participants.push_back((round + i) % 6);
         std::vector<float> s(32);
         for (auto& v : s) v = static_cast<float>(0.1 * rng.normal());
         states.push_back(std::move(s));
@@ -128,6 +129,37 @@ TEST(Invariants, ProtocolsHandleVaryingParticipantSubsets) {
       ASSERT_EQ(result.bytes_up.size(), static_cast<std::size_t>(n)) << name;
       ASSERT_EQ(result.bytes_down.size(), static_cast<std::size_t>(n)) << name;
       global = result.new_global;
+    }
+  }
+}
+
+// INVARIANT: a round lists each participant once. A repeated id would hand
+// one client's residual or error slab to two per-client tasks, so every
+// protocol rejects it with std::invalid_argument before touching any state.
+TEST(Invariants, EveryProtocolRejectsDuplicateParticipants) {
+  const std::size_t p = 16;
+  for (const auto& name : fl::known_protocols()) {
+    fl::ProtocolConfig config;
+    config.name = name;
+    config.num_clients = 4;
+    auto proto = fl::make_protocol(config);
+    std::vector<float> global(p, 0.0f);
+    proto->initialize(global);
+    std::vector<std::vector<float>> states;
+    for (int i = 0; i < 3; ++i) {
+      states.emplace_back(p, 0.1f * static_cast<float>(i + 1));
+    }
+    // One clean round first, so stateful protocols have state to protect.
+    global = proto->synchronize(ctx_of(0, 3, global), views(states)).new_global;
+    const std::vector<std::uint8_t> before = proto->snapshot();
+    for (const std::vector<int>& ids :
+         {std::vector<int>{1, 1, 3}, std::vector<int>{3, 0, 3}}) {
+      compress::RoundContext ctx = ctx_of(1, 0, global);
+      ctx.participants = ids;
+      EXPECT_THROW(proto->synchronize(ctx, views(states)),
+                   std::invalid_argument)
+          << name << " accepted a repeated participant id";
+      EXPECT_EQ(proto->snapshot(), before) << name;
     }
   }
 }

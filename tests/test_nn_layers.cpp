@@ -1,16 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <functional>
+
 #include "gradcheck.h"
 #include "nn/activation.h"
 #include "nn/batchnorm.h"
 #include "nn/blocks.h"
 #include "nn/conv2d.h"
-#include "nn/dropout.h"
 #include "nn/linear.h"
 #include "nn/loss.h"
 #include "nn/pooling.h"
 #include "nn/sequential.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace fedsu::nn {
 namespace {
@@ -65,12 +68,6 @@ TEST(ReLU, GradCheck) {
     if (std::fabs(x[i]) < 0.1f) x[i] += 0.3f;
   }
   check_gradients(relu, x, rng);
-}
-
-TEST(Tanh, GradCheck) {
-  util::Rng rng(5);
-  Tanh tanh_layer;
-  check_gradients(tanh_layer, random_tensor({2, 6}, rng), rng);
 }
 
 TEST(Flatten, RoundTripsShape) {
@@ -322,9 +319,71 @@ TEST(Sequential, GradCheck) {
   util::Rng rng(28);
   Sequential seq;
   seq.add(std::make_unique<Linear>(5, 4, rng))
-      .add(std::make_unique<Tanh>())
+      .add(std::make_unique<ReLU>())
       .add(std::make_unique<Linear>(4, 2, rng));
   check_gradients(seq, random_tensor({3, 5}, rng), rng);
+}
+
+// backward_params() accumulates exactly backward()'s parameter grads: on
+// Conv2d's own skip path (sequential and, at 4 threads, per-sample pooled),
+// through Sequential, and through the default implementation.
+TEST(BackwardParams, MatchesBackwardGradsBitwise) {
+  struct Case {
+    const char* name;
+    std::function<ModulePtr(util::Rng&)> make;
+    std::vector<int> input_shape;
+  };
+  const std::vector<Case> cases = {
+      {"conv",
+       [](util::Rng& r) { return std::make_unique<Conv2d>(3, 4, 3, r); },
+       {2, 3, 6, 6}},
+      {"conv stride 2 pad 1 no bias",
+       [](util::Rng& r) {
+         return std::make_unique<Conv2d>(3, 4, 3, r, 2, 1, /*bias=*/false);
+       },
+       {3, 3, 7, 7}},
+      {"conv pooled",
+       [](util::Rng& r) { return std::make_unique<Conv2d>(4, 8, 5, r); },
+       {16, 4, 28, 28}},
+      {"sequential",
+       [](util::Rng& r) {
+         auto seq = std::make_unique<Sequential>();
+         seq->add(std::make_unique<Conv2d>(2, 3, 3, r))
+             .add(std::make_unique<ReLU>())
+             .add(std::make_unique<MaxPool2d>(2))
+             .add(std::make_unique<Flatten>())
+             .add(std::make_unique<Linear>(12, 5, r));
+         return seq;
+       },
+       {3, 2, 6, 6}},
+      {"linear (default)",
+       [](util::Rng& r) { return std::make_unique<Linear>(6, 4, r); },
+       {3, 6}},
+  };
+  const int threads = util::ThreadPool::global().size();
+  util::ThreadPool::set_global_threads(4);
+  for (const Case& c : cases) {
+    util::Rng init_full(31), init_params(31), rng(32);
+    const ModulePtr full = c.make(init_full);
+    const ModulePtr params_only = c.make(init_params);
+    const tensor::Tensor x = random_tensor(c.input_shape, rng);
+    const tensor::Tensor g = random_tensor(full->forward(x, true).shape(), rng);
+    (void)full->backward(g);
+    (void)params_only->forward(x, true);
+    params_only->backward_params(g);
+    std::vector<Param*> want, got;
+    full->collect_params(want);
+    params_only->collect_params(got);
+    ASSERT_EQ(want.size(), got.size()) << c.name;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(want[i]->grad.size(), got[i]->grad.size());
+      EXPECT_EQ(std::memcmp(want[i]->grad.data(), got[i]->grad.data(),
+                            sizeof(float) * want[i]->grad.size()),
+                0)
+          << c.name << " " << want[i]->name;
+    }
+  }
+  util::ThreadPool::set_global_threads(threads);
 }
 
 TEST(SoftmaxCrossEntropy, UniformLogitsGiveLogC) {
@@ -373,54 +432,6 @@ TEST(SoftmaxCrossEntropy, RejectsBadLabels) {
   EXPECT_THROW(loss.forward(logits, {3}), std::invalid_argument);
   EXPECT_THROW(loss.forward(logits, {-1}), std::invalid_argument);
   EXPECT_THROW(loss.forward(logits, {0, 1}), std::invalid_argument);
-}
-
-TEST(Dropout, EvalIsIdentity) {
-  Dropout drop(0.5f, util::Rng(1));
-  util::Rng rng(2);
-  const tensor::Tensor x = random_tensor({3, 5}, rng);
-  const tensor::Tensor y = drop.forward(x, /*train=*/false);
-  for (std::size_t i = 0; i < x.size(); ++i) EXPECT_EQ(y[i], x[i]);
-}
-
-TEST(Dropout, TrainDropsAndRescales) {
-  Dropout drop(0.5f, util::Rng(3));
-  tensor::Tensor x = tensor::Tensor::full({1, 1000}, 1.0f);
-  const tensor::Tensor y = drop.forward(x, /*train=*/true);
-  int zeros = 0;
-  double sum = 0.0;
-  for (std::size_t i = 0; i < y.size(); ++i) {
-    if (y[i] == 0.0f) {
-      ++zeros;
-    } else {
-      EXPECT_FLOAT_EQ(y[i], 2.0f);  // inverted-dropout rescale 1/(1-p)
-      sum += y[i];
-    }
-  }
-  EXPECT_NEAR(zeros / 1000.0, 0.5, 0.07);
-  EXPECT_NEAR(sum / 1000.0, 1.0, 0.15);  // expectation preserved
-}
-
-TEST(Dropout, BackwardMatchesKeepMask) {
-  Dropout drop(0.3f, util::Rng(4));
-  util::Rng rng(5);
-  tensor::Tensor x = random_tensor({2, 50}, rng);
-  const tensor::Tensor y = drop.forward(x, /*train=*/true);
-  tensor::Tensor g = tensor::Tensor::full({2, 50}, 1.0f);
-  const tensor::Tensor dx = drop.backward(g);
-  const float scale = 1.0f / 0.7f;
-  for (std::size_t i = 0; i < y.size(); ++i) {
-    if (y[i] == 0.0f && x[i] != 0.0f) {
-      EXPECT_EQ(dx[i], 0.0f);
-    } else {
-      EXPECT_FLOAT_EQ(dx[i], scale);
-    }
-  }
-}
-
-TEST(Dropout, RejectsBadRate) {
-  EXPECT_THROW(Dropout(1.0f, util::Rng(1)), std::invalid_argument);
-  EXPECT_THROW(Dropout(-0.1f, util::Rng(1)), std::invalid_argument);
 }
 
 TEST(Accuracy, CountsArgmaxMatches) {
