@@ -7,8 +7,9 @@
 // Every shape is correctness-checked (blocked vs naive, tolerance scaled by
 // k) before it is timed; a mismatch exits non-zero, which is what the CI
 // smoke step keys on. Results land in a JSON file (default BENCH_gemm.json,
-// self-reparsed through obs::json_parse as a schema check) so the kernel
-// perf trajectory is tracked across PRs.
+// self-reparsed through obs::json_parse as a schema check, naming the CPU,
+// its core count and the dispatched micro-kernel) so the kernel perf
+// trajectory is tracked across PRs.
 //
 // Usage: bench_gemm [--out BENCH_gemm.json] [--min-time-ms 200] [--smoke]
 #include <algorithm>
@@ -18,6 +19,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/json.h"
@@ -49,13 +51,21 @@ const char* variant_name(Variant v) {
 // The im2col GEMM of a conv layer is [outC, inC*k*k] x [inC*k*k, oh*ow];
 // shapes below instantiate that for the zoo's layers at the paper's image
 // sizes (28 EMNIST/FMNIST, 32 CIFAR — nn/zoo.cpp), plus the FC layers'
-// batch-16 x-W^T products and square peak-rate references.
+// batch-16 x-W^T products and square peak-rate references. The CNN rows
+// cover every GEMM of its training step: per sample, each conv's forward
+// (NN), weight gradient g * cols^T (NT) and, past the first layer, input
+// gradient W^T * g (TN); per batch, fc1's forward (NT) and weight gradient
+// dY^T * X (TN).
 std::vector<Shape> benchmark_shapes() {
   return {
-      // CNN (EMNIST 28x28): conv5x5 stack + FC head.
+      // CNN (EMNIST 28x28): conv5x5 stack + FC head, fc1 = Linear(256, 64).
       {"cnn.conv1", Variant::kNN, 8, 576, 25},
+      {"cnn.conv1.wgrad", Variant::kNT, 8, 25, 576},
       {"cnn.conv2", Variant::kNN, 16, 64, 200},
-      {"cnn.fc1", Variant::kNT, 16, 64, 400},
+      {"cnn.conv2.wgrad", Variant::kNT, 16, 200, 64},
+      {"cnn.conv2.dgrad", Variant::kTN, 200, 64, 16},
+      {"cnn.fc1", Variant::kNT, 16, 64, 256},
+      {"cnn.fc1.wgrad", Variant::kTN, 64, 256, 16},
       // ResNet-style (FMNIST 28x28, base width 8): stem + three stages.
       {"resnet.stem", Variant::kNN, 8, 784, 9},
       {"resnet.stage1", Variant::kNN, 8, 784, 72},
@@ -67,8 +77,6 @@ std::vector<Shape> benchmark_shapes() {
       {"densenet.dense1", Variant::kNN, 6, 1024, 72},
       {"densenet.trans1", Variant::kNN, 13, 1024, 26},
       {"densenet.dense2", Variant::kNN, 6, 256, 117},
-      // Gradient-shaped GEMMs (Linear backward dW is TN).
-      {"cnn.fc1.dgrad", Variant::kTN, 64, 400, 16},
       // Square references: where the kernel's peak rate shows.
       {"square.128", Variant::kNN, 128, 128, 128},
       {"square.256", Variant::kNN, 256, 256, 256},
@@ -101,6 +109,21 @@ void naive_gemm(Variant v, int m, int n, int k, const float* a,
       for (int j = 0; j < n; ++j) crow[j] += av * brow[j];
     }
   }
+}
+
+// The CPU model named in /proc/cpuinfo, or "unknown".
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    const std::size_t colon = line.find(':');
+    if (line.rfind("model name", 0) != 0 || colon == std::string::npos) {
+      continue;
+    }
+    const std::size_t value = line.find_first_not_of(" \t", colon + 1);
+    if (value != std::string::npos) return line.substr(value);
+  }
+  return "unknown";
 }
 
 std::vector<float> random_buffer(std::size_t n, fedsu::util::Rng& rng) {
@@ -207,6 +230,10 @@ int main(int argc, char** argv) {
 
   std::ostringstream doc;
   doc << "{\n  \"bench\": \"gemm\",\n  \"threads\": 1,\n"
+      << "  \"host\": {\"cpu\": " << fedsu::obs::json_quote(cpu_model())
+      << ", \"nproc\": " << std::thread::hardware_concurrency()
+      << ", \"isa\": "
+      << fedsu::obs::json_quote(fedsu::tensor::gemm::isa_name()) << "},\n"
       << "  \"flops_model\": \"2*m*n*k\",\n  \"smoke\": "
       << (flags.get_bool("smoke") ? "true" : "false") << ",\n"
       << "  \"shapes\": [" << shapes_json.str() << "\n  ],\n"

@@ -1,5 +1,6 @@
 #include "nn/conv2d.h"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -21,6 +22,46 @@ constexpr std::size_t kParallelMacThreshold = std::size_t{1} << 20;
 bool should_parallelize(std::size_t batch, std::size_t macs) {
   return batch > 1 && macs >= kParallelMacThreshold &&
          fedsu::util::ThreadPool::global().worth_parallelizing();
+}
+
+// Output positions o in [lo, hi) whose input index o * stride + offset
+// lies in [0, size), clamped to [0, count).
+struct ValidRange {
+  int lo, hi;
+};
+ValidRange valid_range(int offset, int size, int stride, int count) {
+  const int lo = std::min(offset >= 0 ? 0 : (stride - 1 - offset) / stride,
+                          count);
+  const int hi = offset >= size ? 0 : (size - 1 - offset) / stride + 1;
+  return {lo, std::clamp(hi, lo, count)};
+}
+
+typedef float v4sf __attribute__((vector_size(16)));
+
+// db[oc] = sum over p of g[oc][p], each channel one float chain in
+// ascending p. Eight channels run side by side, one per lane of two
+// 4-float accumulators (the baseline ISA's vector width, so they stay in
+// registers), so each chain keeps its order and only the chains' latencies
+// overlap.
+void bias_grad(const float* g, int channels, std::size_t patch, float* db) {
+  int oc = 0;
+  for (; oc + 8 <= channels; oc += 8) {
+    const float* r = g + static_cast<std::size_t>(oc) * patch;
+    v4sf lo{}, hi{};
+    for (std::size_t p = 0; p < patch; ++p) {
+      lo += v4sf{r[p], r[patch + p], r[2 * patch + p], r[3 * patch + p]};
+      hi += v4sf{r[4 * patch + p], r[5 * patch + p], r[6 * patch + p],
+                 r[7 * patch + p]};
+    }
+    std::memcpy(db + oc, &lo, sizeof lo);
+    std::memcpy(db + oc + 4, &hi, sizeof hi);
+  }
+  for (; oc < channels; ++oc) {
+    const float* r = g + static_cast<std::size_t>(oc) * patch;
+    float acc = 0.0f;
+    for (std::size_t p = 0; p < patch; ++p) acc += r[p];
+    db[oc] = acc;
+  }
 }
 }  // namespace
 
@@ -51,30 +92,58 @@ Conv2d::Conv2d(int in_channels, int out_channels, int kernel, util::Rng& rng,
 void Conv2d::im2col(const float* image, int h, int w, float* cols) const {
   const int oh = out_height(h);
   const int ow = out_width(w);
-  const int patch = oh * ow;
+  const std::size_t patch = static_cast<std::size_t>(oh) * ow;
+  // The staged plane of one (c, kc): row t holds input row t - padding_
+  // sampled at columns ocol * stride_ + kc - padding_ (zero outside the
+  // image), so row (c, kr, kc) of cols is staged rows kr, kr + stride_, ...
+  // — one contiguous block of oh rows when stride_ is 1.
+  const int span = (oh - 1) * stride_ + kernel_;
+  util::ScratchArena& arena = util::ScratchArena::local();
+  util::ScratchArena::Frame frame(arena);
+  float* staged = arena.floats(static_cast<std::size_t>(span) * ow);
+  const ValidRange rows = valid_range(-padding_, h, 1, span);
   // cols layout: row = (c, kr, kc), col = (orow, ocol)
   for (int c = 0; c < in_channels_; ++c) {
     const float* plane = image + static_cast<std::size_t>(c) * h * w;
-    for (int kr = 0; kr < kernel_; ++kr) {
-      for (int kc = 0; kc < kernel_; ++kc) {
-        float* row = cols +
-                     (static_cast<std::size_t>(c) * kernel_ * kernel_ +
-                      static_cast<std::size_t>(kr) * kernel_ + kc) *
-                         patch;
+    for (int kc = 0; kc < kernel_; ++kc) {
+      const int offset = kc - padding_;
+      const ValidRange in = valid_range(offset, w, stride_, ow);
+      // A tap that misses every input column stages an all-zero plane.
+      const ValidRange live = in.lo < in.hi ? rows : ValidRange{0, 0};
+      tensor::vec::fill(staged, 0.0f,
+                        static_cast<std::size_t>(live.lo) * ow);
+      for (int t = live.lo; t < live.hi; ++t) {
+        float* dst = staged + static_cast<std::size_t>(t) * ow;
+        const float* src = plane +
+                           static_cast<std::size_t>(t - padding_) * w +
+                           (in.lo * stride_ + offset);
+        tensor::vec::fill(dst, 0.0f, static_cast<std::size_t>(in.lo));
+        if (stride_ == 1) {
+          std::memcpy(dst + in.lo, src, sizeof(float) * (in.hi - in.lo));
+        } else {
+          for (int o = in.lo; o < in.hi; ++o) {
+            dst[o] = src[static_cast<std::size_t>(o - in.lo) * stride_];
+          }
+        }
+        tensor::vec::fill(dst + in.hi, 0.0f,
+                          static_cast<std::size_t>(ow - in.hi));
+      }
+      tensor::vec::fill(staged + static_cast<std::size_t>(live.hi) * ow,
+                        0.0f, static_cast<std::size_t>(span - live.hi) * ow);
+      for (int kr = 0; kr < kernel_; ++kr) {
+        float* block = cols + (static_cast<std::size_t>(c) * kernel_ * kernel_ +
+                               static_cast<std::size_t>(kr) * kernel_ + kc) *
+                                  patch;
+        if (stride_ == 1) {
+          std::memcpy(block, staged + static_cast<std::size_t>(kr) * ow,
+                      sizeof(float) * patch);
+          continue;
+        }
         for (int orow = 0; orow < oh; ++orow) {
-          const int r = orow * stride_ + kr - padding_;
-          if (r < 0 || r >= h) {
-            std::memset(row + static_cast<std::size_t>(orow) * ow, 0,
-                        sizeof(float) * ow);
-            continue;
-          }
-          for (int ocol = 0; ocol < ow; ++ocol) {
-            const int col = ocol * stride_ + kc - padding_;
-            row[static_cast<std::size_t>(orow) * ow + ocol] =
-                (col >= 0 && col < w)
-                    ? plane[static_cast<std::size_t>(r) * w + col]
-                    : 0.0f;
-          }
+          std::memcpy(block + static_cast<std::size_t>(orow) * ow,
+                      staged + (static_cast<std::size_t>(orow) * stride_ + kr) *
+                                   ow,
+                      sizeof(float) * ow);
         }
       }
     }
@@ -84,25 +153,36 @@ void Conv2d::im2col(const float* image, int h, int w, float* cols) const {
 void Conv2d::col2im(const float* cols, int h, int w, float* image) const {
   const int oh = out_height(h);
   const int ow = out_width(w);
-  const int patch = oh * ow;
+  const std::size_t patch = static_cast<std::size_t>(oh) * ow;
   std::memset(image, 0,
               sizeof(float) * static_cast<std::size_t>(in_channels_) * h * w);
+  // Same (c, kr, kc, orow) order as a per-element scatter, so every input
+  // pixel still sums its (kr, kc) contributions in ascending order; only the
+  // bounds checks moved out to one clipped [lo, hi) range per offset.
   for (int c = 0; c < in_channels_; ++c) {
     float* plane = image + static_cast<std::size_t>(c) * h * w;
     for (int kr = 0; kr < kernel_; ++kr) {
+      const ValidRange out_rows = valid_range(kr - padding_, h, stride_, oh);
       for (int kc = 0; kc < kernel_; ++kc) {
+        const int offset = kc - padding_;
+        const ValidRange in = valid_range(offset, w, stride_, ow);
+        if (in.lo == in.hi) continue;
         const float* row = cols +
                            (static_cast<std::size_t>(c) * kernel_ * kernel_ +
                             static_cast<std::size_t>(kr) * kernel_ + kc) *
                                patch;
-        for (int orow = 0; orow < oh; ++orow) {
-          const int r = orow * stride_ + kr - padding_;
-          if (r < 0 || r >= h) continue;
-          for (int ocol = 0; ocol < ow; ++ocol) {
-            const int col = ocol * stride_ + kc - padding_;
-            if (col < 0 || col >= w) continue;
-            plane[static_cast<std::size_t>(r) * w + col] +=
-                row[static_cast<std::size_t>(orow) * ow + ocol];
+        for (int orow = out_rows.lo; orow < out_rows.hi; ++orow) {
+          float* dst = plane +
+                       static_cast<std::size_t>(orow * stride_ + kr -
+                                                padding_) * w +
+                       (in.lo * stride_ + offset);
+          const float* src = row + static_cast<std::size_t>(orow) * ow + in.lo;
+          if (stride_ == 1) {
+            tensor::vec::add(dst, src, static_cast<std::size_t>(in.hi - in.lo));
+            continue;
+          }
+          for (int o = 0; o < in.hi - in.lo; ++o) {
+            dst[static_cast<std::size_t>(o) * stride_] += src[o];
           }
         }
       }
@@ -210,12 +290,7 @@ void Conv2d::backward_into(const tensor::Tensor& grad_output, float* dx) {
                         patch, g, cols, dw_out,
                         tensor::gemm::Accumulate::kOverwrite);
     if (has_bias_) {
-      for (int oc = 0; oc < out_channels_; ++oc) {
-        const float* grow = g + static_cast<std::size_t>(oc) * patch;
-        float acc = 0.0f;
-        for (int p = 0; p < patch; ++p) acc += grow[p];
-        db_out[oc] = acc;
-      }
+      bias_grad(g, out_channels_, static_cast<std::size_t>(patch), db_out);
     }
     if (!dx) return;
     // dcols = W^T[fan_in, outC] * g[outC, patch]

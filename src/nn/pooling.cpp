@@ -44,8 +44,13 @@ const tensor::Tensor& MaxPool2d::forward(const tensor::Tensor& input,
           (static_cast<std::size_t>(in) * c + ic) * h * w;
       for (int orow = 0; orow < oh; ++orow) {
         for (int ocol = 0; ocol < ow; ++ocol, ++oi) {
+          // The argmax starts at the window's own first element: a window
+          // nothing in which beats -inf (all -inf or NaN) keeps its
+          // gradient inside its own sample and channel.
           float best = -std::numeric_limits<float>::infinity();
-          std::uint32_t best_idx = 0;
+          std::uint32_t best_idx = static_cast<std::uint32_t>(
+              plane + static_cast<std::size_t>(orow) * stride_ * w +
+              static_cast<std::size_t>(ocol) * stride_);
           for (int kr = 0; kr < kernel_; ++kr) {
             const int r = orow * stride_ + kr;
             for (int kc = 0; kc < kernel_; ++kc) {

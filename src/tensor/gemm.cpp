@@ -29,6 +29,46 @@ constexpr std::size_t kParallelMacThreshold = std::size_t{1} << 20;
 
 constexpr int round_up(int v, int unit) { return (v + unit - 1) / unit * unit; }
 
+typedef float v4sf __attribute__((vector_size(16), may_alias,
+                                  aligned(alignof(float))));
+
+// Packs an 8-row strided panel into k-major groups of 8:
+// dst[p * 8 + i] = src[i * ld + p] for i < 8, p < kc. Full 4x4 blocks are
+// transposed in registers (two rows of blocks per 4 k steps); the kc % 4
+// tail is gathered scalar. MR == NR == 8, so A and B panels share it.
+void pack_transposed8(const float* src, std::size_t ld, int kc,
+                      float* FEDSU_RESTRICT dst) {
+  int p = 0;
+  for (; p + 4 <= kc; p += 4) {
+    for (int half = 0; half < 8; half += 4) {
+      const float* s = src + static_cast<std::size_t>(half) * ld + p;
+      const v4sf r0 = *reinterpret_cast<const v4sf*>(s);
+      const v4sf r1 = *reinterpret_cast<const v4sf*>(s + ld);
+      const v4sf r2 = *reinterpret_cast<const v4sf*>(s + 2 * ld);
+      const v4sf r3 = *reinterpret_cast<const v4sf*>(s + 3 * ld);
+      const v4sf lo01 = __builtin_shufflevector(r0, r1, 0, 4, 1, 5);
+      const v4sf hi01 = __builtin_shufflevector(r0, r1, 2, 6, 3, 7);
+      const v4sf lo23 = __builtin_shufflevector(r2, r3, 0, 4, 1, 5);
+      const v4sf hi23 = __builtin_shufflevector(r2, r3, 2, 6, 3, 7);
+      float* d = dst + static_cast<std::size_t>(p) * 8 + half;
+      *reinterpret_cast<v4sf*>(d) =
+          __builtin_shufflevector(lo01, lo23, 0, 1, 4, 5);
+      *reinterpret_cast<v4sf*>(d + 8) =
+          __builtin_shufflevector(lo01, lo23, 2, 3, 6, 7);
+      *reinterpret_cast<v4sf*>(d + 16) =
+          __builtin_shufflevector(hi01, hi23, 0, 1, 4, 5);
+      *reinterpret_cast<v4sf*>(d + 24) =
+          __builtin_shufflevector(hi01, hi23, 2, 3, 6, 7);
+    }
+  }
+  for (; p < kc; ++p) {
+    for (int i = 0; i < 8; ++i) {
+      dst[static_cast<std::size_t>(p) * 8 + i] =
+          src[static_cast<std::size_t>(i) * ld + p];
+    }
+  }
+}
+
 // Packs rows [ic, ic+mc) x k-slice [pc, pc+kc) of op(A) into MR-tall
 // micro-panels: panel `ir` holds kc groups of MR consecutive floats, one
 // group per k step, rows beyond mc zero-padded. The packing absorbs the
@@ -38,6 +78,12 @@ void pack_a(Variant v, const float* a, int m, int k, int ic, int mc, int pc,
   for (int ir = 0; ir < mc; ir += MR) {
     const int mr = std::min(MR, mc - ir);
     float* panel = ap + static_cast<std::size_t>(ir) * kc;
+    if (v != Variant::kTN && mr == MR) {
+      // kNN / kNT, A stored [m, k]: a full panel is 8 strided rows.
+      pack_transposed8(a + static_cast<std::size_t>(ic + ir) * k + pc,
+                       static_cast<std::size_t>(k), kc, panel);
+      continue;
+    }
     for (int p = 0; p < kc; ++p) {
       float* dst = panel + static_cast<std::size_t>(p) * MR;
       if (v == Variant::kTN) {
@@ -46,7 +92,7 @@ void pack_a(Variant v, const float* a, int m, int k, int ic, int mc, int pc,
             a + static_cast<std::size_t>(pc + p) * m + (ic + ir);
         for (int i = 0; i < mr; ++i) dst[i] = src[i];
       } else {
-        // kNN / kNT: A stored [m, k].
+        // A partial kNN / kNT panel: rows beyond mc stay zero.
         const float* src =
             a + static_cast<std::size_t>(ic + ir) * k + (pc + p);
         for (int i = 0; i < mr; ++i) dst[i] = src[static_cast<std::size_t>(i) * k];
@@ -63,6 +109,12 @@ void pack_b(Variant v, const float* b, int n, int k, int jc, int nc, int pc,
   for (int jr = 0; jr < nc; jr += NR) {
     const int nr = std::min(NR, nc - jr);
     float* panel = bp + static_cast<std::size_t>(jr) * kc;
+    if (v == Variant::kNT && nr == NR) {
+      // B stored [n, k]: a full panel is 8 strided rows.
+      pack_transposed8(b + static_cast<std::size_t>(jc + jr) * k + pc,
+                       static_cast<std::size_t>(k), kc, panel);
+      continue;
+    }
     for (int p = 0; p < kc; ++p) {
       float* dst = panel + static_cast<std::size_t>(p) * NR;
       if (v == Variant::kNT) {

@@ -19,10 +19,14 @@
 //     library binary itself stays baseline x86-64 (FEDSU_NATIVE=ON instead
 //     retunes the whole build for the host).
 //   * Packing absorbs all transposes: the kTN / kNT variants differ only
-//     in how panels are gathered, never in the micro-kernel. When op(B)'s
-//     j-run is contiguous in memory (kNN/kTN) and m is small enough that a
-//     packed panel would see little reuse, the kernel reads B in place —
-//     same operands, same accumulation order, none of the pack traffic.
+//     in how panels are gathered, never in the micro-kernel. A full panel
+//     that is 8 strided rows in memory (A for kNN/kNT, B for kNT) moves
+//     through 4x4 register transposes (GNU vector extension,
+//     __builtin_shufflevector); partial edge panels are gathered scalar.
+//     When op(B)'s j-run is contiguous in memory (kNN/kTN) and m is small
+//     enough that a packed panel would see little reuse, the kernel reads
+//     B in place — same operands, same accumulation order, none of the
+//     pack traffic.
 //   * Pack buffers come from the calling thread's util::ScratchArena —
 //     zero heap allocations after the first call on a thread.
 //

@@ -1,11 +1,13 @@
 // tensor/gemm blocked kernels: correctness vs a double-precision reference
 // on randomized shapes (including tails and degenerate edges), accumulate
-// mode, and bitwise thread-count invariance (the DESIGN.md §5b contract,
-// same pattern as test_thread_pool.cpp). The zero-allocation contract of
+// mode, bitwise thread-count invariance (the DESIGN.md §5b contract, same
+// pattern as test_thread_pool.cpp), and a per-ISA hash of every output bit. The zero-allocation contract of
 // the arena-backed training path is tested in test_nn_step.cpp.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "tensor/gemm.h"
@@ -78,16 +80,16 @@ void expect_matches_reference(Variant v, int m, int n, int k) {
   }
 }
 
+// Tile-aligned, tails in every dimension, and unit edges. MR=NR=8, MC=64,
+// KC=256, NC=256 in gemm.cpp; shapes straddle all those boundaries.
+constexpr int kShapes[][3] = {
+    {1, 1, 1},    {1, 7, 5},    {7, 1, 3},    {3, 3, 1},   {8, 8, 8},
+    {16, 16, 16}, {9, 17, 33},  {13, 29, 7},  {64, 64, 64}, {65, 63, 31},
+    {5, 300, 3},  {2, 9, 500},  {100, 10, 257}, {33, 257, 70},
+};
+
 TEST(Gemm, MatchesReferenceAcrossShapesAndVariants) {
-  // Tile-aligned, tails in every dimension, and unit edges — for every
-  // variant. MR=NR=8, MC=64, KC=256, NC=256 in gemm.cpp; shapes straddle
-  // all those boundaries.
-  const int shapes[][3] = {
-      {1, 1, 1},    {1, 7, 5},    {7, 1, 3},    {3, 3, 1},   {8, 8, 8},
-      {16, 16, 16}, {9, 17, 33},  {13, 29, 7},  {64, 64, 64}, {65, 63, 31},
-      {5, 300, 3},  {2, 9, 500},  {100, 10, 257}, {33, 257, 70},
-  };
-  for (const auto& s : shapes) {
+  for (const auto& s : kShapes) {
     for (Variant v : {Variant::kNN, Variant::kTN, Variant::kNT}) {
       expect_matches_reference(v, s[0], s[1], s[2]);
     }
@@ -147,6 +149,63 @@ TEST(Gemm, BitwiseIdenticalAcrossThreadCounts) {
               0)
         << "GEMM output diverged between 1 thread and variant " << i;
   }
+}
+
+// Index of the recorded pin column for this build, or -1: the same rule
+// as test_nn_step.cpp (plain GCC builds, avx512vl or avx2-fma clone).
+int pin_column() {
+#if !defined(FEDSU_NN_UNPINNED) && !defined(__FMA__)
+  const std::string isa = gemm::isa_name();
+  if (isa == "avx512vl") return 0;
+  if (isa == "avx2-fma") return 1;
+#endif
+  return -1;
+}
+
+// Every output bit of the kernel, not just its tolerance: FNV-1a over C for
+// each shape above x every variant x {overwrite, add onto a random C},
+// then the five per-sample GEMMs of the paper CNN's step (28x28 input).
+TEST(Gemm, EveryShapeIsBitwisePinned) {
+  const int column = pin_column();
+  if (column < 0) GTEST_SKIP() << "no pins for this compiler, flags or ISA";
+  struct Product {
+    Variant variant;
+    int m, n, k;
+  };
+  std::vector<Product> products;
+  for (const auto& s : kShapes) {
+    for (Variant v : {Variant::kNN, Variant::kTN, Variant::kNT}) {
+      products.push_back({v, s[0], s[1], s[2]});
+    }
+  }
+  products.push_back({Variant::kNN, 8, 576, 25});   // conv1 forward
+  products.push_back({Variant::kNT, 8, 25, 576});   // conv1 dW
+  products.push_back({Variant::kNN, 16, 64, 200});  // conv2 forward
+  products.push_back({Variant::kNT, 16, 200, 64});  // conv2 dW
+  products.push_back({Variant::kTN, 200, 64, 16});  // conv2 dcols
+  util::Rng rng(17);
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const Product& p : products) {
+    const std::size_t c_size = static_cast<std::size_t>(p.m) * p.n;
+    const std::vector<float> a =
+        random_buffer(static_cast<std::size_t>(p.m) * p.k, rng);
+    const std::vector<float> b =
+        random_buffer(static_cast<std::size_t>(p.n) * p.k, rng);
+    for (Accumulate mode : {Accumulate::kOverwrite, Accumulate::kAdd}) {
+      std::vector<float> c = random_buffer(c_size, rng);
+      gemm::sgemm_rows(p.variant, 0, p.m, p.m, p.n, p.k, a.data(), b.data(),
+                       c.data(), mode);
+      const auto* bytes = reinterpret_cast<const unsigned char*>(c.data());
+      for (std::size_t i = 0; i < c_size * sizeof(float); ++i) {
+        hash ^= bytes[i];
+        hash *= 0x100000001b3ULL;
+      }
+    }
+  }
+  // avx512vl, avx2-fma
+  const std::uint64_t pinned[2] = {0x64ed30a0877f2472ULL,
+                                   0x798ceebaa0cd2e84ULL};
+  EXPECT_EQ(hash, pinned[column]) << "0x" << std::hex << hash;
 }
 
 TEST(Gemm, MatmulWrappersRouteThroughBlockedKernel) {

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <functional>
+#include <limits>
+#include <string>
 
 #include "gradcheck.h"
 #include "nn/activation.h"
@@ -131,6 +134,111 @@ TEST(Conv2d, MatchesManualConvolution) {
   }
 }
 
+// Conv2d against a double-precision direct convolution, for every staging
+// branch of im2col/col2im: padding at and beyond the kernel (whole rows and
+// columns of zeros), strides above the kernel (skipped input), one and many
+// output channels, a 1x1 output, and a batch that fans out on the pool.
+TEST(Conv2d, MatchesNaiveConvolutionSweep) {
+  struct Case {
+    int in_c, out_c, kernel, stride, padding, h, w, batch;
+  };
+  const Case cases[] = {
+      {3, 8, 3, 1, 1, 6, 6, 2},   {2, 11, 5, 1, 2, 7, 7, 3},
+      {2, 4, 3, 3, 1, 8, 8, 2},   {2, 3, 2, 3, 0, 7, 7, 2},
+      {1, 4, 3, 1, 3, 4, 4, 2},   {2, 4, 2, 1, 2, 3, 5, 2},
+      {3, 5, 3, 2, 4, 5, 6, 2},   {16, 9, 1, 1, 0, 4, 4, 2},
+      {2, 4, 5, 1, 1, 3, 3, 2},   {2, 3, 3, 4, 3, 9, 5, 1},
+      {4, 16, 5, 1, 0, 12, 12, 16},
+  };
+  const int threads = util::ThreadPool::global().size();
+  util::ThreadPool::set_global_threads(4);
+  util::Rng rng(21);
+  for (const Case& c : cases) {
+    const std::string label =
+        "in " + std::to_string(c.in_c) + " out " + std::to_string(c.out_c) +
+        " k " + std::to_string(c.kernel) + " s " + std::to_string(c.stride) +
+        " p " + std::to_string(c.padding) + " " + std::to_string(c.h) + "x" +
+        std::to_string(c.w);
+    Conv2d conv(c.in_c, c.out_c, c.kernel, rng, c.stride, c.padding);
+    Conv2d params_only(c.in_c, c.out_c, c.kernel, rng, c.stride, c.padding);
+    std::vector<Param*> params, only_params;
+    conv.collect_params(params);
+    params_only.collect_params(only_params);
+    for (std::size_t i = 0; i < params[1]->value.size(); ++i) {
+      params[1]->value[i] = static_cast<float>(rng.normal());
+    }
+    only_params[0]->value = params[0]->value;
+    only_params[1]->value = params[1]->value;
+    const tensor::Tensor x =
+        random_tensor({c.batch, c.in_c, c.h, c.w}, rng);
+    const int oh = conv.out_height(c.h), ow = conv.out_width(c.w);
+    const tensor::Tensor g = random_tensor({c.batch, c.out_c, oh, ow}, rng);
+
+    zero_grads(params);
+    zero_grads(only_params);
+    const tensor::Tensor y = conv.forward(x, /*train=*/true);
+    const tensor::Tensor dx = conv.backward(g);
+    (void)params_only.forward(x, /*train=*/true);
+    params_only.backward_params(g);
+
+    const int k = c.kernel;
+    const std::size_t wsize =
+        static_cast<std::size_t>(c.out_c) * c.in_c * k * k;
+    std::vector<double> want_y(y.size(), 0.0), want_dx(x.size(), 0.0),
+        want_dw(wsize, 0.0), want_db(static_cast<std::size_t>(c.out_c), 0.0);
+    const float* wv = params[0]->value.data();
+    for (int n = 0; n < c.batch; ++n) {
+      for (int oc = 0; oc < c.out_c; ++oc) {
+        for (int orow = 0; orow < oh; ++orow) {
+          for (int ocol = 0; ocol < ow; ++ocol) {
+            const std::size_t yi =
+                ((static_cast<std::size_t>(n) * c.out_c + oc) * oh + orow) *
+                    ow + ocol;
+            const double gv = g[yi];
+            double acc = params[1]->value[static_cast<std::size_t>(oc)];
+            want_db[static_cast<std::size_t>(oc)] += gv;
+            for (int ic = 0; ic < c.in_c; ++ic) {
+              for (int kr = 0; kr < k; ++kr) {
+                const int r = orow * c.stride + kr - c.padding;
+                if (r < 0 || r >= c.h) continue;
+                for (int kc = 0; kc < k; ++kc) {
+                  const int col = ocol * c.stride + kc - c.padding;
+                  if (col < 0 || col >= c.w) continue;
+                  const std::size_t xi =
+                      ((static_cast<std::size_t>(n) * c.in_c + ic) * c.h +
+                       r) * c.w + col;
+                  const std::size_t wi =
+                      ((static_cast<std::size_t>(oc) * c.in_c + ic) * k +
+                       kr) * k + kc;
+                  acc += static_cast<double>(wv[wi]) * x[xi];
+                  want_dx[xi] += static_cast<double>(wv[wi]) * gv;
+                  want_dw[wi] += gv * x[xi];
+                }
+              }
+            }
+            want_y[yi] = acc;
+          }
+        }
+      }
+    }
+    auto expect_near = [&](const tensor::Tensor& got,
+                           const std::vector<double>& want, const char* what) {
+      ASSERT_EQ(got.size(), want.size()) << label << " " << what;
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        ASSERT_NEAR(got[i], want[i], 1e-4 * (1.0 + std::fabs(want[i])))
+            << label << " " << what << "[" << i << "]";
+      }
+    };
+    expect_near(y, want_y, "y");
+    expect_near(dx, want_dx, "dx");
+    expect_near(params[0]->grad, want_dw, "dW");
+    expect_near(params[1]->grad, want_db, "db");
+    expect_near(only_params[0]->grad, want_dw, "backward_params dW");
+    expect_near(only_params[1]->grad, want_db, "backward_params db");
+  }
+  util::ThreadPool::set_global_threads(threads);
+}
+
 TEST(MaxPool2d, ForwardSelectsMax) {
   MaxPool2d pool(2);
   tensor::Tensor x({1, 1, 2, 2}, {1, 5, 3, 2});
@@ -147,6 +255,26 @@ TEST(MaxPool2d, BackwardRoutesToArgmax) {
   const tensor::Tensor dx = pool.backward(g);
   EXPECT_FLOAT_EQ(dx[1], 2.0f);
   EXPECT_FLOAT_EQ(dx[0], 0.0f);
+}
+
+// A window that nothing in it beats -inf (all -inf or NaN) routes its
+// gradient to its own first element, never to another sample's pixel.
+TEST(MaxPool2d, UnbeatableWindowKeepsItsGradient) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  MaxPool2d pool(2);
+  tensor::Tensor x({3, 1, 2, 2},
+                   {1, 5, 3, 2, -inf, -inf, -inf, -inf, nan, nan, nan, nan});
+  const tensor::Tensor& y = pool.forward(x, true);
+  EXPECT_EQ(y[0], 5.0f);
+  EXPECT_EQ(y[1], -inf);
+  EXPECT_EQ(y[2], -inf);
+  tensor::Tensor g({3, 1, 1, 1}, {1.0f, 100.0f, 10.0f});
+  const tensor::Tensor& dx = pool.backward(g);
+  const std::vector<float> want = {0, 1, 0, 0, 100, 0, 0, 0, 10, 0, 0, 0};
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(dx[i], want[i]) << "dx[" << i << "]";
+  }
 }
 
 TEST(MaxPool2d, GradCheck) {

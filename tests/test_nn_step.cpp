@@ -230,6 +230,29 @@ TEST(NnGolden, EveryModuleIsBitwisePinned) {
        [](util::Rng& r) { return std::make_unique<TransitionLayer>(4, 2, r); },
        {4, 6, 6},
        {0x23fb0dd3431c7b08ULL, 0x23fb0dd3431c7b08ULL}},
+      // Conv2d staging branches: a full 8-row GEMM panel, both edges
+      // clipped, a group of 8 output channels plus 3, a stride that skips
+      // input, and a single output pixel.
+      {"Conv2dStride1Pad1Out8",
+       [](util::Rng& r) { return std::make_unique<Conv2d>(3, 8, 3, r, 1, 1); },
+       {3, 6, 6},
+       {0xc1b35d6237fff3c9ULL, 0xc1b35d6237fff3c9ULL}},
+      {"Conv2dK5Pad2",
+       [](util::Rng& r) { return std::make_unique<Conv2d>(2, 4, 5, r, 1, 2); },
+       {2, 7, 7},
+       {0xe637f9f47b7f962eULL, 0x2595f415bf368292ULL}},
+      {"Conv2dOut11",
+       [](util::Rng& r) { return std::make_unique<Conv2d>(3, 11, 3, r); },
+       {3, 7, 5},
+       {0x1c02a9a61510930dULL, 0x1c02a9a61510930dULL}},
+      {"Conv2dStride3",
+       [](util::Rng& r) { return std::make_unique<Conv2d>(2, 4, 2, r, 3, 1); },
+       {2, 8, 7},
+       {0xce7ef22a229653b3ULL, 0xe080c84f1630da17ULL}},
+      {"Conv2dOneByOneOutput",
+       [](util::Rng& r) { return std::make_unique<Conv2d>(2, 5, 5, r, 1, 1); },
+       {2, 3, 3},
+       {0xc5b6f97cc0a9082fULL, 0xc5b6f97cc0a9082fULL}},
   };
   const int column = pin_column();
   if (column < 0) GTEST_SKIP() << "no pins for this compiler, flags or ISA";
