@@ -12,6 +12,7 @@
 // trajectory is tracked across PRs.
 //
 // Usage: bench_gemm [--out BENCH_gemm.json] [--min-time-ms 200] [--smoke]
+// A bad flag prints one line to stderr and exits 2.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -54,11 +55,12 @@ const char* variant_name(Variant v) {
 // batch-16 x-W^T products and square peak-rate references. The CNN rows
 // cover every GEMM of its training step: per sample, each conv's forward
 // (NN), weight gradient g * cols^T (NT) and, past the first layer, input
-// gradient W^T * g (TN); per batch, fc1's forward (NT) and weight gradient
-// dY^T * X (TN).
+// gradient W^T * g (TN); per batch of 16, each Linear's forward X * W^T
+// (NT), weight gradient dY^T * X (TN) and input gradient dY * W (NN).
 std::vector<Shape> benchmark_shapes() {
   return {
-      // CNN (EMNIST 28x28): conv5x5 stack + FC head, fc1 = Linear(256, 64).
+      // CNN (EMNIST 28x28): conv5x5 stack + FC head, fc1 = Linear(256, 64),
+      // fc2 = Linear(64, 10).
       {"cnn.conv1", Variant::kNN, 8, 576, 25},
       {"cnn.conv1.wgrad", Variant::kNT, 8, 25, 576},
       {"cnn.conv2", Variant::kNN, 16, 64, 200},
@@ -66,6 +68,10 @@ std::vector<Shape> benchmark_shapes() {
       {"cnn.conv2.dgrad", Variant::kTN, 200, 64, 16},
       {"cnn.fc1", Variant::kNT, 16, 64, 256},
       {"cnn.fc1.wgrad", Variant::kTN, 64, 256, 16},
+      {"cnn.fc1.dgrad", Variant::kNN, 16, 256, 64},
+      {"cnn.fc2", Variant::kNT, 16, 10, 64},
+      {"cnn.fc2.wgrad", Variant::kTN, 10, 64, 16},
+      {"cnn.fc2.dgrad", Variant::kNN, 16, 64, 10},
       // ResNet-style (FMNIST 28x28, base width 8): stem + three stages.
       {"resnet.stem", Variant::kNN, 8, 784, 9},
       {"resnet.stage1", Variant::kNN, 8, 784, 72},
@@ -157,7 +163,14 @@ int main(int argc, char** argv) {
       .add_double("min-time-ms", 200.0, "minimum measured time per kernel")
       .add_bool("smoke", false,
                 "CI mode: tiny timing budget, correctness + schema only");
-  if (!flags.parse(argc, argv)) return 0;
+  try {
+    if (!flags.parse(argc, argv)) return 0;
+  } catch (const std::exception& e) {
+    const std::string what = e.what();  // an unknown flag appends the usage
+    std::fprintf(stderr, "bench_gemm: %s (see --help)\n",
+                 what.substr(0, what.find('\n')).c_str());
+    return 2;
+  }
   const double min_ms =
       flags.get_bool("smoke") ? 5.0 : flags.get_double("min-time-ms");
 

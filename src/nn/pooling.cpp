@@ -12,6 +12,47 @@ void check_nchw(const tensor::Tensor& t, const char* who) {
                                 t.shape_string());
   }
 }
+
+// 4-float vectors: an 8-float GNU vector spills to the stack in this
+// baseline-ISA file, a 4-float one stays in a register.
+typedef float v4sf __attribute__((vector_size(16), may_alias,
+                                  aligned(alignof(float))));
+typedef std::uint32_t v4su __attribute__((vector_size(16), may_alias,
+                                          aligned(alignof(std::uint32_t))));
+
+// Four adjacent outputs of a 2x2, stride-2 max pool, branch-free. `x` is
+// the first window's top-left input, `first` its flat index, and `w` the
+// input row length. Each input row is two 4-float loads, deinterleaved
+// into the windows' even and odd taps; the four taps then run in window
+// order, and a strict `>` selects value and index together. So every lane
+// keeps its window's first strict maximum, starting from -inf at the
+// window's first element: the scalar loop's bits exactly, NaN, -0 and
+// -inf windows included.
+void max_pool2x2_step(const float* x, std::size_t w, std::uint32_t first,
+                      float* y, std::uint32_t* argmax) {
+  const v4sf top0 = *reinterpret_cast<const v4sf*>(x);
+  const v4sf top1 = *reinterpret_cast<const v4sf*>(x + 4);
+  const v4sf bottom0 = *reinterpret_cast<const v4sf*>(x + w);
+  const v4sf bottom1 = *reinterpret_cast<const v4sf*>(x + w + 4);
+  const v4sf taps[4] = {__builtin_shufflevector(top0, top1, 0, 2, 4, 6),
+                        __builtin_shufflevector(top0, top1, 1, 3, 5, 7),
+                        __builtin_shufflevector(bottom0, bottom1, 0, 2, 4, 6),
+                        __builtin_shufflevector(bottom0, bottom1, 1, 3, 5, 7)};
+  const auto row = static_cast<std::uint32_t>(w);
+  const std::uint32_t offsets[4] = {0, 1, row, row + 1};
+  const v4su origin = first + v4su{0, 2, 4, 6};
+  const float inf = std::numeric_limits<float>::infinity();
+  v4sf best = {-inf, -inf, -inf, -inf};
+  v4su best_idx = origin;
+#pragma GCC unroll 4
+  for (int t = 0; t < 4; ++t) {
+    const auto wins = taps[t] > best;
+    best = wins ? taps[t] : best;
+    best_idx = wins ? origin + offsets[t] : best_idx;
+  }
+  *reinterpret_cast<v4sf*>(y) = best;
+  *reinterpret_cast<v4su*>(argmax) = best_idx;
+}
 }  // namespace
 
 MaxPool2d::MaxPool2d(int kernel, int stride)
@@ -37,13 +78,25 @@ const tensor::Tensor& MaxPool2d::forward(const tensor::Tensor& input,
   argmax_.resize(out_.size());
   const float* x = input.data();
   float* y = out_.data();
+  // The paper CNN's 2x2, stride-2 window takes four outputs per vector
+  // step; the scalar loop below serves the ow % 4 tail and other shapes.
+  const int vector_cols = kernel_ == 2 && stride_ == 2 ? ow / 4 * 4 : 0;
   std::size_t oi = 0;
   for (int in = 0; in < n; ++in) {
     for (int ic = 0; ic < c; ++ic) {
       const std::size_t plane =
           (static_cast<std::size_t>(in) * c + ic) * h * w;
       for (int orow = 0; orow < oh; ++orow) {
-        for (int ocol = 0; ocol < ow; ++ocol, ++oi) {
+        int ocol = 0;
+        for (; ocol < vector_cols; ocol += 4, oi += 4) {
+          const std::size_t first =
+              plane + static_cast<std::size_t>(orow) * 2 * w +
+              static_cast<std::size_t>(ocol) * 2;
+          max_pool2x2_step(x + first, static_cast<std::size_t>(w),
+                           static_cast<std::uint32_t>(first), y + oi,
+                           argmax_.data() + oi);
+        }
+        for (; ocol < ow; ++ocol, ++oi) {
           // The argmax starts at the window's own first element: a window
           // nothing in which beats -inf (all -inf or NaN) keeps its
           // gradient inside its own sample and channel.

@@ -11,14 +11,17 @@ namespace fedsu::tensor::gemm {
 
 namespace {
 
-// Register micro-tile: MR x NR accumulators live in registers across the
-// whole KC slice — eight 8-float vector locals, i.e. 8 YMM registers under
-// AVX2/AVX-512VL and 16 XMM pairs under baseline SSE2; neither spills.
+// Register micro-tile: MR rows of C held in MR vector accumulators across
+// the whole KC slice. NR = 8 lanes is the tile on every ISA (8 YMM
+// registers under AVX2, 16 XMM pairs under baseline SSE2; neither spills).
+// On AVX-512 the column loop takes NR_WIDE = 16 lanes (8 ZMM registers)
+// while 16 or more columns remain, and the 8-lane tile takes the rest.
 constexpr int MR = 8;
 constexpr int NR = 8;
+constexpr int NR_WIDE = 16;
 // Cache tiles: the packed (MC x KC) A panel (64 KiB) sits in L2, the packed
-// (KC x NC) B panel (256 KiB) in L2/L3, and one KC x NR B micro-panel (8 KiB)
-// streams through L1 per micro-tile column.
+// (KC x NC) B panel (256 KiB) in L2/L3, and one KC x NR B micro-panel (8 KiB,
+// 16 KiB at NR_WIDE) streams through L1 per micro-tile column.
 constexpr int MC = 64;
 constexpr int KC = 256;
 constexpr int NC = 256;
@@ -32,12 +35,13 @@ constexpr int round_up(int v, int unit) { return (v + unit - 1) / unit * unit; }
 typedef float v4sf __attribute__((vector_size(16), may_alias,
                                   aligned(alignof(float))));
 
-// Packs an 8-row strided panel into k-major groups of 8:
-// dst[p * 8 + i] = src[i * ld + p] for i < 8, p < kc. Full 4x4 blocks are
-// transposed in registers (two rows of blocks per 4 k steps); the kc % 4
-// tail is gathered scalar. MR == NR == 8, so A and B panels share it.
+// Packs an 8-row strided panel into k-major groups of 8 at a destination
+// stride: dst[p * ldd + i] = src[i * ld + p] for i < 8, p < kc. Full 4x4
+// blocks are transposed in registers (two rows of blocks per 4 k steps);
+// the kc % 4 tail is gathered scalar. A panels (ldd = MR) and 8-wide B
+// panels (ldd = NR) are one call; a 16-wide B panel is two, 8 lanes apart.
 void pack_transposed8(const float* src, std::size_t ld, int kc,
-                      float* FEDSU_RESTRICT dst) {
+                      std::size_t ldd, float* FEDSU_RESTRICT dst) {
   int p = 0;
   for (; p + 4 <= kc; p += 4) {
     for (int half = 0; half < 8; half += 4) {
@@ -50,20 +54,20 @@ void pack_transposed8(const float* src, std::size_t ld, int kc,
       const v4sf hi01 = __builtin_shufflevector(r0, r1, 2, 6, 3, 7);
       const v4sf lo23 = __builtin_shufflevector(r2, r3, 0, 4, 1, 5);
       const v4sf hi23 = __builtin_shufflevector(r2, r3, 2, 6, 3, 7);
-      float* d = dst + static_cast<std::size_t>(p) * 8 + half;
+      float* d = dst + static_cast<std::size_t>(p) * ldd + half;
       *reinterpret_cast<v4sf*>(d) =
           __builtin_shufflevector(lo01, lo23, 0, 1, 4, 5);
-      *reinterpret_cast<v4sf*>(d + 8) =
+      *reinterpret_cast<v4sf*>(d + ldd) =
           __builtin_shufflevector(lo01, lo23, 2, 3, 6, 7);
-      *reinterpret_cast<v4sf*>(d + 16) =
+      *reinterpret_cast<v4sf*>(d + 2 * ldd) =
           __builtin_shufflevector(hi01, hi23, 0, 1, 4, 5);
-      *reinterpret_cast<v4sf*>(d + 24) =
+      *reinterpret_cast<v4sf*>(d + 3 * ldd) =
           __builtin_shufflevector(hi01, hi23, 2, 3, 6, 7);
     }
   }
   for (; p < kc; ++p) {
     for (int i = 0; i < 8; ++i) {
-      dst[static_cast<std::size_t>(p) * 8 + i] =
+      dst[static_cast<std::size_t>(p) * ldd + i] =
           src[static_cast<std::size_t>(i) * ld + p];
     }
   }
@@ -81,7 +85,7 @@ void pack_a(Variant v, const float* a, int m, int k, int ic, int mc, int pc,
     if (v != Variant::kTN && mr == MR) {
       // kNN / kNT, A stored [m, k]: a full panel is 8 strided rows.
       pack_transposed8(a + static_cast<std::size_t>(ic + ir) * k + pc,
-                       static_cast<std::size_t>(k), kc, panel);
+                       static_cast<std::size_t>(k), kc, MR, panel);
       continue;
     }
     for (int p = 0; p < kc; ++p) {
@@ -102,21 +106,34 @@ void pack_a(Variant v, const float* a, int m, int k, int ic, int mc, int pc,
   }
 }
 
-// Packs columns [jc, jc+nc) x k-slice [pc, pc+kc) of op(B) into NR-wide
-// micro-panels (layout mirror of pack_a), absorbing the kNT transpose.
+// Width of the B micro-panel that starts `left` columns before the end of
+// an NC panel: `wide_nr` lanes while that many remain, else NR (the last
+// NR panel may be ragged). Packing and the macro-kernel both step by it,
+// so panel jr always starts at bp + jr * kc.
+constexpr int panel_width(int wide_nr, int left) {
+  return left >= wide_nr ? wide_nr : NR;
+}
+
+// Packs columns [jc, jc+nc) x k-slice [pc, pc+kc) of op(B) into micro-panels
+// of panel_width(wide_nr, ...) lanes (layout mirror of pack_a), absorbing
+// the kNT transpose.
 void pack_b(Variant v, const float* b, int n, int k, int jc, int nc, int pc,
-            int kc, float* FEDSU_RESTRICT bp) {
-  for (int jr = 0; jr < nc; jr += NR) {
-    const int nr = std::min(NR, nc - jr);
+            int kc, int wide_nr, float* FEDSU_RESTRICT bp) {
+  for (int jr = 0; jr < nc; jr += panel_width(wide_nr, nc - jr)) {
+    const int width = panel_width(wide_nr, nc - jr);
+    const int nr = std::min(width, nc - jr);
     float* panel = bp + static_cast<std::size_t>(jr) * kc;
-    if (v == Variant::kNT && nr == NR) {
-      // B stored [n, k]: a full panel is 8 strided rows.
-      pack_transposed8(b + static_cast<std::size_t>(jc + jr) * k + pc,
-                       static_cast<std::size_t>(k), kc, panel);
+    if (v == Variant::kNT && nr == width) {
+      // B stored [n, k]: a full panel is width / 8 runs of 8 strided rows.
+      for (int j = 0; j < width; j += 8) {
+        pack_transposed8(b + static_cast<std::size_t>(jc + jr + j) * k + pc,
+                         static_cast<std::size_t>(k), kc,
+                         static_cast<std::size_t>(width), panel + j);
+      }
       continue;
     }
     for (int p = 0; p < kc; ++p) {
-      float* dst = panel + static_cast<std::size_t>(p) * NR;
+      float* dst = panel + static_cast<std::size_t>(p) * width;
       if (v == Variant::kNT) {
         // B stored [n, k]: row jc+jr+j supplies element (p, j).
         const float* src =
@@ -128,61 +145,66 @@ void pack_b(Variant v, const float* b, int n, int k, int jc, int nc, int pc,
             b + static_cast<std::size_t>(pc + p) * n + (jc + jr);
         for (int j = 0; j < nr; ++j) dst[j] = src[j];
       }
-      for (int j = nr; j < NR; ++j) dst[j] = 0.0f;
+      for (int j = nr; j < width; ++j) dst[j] = 0.0f;
     }
   }
 }
 
-// The innermost loop of everything: C[mr][nr] (+)= ap[kc][MR] x bp[kc][NR].
+// The innermost loop of everything: C[mr][nr] (+)= ap[kc][MR] x B[kc][L],
+// where B's rows are ldb floats apart and L is the tile's lane count: NR
+// on every ISA, NR_WIDE for the AVX-512 wide tile.
 //
 // The accumulators are eight vector-typed locals (GNU `vector_size`
 // extension — portable across GCC and Clang, still compiler-generated code,
-// no platform intrinsics). Plain `float acc[MR][NR]` arrays do NOT work
+// no platform intrinsics). Plain `float acc[MR][L]` arrays do NOT work
 // here: both GCC and Clang leave the array on the stack and turn every
 // update into load+op+store, which caps the kernel at ~5 GFLOP/s. Vector
-// locals make the register allocation explicit — one 8-float accumulator
+// locals make the register allocation explicit — one L-float accumulator
 // per row lives in a register across the whole KC slice, and each k step is
-// MR fused multiply-adds against one streamed B vector.
+// MR fused multiply-adds of a broadcast A element (`scalar * vector`
+// broadcasts the scalar, an exact copy) against one streamed B vector.
 //
 // The body is compiled several times under different target attributes
 // (baseline, AVX2+FMA, AVX-512VL) and selected once per process by
 // `__builtin_cpu_supports` — the library itself stays a baseline x86-64
 // binary. Lane-for-lane the summation order over k is identical in every
-// clone, so results are bitwise reproducible for a given binary on a given
-// machine at any --threads; across CPU generations the FMA contraction
-// differs, which §5b (DESIGN.md) explicitly scopes out.
-typedef float v8sf __attribute__((vector_size(4 * NR), may_alias,
-                                  aligned(alignof(float))));
+// clone and at every width: a lane computes the same FMA chain whether it
+// sits in an 8- or a 16-lane register, so the tile width never moves a bit.
+// Results are bitwise reproducible for a given binary on a given machine at
+// any --threads; across CPU generations the FMA contraction differs, which
+// §5b (DESIGN.md) explicitly scopes out.
+//
+// The templates take the lane count, not a vector type: a template argument
+// drops a typedef's attributes, and the unaligned loads and stores below
+// need `aligned(alignof(float))` to survive. LaneVec<L>::type keeps them.
+template <int L>
+struct LaneVec {
+  typedef float type __attribute__((vector_size(4 * L), may_alias,
+                                    aligned(alignof(float))));
+};
 
-// A macro rather than an inline function: returning a 256-bit vector from a
-// function compiled for baseline x86-64 trips -Wpsabi (the call never
-// materializes — everything inlines — but the warning fires at the
-// definition).
-#define FEDSU_SPLAT8(x) \
-  v8sf { (x), (x), (x), (x), (x), (x), (x), (x) }
-
-template <bool kOverwrite>
+template <int L, bool kOverwrite>
 __attribute__((always_inline)) inline void micro_kernel_body(
-    int kc, const float* FEDSU_RESTRICT ap, const float* FEDSU_RESTRICT bp,
-    float* FEDSU_RESTRICT c, int ldc, int mr, int nr) {
-  v8sf acc0{}, acc1{}, acc2{}, acc3{}, acc4{}, acc5{}, acc6{}, acc7{};
+    int kc, const float* FEDSU_RESTRICT ap, const float* FEDSU_RESTRICT b,
+    std::size_t ldb, float* FEDSU_RESTRICT c, int ldc, int mr, int nr) {
+  typedef typename LaneVec<L>::type V;
+  V acc0{}, acc1{}, acc2{}, acc3{}, acc4{}, acc5{}, acc6{}, acc7{};
   for (int p = 0; p < kc; ++p) {
     const float* FEDSU_RESTRICT av = ap + static_cast<std::size_t>(p) * MR;
-    const v8sf bv =
-        *reinterpret_cast<const v8sf*>(bp + static_cast<std::size_t>(p) * NR);
-    acc0 += FEDSU_SPLAT8(av[0]) * bv;
-    acc1 += FEDSU_SPLAT8(av[1]) * bv;
-    acc2 += FEDSU_SPLAT8(av[2]) * bv;
-    acc3 += FEDSU_SPLAT8(av[3]) * bv;
-    acc4 += FEDSU_SPLAT8(av[4]) * bv;
-    acc5 += FEDSU_SPLAT8(av[5]) * bv;
-    acc6 += FEDSU_SPLAT8(av[6]) * bv;
-    acc7 += FEDSU_SPLAT8(av[7]) * bv;
+    const V bv = *reinterpret_cast<const V*>(b + p * ldb);
+    acc0 += av[0] * bv;
+    acc1 += av[1] * bv;
+    acc2 += av[2] * bv;
+    acc3 += av[3] * bv;
+    acc4 += av[4] * bv;
+    acc5 += av[5] * bv;
+    acc6 += av[6] * bv;
+    acc7 += av[7] * bv;
   }
-  const v8sf accs[MR] = {acc0, acc1, acc2, acc3, acc4, acc5, acc6, acc7};
-  if (nr == NR) {
+  const V accs[MR] = {acc0, acc1, acc2, acc3, acc4, acc5, acc6, acc7};
+  if (nr == L) {
     for (int i = 0; i < mr; ++i) {
-      v8sf* crow = reinterpret_cast<v8sf*>(c + static_cast<std::size_t>(i) * ldc);
+      V* crow = reinterpret_cast<V*>(c + static_cast<std::size_t>(i) * ldc);
       if (kOverwrite) *crow = accs[i];
       else *crow += accs[i];
     }
@@ -205,49 +227,30 @@ __attribute__((always_inline)) inline void micro_kernel_body(
 // more than half the kernel time. Operand values and per-lane accumulation
 // order match the packed path exactly; the choice between the two paths
 // depends only on (variant, m), never on the thread chunk, so §5b holds.
-template <bool kOverwrite>
+template <int L, bool kOverwrite>
 __attribute__((always_inline)) inline void micro_kernel_direct_body(
     int kc, const float* FEDSU_RESTRICT ap, const float* FEDSU_RESTRICT bs,
     int ldb, float* FEDSU_RESTRICT c, int ldc, int mr, int nr) {
-  if (nr == NR) {
-    v8sf acc0{}, acc1{}, acc2{}, acc3{}, acc4{}, acc5{}, acc6{}, acc7{};
+  if (nr == L) {
+    micro_kernel_body<L, kOverwrite>(kc, ap, bs, static_cast<std::size_t>(ldb),
+                                     c, ldc, mr, nr);
+    return;
+  }
+  // Ragged right edge (8-lane tile only): one scalar accumulator column per
+  // live lane, since a vector load would read past B's last column. Each
+  // lane's p-order matches the vector path, so the edge is seam-free.
+  for (int j = 0; j < nr; ++j) {
+    float acc[MR] = {};
+    const float* FEDSU_RESTRICT bcol = bs + j;
     for (int p = 0; p < kc; ++p) {
+      const float bvj = bcol[static_cast<std::size_t>(p) * ldb];
       const float* FEDSU_RESTRICT av = ap + static_cast<std::size_t>(p) * MR;
-      const v8sf bv = *reinterpret_cast<const v8sf*>(
-          bs + static_cast<std::size_t>(p) * ldb);
-      acc0 += FEDSU_SPLAT8(av[0]) * bv;
-      acc1 += FEDSU_SPLAT8(av[1]) * bv;
-      acc2 += FEDSU_SPLAT8(av[2]) * bv;
-      acc3 += FEDSU_SPLAT8(av[3]) * bv;
-      acc4 += FEDSU_SPLAT8(av[4]) * bv;
-      acc5 += FEDSU_SPLAT8(av[5]) * bv;
-      acc6 += FEDSU_SPLAT8(av[6]) * bv;
-      acc7 += FEDSU_SPLAT8(av[7]) * bv;
+      for (int i = 0; i < MR; ++i) acc[i] += av[i] * bvj;
     }
-    const v8sf accs[MR] = {acc0, acc1, acc2, acc3, acc4, acc5, acc6, acc7};
     for (int i = 0; i < mr; ++i) {
-      v8sf* crow =
-          reinterpret_cast<v8sf*>(c + static_cast<std::size_t>(i) * ldc);
-      if (kOverwrite) *crow = accs[i];
-      else *crow += accs[i];
-    }
-  } else {
-    // Ragged right edge: one scalar accumulator column per live lane. Each
-    // lane's p-order matches the vector path, so the edge is seam-free.
-    for (int j = 0; j < nr; ++j) {
-      float acc[MR] = {};
-      const float* FEDSU_RESTRICT bcol = bs + j;
-      for (int p = 0; p < kc; ++p) {
-        const float bvj = bcol[static_cast<std::size_t>(p) * ldb];
-        const float* FEDSU_RESTRICT av =
-            ap + static_cast<std::size_t>(p) * MR;
-        for (int i = 0; i < MR; ++i) acc[i] += av[i] * bvj;
-      }
-      for (int i = 0; i < mr; ++i) {
-        float* cij = c + static_cast<std::size_t>(i) * ldc + j;
-        if (kOverwrite) *cij = acc[i];
-        else *cij += acc[i];
-      }
+      float* cij = c + static_cast<std::size_t>(i) * ldc + j;
+      if (kOverwrite) *cij = acc[i];
+      else *cij += acc[i];
     }
   }
 }
@@ -258,74 +261,59 @@ using MicroKernelDirectFn = void (*)(int kc, const float* ap,
                                      const float* bs, int ldb, float* c,
                                      int ldc, int mr, int nr);
 
-void micro_kernel_generic_ov(int kc, const float* ap, const float* bp,
-                             float* c, int ldc, int mr, int nr) {
-  micro_kernel_body<true>(kc, ap, bp, c, ldc, mr, nr);
+// The clones: one packed and one direct entry point per ISA, each a
+// template over the lane count and the accumulate mode.
+template <int L, bool kOverwrite>
+void micro_kernel_generic(int kc, const float* ap, const float* bp, float* c,
+                          int ldc, int mr, int nr) {
+  micro_kernel_body<L, kOverwrite>(kc, ap, bp, L, c, ldc, mr, nr);
 }
-void micro_kernel_generic_add(int kc, const float* ap, const float* bp,
-                              float* c, int ldc, int mr, int nr) {
-  micro_kernel_body<false>(kc, ap, bp, c, ldc, mr, nr);
-}
-void micro_kernel_direct_generic_ov(int kc, const float* ap, const float* bs,
-                                    int ldb, float* c, int ldc, int mr,
-                                    int nr) {
-  micro_kernel_direct_body<true>(kc, ap, bs, ldb, c, ldc, mr, nr);
-}
-void micro_kernel_direct_generic_add(int kc, const float* ap,
-                                     const float* bs, int ldb, float* c,
-                                     int ldc, int mr, int nr) {
-  micro_kernel_direct_body<false>(kc, ap, bs, ldb, c, ldc, mr, nr);
+template <int L, bool kOverwrite>
+void micro_kernel_direct_generic(int kc, const float* ap, const float* bs,
+                                 int ldb, float* c, int ldc, int mr, int nr) {
+  micro_kernel_direct_body<L, kOverwrite>(kc, ap, bs, ldb, c, ldc, mr, nr);
 }
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define FEDSU_GEMM_X86_DISPATCH 1
-__attribute__((target("avx2,fma"))) void micro_kernel_avx2_ov(
+template <int L, bool kOverwrite>
+__attribute__((target("avx2,fma"))) void micro_kernel_avx2(
     int kc, const float* ap, const float* bp, float* c, int ldc, int mr,
     int nr) {
-  micro_kernel_body<true>(kc, ap, bp, c, ldc, mr, nr);
+  micro_kernel_body<L, kOverwrite>(kc, ap, bp, L, c, ldc, mr, nr);
 }
-__attribute__((target("avx2,fma"))) void micro_kernel_avx2_add(
+template <int L, bool kOverwrite>
+__attribute__((target("avx2,fma"))) void micro_kernel_direct_avx2(
+    int kc, const float* ap, const float* bs, int ldb, float* c, int ldc,
+    int mr, int nr) {
+  micro_kernel_direct_body<L, kOverwrite>(kc, ap, bs, ldb, c, ldc, mr, nr);
+}
+template <int L, bool kOverwrite>
+__attribute__((target("avx512f,avx512vl,avx2,fma"))) void micro_kernel_avx512(
     int kc, const float* ap, const float* bp, float* c, int ldc, int mr,
     int nr) {
-  micro_kernel_body<false>(kc, ap, bp, c, ldc, mr, nr);
+  micro_kernel_body<L, kOverwrite>(kc, ap, bp, L, c, ldc, mr, nr);
 }
+template <int L, bool kOverwrite>
 __attribute__((target("avx512f,avx512vl,avx2,fma"))) void
-micro_kernel_avx512_ov(int kc, const float* ap, const float* bp, float* c,
-                       int ldc, int mr, int nr) {
-  micro_kernel_body<true>(kc, ap, bp, c, ldc, mr, nr);
-}
-__attribute__((target("avx512f,avx512vl,avx2,fma"))) void
-micro_kernel_avx512_add(int kc, const float* ap, const float* bp, float* c,
-                        int ldc, int mr, int nr) {
-  micro_kernel_body<false>(kc, ap, bp, c, ldc, mr, nr);
-}
-__attribute__((target("avx2,fma"))) void micro_kernel_direct_avx2_ov(
-    int kc, const float* ap, const float* bs, int ldb, float* c, int ldc,
-    int mr, int nr) {
-  micro_kernel_direct_body<true>(kc, ap, bs, ldb, c, ldc, mr, nr);
-}
-__attribute__((target("avx2,fma"))) void micro_kernel_direct_avx2_add(
-    int kc, const float* ap, const float* bs, int ldb, float* c, int ldc,
-    int mr, int nr) {
-  micro_kernel_direct_body<false>(kc, ap, bs, ldb, c, ldc, mr, nr);
-}
-__attribute__((target("avx512f,avx512vl,avx2,fma"))) void
-micro_kernel_direct_avx512_ov(int kc, const float* ap, const float* bs,
-                              int ldb, float* c, int ldc, int mr, int nr) {
-  micro_kernel_direct_body<true>(kc, ap, bs, ldb, c, ldc, mr, nr);
-}
-__attribute__((target("avx512f,avx512vl,avx2,fma"))) void
-micro_kernel_direct_avx512_add(int kc, const float* ap, const float* bs,
-                               int ldb, float* c, int ldc, int mr, int nr) {
-  micro_kernel_direct_body<false>(kc, ap, bs, ldb, c, ldc, mr, nr);
+micro_kernel_direct_avx512(int kc, const float* ap, const float* bs, int ldb,
+                           float* c, int ldc, int mr, int nr) {
+  micro_kernel_direct_body<L, kOverwrite>(kc, ap, bs, ldb, c, ldc, mr, nr);
 }
 #endif
 
+// One tile width's entry points: packed or direct B, overwrite or add.
+struct TileKernels {
+  MicroKernelFn overwrite = nullptr;
+  MicroKernelFn add = nullptr;
+  MicroKernelDirectFn direct_overwrite = nullptr;
+  MicroKernelDirectFn direct_add = nullptr;
+};
+
 struct MicroKernels {
-  MicroKernelFn overwrite;
-  MicroKernelFn add;
-  MicroKernelDirectFn direct_overwrite;
-  MicroKernelDirectFn direct_add;
+  TileKernels narrow;  // MR x NR: the tile below AVX-512, the tail above it
+  TileKernels wide;    // MR x NR_WIDE on AVX-512; unset elsewhere
+  int wide_nr;         // NR_WIDE when `wide` is set, else NR
   const char* isa;
 };
 
@@ -334,22 +322,34 @@ MicroKernels select_micro_kernels() {
   __builtin_cpu_init();
   if (__builtin_cpu_supports("avx512f") &&
       __builtin_cpu_supports("avx512vl")) {
-    return {micro_kernel_avx512_ov, micro_kernel_avx512_add,
-            micro_kernel_direct_avx512_ov, micro_kernel_direct_avx512_add,
+    return {{micro_kernel_avx512<NR, true>, micro_kernel_avx512<NR, false>,
+             micro_kernel_direct_avx512<NR, true>,
+             micro_kernel_direct_avx512<NR, false>},
+            {micro_kernel_avx512<NR_WIDE, true>,
+             micro_kernel_avx512<NR_WIDE, false>,
+             micro_kernel_direct_avx512<NR_WIDE, true>,
+             micro_kernel_direct_avx512<NR_WIDE, false>},
+            NR_WIDE,
             "avx512vl"};
   }
   if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
-    return {micro_kernel_avx2_ov, micro_kernel_avx2_add,
-            micro_kernel_direct_avx2_ov, micro_kernel_direct_avx2_add,
+    return {{micro_kernel_avx2<NR, true>, micro_kernel_avx2<NR, false>,
+             micro_kernel_direct_avx2<NR, true>,
+             micro_kernel_direct_avx2<NR, false>},
+            {},
+            NR,
             "avx2-fma"};
   }
 #endif
-  return {micro_kernel_generic_ov, micro_kernel_generic_add,
-          micro_kernel_direct_generic_ov, micro_kernel_direct_generic_add,
+  return {{micro_kernel_generic<NR, true>, micro_kernel_generic<NR, false>,
+           micro_kernel_direct_generic<NR, true>,
+           micro_kernel_direct_generic<NR, false>},
+          {},
+          NR,
           "baseline"};
 }
 
-// Resolved once before main(); every thread reads the same two pointers.
+// Resolved once before main(); every thread reads the same table.
 const MicroKernels kMicroKernels = select_micro_kernels();
 
 // Degenerate-shape path (m or n too small for the micro-tile to pay for
@@ -407,6 +407,7 @@ void sgemm_rows(Variant variant, int m_begin, int m_end, int m, int n, int k,
   // the full m, not this thread's chunk, so the path — and the bits — are
   // thread-count invariant.
   const bool direct_b = (variant != Variant::kNT) && m < MC;
+  const int wide_nr = kMicroKernels.wide_nr;
 
   util::ScratchArena& arena = util::ScratchArena::local();
   util::ScratchArena::Frame frame(arena);
@@ -422,22 +423,25 @@ void sgemm_rows(Variant variant, int m_begin, int m_end, int m, int n, int k,
     const int nc = std::min(NC, n - jc);
     for (int pc = 0; pc < k; pc += KC) {
       const int kc = std::min(KC, k - pc);
-      if (!direct_b) pack_b(variant, b, n, k, jc, nc, pc, kc, bpack);
+      if (!direct_b) {
+        pack_b(variant, b, n, k, jc, nc, pc, kc, wide_nr, bpack);
+      }
       // The first KC block honors the caller's accumulate mode; later
       // blocks always add. Per element this is a fixed ascending-KC-block
       // order regardless of how rows were split across threads.
       const bool first_block =
           pc == 0 && accumulate == Accumulate::kOverwrite;
-      const MicroKernelFn kernel =
-          first_block ? kMicroKernels.overwrite : kMicroKernels.add;
-      const MicroKernelDirectFn direct_kernel =
-          first_block ? kMicroKernels.direct_overwrite
-                      : kMicroKernels.direct_add;
       for (int ic = m_begin; ic < m_end; ic += MC) {
         const int mc = std::min(MC, m_end - ic);
         pack_a(variant, a, m, k, ic, mc, pc, kc, apack);
-        for (int jr = 0; jr < nc; jr += NR) {
-          const int nr = std::min(NR, nc - jr);
+        for (int jr = 0; jr < nc; jr += panel_width(wide_nr, nc - jr)) {
+          const int width = panel_width(wide_nr, nc - jr);
+          const int nr = std::min(width, nc - jr);
+          const TileKernels& tile =
+              width == NR ? kMicroKernels.narrow : kMicroKernels.wide;
+          const MicroKernelFn kernel = first_block ? tile.overwrite : tile.add;
+          const MicroKernelDirectFn direct_kernel =
+              first_block ? tile.direct_overwrite : tile.direct_add;
           for (int ir = 0; ir < mc; ir += MR) {
             const int mr = std::min(MR, mc - ir);
             const float* apanel = apack + static_cast<std::size_t>(ir) * kc;

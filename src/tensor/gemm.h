@@ -8,21 +8,24 @@
 //     the reduction dimension, MC panels of C rows — each (KC x NC) B
 //     panel and (MC x KC) A panel is packed once into contiguous
 //     micro-panels and reused across the whole macro-kernel.
-//   * 8x8 register micro-tile: the micro-kernel holds eight 8-float
-//     vector-typed accumulators (GNU vector_size extension — compiler
-//     codegen, no platform intrinsics) in registers across the whole KC
-//     slice; each k step is eight fused multiply-adds against one streamed
-//     B vector.
-//   * Runtime ISA dispatch: the same micro-kernel body is compiled under
-//     baseline, AVX2+FMA, and AVX-512VL target attributes, and
-//     __builtin_cpu_supports picks the widest clone once per process. The
-//     library binary itself stays baseline x86-64 (FEDSU_NATIVE=ON instead
-//     retunes the whole build for the host).
+//   * Register micro-tile, 8 rows by 8 or 16 lanes: the micro-kernel holds
+//     eight vector-typed accumulators (GNU vector_size extension —
+//     compiler codegen, no platform intrinsics) in registers across the
+//     whole KC slice; each k step is eight fused multiply-adds against one
+//     streamed B vector. AVX-512 hosts take 8x16 tiles (zmm) while 16 or
+//     more columns remain and 8x8 tiles for the rest; other hosts take
+//     8x8 tiles throughout.
+//   * Runtime ISA dispatch: the same micro-kernel body, a template over
+//     the lane count, is compiled under baseline, AVX2+FMA, and AVX-512VL
+//     target attributes, and __builtin_cpu_supports picks the widest clone
+//     once per process. The library binary itself stays baseline x86-64
+//     (FEDSU_NATIVE=ON instead retunes the whole build for the host).
 //   * Packing absorbs all transposes: the kTN / kNT variants differ only
 //     in how panels are gathered, never in the micro-kernel. A full panel
 //     that is 8 strided rows in memory (A for kNN/kNT, B for kNT) moves
 //     through 4x4 register transposes (GNU vector extension,
-//     __builtin_shufflevector); partial edge panels are gathered scalar.
+//     __builtin_shufflevector); a 16-wide B panel is two such runs, and
+//     partial edge panels are gathered scalar.
 //     When op(B)'s j-run is contiguous in memory (kNN/kTN) and m is small
 //     enough that a packed panel would see little reuse, the kernel reads
 //     B in place — same operands, same accumulation order, none of the
@@ -35,11 +38,13 @@
 // ascending k within the block — and threading only splits C rows across
 // workers. A row's result does not depend on which worker computes it or
 // where micro-tile boundaries land, so output bits are identical for any
-// thread count. Results may legitimately differ from the pre-blocked
-// scalar kernel (a different but equally valid accumulation order) within
-// normal float tolerance, and across CPU generations (the dispatched clone
-// determines whether multiplies and adds are fused) — determinism is per
-// binary per machine, not across kernel generations or ISAs.
+// thread count; nor on the tile's width, since a lane runs the same FMA
+// chain in an 8- or a 16-lane register. Results may legitimately differ
+// from the pre-blocked scalar kernel (a different but equally valid
+// accumulation order) within normal float tolerance, and across CPU
+// generations (the dispatched clone determines whether multiplies and adds
+// are fused) — determinism is per binary per machine, not across kernel
+// generations or ISAs.
 #pragma once
 
 namespace fedsu::tensor::gemm {

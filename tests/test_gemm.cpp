@@ -80,8 +80,9 @@ void expect_matches_reference(Variant v, int m, int n, int k) {
   }
 }
 
-// Tile-aligned, tails in every dimension, and unit edges. MR=NR=8, MC=64,
-// KC=256, NC=256 in gemm.cpp; shapes straddle all those boundaries.
+// Tile-aligned, tails in every dimension, and unit edges. MR=NR=8 (16-lane
+// tiles on AVX-512), MC=64, KC=256, NC=256 in gemm.cpp; shapes straddle all
+// those boundaries.
 constexpr int kShapes[][3] = {
     {1, 1, 1},    {1, 7, 5},    {7, 1, 3},    {3, 3, 1},   {8, 8, 8},
     {16, 16, 16}, {9, 17, 33},  {13, 29, 7},  {64, 64, 64}, {65, 63, 31},
@@ -162,28 +163,16 @@ int pin_column() {
   return -1;
 }
 
-// Every output bit of the kernel, not just its tolerance: FNV-1a over C for
-// each shape above x every variant x {overwrite, add onto a random C},
-// then the five per-sample GEMMs of the paper CNN's step (28x28 input).
-TEST(Gemm, EveryShapeIsBitwisePinned) {
-  const int column = pin_column();
-  if (column < 0) GTEST_SKIP() << "no pins for this compiler, flags or ISA";
-  struct Product {
-    Variant variant;
-    int m, n, k;
-  };
-  std::vector<Product> products;
-  for (const auto& s : kShapes) {
-    for (Variant v : {Variant::kNN, Variant::kTN, Variant::kNT}) {
-      products.push_back({v, s[0], s[1], s[2]});
-    }
-  }
-  products.push_back({Variant::kNN, 8, 576, 25});   // conv1 forward
-  products.push_back({Variant::kNT, 8, 25, 576});   // conv1 dW
-  products.push_back({Variant::kNN, 16, 64, 200});  // conv2 forward
-  products.push_back({Variant::kNT, 16, 200, 64});  // conv2 dW
-  products.push_back({Variant::kTN, 200, 64, 16});  // conv2 dcols
-  util::Rng rng(17);
+struct Product {
+  Variant variant;
+  int m, n, k;
+};
+
+// FNV-1a over every output bit of each product, run once overwriting and
+// once adding onto a random C, with operands drawn from Rng(seed).
+std::uint64_t product_hash(const std::vector<Product>& products,
+                           std::uint64_t seed) {
+  util::Rng rng(seed);
   std::uint64_t hash = 0xcbf29ce484222325ULL;
   for (const Product& p : products) {
     const std::size_t c_size = static_cast<std::size_t>(p.m) * p.n;
@@ -202,9 +191,55 @@ TEST(Gemm, EveryShapeIsBitwisePinned) {
       }
     }
   }
+  return hash;
+}
+
+// Every output bit of the kernel, not just its tolerance: each shape above
+// x every variant x {overwrite, add onto a random C}, then the five
+// per-sample GEMMs of the paper CNN's step (28x28 input).
+TEST(Gemm, EveryShapeIsBitwisePinned) {
+  const int column = pin_column();
+  if (column < 0) GTEST_SKIP() << "no pins for this compiler, flags or ISA";
+  std::vector<Product> products;
+  for (const auto& s : kShapes) {
+    for (Variant v : {Variant::kNN, Variant::kTN, Variant::kNT}) {
+      products.push_back({v, s[0], s[1], s[2]});
+    }
+  }
+  products.push_back({Variant::kNN, 8, 576, 25});   // conv1 forward
+  products.push_back({Variant::kNT, 8, 25, 576});   // conv1 dW
+  products.push_back({Variant::kNN, 16, 64, 200});  // conv2 forward
+  products.push_back({Variant::kNT, 16, 200, 64});  // conv2 dW
+  products.push_back({Variant::kTN, 200, 64, 16});  // conv2 dcols
+  const std::uint64_t hash = product_hash(products, 17);
   // avx512vl, avx2-fma
   const std::uint64_t pinned[2] = {0x64ed30a0877f2472ULL,
                                    0x798ceebaa0cd2e84ULL};
+  EXPECT_EQ(hash, pinned[column]) << "0x" << std::hex << hash;
+}
+
+// The seams between tile widths: on AVX-512 the column loop takes 16-lane
+// tiles while 16 columns remain and 8-lane tiles after, restarting at each
+// NC = 256 panel. Each product has n = 8 mod 16 and k > KC; the packed
+// kNN one also spans two NC panels. Then the batch-16 GEMMs of the paper
+// CNN's head that the list above lacks: fc1's input gradient and the three
+// GEMMs of fc2 = Linear(64, 10).
+TEST(Gemm, TileSeamsAreBitwisePinned) {
+  const int column = pin_column();
+  if (column < 0) GTEST_SKIP() << "no pins for this compiler, flags or ISA";
+  const std::vector<Product> products = {
+      {Variant::kNN, 70, 264, 300},  // packed B, two NC panels
+      {Variant::kTN, 64, 40, 260},   // packed B, kTN
+      {Variant::kNN, 24, 56, 270},   // direct B (m < MC)
+      {Variant::kNN, 16, 256, 64},   // fc1 dX
+      {Variant::kNT, 16, 10, 64},    // fc2 forward
+      {Variant::kTN, 10, 64, 16},    // fc2 dW
+      {Variant::kNN, 16, 64, 10},    // fc2 dX
+  };
+  const std::uint64_t hash = product_hash(products, 29);
+  // avx512vl, avx2-fma
+  const std::uint64_t pinned[2] = {0x884fcaef1ac3815aULL,
+                                   0x884fcaef1ac3815aULL};
   EXPECT_EQ(hash, pinned[column]) << "0x" << std::hex << hash;
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <functional>
@@ -274,6 +275,67 @@ TEST(MaxPool2d, UnbeatableWindowKeepsItsGradient) {
   const std::vector<float> want = {0, 1, 0, 0, 100, 0, 0, 0, 10, 0, 0, 0};
   for (std::size_t i = 0; i < want.size(); ++i) {
     EXPECT_EQ(dx[i], want[i]) << "dx[" << i << "]";
+  }
+}
+
+// The 2x2 window's vector step and its scalar tail both keep the window's
+// first strict maximum. Every window over {-inf, -1, -0, +0, 1, +inf, NaN}
+// (equal values, +0 against -0, NaN and +-inf at each of the four window
+// positions) sits in each of a sample's five output slots: four lanes of
+// one vector step, then the ow % 4 tail. Forward must match the scalar
+// rule bit for bit, and backward must route each gradient to the argmax.
+TEST(MaxPool2d, EdgeLanesKeepFirstStrictMax) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::vector<float> alphabet = {
+      -inf, -1.0f, -0.0f, 0.0f, 1.0f, inf,
+      std::numeric_limits<float>::quiet_NaN()};
+  std::vector<std::array<float, 4>> windows;  // taps in window order
+  for (const float a : alphabet) {
+    for (const float b : alphabet) {
+      for (const float c : alphabet) {
+        for (const float d : alphabet) windows.push_back({a, b, c, d});
+      }
+    }
+  }
+  const int slots = 5;
+  const int samples = static_cast<int>(windows.size());
+  const int w = 2 * slots;
+  tensor::Tensor x({samples, 1, 2, w});
+  std::vector<float> want_y;
+  std::vector<std::size_t> want_arg;  // flat input index per output
+  for (int sample = 0; sample < samples; ++sample) {
+    for (int slot = 0; slot < slots; ++slot) {
+      const auto& taps =
+          windows[static_cast<std::size_t>(sample + slot) % windows.size()];
+      const std::size_t origin =
+          static_cast<std::size_t>(sample) * 2 * w + 2 * slot;
+      const std::size_t at[4] = {origin, origin + 1, origin + w,
+                                 origin + w + 1};
+      float best = -inf;
+      std::size_t arg = origin;
+      for (int t = 0; t < 4; ++t) {
+        x[at[t]] = taps[t];
+        if (taps[t] > best) {
+          best = taps[t];
+          arg = at[t];
+        }
+      }
+      want_y.push_back(best);
+      want_arg.push_back(arg);
+    }
+  }
+  MaxPool2d pool(2);
+  const tensor::Tensor& y = pool.forward(x, true);
+  ASSERT_EQ(y.size(), want_y.size());
+  ASSERT_EQ(std::memcmp(y.data(), want_y.data(), want_y.size() * sizeof(float)),
+            0);
+  tensor::Tensor g({samples, 1, 1, slots});
+  for (std::size_t i = 0; i < g.size(); ++i) g[i] = static_cast<float>(i + 1);
+  const tensor::Tensor& dx = pool.backward(g);
+  std::vector<float> want_dx(x.size(), 0.0f);
+  for (std::size_t i = 0; i < want_arg.size(); ++i) want_dx[want_arg[i]] = g[i];
+  for (std::size_t i = 0; i < want_dx.size(); ++i) {
+    ASSERT_EQ(dx[i], want_dx[i]) << "dx[" << i << "]";
   }
 }
 

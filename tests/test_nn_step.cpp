@@ -253,6 +253,16 @@ TEST(NnGolden, EveryModuleIsBitwisePinned) {
        [](util::Rng& r) { return std::make_unique<Conv2d>(2, 5, 5, r, 1, 1); },
        {2, 3, 3},
        {0xc5b6f97cc0a9082fULL, 0xc5b6f97cc0a9082fULL}},
+      // MaxPool2d's 2x2 vector step: pooled width 11 is two 4-wide steps
+      // plus a 3-wide tail; width 9 pools to 4 and drops its last column.
+      {"MaxPool2dWidth11",
+       [](util::Rng&) { return std::make_unique<MaxPool2d>(2); },
+       {2, 6, 22},
+       {0x4a1b6298809b0a03ULL, 0x4a1b6298809b0a03ULL}},
+      {"MaxPool2dOddWidth",
+       [](util::Rng&) { return std::make_unique<MaxPool2d>(2); },
+       {1, 4, 9},
+       {0x7df2ad343898ab9fULL, 0x7df2ad343898ab9fULL}},
   };
   const int column = pin_column();
   if (column < 0) GTEST_SKIP() << "no pins for this compiler, flags or ISA";
