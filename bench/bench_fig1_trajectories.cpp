@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   bench::BenchConfig base = bench::config_from_flags(flags);
   const int num_params = static_cast<int>(flags.get_int("params"));
 
-  for (const std::string dataset : {std::string("emnist"), std::string("cifar")}) {
+  for (const std::string& dataset : {std::string("emnist"), std::string("cifar")}) {
     if (flags.get_string("datasets").find(dataset) == std::string::npos) continue;
     bench::BenchConfig config = base;
     config.dataset = dataset;

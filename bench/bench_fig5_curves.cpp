@@ -29,8 +29,8 @@ int main(int argc, char** argv) {
   bench::print_header("Fig. 5: time-to-accuracy + sparsification ratio (" +
                       config.dataset + ")");
   const std::string schemes = flags.get_string("schemes");
-  for (const std::string scheme : {std::string("fedsu"), std::string("apf"),
-                                   std::string("cmfl"), std::string("fedavg")}) {
+  for (const std::string& scheme : {std::string("fedsu"), std::string("apf"),
+                                    std::string("cmfl"), std::string("fedavg")}) {
     if (schemes.find(scheme) == std::string::npos) continue;
     const bench::SchemeRun run = bench::run_scheme(config, scheme);
     std::printf("--- %s ---\n", scheme.c_str());

@@ -24,8 +24,8 @@ int main(int argc, char** argv) {
   bench::BenchConfig base = bench::config_from_flags(flags);
   base.eval_every = 0;
 
-  for (const std::string dataset : {std::string("emnist"), std::string("fmnist"),
-                                    std::string("cifar")}) {
+  for (const std::string& dataset : {std::string("emnist"), std::string("fmnist"),
+                                     std::string("cifar")}) {
     if (flags.get_string("datasets").find(dataset) == std::string::npos) continue;
     bench::BenchConfig config = base;
     config.dataset = dataset;

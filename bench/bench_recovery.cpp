@@ -13,10 +13,9 @@
 //    interrupted-then-resumed run against an uninterrupted one:
 //
 //      ./bench_recovery --rounds 12 --model-crc-out a.crc
-//      ./bench_recovery --rounds 12 --checkpoint-every 2 --checkpoint-dir d \
-//          --faults-server-crash-at 7; test $? -eq 42
-//      ./bench_recovery --rounds 12 --checkpoint-every 2 --checkpoint-dir d \
-//          --resume --model-crc-out b.crc
+//      ck="--rounds 12 --checkpoint-every 2 --checkpoint-dir d"
+//      ./bench_recovery $ck --faults-server-crash-at 7; test $? -eq 42
+//      ./bench_recovery $ck --resume --model-crc-out b.crc
 //      cmp a.crc b.crc   # identical: §5b extended across the crash
 //
 //    (--resume clears the server-crash knobs: the crash plan described the

@@ -31,16 +31,6 @@ std::vector<std::uint8_t> encode_dense(std::span<const float> values) {
   return writer.take();
 }
 
-std::vector<float> decode_dense(const std::vector<std::uint8_t>& bytes) {
-  if (bytes.size() % sizeof(float) != 0) {
-    throw std::runtime_error("wire: dense payload size not a multiple of 4");
-  }
-  io::BinaryReader reader(bytes);
-  std::vector<float> values(bytes.size() / sizeof(float));
-  for (float& v : values) v = reader.read_f32();
-  return values;
-}
-
 std::vector<std::uint8_t> encode_sparse(std::span<const std::uint32_t> indices,
                                         std::span<const float> values) {
   if (indices.size() != values.size()) {
@@ -52,22 +42,6 @@ std::vector<std::uint8_t> encode_sparse(std::span<const std::uint32_t> indices,
     writer.write_f32(values[i]);
   }
   return writer.take();
-}
-
-SparsePayload decode_sparse(const std::vector<std::uint8_t>& bytes) {
-  if (bytes.size() % 8 != 0) {
-    throw std::runtime_error("wire: sparse payload size not a multiple of 8");
-  }
-  io::BinaryReader reader(bytes);
-  SparsePayload payload;
-  const std::size_t entries = bytes.size() / 8;
-  payload.indices.reserve(entries);
-  payload.values.reserve(entries);
-  for (std::size_t i = 0; i < entries; ++i) {
-    payload.indices.push_back(reader.read_u32());
-    payload.values.push_back(reader.read_f32());
-  }
-  return payload;
 }
 
 std::vector<std::uint8_t> encode_signs(std::span<const std::uint8_t> signs,
@@ -86,24 +60,6 @@ std::vector<std::uint8_t> encode_signs(std::span<const std::uint8_t> signs,
   if (filled > 0) writer.write_u8(packed);
   writer.write_f32(scale);
   return writer.take();
-}
-
-SignsPayload decode_signs(const std::vector<std::uint8_t>& bytes,
-                          std::size_t count) {
-  const std::size_t mask_bytes = (count + 7) / 8;
-  if (bytes.size() != mask_bytes + sizeof(float)) {
-    throw std::runtime_error("wire: signs payload size mismatch");
-  }
-  io::BinaryReader reader(bytes);
-  SignsPayload payload;
-  payload.signs.resize(count);
-  std::uint8_t packed = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    if (i % 8 == 0) packed = reader.read_u8();
-    payload.signs[i] = (packed >> (i % 8)) & 1;
-  }
-  payload.scale = reader.read_f32();
-  return payload;
 }
 
 std::vector<std::uint8_t> encode_quantized(std::span<const std::int32_t> levels,
@@ -130,35 +86,6 @@ std::vector<std::uint8_t> encode_quantized(std::span<const std::int32_t> levels,
   if (filled > 0) writer.write_u8(static_cast<std::uint8_t>(packed & 0xFF));
   writer.write_f32(scale);
   return writer.take();
-}
-
-QuantizedPayload decode_quantized(const std::vector<std::uint8_t>& bytes,
-                                  std::size_t count, int bits) {
-  if (bits < 1 || bits > 16) {
-    throw std::invalid_argument("wire: quantized bits out of [1, 16]");
-  }
-  const std::size_t level_bytes = (count * static_cast<std::size_t>(bits) + 7) / 8;
-  if (bytes.size() != level_bytes + sizeof(float)) {
-    throw std::runtime_error("wire: quantized payload size mismatch");
-  }
-  const std::int32_t max_level = (1 << (bits - 1)) - 1;
-  io::BinaryReader reader(bytes);
-  QuantizedPayload payload;
-  payload.levels.reserve(count);
-  std::uint64_t packed = 0;
-  int filled = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    while (filled < bits) {
-      packed |= static_cast<std::uint64_t>(reader.read_u8()) << filled;
-      filled += 8;
-    }
-    const auto raw = static_cast<std::uint32_t>(packed & ((1u << bits) - 1));
-    payload.levels.push_back(static_cast<std::int32_t>(raw) - max_level);
-    packed >>= bits;
-    filled -= bits;
-  }
-  payload.scale = reader.read_f32();
-  return payload;
 }
 
 std::uint32_t crc32(std::span<const std::uint8_t> bytes) {

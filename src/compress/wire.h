@@ -5,10 +5,9 @@
 // output size for every shape (tests/test_comm.cpp checks them
 // exhaustively, and the payload-audit mode re-checks at runtime). The hot
 // path therefore never materializes a wire buffer just to call .size() on
-// it — encoding happens only in round-trip tests, in the fault layer's CRC
-// stamping, and when payload auditing is switched on. Decoders are provided
-// for round-trip tests; the simulator itself never decodes (client states
-// are handed over in memory).
+// it — encoding happens only when payload auditing is switched on. There
+// are no decoders: client states are handed over in memory, so nothing
+// reads these formats back.
 //
 // Formats (little-endian, no framing — framing belongs to the transport):
 //   dense      count x f32
@@ -62,40 +61,21 @@ bool payload_audit();
 void audit_bytes(const char* what, std::size_t measured, std::size_t encoded);
 
 std::vector<std::uint8_t> encode_dense(std::span<const float> values);
-std::vector<float> decode_dense(const std::vector<std::uint8_t>& bytes);
 
 std::vector<std::uint8_t> encode_sparse(
     std::span<const std::uint32_t> indices, std::span<const float> values);
-struct SparsePayload {
-  std::vector<std::uint32_t> indices;
-  std::vector<float> values;
-};
-SparsePayload decode_sparse(const std::vector<std::uint8_t>& bytes);
 
 // `signs[i]` is 0 or 1 (1 = positive).
 std::vector<std::uint8_t> encode_signs(std::span<const std::uint8_t> signs,
                                        float scale);
-struct SignsPayload {
-  std::vector<std::uint8_t> signs;
-  float scale = 0.0f;
-};
-SignsPayload decode_signs(const std::vector<std::uint8_t>& bytes,
-                          std::size_t count);
 
 // `levels[i]` in [-max_level, max_level] with max_level = 2^(bits-1) - 1.
 std::vector<std::uint8_t> encode_quantized(std::span<const std::int32_t> levels,
                                            int bits, float scale);
-struct QuantizedPayload {
-  std::vector<std::int32_t> levels;
-  float scale = 0.0f;
-};
-QuantizedPayload decode_quantized(const std::vector<std::uint8_t>& bytes,
-                                  std::size_t count, int bits);
 
-// CRC-32 (IEEE 802.3 polynomial, bit-reflected) over a payload. The fault
-// layer (fl/faults, DESIGN.md §10) stamps every simulated upload with this
-// checksum so corrupted-in-transit payloads are detected and discarded; any
-// single-bit flip changes the CRC.
+// CRC-32 (IEEE 802.3 polynomial, bit-reflected) over a byte buffer; any
+// single-bit flip changes it. The run-checkpoint frame (io/checkpoint.cpp)
+// stamps its body with it, and perfbench fingerprints final models with it.
 std::uint32_t crc32(std::span<const std::uint8_t> bytes);
 
 // Adds one round's totals to the global metrics registry counters

@@ -97,8 +97,8 @@ std::vector<float> FedSuClientManager::finish_sync(
   for (std::size_t k = 0; k < pending_.unpredictable.size(); ++k) {
     next_[pending_.unpredictable[k]] = download.aggregated_values[k];
   }
-  // Error feedback (line 9): extend or end the expiring speculations; a new
-  // phase, like regular updating, starts from zero error.
+  // Error feedback (line 9): extend or end the expiring speculations;
+  // regular updating starts from zero error.
   for (std::size_t k = 0; k < pending_.expiring.size(); ++k) {
     const std::size_t j = pending_.expiring[k];
     if (spec_.check(j, download.aggregated_errors[k], next_[j])) {
@@ -106,8 +106,9 @@ std::vector<float> FedSuClientManager::finish_sync(
     }
   }
   // Linearity diagnosis for the normally-synchronized parameters (line 10).
-  spec_.diagnose(global_, next_, nullptr,
-                 [&](std::size_t j) { local_err_[j] = 0.0f; });
+  // A new phase needs no clear: local_err_ is written only while a
+  // parameter speculates and zeroed when its phase ends.
+  spec_.diagnose(global_, next_, nullptr, [](std::size_t) {});
   global_ = next_;
   return next_;
 }

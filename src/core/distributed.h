@@ -47,11 +47,6 @@ struct FedSuUpload {
 struct FedSuDownload {
   std::vector<float> aggregated_values;
   std::vector<float> aggregated_errors;
-
-  std::size_t wire_bytes() const {
-    return (aggregated_values.size() + aggregated_errors.size()) *
-           sizeof(float);
-  }
 };
 
 class FedSuServer {
@@ -83,7 +78,6 @@ class FedSuClientManager {
   }
   double predictable_fraction() const { return spec_.predictable_fraction(); }
   const std::vector<float>& state() const { return global_; }
-  std::size_t state_size() const { return global_.size(); }
 
  private:
   Speculation spec_;

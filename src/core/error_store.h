@@ -14,8 +14,9 @@
 //     once any delta is nonzero the slab exists and accumulates verbatim;
 //   * on_client_rejoin releases the slab outright (the dense code filled it
 //     with zeros); it re-materializes only if the client accumulates again;
-//   * promotions/demotions clear their parameters across allocated slabs
-//     only, in one batched pass per round (clear_params).
+//   * demotions clear their parameters across allocated slabs only, in one
+//     batched pass per round (clear_params); a promoted parameter already
+//     reads zero, since only speculating parameters accumulate.
 //
 // The store is not thread-safe as a whole, but disjoint clients may be
 // accumulated concurrently: ensure()/slab() touch only the client's own
@@ -71,7 +72,7 @@ class SparseErrorStore {
   void release(int client) { slabs_[static_cast<std::size_t>(client)].reset(); }
 
   // err[j] = 0 for every listed j across every ALLOCATED slab (the
-  // promotion / demotion path; the dense equivalent wrote whole columns).
+  // demotion path; the dense equivalent wrote whole columns).
   // Slabs are independent, so they are cleared in parallel over `pool`
   // (may be null: inline).
   void clear_params(std::span<const std::size_t> params,

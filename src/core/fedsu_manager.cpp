@@ -167,9 +167,12 @@ compress::SyncResult FedSuManager::synchronize(
   }
   }  // OBS_SPAN core.fedsu.speculate
 
-  // Columns whose errors restart this round (demotions in pass 2,
-  // promotions in pass 3). Nothing reads the slabs after the verdicts, so
-  // they are cleared together at the end of pass 3.
+  // Columns whose errors restart this round: the demotions of pass 2.
+  // Nothing reads the slabs after the verdicts, so they are cleared
+  // together at the end of pass 3. A promotion needs no clear: pass 1
+  // writes only predictable columns, a phase ends only by demotion, and
+  // slabs start zero-filled, so a synchronized column reads +0.0 in every
+  // slab.
   std::vector<std::size_t> cleared;
 
   // Pass 2: error feedback for parameters whose no-checking period expired.
@@ -252,12 +255,11 @@ compress::SyncResult FedSuManager::synchronize(
   }
   spec_.diagnose(global_, new_global, osc_hist, [&](std::size_t j) {
     phase_start_round_[j] = rounds_seen_;
-    cleared.push_back(j);
     ++diag_.promotions;
     emit(SpecEvent{ctx.round, j, /*start=*/true});
   });
-  // A new phase (promotion) or regular updating (demotion) starts from
-  // zero error: one pass over the allocated slabs, in parallel over them.
+  // Regular updating (demotion) restarts from zero error: one pass over
+  // the allocated slabs, in parallel over them.
   client_err_.clear_params(cleared, pool);
   }  // OBS_SPAN core.fedsu.diagnosis
 

@@ -74,7 +74,7 @@ class FedSuManager : public compress::SyncProtocol {
   // scatters prediction errors over the predictable runs; pass 2 folds the
   // expiring errors row by row and applies the Eq. 3 verdicts; pass 3
   // diagnoses the synchronized parameters, then clears the error columns
-  // of every promotion and demotion in one batch.
+  // of every demotion in one batch (a promoted column already reads zero).
   compress::SyncResult synchronize(
       const compress::RoundContext& ctx,
       const std::vector<std::span<const float>>& client_states) override;

@@ -95,13 +95,4 @@ void DatasetView::gather(const std::vector<std::size_t>& indices,
   }
 }
 
-Dataset DatasetView::materialize() const {
-  tensor::Tensor batch;
-  std::vector<int> labels;
-  std::vector<std::size_t> all(rows_.size());
-  for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
-  gather(all, batch, labels);
-  return Dataset(std::move(batch), std::move(labels));
-}
-
 }  // namespace fedsu::data

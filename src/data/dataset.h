@@ -15,7 +15,6 @@ class Dataset {
   Dataset(tensor::Tensor images, std::vector<int> labels);
 
   std::size_t size() const { return labels_.size(); }
-  bool empty() const { return labels_.empty(); }
   int channels() const { return images_.empty() ? 0 : images_.dim(1); }
   int height() const { return images_.empty() ? 0 : images_.dim(2); }
   int width() const { return images_.empty() ? 0 : images_.dim(3); }
@@ -69,21 +68,11 @@ class DatasetView {
   int channels() const { return parent_ ? parent_->channels() : 0; }
   int height() const { return parent_ ? parent_->height() : 0; }
   int width() const { return parent_ ? parent_->width() : 0; }
-  // The PARENT's class count: shards of one federation share the task's
-  // label space even when a skewed shard is missing classes.
-  int num_classes() const { return parent_ ? parent_->num_classes() : 0; }
-
-  const Dataset& parent() const { return *parent_; }
-  const std::vector<std::size_t>& rows() const { return rows_; }
-  int label(std::size_t i) const { return parent_->labels()[rows_[i]]; }
 
   // Copies the selected view samples into a batch tensor + label vector,
   // reusing the destination buffers' capacity (see Dataset::gather).
   void gather(const std::vector<std::size_t>& indices, tensor::Tensor& batch,
               std::vector<int>& labels) const;
-
-  // Materializes the view as a standalone Dataset (tests, add_client).
-  Dataset materialize() const;
 
  private:
   std::shared_ptr<const Dataset> parent_;

@@ -23,7 +23,6 @@ class BatchLoader {
   // size is not divisible.
   void next(tensor::Tensor& batch, std::vector<int>& labels);
 
-  int batch_size() const { return batch_size_; }
   std::size_t epochs_completed() const { return epochs_; }
 
   // Checkpoint support. The epoch permutation cannot be re-derived from the

@@ -81,20 +81,4 @@ std::vector<std::vector<std::size_t>> dirichlet_partition(
   return shards;
 }
 
-std::vector<std::vector<std::size_t>> iid_partition(const Dataset& dataset,
-                                                    int num_clients,
-                                                    std::uint64_t seed) {
-  if (num_clients <= 0) {
-    throw std::invalid_argument("iid_partition: num_clients <= 0");
-  }
-  util::Rng rng(seed);
-  const auto perm = rng.permutation(dataset.size());
-  std::vector<std::vector<std::size_t>> shards(
-      static_cast<std::size_t>(num_clients));
-  for (std::size_t i = 0; i < perm.size(); ++i) {
-    shards[i % static_cast<std::size_t>(num_clients)].push_back(perm[i]);
-  }
-  return shards;
-}
-
 }  // namespace fedsu::data

@@ -27,9 +27,4 @@ struct PartitionOptions {
 std::vector<std::vector<std::size_t>> dirichlet_partition(
     const Dataset& dataset, const PartitionOptions& options);
 
-// IID split (random equal shares); used as the alpha -> infinity reference.
-std::vector<std::vector<std::size_t>> iid_partition(const Dataset& dataset,
-                                                    int num_clients,
-                                                    std::uint64_t seed);
-
 }  // namespace fedsu::data

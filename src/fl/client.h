@@ -44,7 +44,6 @@ class Client {
 
   int id() const { return id_; }
   std::size_t dataset_size() const { return shard_.size(); }
-  const data::DatasetView& shard() const { return shard_; }
 
   // Runs `options.iterations` local SGD steps on `model`, which must
   // already hold the current global state. Returns the mean training loss.

@@ -146,8 +146,6 @@ class FaultPlan {
   }
 
  private:
-  void apply_trace(int round, int num_clients);
-
   FaultOptions options_;
   bool enabled_ = false;
   bool server_faults_enabled_ = false;

@@ -11,7 +11,6 @@
 #include "nn/loss.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/logging.h"
 
 namespace fedsu::fl {
 

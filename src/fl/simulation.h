@@ -237,7 +237,6 @@ class Simulation {
 
   const std::vector<float>& global_state() const { return global_; }
   compress::SyncProtocol& protocol() { return *protocol_; }
-  const SimulationOptions& options() const { return options_; }
   const FaultPlan& fault_plan() const { return faults_; }
   int rounds_completed() const { return round_; }
   double elapsed_time_s() const { return elapsed_time_s_; }

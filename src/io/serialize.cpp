@@ -33,12 +33,6 @@ BinaryReader BinaryReader::from_file(const std::string& path) {
   return BinaryReader(std::move(bytes));
 }
 
-std::uint8_t BinaryReader::read_u8() {
-  std::uint8_t v = 0;
-  read_raw(&v, sizeof(v));
-  return v;
-}
-
 std::uint32_t BinaryReader::read_u32() {
   std::uint32_t v = 0;
   read_raw(&v, sizeof(v));

@@ -52,7 +52,6 @@ class BinaryReader {
 
   static BinaryReader from_file(const std::string& path);
 
-  std::uint8_t read_u8();
   std::uint32_t read_u32();
   std::uint64_t read_u64();
   std::int32_t read_i32();

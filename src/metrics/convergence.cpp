@@ -13,7 +13,6 @@ ConvergenceTracker::ConvergenceTracker(float target_accuracy)
 
 void ConvergenceTracker::observe(const fl::RoundRecord& record) {
   if (!record.test_accuracy) return;
-  best_accuracy_ = std::max(best_accuracy_, *record.test_accuracy);
   if (!reached_ && *record.test_accuracy >= target_) {
     reached_ = {record.elapsed_time_s, record.round + 1};
   }

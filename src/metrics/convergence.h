@@ -20,12 +20,10 @@ class ConvergenceTracker {
   // Simulated seconds / rounds when the target was first reached.
   double time_to_target_s() const;
   int rounds_to_target() const;
-  float best_accuracy() const { return best_accuracy_; }
 
  private:
   float target_;
   std::optional<std::pair<double, int>> reached_;  // (elapsed time, round+1)
-  float best_accuracy_ = 0.0f;
 };
 
 struct RunSummary {

@@ -52,7 +52,6 @@ class TrajectoryRecorder {
 
   void record(const std::vector<float>& state);
 
-  const std::vector<std::size_t>& indices() const { return indices_; }
   // series()[i][r]: value of tracked coordinate i at recorded round r.
   const std::vector<std::vector<float>>& series() const { return series_; }
 

@@ -50,8 +50,6 @@ class DenseLayer : public Module {
   void collect_params(std::vector<Param*>& out) override;
   std::string name() const override { return "DenseLayer"; }
 
-  int out_channels() const { return in_channels_ + growth_; }
-
  private:
   int in_channels_;
   int growth_;

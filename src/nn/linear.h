@@ -17,9 +17,6 @@ class Linear : public Module {
   void collect_params(std::vector<Param*>& out) override;
   std::string name() const override { return "Linear"; }
 
-  int in_features() const { return in_features_; }
-  int out_features() const { return out_features_; }
-
  private:
   int in_features_;
   int out_features_;

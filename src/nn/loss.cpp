@@ -4,8 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "tensor/ops.h"
-
 namespace fedsu::nn {
 
 float SoftmaxCrossEntropy::forward(const tensor::Tensor& logits,
@@ -70,10 +68,10 @@ float accuracy(const tensor::Tensor& logits, const std::vector<int>& labels) {
   if (n == 0) return 0.0f;
   int correct = 0;
   for (int i = 0; i < n; ++i) {
-    const std::size_t pred =
-        tensor::argmax(logits.data() + static_cast<std::size_t>(i) * c,
-                       static_cast<std::size_t>(c));
-    if (static_cast<int>(pred) == labels[static_cast<std::size_t>(i)]) ++correct;
+    // Ties go to the lowest class index.
+    const float* row = logits.data() + static_cast<std::size_t>(i) * c;
+    const auto pred = std::max_element(row, row + c) - row;
+    if (pred == labels[static_cast<std::size_t>(i)]) ++correct;
   }
   return static_cast<float>(correct) / static_cast<float>(n);
 }

@@ -29,27 +29,6 @@ float InverseSqrtLr::lr(int round) const {
   return base_ / std::sqrt(static_cast<float>(round - warmup_ + 1));
 }
 
-StepDecayLr::StepDecayLr(float base, int step, float gamma)
-    : base_(base), step_(step), gamma_(gamma) {
-  if (base <= 0.0f || step <= 0 || gamma <= 0.0f || gamma > 1.0f) {
-    throw std::invalid_argument("StepDecayLr: bad arguments");
-  }
-}
-
-float StepDecayLr::lr(int round) const {
-  if (round < 0) throw std::invalid_argument("StepDecayLr: negative round");
-  return base_ * std::pow(gamma_, static_cast<float>(round / step_));
-}
-
-std::unique_ptr<LrSchedule> make_schedule(const std::string& kind, float base) {
-  if (kind == "constant") return std::make_unique<ConstantLr>(base);
-  if (kind == "inverse-sqrt") return std::make_unique<InverseSqrtLr>(base);
-  if (kind == "step-decay") {
-    return std::make_unique<StepDecayLr>(base, 20, 0.5f);
-  }
-  throw std::invalid_argument("make_schedule: unknown kind '" + kind + "'");
-}
-
 double eq13_ratio(const LrSchedule& schedule, int horizon) {
   if (horizon <= 0) throw std::invalid_argument("eq13_ratio: horizon <= 0");
   double sum = 0.0, sum_sq = 0.0;

@@ -5,7 +5,6 @@
 // suggests lr_k = O(1/sqrt(T)). All schedules here expose lr(round).
 #pragma once
 
-#include <memory>
 #include <string>
 
 namespace fedsu::nn {
@@ -41,22 +40,6 @@ class InverseSqrtLr : public LrSchedule {
   float base_;
   int warmup_;
 };
-
-// lr_k = base * gamma^(k / step): classic step decay.
-class StepDecayLr : public LrSchedule {
- public:
-  StepDecayLr(float base, int step, float gamma);
-  float lr(int round) const override;
-  std::string name() const override { return "step-decay"; }
-
- private:
-  float base_;
-  int step_;
-  float gamma_;
-};
-
-// Factory: "constant" | "inverse-sqrt" | "step-decay".
-std::unique_ptr<LrSchedule> make_schedule(const std::string& kind, float base);
 
 // Checks Eq. 13 numerically over `horizon` rounds: returns
 // sum(lr^2)/sum(lr), which must shrink as the horizon grows for a

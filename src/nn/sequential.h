@@ -26,9 +26,6 @@ class Sequential : public Module {
   void collect_params(std::vector<Param*>& out) override;
   std::string name() const override { return "Sequential"; }
 
-  std::size_t size() const { return modules_.size(); }
-  Module& at(std::size_t i) { return *modules_.at(i); }
-
  private:
   std::vector<ModulePtr> modules_;
 };

@@ -22,9 +22,6 @@ class Sgd {
   // Applies one update using the accumulated grads (does not zero them).
   void step();
 
-  void set_learning_rate(float lr) { options_.learning_rate = lr; }
-  float learning_rate() const { return options_.learning_rate; }
-
  private:
   std::vector<Param*> params_;
   SgdOptions options_;

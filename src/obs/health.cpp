@@ -21,14 +21,6 @@ const char* severity_name(AlertSeverity severity) {
   return "unknown";
 }
 
-AlertSeverity parse_severity(const std::string& text) {
-  if (text == "info") return AlertSeverity::kInfo;
-  if (text == "warning") return AlertSeverity::kWarning;
-  if (text == "critical") return AlertSeverity::kCritical;
-  throw std::invalid_argument("parse_severity: unknown severity '" + text +
-                              "' (info | warning | critical)");
-}
-
 HealthMonitor::HealthMonitor(HealthOptions options) : options_(options) {}
 
 void HealthMonitor::open_alerts_file(const std::string& path) {

@@ -40,8 +40,6 @@ enum class AlertSeverity : int { kInfo = 0, kWarning = 1, kCritical = 2 };
 
 // "info" | "warning" | "critical".
 const char* severity_name(AlertSeverity severity);
-// Parses a severity name; throws std::invalid_argument on anything else.
-AlertSeverity parse_severity(const std::string& text);
 
 // Thresholds for every rule. The defaults are calibrated for the repo's
 // 10-iteration rounds (noisy losses: plateau/divergence windows are
@@ -135,7 +133,6 @@ class HealthMonitor {
   int raised_count(AlertSeverity severity) const;
   // True while no critical rule is currently active.
   bool healthy() const;
-  const HealthOptions& options() const { return options_; }
 
   // One alert as its JSONL line (no trailing newline); shared by tests and
   // the validator so they see the exact production encoding.

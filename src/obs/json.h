@@ -31,12 +31,8 @@ class JsonValue {
  public:
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
 
-  Type type() const { return type_; }
   bool is_null() const { return type_ == Type::kNull; }
-  bool is_number() const { return type_ == Type::kNumber; }
-  bool is_string() const { return type_ == Type::kString; }
   bool is_array() const { return type_ == Type::kArray; }
-  bool is_object() const { return type_ == Type::kObject; }
 
   // Typed accessors throw std::runtime_error on type mismatch.
   bool as_bool() const;

@@ -89,8 +89,6 @@ class RunManifest {
   // to_json() to `path`; throws std::runtime_error on I/O failure.
   void write(const std::string& path) const;
 
-  const std::vector<RunAggregates>& runs() const { return runs_; }
-
   static constexpr const char* kSchema = "fedsu.run_manifest.v1";
 
  private:

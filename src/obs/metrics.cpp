@@ -93,14 +93,6 @@ HistogramSnapshot Histogram::snapshot() const {
   return snap;
 }
 
-void Histogram::reset() {
-  for (int i = 0; i < options_.buckets + 2; ++i) {
-    counts_[i].store(0, std::memory_order_relaxed);
-  }
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
-}
-
 Counter& MetricsRegistry::counter(const std::string& name) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (gauges_.count(name) || histograms_.count(name)) {
@@ -144,13 +136,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     snap.histograms[name] = h->snapshot();
   }
   return snap;
-}
-
-void MetricsRegistry::reset() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& [name, c] : counters_) c->reset();
-  for (auto& [name, g] : gauges_) g->reset();
-  for (auto& [name, h] : histograms_) h->reset();
 }
 
 std::string MetricsRegistry::to_json() const {

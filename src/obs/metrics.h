@@ -28,7 +28,6 @@ class Counter {
  public:
   void add(std::uint64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
   std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
-  void reset() { value_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<std::uint64_t> value_{0};
@@ -38,7 +37,6 @@ class Gauge {
  public:
   void set(double v) { value_.store(v, std::memory_order_relaxed); }
   double value() const { return value_.load(std::memory_order_relaxed); }
-  void reset() { value_.store(0.0, std::memory_order_relaxed); }
 
  private:
   std::atomic<double> value_{0.0};
@@ -73,7 +71,6 @@ class Histogram {
 
   void record(double value);
   HistogramSnapshot snapshot() const;
-  void reset();
 
   // Exposed for tests: the bucket a value would land in (-1 underflow,
   // buckets overflow).
@@ -106,8 +103,6 @@ class MetricsRegistry {
   Histogram& histogram(const std::string& name, HistogramOptions options = {});
 
   MetricsSnapshot snapshot() const;
-  // Zeroes every metric's data; registered names stay registered.
-  void reset();
 
   std::string to_json() const;  // one {"counters":…,"gauges":…,"histograms":…}
   void write_json(const std::string& path) const;

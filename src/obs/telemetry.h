@@ -1,10 +1,9 @@
 // Structured per-round telemetry: one JSON object per FL round, appended as
-// JSONL and flushed per line so a killed run keeps its partial telemetry
-// (same durability contract as fl::RoundTrace).
+// JSONL and flushed per line so a killed run keeps its partial telemetry.
 //
-// Complements the CSV RoundTrace with the observability fields an analysis
-// pipeline needs without re-running: exact bytes on the wire, speculation
-// state, fallback synchronizations, and the per-phase wall-time split.
+// Carries the observability fields an analysis pipeline needs without
+// re-running: exact bytes on the wire, speculation state, fallback
+// synchronizations, and the per-phase wall-time split.
 #pragma once
 
 #include <fstream>

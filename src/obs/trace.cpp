@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -131,22 +130,6 @@ std::vector<PhaseTotal> Tracer::aggregate() const {
   std::sort(out.begin(), out.end(), [](const PhaseTotal& a, const PhaseTotal& b) {
     return a.total_ms > b.total_ms;
   });
-  return out;
-}
-
-std::string Tracer::table() const {
-  std::string out;
-  char line[160];
-  std::snprintf(line, sizeof(line), "%-32s %10s %14s %12s\n", "span", "count",
-                "total (ms)", "mean (ms)");
-  out += line;
-  for (const PhaseTotal& t : aggregate()) {
-    std::snprintf(line, sizeof(line), "%-32s %10llu %14.3f %12.4f\n",
-                  t.name.c_str(), static_cast<unsigned long long>(t.count),
-                  t.total_ms,
-                  t.count ? t.total_ms / static_cast<double>(t.count) : 0.0);
-    out += line;
-  }
   return out;
 }
 

@@ -16,8 +16,8 @@
 //   * write_chrome_json() — a chrome://tracing / Perfetto "traceEvents"
 //     timeline with per-thread attribution (thread-pool workers register
 //     names via set_current_thread_name);
-//   * aggregate() / table() — per-span-name total wall time and call
-//     counts, replacing bespoke Stopwatch bookkeeping in benches.
+//   * aggregate() — per-span-name total wall time and call counts,
+//     replacing bespoke Stopwatch bookkeeping in benches.
 #pragma once
 
 #include <cstdint>
@@ -65,8 +65,6 @@ class Tracer {
 
   // Per-name aggregation of the current events, sorted by total time desc.
   std::vector<PhaseTotal> aggregate() const;
-  // Human-readable per-phase wall-time table of aggregate().
-  std::string table() const;
 
   // chrome://tracing "traceEvents" JSON (complete "X" events in
   // microseconds plus thread_name metadata). Throws on I/O failure.

@@ -26,8 +26,7 @@ constexpr int MC = 64;
 constexpr int KC = 256;
 constexpr int NC = 256;
 
-// Same fan-out threshold as the pre-blocked kernels (tensor/ops.cpp): below
-// ~1M multiply-accumulates, pool dispatch costs more than it buys.
+// Below ~1M multiply-accumulates, pool dispatch costs more than it buys.
 constexpr std::size_t kParallelMacThreshold = std::size_t{1} << 20;
 
 constexpr int round_up(int v, int unit) { return (v + unit - 1) / unit * unit; }

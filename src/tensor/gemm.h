@@ -1,8 +1,7 @@
 // Cache-blocked, register-tiled single-precision GEMM.
 //
-// One kernel serves the whole training hot path: tensor::matmul /
-// matmul_tn / matmul_nt, nn::Linear, and both Conv2d im2col GEMMs route
-// here. Design (DESIGN.md §9):
+// One kernel serves the whole training hot path: nn::Linear and every
+// Conv2d im2col GEMM route here. Design (DESIGN.md §9):
 //
 //   * Three-level blocking: NC panels of B columns (outer), KC slices of
 //     the reduction dimension, MC panels of C rows — each (KC x NC) B

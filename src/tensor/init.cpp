@@ -13,20 +13,4 @@ void kaiming_normal(Tensor& t, int fan_in, util::Rng& rng) {
   }
 }
 
-void xavier_uniform(Tensor& t, int fan_in, int fan_out, util::Rng& rng) {
-  if (fan_in <= 0 || fan_out <= 0) {
-    throw std::invalid_argument("xavier_uniform: non-positive fan");
-  }
-  const double bound = std::sqrt(6.0 / (fan_in + fan_out));
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    t[i] = static_cast<float>(rng.uniform(-bound, bound));
-  }
-}
-
-void normal_init(Tensor& t, float mean, float stddev, util::Rng& rng) {
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    t[i] = static_cast<float>(rng.normal(mean, stddev));
-  }
-}
-
 }  // namespace fedsu::tensor

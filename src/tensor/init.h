@@ -1,4 +1,4 @@
-// Weight initializers. All take an explicit Rng so experiments are
+// Weight initialization. Takes an explicit Rng so experiments are
 // reproducible bit-for-bit.
 #pragma once
 
@@ -10,11 +10,5 @@ namespace fedsu::tensor {
 // Kaiming/He normal initialization: stddev = sqrt(2 / fan_in).
 // `fan_in` must be > 0.
 void kaiming_normal(Tensor& t, int fan_in, util::Rng& rng);
-
-// Xavier/Glorot uniform: U(-b, b) with b = sqrt(6 / (fan_in + fan_out)).
-void xavier_uniform(Tensor& t, int fan_in, int fan_out, util::Rng& rng);
-
-// N(mean, stddev).
-void normal_init(Tensor& t, float mean, float stddev, util::Rng& rng);
 
 }  // namespace fedsu::tensor

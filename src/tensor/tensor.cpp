@@ -31,13 +31,6 @@ Tensor Tensor::full(std::vector<int> shape, float value) {
   return t;
 }
 
-Tensor Tensor::reshaped(std::vector<int> new_shape) const {
-  if (shape_size(new_shape) != data_.size()) {
-    throw std::invalid_argument("Tensor::reshaped: element count mismatch");
-  }
-  return Tensor(std::move(new_shape), data_);
-}
-
 void Tensor::resize(std::span<const int> new_shape) {
   if (std::equal(new_shape.begin(), new_shape.end(), shape_.begin(),
                  shape_.end())) {

@@ -27,9 +27,7 @@ class Tensor {
   // Constructs from shape + data (sizes must match).
   Tensor(std::vector<int> shape, std::vector<float> data);
 
-  static Tensor zeros(std::vector<int> shape) { return Tensor(std::move(shape)); }
   static Tensor full(std::vector<int> shape, float value);
-  static Tensor from_scalar(float value) { return Tensor({1}, {value}); }
 
   const std::vector<int>& shape() const { return shape_; }
   int dim(std::size_t axis) const {
@@ -73,9 +71,6 @@ class Tensor {
     assert(rank() == 4);
     return data_[offset4(n, c, h, w)];
   }
-
-  // Returns a reshaped copy-free tensor (element count must match).
-  Tensor reshaped(std::vector<int> new_shape) const;
 
   // Re-shapes in place, reusing the existing heap buffer whenever its
   // capacity suffices (the layer buffers and per-batch scratch tensors in

@@ -47,6 +47,4 @@ std::string CsvWriter::field(double value) {
 
 std::string CsvWriter::field(long long value) { return std::to_string(value); }
 
-std::string CsvWriter::field(const std::string& value) { return value; }
-
 }  // namespace fedsu::util

@@ -18,15 +18,12 @@ class CsvWriter {
   void write_row(std::initializer_list<std::string> fields);
 
   // Pushes buffered rows to the OS; throws std::runtime_error if the stream
-  // failed. Call after each row for crash durability (fl::RoundTrace does).
+  // failed. Call after each row for crash durability.
   void flush();
 
   // Convenience: formats doubles with enough precision for re-plotting.
   static std::string field(double value);
   static std::string field(long long value);
-  static std::string field(const std::string& value);
-
-  bool is_open() const { return out_.is_open(); }
 
  private:
   std::ofstream out_;

@@ -86,22 +86,34 @@ bool Flags::parse(int argc, char** argv) {
       }
       value = argv[++i];
     }
+    // The whole token must parse: std::stoll / std::stod stop at the first
+    // character they cannot use, so "0.05abc" (or "1e3" for an int) would
+    // otherwise pass as its numeric prefix.
+    bool ok = true;
     try {
+      std::size_t used = 0;
       switch (entry.type) {
         case Type::kInt:
-          entry.int_value = std::stoll(value);
+          entry.int_value = std::stoll(value, &used);
+          ok = used == value.size();
           break;
         case Type::kDouble:
-          entry.double_value = std::stod(value);
+          entry.double_value = std::stod(value, &used);
+          ok = used == value.size();
           break;
         case Type::kString:
           entry.string_value = value;
           break;
         case Type::kBool:
-          entry.bool_value = (value == "1" || value == "true" || value == "yes");
+          entry.bool_value = value == "1" || value == "true" || value == "yes";
+          ok = entry.bool_value || value == "0" || value == "false" ||
+               value == "no";
           break;
       }
     } catch (const std::exception&) {
+      ok = false;
+    }
+    if (!ok) {
       throw std::runtime_error("Flags: bad value '" + value + "' for --" + name);
     }
   }

@@ -59,8 +59,6 @@ void ThreadPool::worker_loop(int worker_index) {
   }
 }
 
-bool ThreadPool::inside_worker() { return tl_inside_worker; }
-
 bool ThreadPool::worth_parallelizing() const {
   return size_ > 1 && !tl_inside_worker;
 }

@@ -55,9 +55,6 @@ class ThreadPool {
   // (more than one worker and not already inside a worker of any pool).
   bool worth_parallelizing() const;
 
-  // True on threads currently executing a pool task (any pool).
-  static bool inside_worker();
-
   // Process-wide pool shared by the tensor kernels. Created on first use
   // with hardware concurrency unless set_global_threads() ran earlier.
   static ThreadPool& global();

@@ -202,16 +202,6 @@ TEST(Partition, SmallAlphaIsMoreSkewedThanLarge) {
             label_entropy(dirichlet_partition(data.train, flat)) - 0.2);
 }
 
-TEST(Partition, IidSplitsEvenly) {
-  SyntheticSpec spec;
-  spec.train_count = 100;
-  spec.test_count = 10;
-  spec.image_size = 4;
-  const auto data = generate_synthetic(spec);
-  const auto shards = iid_partition(data.train, 4, 9);
-  for (const auto& shard : shards) EXPECT_EQ(shard.size(), 25u);
-}
-
 TEST(Partition, RejectsTooManyClients) {
   SyntheticSpec spec;
   spec.train_count = 10;

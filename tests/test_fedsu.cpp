@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <memory>
 
@@ -317,6 +320,75 @@ TEST(FedSuManager, EventHookSeesStartAndEnd) {
   bool saw_end = false;
   for (const auto& e : events) saw_end |= !e.start;
   EXPECT_TRUE(saw_end);
+}
+
+// Pass 3 clears only demoted columns. That suffices because a column
+// outside speculation reads +0.0 in every allocated slab: pass 1 writes
+// only predictable columns, a phase ends only by demotion, and slabs start
+// zero-filled. Checked after every round under rejoin churn and stale
+// (versioned) participants, for every synchronized column and for every
+// column promoted that round.
+TEST(FedSuManager, SynchronizedAndPromotedColumnsReadZeroInEverySlab) {
+  constexpr int kClients = 12;
+  constexpr std::size_t kParams = 48;
+  FedSuManager manager(kClients, fast_options());
+  std::vector<std::size_t> promoted;
+  std::size_t promotions = 0, demotions = 0, checked = 0;
+  manager.set_event_hook([&](const SpecEvent& e) {
+    if (e.start) {
+      promoted.push_back(e.param);
+    } else {
+      ++demotions;
+    }
+  });
+  std::vector<float> global(kParams, 0.0f);
+  manager.initialize(global);
+  util::Rng rng(31);
+  for (int r = 0; r < 80; ++r) {
+    if (r % 4 == 3) manager.on_client_rejoin((r * 7) % kClients);
+    RoundContext ctx = ctx_of(r, 0);
+    const int first = (r * 5) % kClients;
+    for (int k = 0; k < 6; ++k) {
+      ctx.participants.push_back((first + 2 * k) % kClients);
+      // Every third participant trained on a model two versions old.
+      ctx.dispatch_rounds.push_back(k % 3 == 0 ? std::max(0, r - 2) : r);
+    }
+    std::vector<std::vector<float>> states(ctx.participants.size(), global);
+    for (auto& state : states) {
+      for (std::size_t j = 0; j < kParams; ++j) {
+        float slope = 0.0f;
+        switch (j % 4) {
+          case 0: slope = 0.125f; break;                             // linear
+          case 1: slope = (r / 7) % 2 == 0 ? 0.25f : -0.25f; break;  // flips
+          case 2: slope = static_cast<float>(rng.normal()); break;   // noise
+          case 3: slope = r % 5 == 4 ? 1.0f : 0.05f; break;          // jumps
+        }
+        state[j] += slope + static_cast<float>(0.01 * rng.normal());
+      }
+    }
+    promoted.clear();
+    global = manager.synchronize(ctx, views(states)).new_global;
+    promotions += promoted.size();
+    const std::vector<std::uint8_t>& mask = manager.predictable_mask();
+    for (int c = 0; c < kClients; ++c) {
+      const float* slab = manager.error_store().slab(c);
+      if (slab == nullptr) continue;
+      for (std::size_t j = 0; j < kParams; ++j) {
+        if (mask[j]) continue;
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(slab[j]), 0u)
+            << "round " << r << " client " << c << " synchronized " << j;
+      }
+      for (const std::size_t j : promoted) {
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(slab[j]), 0u)
+            << "round " << r << " client " << c << " promoted " << j;
+        ++checked;
+      }
+    }
+  }
+  // The run must reach every path the invariant covers.
+  EXPECT_GT(promotions, 10u);
+  EXPECT_GT(demotions, 5u);
+  EXPECT_GT(checked, 0u);
 }
 
 TEST(FedSuManager, LinearRoundsCounterTracksSpeculation) {

@@ -5,14 +5,14 @@
 // the arena-backed training path is tested in test_nn_step.cpp.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "tensor/gemm.h"
-#include "tensor/ops.h"
-#include "tensor/tensor.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -243,32 +243,14 @@ TEST(Gemm, TileSeamsAreBitwisePinned) {
   EXPECT_EQ(hash, pinned[column]) << "0x" << std::hex << hash;
 }
 
-TEST(Gemm, MatmulWrappersRouteThroughBlockedKernel) {
-  util::Rng rng(3);
-  Tensor a({9, 14}, random_buffer(9 * 14, rng));
-  Tensor b({14, 11}, random_buffer(14 * 11, rng));
-  const Tensor c = matmul(a, b);
-  const std::vector<double> ref =
-      reference(Variant::kNN, 9, 11, 14, a.vec(), b.vec());
-  for (std::size_t i = 0; i < c.size(); ++i) {
-    ASSERT_NEAR(c[i], ref[i], 1e-4) << "index " << i;
-  }
-
-  Tensor at({14, 9}, random_buffer(14 * 9, rng));
-  const Tensor ctn = matmul_tn(at, b);
-  const std::vector<double> ref_tn =
-      reference(Variant::kTN, 9, 11, 14, at.vec(), b.vec());
-  for (std::size_t i = 0; i < ctn.size(); ++i) {
-    ASSERT_NEAR(ctn[i], ref_tn[i], 1e-4) << "index " << i;
-  }
-
-  Tensor bt({11, 14}, random_buffer(11 * 14, rng));
-  const Tensor cnt = matmul_nt(a, bt);
-  const std::vector<double> ref_nt =
-      reference(Variant::kNT, 9, 11, 14, a.vec(), bt.vec());
-  for (std::size_t i = 0; i < cnt.size(); ++i) {
-    ASSERT_NEAR(cnt[i], ref_nt[i], 1e-4) << "index " << i;
-  }
+// IEEE semantics through the kernel: a zero operand against Inf must
+// propagate NaN (0 * Inf), which a zero-skipping shortcut would suppress.
+TEST(Gemm, PropagatesNanFromZeroTimesInf) {
+  const float a[2] = {0.0f, 1.0f};
+  const float b[2] = {std::numeric_limits<float>::infinity(), 2.0f};
+  float c = 0.0f;
+  gemm::sgemm(Variant::kNN, 1, 1, 2, a, b, &c, Accumulate::kOverwrite);
+  EXPECT_TRUE(std::isnan(c));
 }
 
 }  // namespace

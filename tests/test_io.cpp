@@ -5,59 +5,10 @@
 #include "compress/fedavg.h"
 #include "core/fedsu_manager.h"
 #include "io/serialize.h"
-#include "util/bitset.h"
 #include "util/rng.h"
 
 namespace fedsu {
 namespace {
-
-TEST(PackedBitset, PackUnpackRoundTrip) {
-  std::vector<std::uint8_t> mask{1, 0, 1, 1, 0, 0, 0, 1, 1};
-  const auto packed = util::PackedBitset::pack(mask);
-  EXPECT_EQ(packed.size(), mask.size());
-  EXPECT_EQ(packed.count(), 5u);
-  EXPECT_EQ(packed.unpack(), mask);
-}
-
-TEST(PackedBitset, SetAndTest) {
-  util::PackedBitset bits(130);
-  bits.set(0, true);
-  bits.set(64, true);
-  bits.set(129, true);
-  EXPECT_TRUE(bits.test(0));
-  EXPECT_TRUE(bits.test(64));
-  EXPECT_TRUE(bits.test(129));
-  EXPECT_FALSE(bits.test(1));
-  bits.set(64, false);
-  EXPECT_FALSE(bits.test(64));
-  EXPECT_EQ(bits.count(), 2u);
-  EXPECT_THROW(bits.test(130), std::out_of_range);
-  EXPECT_THROW(bits.set(200, true), std::out_of_range);
-}
-
-TEST(PackedBitset, SerializeRoundTrip) {
-  util::Rng rng(3);
-  std::vector<std::uint8_t> mask(1000);
-  for (auto& m : mask) m = rng.bernoulli(0.3) ? 1 : 0;
-  const auto packed = util::PackedBitset::pack(mask);
-  const auto bytes = packed.serialize();
-  EXPECT_EQ(bytes.size(), packed.wire_bytes());
-  const auto restored = util::PackedBitset::deserialize(bytes);
-  EXPECT_EQ(restored, packed);
-}
-
-TEST(PackedBitset, WireSizeIsOneBitPerEntryPlusHeader) {
-  util::PackedBitset bits(6400);
-  EXPECT_EQ(bits.wire_bytes(), 8u + 6400 / 8);
-}
-
-TEST(PackedBitset, DeserializeRejectsGarbage) {
-  EXPECT_THROW(util::PackedBitset::deserialize({1, 2, 3}),
-               std::invalid_argument);
-  std::vector<std::uint8_t> bad(8 + 3, 0);
-  bad[0] = 200;  // claims 200 bits but only 3 payload bytes
-  EXPECT_THROW(util::PackedBitset::deserialize(bad), std::invalid_argument);
-}
 
 TEST(Serialize, PrimitivesRoundTrip) {
   io::BinaryWriter writer;

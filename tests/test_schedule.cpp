@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "core/theory.h"
 #include "nn/schedule.h"
 
@@ -28,25 +30,6 @@ TEST(Schedule, InverseSqrtWarmupRampsLinearly) {
   EXPECT_NEAR(schedule.lr(1), 0.05f, 1e-6);
   EXPECT_NEAR(schedule.lr(3), 0.1f, 1e-6);
   EXPECT_NEAR(schedule.lr(4), 0.1f, 1e-6);  // first post-warmup round
-}
-
-TEST(Schedule, StepDecayHalvesAtSteps) {
-  nn::StepDecayLr schedule(0.2f, 10, 0.5f);
-  EXPECT_FLOAT_EQ(schedule.lr(0), 0.2f);
-  EXPECT_FLOAT_EQ(schedule.lr(9), 0.2f);
-  EXPECT_FLOAT_EQ(schedule.lr(10), 0.1f);
-  EXPECT_FLOAT_EQ(schedule.lr(25), 0.05f);
-  EXPECT_THROW(nn::StepDecayLr(0.1f, 0, 0.5f), std::invalid_argument);
-}
-
-TEST(Schedule, FactoryBuildsKnownKinds) {
-  for (const char* kind : {"constant", "inverse-sqrt", "step-decay"}) {
-    const auto schedule = nn::make_schedule(kind, 0.1f);
-    ASSERT_NE(schedule, nullptr);
-    EXPECT_GT(schedule->lr(0), 0.0f);
-    EXPECT_EQ(schedule->name(), kind);
-  }
-  EXPECT_THROW(nn::make_schedule("cosine", 0.1f), std::invalid_argument);
 }
 
 // Eq. 13 (paper): a convergent schedule drives sum(lr^2)/sum(lr) -> 0.
@@ -112,25 +95,27 @@ TEST(Theory, RejectsBadInputs) {
                std::invalid_argument);
 }
 
-// Property sweep: for every bundled schedule kind, lr stays positive and
-// the Theorem 1 bound is finite over long horizons.
-class ScheduleSweep : public ::testing::TestWithParam<const char*> {};
+// Property sweep: for every bundled schedule, lr stays positive and the
+// Theorem 1 bound is finite over long horizons.
+class ScheduleSweep
+    : public ::testing::TestWithParam<std::shared_ptr<const nn::LrSchedule>> {};
 
 TEST_P(ScheduleSweep, PositiveAndBoundedOverHorizon) {
-  const auto schedule = nn::make_schedule(GetParam(), 0.05f);
+  const nn::LrSchedule& schedule = *GetParam();
   for (int k : {0, 1, 7, 63, 511}) {
-    EXPECT_GT(schedule->lr(k), 0.0f) << GetParam() << " round " << k;
-    EXPECT_LE(schedule->lr(k), 0.05f + 1e-6) << GetParam();
+    EXPECT_GT(schedule.lr(k), 0.0f) << schedule.name() << " round " << k;
+    EXPECT_LE(schedule.lr(k), 0.05f + 1e-6) << schedule.name();
   }
   core::TheoryParams params;
-  const auto bound = core::theorem1_bound(params, *schedule, 512);
+  const auto bound = core::theorem1_bound(params, schedule, 512);
   EXPECT_GT(bound.total(), 0.0);
   EXPECT_LT(bound.total(), 1e6);
 }
 
-INSTANTIATE_TEST_SUITE_P(Kinds, ScheduleSweep,
-                         ::testing::Values("constant", "inverse-sqrt",
-                                           "step-decay"));
+INSTANTIATE_TEST_SUITE_P(
+    Kinds, ScheduleSweep,
+    ::testing::Values(std::make_shared<const nn::ConstantLr>(0.05f),
+                      std::make_shared<const nn::InverseSqrtLr>(0.05f)));
 
 }  // namespace
 }  // namespace fedsu

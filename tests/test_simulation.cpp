@@ -6,11 +6,9 @@
 #include "core/fedsu_manager.h"
 #include "fl/protocol_factory.h"
 #include "fl/simulation.h"
-#include "fl/trace.h"
 #include "metrics/convergence.h"
 
 #include <cmath>
-#include <fstream>
 #include <set>
 
 namespace fedsu::fl {
@@ -195,13 +193,14 @@ TEST(Simulation, DeterministicForSeed) {
 }
 
 TEST(Simulation, LrScheduleOverridesConstantRate) {
-  // With an absurdly decaying schedule the model barely moves after round 0;
-  // compare total parameter displacement against the constant-lr run.
+  // A schedule deep in a 100-round warmup keeps the rate at 1-5 % of the
+  // base over the first 5 rounds, so the model barely moves; compare total
+  // parameter displacement against the constant-lr run.
   SimulationOptions fast = tiny_options();
   fast.eval_every = 0;
   SimulationOptions decayed = fast;
-  decayed.lr_schedule = std::make_shared<nn::StepDecayLr>(
-      fast.local.learning_rate, /*step=*/1, /*gamma=*/0.01f);
+  decayed.lr_schedule = std::make_shared<nn::InverseSqrtLr>(
+      fast.local.learning_rate, /*warmup=*/100);
   Simulation a(fast, proto_for("fedavg", 4));
   Simulation b(decayed, proto_for("fedavg", 4));
   const auto start_a = a.global_state();
@@ -214,43 +213,6 @@ TEST(Simulation, LrScheduleOverridesConstantRate) {
     move_b += std::fabs(b.global_state()[j] - start_b[j]);
   }
   EXPECT_LT(move_b, 0.5 * move_a);
-}
-
-TEST(Simulation, RoundTraceWritesCsvRows) {
-  const std::string path = ::testing::TempDir() + "/fedsu_trace_test.csv";
-  {
-    Simulation sim(tiny_options(), proto_for("fedavg", 4));
-    RoundTrace trace(path);
-    sim.set_round_hook(trace.hook());
-    sim.run(4);
-    EXPECT_EQ(trace.rows_written(), 4);
-  }
-  std::ifstream in(path);
-  std::string line;
-  int lines = 0;
-  while (std::getline(in, line)) ++lines;
-  EXPECT_EQ(lines, 5);  // header + 4 rounds
-  std::remove(path.c_str());
-}
-
-TEST(Simulation, RoundTraceRowsAreDurableBeforeDestruction) {
-  const std::string path = ::testing::TempDir() + "/fedsu_trace_flush_test.csv";
-  RoundTrace trace(path);
-  RoundRecord record;
-  record.round = 0;
-  record.bytes_up = 123;
-  trace.append(record);
-  record.round = 1;
-  trace.append(record);
-  // The writer is still alive — a killed process at this point must leave
-  // header + both rows on disk (per-row flush).
-  std::ifstream in(path);
-  std::string line;
-  int lines = 0;
-  while (std::getline(in, line)) ++lines;
-  EXPECT_EQ(lines, 3);
-  EXPECT_EQ(trace.rows_written(), 2);
-  std::remove(path.c_str());
 }
 
 TEST(Simulation, FlowLevelTimingRunsAndDiffersFromCoarse) {

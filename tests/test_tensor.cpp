@@ -1,11 +1,8 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <limits>
 #include <vector>
 
 #include "tensor/init.h"
-#include "tensor/ops.h"
 #include "tensor/tensor.h"
 #include "tensor/vectorized.h"
 #include "util/rng.h"
@@ -43,13 +40,6 @@ TEST(Tensor, At4dNchw) {
   EXPECT_EQ(t[5], 4.0f);
 }
 
-TEST(Tensor, ReshapedKeepsData) {
-  Tensor t({2, 3}, {0, 1, 2, 3, 4, 5});
-  const Tensor r = t.reshaped({3, 2});
-  EXPECT_EQ(r.at(2, 1), 5.0f);
-  EXPECT_THROW(t.reshaped({4, 2}), std::invalid_argument);
-}
-
 TEST(Tensor, FullAndFill) {
   Tensor t = Tensor::full({3}, 2.5f);
   EXPECT_EQ(t[2], 2.5f);
@@ -59,102 +49,6 @@ TEST(Tensor, FullAndFill) {
 
 TEST(Tensor, ShapeString) {
   EXPECT_EQ(Tensor({2, 3, 4}).shape_string(), "[2, 3, 4]");
-}
-
-TEST(Ops, AddSubMulScale) {
-  Tensor a({3}, {1, 2, 3});
-  Tensor b({3}, {4, 5, 6});
-  const Tensor s = add(a, b);
-  EXPECT_EQ(s[0], 5.0f);
-  const Tensor d = sub(b, a);
-  EXPECT_EQ(d[2], 3.0f);
-  const Tensor m = mul(a, b);
-  EXPECT_EQ(m[1], 10.0f);
-  const Tensor sc = scale(a, 2.0f);
-  EXPECT_EQ(sc[2], 6.0f);
-}
-
-TEST(Ops, ShapeMismatchThrows) {
-  Tensor a({3});
-  Tensor b({4});
-  EXPECT_THROW(add(a, b), std::invalid_argument);
-  EXPECT_THROW(add_inplace(a, b), std::invalid_argument);
-}
-
-TEST(Ops, AxpyAccumulates) {
-  Tensor y({2}, {1, 1});
-  Tensor x({2}, {2, 3});
-  axpy(y, 0.5f, x);
-  EXPECT_FLOAT_EQ(y[0], 2.0f);
-  EXPECT_FLOAT_EQ(y[1], 2.5f);
-}
-
-TEST(Ops, MatmulKnownResult) {
-  Tensor a({2, 3}, {1, 2, 3, 4, 5, 6});
-  Tensor b({3, 2}, {7, 8, 9, 10, 11, 12});
-  const Tensor c = matmul(a, b);
-  EXPECT_FLOAT_EQ(c.at(0, 0), 58.0f);
-  EXPECT_FLOAT_EQ(c.at(0, 1), 64.0f);
-  EXPECT_FLOAT_EQ(c.at(1, 0), 139.0f);
-  EXPECT_FLOAT_EQ(c.at(1, 1), 154.0f);
-}
-
-TEST(Ops, MatmulVariantsConsistent) {
-  util::Rng rng(5);
-  Tensor a({4, 3});
-  Tensor b({4, 5});
-  for (std::size_t i = 0; i < a.size(); ++i) a[i] = static_cast<float>(rng.normal());
-  for (std::size_t i = 0; i < b.size(); ++i) b[i] = static_cast<float>(rng.normal());
-  // a^T * b via matmul_tn must equal transposing manually.
-  const Tensor c = matmul_tn(a, b);  // [3, 5]
-  Tensor at({3, 4});
-  for (int i = 0; i < 4; ++i) {
-    for (int j = 0; j < 3; ++j) at.at(j, i) = a.at(i, j);
-  }
-  const Tensor ref = matmul(at, b);
-  for (std::size_t i = 0; i < c.size(); ++i) EXPECT_NEAR(c[i], ref[i], 1e-4);
-
-  // a * b2^T via matmul_nt.
-  Tensor b2({5, 3});
-  for (std::size_t i = 0; i < b2.size(); ++i) {
-    b2[i] = static_cast<float>(rng.normal());
-  }
-  const Tensor c2 = matmul_nt(a.reshaped({4, 3}), b2);  // [4, 5]
-  Tensor b2t({3, 5});
-  for (int i = 0; i < 5; ++i) {
-    for (int j = 0; j < 3; ++j) b2t.at(j, i) = b2.at(i, j);
-  }
-  const Tensor ref2 = matmul(a, b2t);
-  for (std::size_t i = 0; i < c2.size(); ++i) EXPECT_NEAR(c2[i], ref2[i], 1e-4);
-}
-
-TEST(Ops, MatmulShapeChecks) {
-  EXPECT_THROW(matmul(Tensor({2, 3}), Tensor({4, 2})), std::invalid_argument);
-  EXPECT_THROW(matmul_tn(Tensor({2, 3}), Tensor({3, 2})), std::invalid_argument);
-  EXPECT_THROW(matmul_nt(Tensor({2, 3}), Tensor({2, 4})), std::invalid_argument);
-}
-
-TEST(Ops, Reductions) {
-  Tensor a({4}, {1, -2, 3, -4});
-  EXPECT_FLOAT_EQ(sum(a), -2.0f);
-  EXPECT_FLOAT_EQ(mean(a), -0.5f);
-  EXPECT_FLOAT_EQ(max_value(a), 3.0f);
-  EXPECT_FLOAT_EQ(min_value(a), -4.0f);
-  EXPECT_FLOAT_EQ(l2_norm(a), std::sqrt(30.0f));
-  EXPECT_EQ(argmax(a.data(), a.size()), 2u);
-}
-
-TEST(Ops, VectorHelpers) {
-  std::vector<float> a{1, 2, 3};
-  std::vector<float> b{4, 5, 6};
-  EXPECT_FLOAT_EQ(dot(a, b), 32.0f);
-  const auto d = vec_sub(b, a);
-  EXPECT_FLOAT_EQ(d[0], 3.0f);
-  EXPECT_FLOAT_EQ(vec_l2_diff(a, b), std::sqrt(27.0f));
-  vec_axpy(a, 2.0f, b);
-  EXPECT_FLOAT_EQ(a[2], 15.0f);
-  std::vector<float> bad{1.0f};
-  EXPECT_THROW(dot(a, bad), std::invalid_argument);
 }
 
 TEST(Tensor, ResizeReusesCapacityAndZeroFillsGrowth) {
@@ -173,9 +67,8 @@ TEST(Tensor, ResizeReusesCapacityAndZeroFillsGrowth) {
   EXPECT_EQ(t[31], 0.0f);
 }
 
-// The inline kernels in tensor/vectorized.h are the implementation behind
-// the ops above; exercise them directly, including unaligned lengths that
-// force scalar epilogues, and the double-accumulator reductions.
+// The inline kernels in tensor/vectorized.h, including unaligned lengths
+// that force scalar epilogues.
 TEST(Vectorized, ElementwiseKernels) {
   for (std::size_t n : {std::size_t{1}, std::size_t{7}, std::size_t{64},
                         std::size_t{1000}, std::size_t{1003}}) {
@@ -194,48 +87,9 @@ TEST(Vectorized, ElementwiseKernels) {
     vec::add(work.data(), x.data(), n);
     for (std::size_t i = 0; i < n; ++i) ASSERT_FLOAT_EQ(work[i], y[i] + x[i]);
 
-    work = y;
-    vec::sub(work.data(), x.data(), n);
-    for (std::size_t i = 0; i < n; ++i) ASSERT_FLOAT_EQ(work[i], y[i] - x[i]);
-
-    work = y;
-    vec::mul(work.data(), x.data(), n);
-    for (std::size_t i = 0; i < n; ++i) ASSERT_FLOAT_EQ(work[i], y[i] * x[i]);
-
-    work = y;
-    vec::scale(work.data(), -0.25f, n);
-    for (std::size_t i = 0; i < n; ++i) ASSERT_FLOAT_EQ(work[i], -0.25f * y[i]);
-
-    std::vector<float> out(n);
-    vec::diff(out.data(), y.data(), x.data(), n);
-    for (std::size_t i = 0; i < n; ++i) ASSERT_FLOAT_EQ(out[i], y[i] - x[i]);
-
     vec::fill(work.data(), 7.0f, n);
     for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(work[i], 7.0f);
   }
-}
-
-TEST(Vectorized, ReductionsUseDoubleAccumulation) {
-  // 1e8 + many small values: a float accumulator would drop them entirely;
-  // the double accumulator must not.
-  std::vector<float> a(1001, 1.0f);
-  a[0] = 1e8f;
-  EXPECT_DOUBLE_EQ(vec::sum(a.data(), a.size()), 1e8 + 1000.0);
-  const std::vector<float> ones(1001, 1.0f);
-  EXPECT_DOUBLE_EQ(vec::dot(a.data(), ones.data(), a.size()), 1e8 + 1000.0);
-  EXPECT_DOUBLE_EQ(vec::l2_sq(ones.data(), ones.size()), 1001.0);
-  std::vector<float> b(1001, 0.0f);
-  EXPECT_DOUBLE_EQ(vec::l2_diff_sq(ones.data(), b.data(), ones.size()), 1001.0);
-}
-
-// IEEE semantics through the kernels: a zero operand against Inf/NaN must
-// propagate NaN, which the old `if (av == 0.0f) continue;` matmul shortcut
-// silently suppressed (0 * Inf was skipped instead of producing NaN).
-TEST(Ops, MatmulPropagatesNanFromZeroTimesInf) {
-  Tensor a({1, 2}, {0.0f, 1.0f});
-  Tensor b({2, 1}, {std::numeric_limits<float>::infinity(), 2.0f});
-  const Tensor c = matmul(a, b);
-  EXPECT_TRUE(std::isnan(c[0]));
 }
 
 TEST(Init, KaimingVarianceMatchesFanIn) {
@@ -250,21 +104,10 @@ TEST(Init, KaimingVarianceMatchesFanIn) {
   EXPECT_NEAR(var, 2.0 / 50.0, 0.004);
 }
 
-TEST(Init, XavierWithinBound) {
-  util::Rng rng(4);
-  Tensor t({64, 64});
-  xavier_uniform(t, 64, 64, rng);
-  const double bound = std::sqrt(6.0 / 128.0);
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    EXPECT_LE(std::fabs(t[i]), bound + 1e-6);
-  }
-}
-
 TEST(Init, RejectsBadFan) {
   util::Rng rng(5);
   Tensor t({4});
   EXPECT_THROW(kaiming_normal(t, 0, rng), std::invalid_argument);
-  EXPECT_THROW(xavier_uniform(t, 0, 4, rng), std::invalid_argument);
 }
 
 }  // namespace

@@ -4,16 +4,15 @@
 #include <cstdio>
 #include <fstream>
 #include <set>
-#include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <cstdint>
 
 #include "util/csv.h"
 #include "util/flags.h"
-#include "util/logging.h"
 #include "util/rng.h"
 #include "util/scratch_arena.h"
 #include "util/stopwatch.h"
@@ -177,9 +176,34 @@ TEST(Flags, UnknownFlagThrows) {
 
 TEST(Flags, BadValueThrows) {
   Flags flags;
-  flags.add_int("n", 3, "n");
+  flags.add_int("n", 3, "n")
+      .add_double("lr", 0.1, "learning rate")
+      .add_bool("verbose", false, "verbosity");
   const char* argv[] = {"prog", "--n", "notanint"};
   EXPECT_THROW(flags.parse(3, const_cast<char**>(argv)), std::runtime_error);
+  // A value is accepted only if the whole token parses: a numeric prefix
+  // ("12abc", an int's "1e3", "0.5x") or an unknown bool word is an error.
+  // A bool takes its value after '=' only.
+  for (const char* arg : {"--n=12abc", "--n=1e3", "--n=", "--lr=0.5x",
+                          "--verbose=maybe"}) {
+    const char* args[] = {"prog", arg};
+    EXPECT_THROW(flags.parse(2, const_cast<char**>(args)), std::runtime_error)
+        << arg;
+  }
+}
+
+TEST(Flags, BoolAcceptsOnlyKnownWords) {
+  Flags flags;
+  flags.add_bool("verbose", false, "verbosity");
+  const std::pair<const char*, bool> words[] = {
+      {"1", true},  {"true", true},   {"yes", true},
+      {"0", false}, {"false", false}, {"no", false}};
+  for (const auto& [word, value] : words) {
+    const std::string arg = std::string("--verbose=") + word;
+    const char* argv[] = {"prog", arg.c_str()};
+    ASSERT_TRUE(flags.parse(2, const_cast<char**>(argv))) << word;
+    EXPECT_EQ(flags.get_bool("verbose"), value) << word;
+  }
 }
 
 TEST(Flags, HelpReturnsFalse) {
@@ -207,51 +231,6 @@ TEST(Csv, WritesAndEscapes) {
 
 TEST(Csv, ThrowsOnBadPath) {
   EXPECT_THROW(CsvWriter("/nonexistent-dir-xyz/file.csv"), std::runtime_error);
-}
-
-TEST(Logging, LevelGatesOutput) {
-  const LogLevel old = log_level();
-  set_log_level(LogLevel::kError);
-  LOG_INFO() << "should be dropped";  // just exercising the path
-  set_log_level(old);
-  SUCCEED();
-}
-
-// Concurrent writers must never tear a line: each captured stdout line is a
-// complete `[INFO file:line] t<thread> i<iter>` record, and every message
-// arrives exactly once.
-TEST(Logging, ConcurrentWritersDoNotTearLines) {
-  constexpr int kThreads = 4;
-  constexpr int kLines = 50;
-  testing::internal::CaptureStdout();
-  {
-    std::vector<std::thread> writers;
-    for (int t = 0; t < kThreads; ++t) {
-      writers.emplace_back([t] {
-        for (int i = 0; i < kLines; ++i) {
-          LOG_INFO() << "t" << t << " i" << i;
-        }
-      });
-    }
-    for (auto& w : writers) w.join();
-  }
-  const std::string captured = testing::internal::GetCapturedStdout();
-
-  std::set<std::string> seen;
-  std::istringstream lines(captured);
-  std::string line;
-  int count = 0;
-  while (std::getline(lines, line)) {
-    ++count;
-    // Prefix formatted before the payload, all flushed as one fputs.
-    EXPECT_EQ(line.rfind("[INFO ", 0), std::size_t{0}) << "torn line: " << line;
-    const std::size_t payload = line.find("] ");
-    ASSERT_NE(payload, std::string::npos) << "torn line: " << line;
-    EXPECT_TRUE(seen.insert(line.substr(payload + 2)).second)
-        << "duplicate payload: " << line;
-  }
-  EXPECT_EQ(count, kThreads * kLines);
-  EXPECT_EQ(seen.size(), static_cast<std::size_t>(kThreads * kLines));
 }
 
 TEST(Stopwatch, ElapsedIsMonotonicNonNegative) {
@@ -302,26 +281,6 @@ TEST(CsvWriter, FlushMakesRowsVisibleBeforeDestruction) {
   while (std::getline(in, line)) ++lines;
   EXPECT_EQ(lines, 2);
   std::remove(path.c_str());
-}
-
-// Flipping the level while other threads log is race-free (the level is
-// atomic); this is primarily a TSan target.
-TEST(Logging, LevelFlipDuringConcurrentLoggingIsSafe) {
-  const LogLevel old = log_level();
-  testing::internal::CaptureStdout();
-  std::thread flipper([] {
-    for (int i = 0; i < 200; ++i) {
-      set_log_level(i % 2 == 0 ? LogLevel::kError : LogLevel::kInfo);
-    }
-  });
-  std::thread writer([] {
-    for (int i = 0; i < 200; ++i) LOG_INFO() << "ping " << i;
-  });
-  flipper.join();
-  writer.join();
-  testing::internal::GetCapturedStdout();
-  set_log_level(old);
-  SUCCEED();
 }
 
 TEST(ScratchArena, ReturnsAlignedDistinctBuffers) {

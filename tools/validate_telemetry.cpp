@@ -1,8 +1,8 @@
 // Validates the observability outputs of a run — the CI telemetry gate.
 //
-//   ./validate_telemetry --trace trace.json --metrics metrics.json \
-//       --telemetry telemetry.jsonl --alerts alerts.jsonl \
-//       --manifest manifest.json [--expect-rounds N]
+//   ./validate_telemetry [--trace trace.json] [--metrics metrics.json]
+//       [--telemetry telemetry.jsonl] [--alerts alerts.jsonl]
+//       [--manifest manifest.json] [--expect-rounds N]
 //
 // Checks, per file (each optional; pass what the run produced):
 //   * trace: well-formed chrome://tracing JSON with >= 4 distinct span
