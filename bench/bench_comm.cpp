@@ -156,12 +156,7 @@ int main(int argc, char** argv) {
               }
             }
           };
-          fedsu::util::ThreadPool& pool = fedsu::util::ThreadPool::global();
-          if (pool.worth_parallelizing() && n > 1) {
-            pool.parallel_for(0, n, gen);
-          } else {
-            gen(0, n);
-          }
+          fedsu::util::ThreadPool::global().parallel_for(0, n, gen);
 
           ctx.round = round;
           ctx.global = global;

@@ -95,12 +95,7 @@ SyncResult Apf::synchronize(
   };
   {
     OBS_SPAN("compress.apf.update");
-    util::ThreadPool& pool = util::ThreadPool::global();
-    if (pool.worth_parallelizing() && p > 1) {
-      pool.parallel_for(0, p, update_params, 1024);
-    } else {
-      update_params(0, p);
-    }
+    util::ThreadPool::global().parallel_for(0, p, update_params, 1024);
   }
 
   // Measured payload: the dense block of unfrozen values (client 0 is
@@ -109,7 +104,6 @@ SyncResult Apf::synchronize(
   result.bytes_down.assign(n, bytes);
   result.scalars_up = synced * n;
   result.scalars_down = synced * n;
-  wire::record_round_bytes("apf", bytes * n, bytes * n);
   last_ratio_ =
       p == 0 ? 0.0 : 1.0 - static_cast<double>(synced) / static_cast<double>(p);
   return result;

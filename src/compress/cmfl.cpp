@@ -55,12 +55,7 @@ SyncResult Cmfl::synchronize(
       }
     };
     OBS_SPAN("compress.cmfl.relevance");
-    util::ThreadPool& pool = util::ThreadPool::global();
-    if (pool.worth_parallelizing() && n > 1) {
-      pool.parallel_for(0, n, relevance);
-    } else {
-      relevance(0, n);
-    }
+    util::ThreadPool::global().parallel_for(0, n, relevance);
   }
 
   // Aggregate the reporting clients; if every update was withheld, the
@@ -101,14 +96,11 @@ SyncResult Cmfl::synchronize(
   }
   result.bytes_up.resize(n);
   result.bytes_down.assign(n, full_bytes);  // everyone downloads the model
-  std::size_t total_up = 0;
   for (std::size_t i = 0; i < n; ++i) {
     result.bytes_up[i] = reports_[i] ? full_bytes : 0;
-    total_up += result.bytes_up[i];
     result.scalars_up += reports_[i] ? p : 0;
   }
   result.scalars_down = p * n;
-  wire::record_round_bytes("cmfl", total_up, full_bytes * n);
   last_ratio_ =
       1.0 - static_cast<double>(reporting) / static_cast<double>(n);
   return result;

@@ -51,8 +51,6 @@ SyncResult FedAvg::synchronize(
   result.bytes_down.assign(client_states.size(), bytes);
   result.scalars_up = result.new_global.size() * client_states.size();
   result.scalars_down = result.scalars_up;
-  wire::record_round_bytes("fedavg", bytes * client_states.size(),
-                           bytes * client_states.size());
   return result;
 }
 

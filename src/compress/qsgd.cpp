@@ -106,12 +106,7 @@ SyncResult Qsgd::synchronize(
   };
   {
     OBS_SPAN("compress.qsgd.quantize");
-    util::ThreadPool& pool = util::ThreadPool::global();
-    if (pool.worth_parallelizing() && num_blocks > 1) {
-      pool.parallel_for(0, num_blocks, run_blocks);
-    } else {
-      run_blocks(0, num_blocks);
-    }
+    util::ThreadPool::global().parallel_for(0, num_blocks, run_blocks);
   }
 
   const std::size_t bytes = wire::measure_quantized(p, options_.bits);
@@ -171,7 +166,6 @@ SyncResult Qsgd::synchronize(
   result.bytes_down.assign(n, bytes);
   result.scalars_up = p * n;
   result.scalars_down = p * n;
-  wire::record_round_bytes("qsgd", bytes * n, bytes * n);
   return result;
 }
 

@@ -56,12 +56,7 @@ SyncResult SignSgd::synchronize(
   };
   {
     OBS_SPAN("compress.signsgd.vote");
-    util::ThreadPool& pool = util::ThreadPool::global();
-    if (pool.worth_parallelizing() && num_blocks > 1) {
-      pool.parallel_for(0, num_blocks, run_blocks);
-    } else {
-      run_blocks(0, num_blocks);
-    }
+    util::ThreadPool::global().parallel_for(0, num_blocks, run_blocks);
   }
 
   // Measured payload: one sign bit per coordinate (packed) plus one f32
@@ -111,7 +106,6 @@ SyncResult SignSgd::synchronize(
   result.bytes_down.assign(n, bytes);
   result.scalars_up = p * n;
   result.scalars_down = p * n;
-  wire::record_round_bytes("signsgd", bytes * n, bytes * n);
   return result;
 }
 

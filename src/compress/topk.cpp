@@ -132,12 +132,7 @@ SyncResult TopK::synchronize(
   };
   {
     OBS_SPAN("compress.topk.select");
-    util::ThreadPool* pool = &util::ThreadPool::global();
-    if (pool->worth_parallelizing() && n > 1) {
-      pool->parallel_for(0, n, select_client);
-    } else {
-      select_client(0, n);
-    }
+    util::ThreadPool::global().parallel_for(0, n, select_client);
   }
 
   // Pass 2 — aggregate, serial in ascending client order: each coordinate
@@ -197,7 +192,6 @@ SyncResult TopK::synchronize(
   result.bytes_down.assign(n, down_bytes);
   result.scalars_up = k * n;
   result.scalars_down = union_size * n;
-  wire::record_round_bytes("topk", up_bytes * n, down_bytes * n);
   last_ratio_ =
       p == 0 ? 0.0 : 1.0 - static_cast<double>(k) / static_cast<double>(p);
   return result;

@@ -5,8 +5,6 @@
 #include <string>
 
 #include "io/serialize.h"
-#include "obs/metrics.h"
-#include "obs/obs.h"
 
 namespace fedsu::compress::wire {
 
@@ -105,16 +103,6 @@ std::uint32_t crc32(std::span<const std::uint8_t> bytes) {
     crc = table[(crc ^ b) & 0xFFu] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
-}
-
-void record_round_bytes(const char* protocol, std::size_t bytes_up,
-                        std::size_t bytes_down) {
-  if (!obs::metrics_enabled()) return;
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
-  const std::string prefix = std::string("compress.") + protocol;
-  registry.counter(prefix + ".rounds").add(1);
-  registry.counter(prefix + ".bytes_up").add(bytes_up);
-  registry.counter(prefix + ".bytes_down").add(bytes_down);
 }
 
 }  // namespace fedsu::compress::wire

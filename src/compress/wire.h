@@ -78,11 +78,4 @@ std::vector<std::uint8_t> encode_quantized(std::span<const std::int32_t> levels,
 // stamps its body with it, and perfbench fingerprints final models with it.
 std::uint32_t crc32(std::span<const std::uint8_t> bytes);
 
-// Adds one round's totals to the global metrics registry counters
-// `compress.<protocol>.rounds` / `.bytes_up` / `.bytes_down`. No-op unless
-// obs metrics are enabled; called once per round, so the name lookup is off
-// any hot path.
-void record_round_bytes(const char* protocol, std::size_t bytes_up,
-                        std::size_t bytes_down);
-
 }  // namespace fedsu::compress::wire

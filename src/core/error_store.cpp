@@ -31,7 +31,7 @@ void SparseErrorStore::clear_params(std::span<const std::size_t> params,
       for (const std::size_t j : params) slab[j] = 0.0f;
     }
   };
-  if (pool != nullptr && pool->worth_parallelizing() && slabs_.size() > 1) {
+  if (pool != nullptr) {
     pool->parallel_for(0, slabs_.size(), clear);
   } else {
     clear(0, slabs_.size());

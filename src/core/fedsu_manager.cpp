@@ -48,9 +48,6 @@ std::size_t FedSuManager::on_client_rejoin(int client_id) {
   // semantically all-zero, and reading an absent slab yields exact zeros.
   client_err_.release(client_id);
   rejoin_stamp_[static_cast<std::size_t>(client_id)] = rounds_seen_;
-  if (obs::metrics_enabled()) {
-    obs::MetricsRegistry::global().counter("core.fedsu.rejoins").add(1);
-  }
   // The forced re-download is the same payload a fresh joiner pulls.
   return join_state_bytes();
 }
@@ -89,7 +86,6 @@ compress::SyncResult FedSuManager::synchronize(
   // task per participant, one fold per expiring column), so the bits are
   // identical for every --threads value (§5b).
   util::ThreadPool* pool = &util::ThreadPool::global();
-  const bool fan_out = pool->worth_parallelizing();
   Speculation::Round round;
 
   // Pass 1: synchronize unpredictable parameters; speculatively update the
@@ -159,11 +155,7 @@ compress::SyncResult FedSuManager::synchronize(
         }
       }
     };
-    if (fan_out && n > 1) {
-      pool->parallel_for(0, n, scatter);
-    } else {
-      scatter(0, n);
-    }
+    pool->parallel_for(0, n, scatter);
   }
   }  // OBS_SPAN core.fedsu.speculate
 
@@ -207,11 +199,7 @@ compress::SyncResult FedSuManager::synchronize(
         }
       }
     };
-    if (fan_out && expiring.size() > 1) {
-      pool->parallel_for(0, expiring.size(), fold_rows);
-    } else {
-      fold_rows(0, expiring.size());
-    }
+    pool->parallel_for(0, expiring.size(), fold_rows);
   }
   // Stage 2b: verdicts, in ascending parameter order.
   for (std::size_t k = 0; k < expiring.size(); ++k) {
@@ -274,10 +262,9 @@ compress::SyncResult FedSuManager::synchronize(
                    diag_.unpredictable + diag_.expiring, round, "fedsu",
                    last_ratio_);
   if (obs::metrics_enabled()) {
-    auto& reg = obs::MetricsRegistry::global();
-    reg.counter("core.fedsu.promotions").add(diag_.promotions);
-    reg.counter("core.fedsu.demotions").add(diag_.demotions);
-    reg.gauge("core.fedsu.predictable_fraction").set(predictable_fraction());
+    obs::MetricsRegistry::global()
+        .counter("core.fedsu.promotions")
+        .add(diag_.promotions);
   }
   return result;
 }

@@ -129,8 +129,6 @@ compress::SyncResult Speculation::result(std::vector<float> next,
   ratio = size() == 0 ? 0.0
                       : 1.0 - static_cast<double>(scalars) /
                                   static_cast<double>(size());
-  wire::record_round_bytes(protocol, bytes * participants,
-                           bytes * participants);
   return result;
 }
 

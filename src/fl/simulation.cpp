@@ -9,33 +9,10 @@
 #include "io/serialize.h"
 #include "net/round_timeline.h"
 #include "nn/loss.h"
-#include "obs/metrics.h"
+#include "obs/telemetry.h"
 #include "obs/trace.h"
 
 namespace fedsu::fl {
-
-namespace {
-
-// Flushes one round's fault tallies into the metrics registry (no-op with
-// metrics off). faults.crashes counts onsets and is recorded separately,
-// where the round summary is in scope.
-void add_fault_counters(const RoundRecord::FaultCounters& counters,
-                        int uploads_lost) {
-  if (!obs::metrics_enabled()) return;
-  auto& reg = obs::MetricsRegistry::global();
-  reg.counter("faults.resyncs").add(static_cast<std::uint64_t>(counters.resyncs));
-  reg.counter("faults.retries").add(static_cast<std::uint64_t>(counters.retries));
-  reg.counter("faults.stragglers")
-      .add(static_cast<std::uint64_t>(counters.stragglers));
-  reg.counter("faults.corrupt").add(static_cast<std::uint64_t>(counters.corrupt));
-  reg.counter("faults.lost_uploads")
-      .add(static_cast<std::uint64_t>(uploads_lost));
-  reg.counter("faults.deadline_missed")
-      .add(static_cast<std::uint64_t>(counters.deadline_missed));
-  if (!counters.quorum_met) reg.counter("faults.quorum_stalls").add(1);
-}
-
-}  // namespace
 
 double staleness_weight(int staleness, double alpha) {
   // alpha == 0 is the unweighted-buffering ablation: exactly 1.0 for every
@@ -143,11 +120,7 @@ std::vector<int> Simulation::open_round(int round,
     faults_.begin_round(round, static_cast<int>(clients_.size()));
     const FaultPlan::RoundSummary& summary = faults_.round_summary();
     fc.crashed = summary.absent;
-    if (obs::metrics_enabled() && summary.onsets > 0) {
-      obs::MetricsRegistry::global()
-          .counter("faults.crashes")
-          .add(static_cast<std::uint64_t>(summary.onsets));
-    }
+    fc.onsets = summary.onsets;
   }
   std::vector<int> ids;
   for (std::size_t i = 0; i < clients_.size(); ++i) {
@@ -176,7 +149,6 @@ std::vector<int> Simulation::select_participants(
   // finishes earliest. Finish times are estimated with the previous round's
   // mean payload (payload differences across clients within a protocol are
   // second-order; compute heterogeneity dominates the ordering).
-  OBS_SPAN("sim.select");
   if (present.empty()) {
     // With churn this is a legitimate (if bleak) state — every client is
     // down and the round stalls; without it, it is caller error.
@@ -245,13 +217,15 @@ RoundRecord Simulation::step() {
   if (faults_.server_faults_enabled() && faults_.server_crash(round_)) {
     throw ServerCrashed(round_);
   }
-  RoundRecord record = [&] {
-    OBS_SPAN("sim.round");
-    return async_engine_ ? step_async() : step_sync();
-  }();
+  RoundRecord record;
+  {
+    OBS_SPAN("sim.round", &record.wall.total_s);
+    record = async_engine_ ? step_async() : step_sync();
+  }
   // Checkpoint before the hook fires so telemetry and the health monitor
   // see the write outcome on the round it happened.
   maybe_checkpoint(record);
+  obs::count_round(record);
   if (round_hook_) round_hook_(record);
   return record;
 }
@@ -279,22 +253,12 @@ void Simulation::maybe_checkpoint(RoundRecord& record) {
     ev.ok = false;
     ev.error = e.what();
   }
-  if (obs::metrics_enabled()) {
-    auto& reg = obs::MetricsRegistry::global();
-    if (ev.ok) {
-      reg.counter("checkpoint.writes").add(1);
-      reg.counter("checkpoint.bytes").add(ev.bytes);
-    } else {
-      reg.counter("checkpoint.failures").add(1);
-    }
-  }
   record.checkpoint = std::move(ev);
 }
 
 RoundRecord Simulation::close_round(RoundRecord record,
                                     RoundRecord::FaultCounters fc,
-                                    std::size_t resync_bytes,
-                                    util::Stopwatch& wall_sw) {
+                                    std::size_t resync_bytes) {
   const bool aggregated = record.num_participants > 0;
   if (aggregated) {
     last_mean_payload_bytes_ =
@@ -312,22 +276,10 @@ RoundRecord Simulation::close_round(RoundRecord record,
   if (faults_.enabled()) {
     fc.quorum_met = aggregated;
     record.faults = fc;
-    add_fault_counters(fc, record.uploads_lost);
   }
   if (options_.eval_every > 0 && (round_ % options_.eval_every == 0)) {
-    OBS_SPAN("sim.eval");
+    OBS_SPAN("sim.eval", &record.wall.eval_s);
     record.test_accuracy = evaluate();
-  }
-  // Wall-clock phase attribution (host time, gated so the disabled path
-  // costs one clock read per round and nothing else). Never feeds back
-  // into the simulated clock.
-  if (obs::metrics_enabled()) {
-    record.wall.eval_s = wall_sw.lap();
-    record.wall.total_s = wall_sw.elapsed_seconds();
-    auto& reg = obs::MetricsRegistry::global();
-    reg.counter("fl.round.count").add(1);
-    reg.counter("fl.round.bytes_up").add(record.bytes_up);
-    reg.counter("fl.round.bytes_down").add(record.bytes_down);
   }
   return record;
 }
@@ -336,10 +288,7 @@ compress::SyncResult Simulation::synchronize(
     compress::RoundContext& ctx,
     const std::vector<std::span<const float>>& views) {
   ctx.global = global_;
-  compress::SyncResult sync = [&] {
-    OBS_SPAN("sim.sync");
-    return protocol_->synchronize(ctx, views);
-  }();
+  compress::SyncResult sync = protocol_->synchronize(ctx, views);
   if (sync.new_global.size() != global_.size()) {
     throw std::logic_error("Simulation: protocol changed state size");
   }
@@ -349,8 +298,6 @@ compress::SyncResult Simulation::synchronize(
 
 RoundRecord Simulation::step_sync() {
   const int round = round_;
-  const bool wall_on = obs::metrics_enabled();
-  util::Stopwatch wall_sw;
   RoundRecord record;
   record.round = round;
 
@@ -359,19 +306,24 @@ RoundRecord Simulation::step_sync() {
   // What a rejoiner re-downloads: the model plus the protocol's join state.
   const std::size_t resync_bytes_each =
       global_.size() * sizeof(float) + protocol_->join_state_bytes();
-  const std::vector<int> participants =
-      select_participants(round, open_round(round, fc, resync_bytes));
-  if (wall_on) record.wall.select_s = wall_sw.lap();
-
   const double flops = model_flops_per_round();
   const FaultOptions& fo = faults_.options();
 
-  // Fault pipeline: resolve which uploads the server aggregates. Delivery
-  // order uses estimated times (actual payload bytes exist only after
-  // synchronization, but the cut must be made before it); the simulated
-  // clock below charges actual bytes.
-  std::vector<int> kept = participants;  // the aggregation set
-  std::vector<int> corrupt_ids;          // delivered, but fail the CRC
+  // Selection, then the fault pipeline's delivery cut: resolve which
+  // uploads the server aggregates. Delivery order uses estimated times
+  // (actual payload bytes exist only after synchronization, but the cut
+  // must be made before it); the simulated clock below charges actual
+  // bytes.
+  std::vector<int> participants;
+  std::vector<int> kept;       // the aggregation set
+  std::vector<int> train_ids;  // kept plus the corrupt deliveries
+  bool stalled = false;
+  {
+  OBS_SPAN("sim.select", &record.wall.select_s);
+  participants =
+      select_participants(round, open_round(round, fc, resync_bytes));
+  kept = participants;
+  std::vector<int> corrupt_ids;  // delivered, but fail the CRC
   if (faults_.enabled()) {
     fc.selected = static_cast<int>(participants.size());
     const auto est_bytes = static_cast<std::size_t>(last_mean_payload_bytes_);
@@ -432,46 +384,54 @@ RoundRecord Simulation::step_sync() {
       fc.unused += static_cast<int>(kept.size());
       elapsed_time_s_ += stall_time;
       record.round_time_s = stall_time;
-      return close_round(std::move(record), fc, resync_bytes, wall_sw);
+      stalled = true;
     }
     std::sort(kept.begin(), kept.end());  // protocol contract: ascending ids
     std::sort(corrupt_ids.begin(), corrupt_ids.end());
   }
-
-  // Local training: the aggregation set plus the corrupt deliveries. Their
+  // Who trains: the aggregation set plus the corrupt deliveries. Their
   // compute is spent, and training advances their batch loaders exactly as
   // a clean round would.
-  std::vector<int> train_ids = kept;
+  train_ids = kept;
   train_ids.insert(train_ids.end(), corrupt_ids.begin(), corrupt_ids.end());
   std::sort(train_ids.begin(), train_ids.end());
-  std::vector<std::vector<float>> states(train_ids.size());
-  std::vector<double> losses(train_ids.size(), 0.0);
-  train_participants(round, train_ids, states, losses);
-  if (wall_on) record.wall.train_s = wall_sw.lap();
+  }  // OBS_SPAN sim.select
+  if (stalled) return close_round(std::move(record), fc, resync_bytes);
+
+  std::vector<std::vector<float>> states;
+  std::vector<double> losses;
+  train_participants(round, train_ids, states, losses, &record.wall.train_s);
 
   // Synchronization through the protocol under test.
+  compress::SyncResult sync;
+  {
+  OBS_SPAN("sim.sync", &record.wall.sync_s);
   compress::RoundContext ctx;
   ctx.round = round;
   ctx.participants = kept;
   std::vector<std::span<const float>> views;
   views.reserve(kept.size());
   double loss_sum = 0.0;
-  {
-    std::size_t ti = 0;
-    for (int id : kept) {
-      while (train_ids[ti] != id) ++ti;  // both ascending; kept ⊆ train_ids
-      views.emplace_back(states[ti]);
-      loss_sum += losses[ti];
-      ++ti;
-    }
+  std::size_t ti = 0;
+  for (int id : kept) {
+    while (train_ids[ti] != id) ++ti;  // both ascending; kept ⊆ train_ids
+    views.emplace_back(states[ti]);
+    loss_sum += losses[ti];
+    ++ti;
   }
-  const compress::SyncResult sync = synchronize(ctx, views);
-  if (wall_on) record.wall.sync_s = wall_sw.lap();
+  sync = synchronize(ctx, views);
+  record.num_participants = static_cast<int>(kept.size());
+  record.train_loss = loss_sum / static_cast<double>(kept.size());
+  for (std::size_t i = 0; i < kept.size(); ++i) {
+    record.bytes_up += sync.bytes_up[i];
+    record.bytes_down += sync.bytes_down[i];
+  }
+  }  // OBS_SPAN sim.sync
 
   // Simulated time: the round ends when the slowest used client finishes.
-  double round_time = 0.0;
   {
-  OBS_SPAN("sim.timing");
+  OBS_SPAN("sim.timing", &record.wall.timing_s);
+  double round_time = 0.0;
   if (options_.timing == TimingModel::kFlowLevel) {
     net::RoundTimelineInput timeline;
     timeline.server_bps = options_.network.server_bandwidth_bps;
@@ -520,18 +480,10 @@ RoundRecord Simulation::step_sync() {
     // The server waited out its deadline for the uploads that missed it.
     round_time = std::max(round_time, fo.deadline_s);
   }
-  }  // OBS_SPAN sim.timing
-  if (wall_on) record.wall.timing_s = wall_sw.lap();
-
   elapsed_time_s_ += round_time;
   record.round_time_s = round_time;
-  record.num_participants = static_cast<int>(kept.size());
-  record.train_loss = loss_sum / static_cast<double>(kept.size());
-  for (std::size_t i = 0; i < kept.size(); ++i) {
-    record.bytes_up += sync.bytes_up[i];
-    record.bytes_down += sync.bytes_down[i];
-  }
-  return close_round(std::move(record), fc, resync_bytes, wall_sw);
+  }  // OBS_SPAN sim.timing
+  return close_round(std::move(record), fc, resync_bytes);
 }
 
 // One buffered-async aggregation cycle (DESIGN.md §11). The barrier is
@@ -544,8 +496,6 @@ RoundRecord Simulation::step_sync() {
 // client id), so results are bitwise identical for every --threads value.
 RoundRecord Simulation::step_async() {
   const int round = round_;
-  const bool wall_on = obs::metrics_enabled();
-  util::Stopwatch wall_sw;
   RoundRecord record;
   record.round = round;
 
@@ -559,18 +509,33 @@ RoundRecord Simulation::step_async() {
   // a rejoiner's re-sync is billed at its next dispatch.
   RoundRecord::FaultCounters fc;
   std::size_t resync_bytes = 0;
-  const std::vector<int> dispatch_ids = open_round(round, fc, resync_bytes);
+  std::vector<int> dispatch_ids;
+  {
+  OBS_SPAN("sim.select", &record.wall.select_s);
+  dispatch_ids = open_round(round, fc, resync_bytes);
   fc.selected = static_cast<int>(dispatch_ids.size());
-  if (wall_on) record.wall.select_s = wall_sw.lap();
+  }  // OBS_SPAN sim.select
 
   // Local training for the new legs. They all read the same current
   // global_, so the per-worker-replica pool path applies unchanged and the
   // §5b thread-count determinism argument carries over verbatim.
-  std::vector<std::vector<float>> states(dispatch_ids.size());
-  std::vector<double> losses(dispatch_ids.size(), 0.0);
-  train_participants(round, dispatch_ids, states, losses);
-  if (wall_on) record.wall.train_s = wall_sw.lap();
+  std::vector<std::vector<float>> states;
+  std::vector<double> losses;
+  train_participants(round, dispatch_ids, states, losses,
+                     &record.wall.train_s);
 
+  // The delivery rule's outcome, read by the sync and both timing stages.
+  auto free_client = [&](const InFlight& leg, double when) {
+    client_busy_[static_cast<std::size_t>(leg.client)] = 0;
+    client_ready_s_[static_cast<std::size_t>(leg.client)] = when;
+  };
+  double t_end = cycle_start_s;
+  std::vector<std::size_t> consumed_entries;
+  std::vector<std::size_t> remove_entries;
+  bool stalled = false;
+  RoundRecord::AsyncStats as;
+  {
+  OBS_SPAN("sim.timing", &record.wall.timing_s);
   // Register the new upload flows. Flow timing uses the dispatch-time
   // payload estimate (actual bytes exist only after synchronization — the
   // same convention the synchronous selection estimate relies on); the byte
@@ -621,34 +586,27 @@ RoundRecord Simulation::step_async() {
   };
   std::vector<Candidate> candidates;
   candidates.reserve(inflight_.size());
-  {
-    OBS_SPAN("sim.timing");
-    for (std::size_t e = 0; e < inflight_.size(); ++e) {
-      const InFlight& leg = inflight_[e];
-      Candidate c;
-      c.arrival_s = uplink_->completion_s(leg.flow);
-      c.tiebreak =
-          net::arrival_tiebreak(options_.seed, leg.client, leg.version);
-      c.client = leg.client;
-      c.entry = e;
-      // In async mode deadline_s bounds an upload's AGE (arrival minus
-      // dispatch): there is no per-round barrier for an absolute deadline
-      // to anchor to (docs/FAULT_MODEL.md).
-      const bool late = fo.deadline_s > 0.0 &&
-                        (c.arrival_s - leg.dispatch_s) > fo.deadline_s;
-      c.deliverable = leg.delivered && !leg.corrupt && !late;
-      candidates.push_back(c);
-    }
-    std::sort(candidates.begin(), candidates.end(),
-              [](const Candidate& a, const Candidate& b) {
-                if (a.arrival_s != b.arrival_s) {
-                  return a.arrival_s < b.arrival_s;
-                }
-                if (a.tiebreak != b.tiebreak) return a.tiebreak < b.tiebreak;
-                return a.client < b.client;
-              });
+  for (std::size_t e = 0; e < inflight_.size(); ++e) {
+    const InFlight& leg = inflight_[e];
+    Candidate c;
+    c.arrival_s = uplink_->completion_s(leg.flow);
+    c.tiebreak = net::arrival_tiebreak(options_.seed, leg.client, leg.version);
+    c.client = leg.client;
+    c.entry = e;
+    // In async mode deadline_s bounds an upload's AGE (arrival minus
+    // dispatch): there is no per-round barrier for an absolute deadline
+    // to anchor to (docs/FAULT_MODEL.md).
+    const bool late = fo.deadline_s > 0.0 &&
+                      (c.arrival_s - leg.dispatch_s) > fo.deadline_s;
+    c.deliverable = leg.delivered && !leg.corrupt && !late;
+    candidates.push_back(c);
   }
-  if (wall_on) record.wall.timing_s = wall_sw.lap();
+  std::sort(candidates.begin(), candidates.end(),
+            [](const Candidate& a, const Candidate& b) {
+              if (a.arrival_s != b.arrival_s) return a.arrival_s < b.arrival_s;
+              if (a.tiebreak != b.tiebreak) return a.tiebreak < b.tiebreak;
+              return a.client < b.client;
+            });
   if (candidates.empty() && !faults_.enabled()) {
     throw std::logic_error("Simulation: no active clients");
   }
@@ -667,7 +625,8 @@ RoundRecord Simulation::step_async() {
   // smaller than the quorum still aggregates once it is full.
   const int quorum = std::min(faults_.enabled() ? fo.min_quorum : 1, base_k);
   const int k_eff = std::min(base_k, deliverable_count);
-  const bool stalled = k_eff < quorum;
+  stalled = k_eff < quorum;
+  as.buffer_k = base_k;
 
   // Settle arrivals in order. A cycle that can reach its quorum consumes
   // deliverable uploads until the buffer holds K; one that cannot stalls,
@@ -675,13 +634,6 @@ RoundRecord Simulation::step_async() {
   // (discarded on their CRC-32 mismatch) and late legs met on the way are
   // waited out, so their clients come back as dispatchable; anything
   // ordered after the K-th consumed arrival stays in flight.
-  auto free_client = [&](const InFlight& leg, double when) {
-    client_busy_[static_cast<std::size_t>(leg.client)] = 0;
-    client_ready_s_[static_cast<std::size_t>(leg.client)] = when;
-  };
-  double t_end = cycle_start_s;
-  std::vector<std::size_t> consumed_entries;
-  std::vector<std::size_t> remove_entries;
   for (const Candidate& c : candidates) {
     if (c.deliverable && stalled) continue;
     const InFlight& leg = inflight_[c.entry];
@@ -705,13 +657,14 @@ RoundRecord Simulation::step_async() {
   if (stalled && remove_entries.empty()) {
     t_end = cycle_start_s + options_.network.base_latency_s;
   }
+  }  // OBS_SPAN sim.timing
 
-  RoundRecord::AsyncStats as;
-  as.buffer_k = base_k;
+  compress::SyncResult sync;
   if (!stalled) {
     // Aggregate. The protocol contract wants ascending client ids;
     // staleness is the number of aggregations since the leg's version was
     // dispatched.
+    OBS_SPAN("sim.sync", &record.wall.sync_s);
     std::sort(consumed_entries.begin(), consumed_entries.end(),
               [&](std::size_t a, std::size_t b) {
                 return inflight_[a].client < inflight_[b].client;
@@ -734,7 +687,6 @@ RoundRecord Simulation::step_async() {
     std::vector<RebaseJob> rebase_jobs;
     double loss_sum = 0.0;
     int staleness_sum = 0;
-    int stale_uploads = 0;
     for (std::size_t e : consumed_entries) {
       const InFlight& leg = inflight_[e];
       ctx.participants.push_back(leg.client);
@@ -756,7 +708,6 @@ RoundRecord Simulation::step_async() {
         views.emplace_back(leg.state);
         continue;
       }
-      ++stale_uploads;
       // Stale update: re-base its delta onto the current model under the
       // staleness discount — virtual = global + w * (state - dispatch_global)
       // — which turns the protocol's plain mean into the FedBuff buffered
@@ -768,76 +719,57 @@ RoundRecord Simulation::step_async() {
       virtuals.emplace_back(global_.size());
       views.emplace_back(virtuals.back());
     }
-    if (!rebase_jobs.empty()) {
-      auto rebase = [&](std::size_t begin, std::size_t end) {
-        for (std::size_t k = begin; k < end; ++k) {
-          const RebaseJob& job = rebase_jobs[k];
-          const std::vector<float>& state = job.leg->state;
-          const std::vector<float>& base = *job.leg->dispatch_global;
-          std::vector<float>& virt = virtuals[job.slot];
-          for (std::size_t j = 0; j < virt.size(); ++j) {
-            virt[j] = static_cast<float>(
-                static_cast<double>(global_[j]) +
-                job.weight * (static_cast<double>(state[j]) -
-                              static_cast<double>(base[j])));
-          }
+    auto rebase = [&](std::size_t begin, std::size_t end) {
+      for (std::size_t k = begin; k < end; ++k) {
+        const RebaseJob& job = rebase_jobs[k];
+        const std::vector<float>& state = job.leg->state;
+        const std::vector<float>& base = *job.leg->dispatch_global;
+        std::vector<float>& virt = virtuals[job.slot];
+        for (std::size_t j = 0; j < virt.size(); ++j) {
+          virt[j] = static_cast<float>(
+              static_cast<double>(global_[j]) +
+              job.weight * (static_cast<double>(state[j]) -
+                            static_cast<double>(base[j])));
         }
-      };
-      if (pool_ && rebase_jobs.size() > 1) {
-        pool_->parallel_for(0, rebase_jobs.size(), rebase);
-      } else {
-        rebase(0, rebase_jobs.size());
       }
+    };
+    if (pool_) {
+      pool_->parallel_for(0, rebase_jobs.size(), rebase);
+    } else {
+      rebase(0, rebase_jobs.size());
     }
     as.mean_staleness =
         static_cast<double>(staleness_sum) / static_cast<double>(consumed);
-
-    const compress::SyncResult sync = synchronize(ctx, views);
-    if (wall_on) record.wall.sync_s = wall_sw.lap();
+    sync = synchronize(ctx, views);
     ++model_version_;
+    record.num_participants = consumed;
+    record.train_loss = loss_sum / static_cast<double>(consumed);
+  }
 
+  {
+  OBS_SPAN("sim.timing", &record.wall.timing_s);
+  if (!stalled) {
     // The consumed clients download the new model starting at the
     // aggregation instant; their next dispatch waits for that download.
     // Egress is simulated per aggregation batch (the same shape as the
     // synchronous phase 2); cross-cycle egress contention is not modeled —
     // the server link dwarfs the client caps, so batches barely interact.
-    {
-      OBS_SPAN("sim.timing");
-      std::vector<net::Flow> downloads(consumed_entries.size());
-      for (std::size_t i = 0; i < consumed_entries.size(); ++i) {
-        const InFlight& leg = inflight_[consumed_entries[i]];
-        record.bytes_up += sync.bytes_up[i];
-        record.bytes_down += sync.bytes_down[i];
-        downloads[i].start_time_s = t_end;
-        downloads[i].bytes = static_cast<double>(sync.bytes_down[i]);
-        // A straggler's thin link covers its whole leg, the upload and the
-        // following model download alike.
-        downloads[i].rate_cap_bps =
-            network_.client_bandwidth_bps(leg.client) / leg.comm_factor;
-      }
-      const auto finished = net::simulate_shared_link(
-          downloads, options_.network.server_bandwidth_bps);
-      for (std::size_t i = 0; i < consumed_entries.size(); ++i) {
-        free_client(inflight_[consumed_entries[i]], finished[i].finish_time_s);
-      }
+    std::vector<net::Flow> downloads(consumed_entries.size());
+    for (std::size_t i = 0; i < consumed_entries.size(); ++i) {
+      const InFlight& leg = inflight_[consumed_entries[i]];
+      record.bytes_up += sync.bytes_up[i];
+      record.bytes_down += sync.bytes_down[i];
+      downloads[i].start_time_s = t_end;
+      downloads[i].bytes = static_cast<double>(sync.bytes_down[i]);
+      // A straggler's thin link covers its whole leg, the upload and the
+      // following model download alike.
+      downloads[i].rate_cap_bps =
+          network_.client_bandwidth_bps(leg.client) / leg.comm_factor;
     }
-    record.num_participants = consumed;
-    record.train_loss = loss_sum / static_cast<double>(consumed);
-    if (wall_on) {
-      auto& reg = obs::MetricsRegistry::global();
-      reg.counter("fl.async.aggregations").add(1);
-      reg.counter("fl.async.stale_uploads")
-          .add(static_cast<std::uint64_t>(stale_uploads));
-      obs::HistogramOptions stale_opts;
-      stale_opts.lo = 0.0;
-      stale_opts.hi = 32.0;
-      stale_opts.buckets = 16;
-      auto& hist = reg.histogram("fl.async.staleness", stale_opts);
-      for (std::size_t s = 0; s < as.staleness_hist.size(); ++s) {
-        for (int c = 0; c < as.staleness_hist[s]; ++c) {
-          hist.record(static_cast<double>(s));
-        }
-      }
+    const auto finished = net::simulate_shared_link(
+        downloads, options_.network.server_bandwidth_bps);
+    for (std::size_t i = 0; i < consumed_entries.size(); ++i) {
+      free_client(inflight_[consumed_entries[i]], finished[i].finish_time_s);
     }
   }
 
@@ -854,20 +786,22 @@ RoundRecord Simulation::step_async() {
   }
   inflight_ = std::move(keep);
   as.inflight = static_cast<int>(inflight_.size());
-  if (wall_on) record.wall.timing_s += wall_sw.lap();
-
   record.round_time_s = t_end - cycle_start_s;
   as.fill_time_s = record.round_time_s;
   record.async = std::move(as);
   elapsed_time_s_ = t_end;
-  return close_round(std::move(record), fc, resync_bytes, wall_sw);
+  }  // OBS_SPAN sim.timing
+  return close_round(std::move(record), fc, resync_bytes);
 }
 
 void Simulation::train_participants(int round,
                                     const std::vector<int>& participants,
                                     std::vector<std::vector<float>>& states,
-                                    std::vector<double>& losses) {
-  OBS_SPAN("sim.train");
+                                    std::vector<double>& losses,
+                                    double* seconds) {
+  OBS_SPAN("sim.train", seconds);
+  states.resize(participants.size());
+  losses.assign(participants.size(), 0.0);
   LocalTrainOptions local = options_.local;
   if (options_.lr_schedule) {
     local.learning_rate = options_.lr_schedule->lr(round);

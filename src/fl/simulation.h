@@ -23,7 +23,6 @@
 #include "net/network_model.h"
 #include "nn/schedule.h"
 #include "nn/zoo.h"
-#include "util/stopwatch.h"
 #include "util/thread_pool.h"
 
 namespace fedsu::fl {
@@ -156,6 +155,7 @@ struct RoundRecord {
   struct FaultCounters {
     int selected = 0;         // clients the server started this round
     int crashed = 0;          // population currently absent (crashed)
+    int onsets = 0;           // crashes that started this round
     int rejoined = 0;         // clients back from an absence this round
     int resyncs = 0;          // forced protocol state re-syncs on rejoin
     int stragglers = 0;       // slowed-down clients among the selected
@@ -204,17 +204,17 @@ struct RoundRecord {
   };
   std::optional<CheckpointEvent> checkpoint;
 
-  // Host wall-clock time spent in each phase of step(), measured only when
-  // obs::metrics_enabled() (all zero otherwise). These are real durations on
-  // the machine running the simulator — they never feed back into the
-  // simulated clock, so recording them cannot perturb results.
+  // Host wall-clock time of each phase of step(): the durations of the
+  // round's sim.* spans when obs::metrics_enabled() (all zero otherwise).
+  // They never feed back into the simulated clock, so recording them
+  // cannot perturb results.
   struct WallPhases {
-    double select_s = 0.0;  // participant selection
-    double train_s = 0.0;   // local training across the pool
-    double sync_s = 0.0;    // protocol synchronization
-    double timing_s = 0.0;  // network cost model / flow simulation
-    double eval_s = 0.0;    // test-set evaluation (eval rounds only)
-    double total_s = 0.0;   // whole step(); >= sum of the phases
+    double select_s = 0.0;  // sim.select: open_round, selection, delivery cut
+    double train_s = 0.0;   // sim.train: local training across the pool
+    double sync_s = 0.0;    // sim.sync: views (async: re-base) + protocol
+    double timing_s = 0.0;  // sim.timing: flows, settle, round-time model
+    double eval_s = 0.0;    // sim.eval: test-set evaluation (eval rounds)
+    double total_s = 0.0;   // sim.round: whole step(); phases + close_round
   };
   WallPhases wall;
 };
@@ -316,11 +316,12 @@ class Simulation {
   std::vector<int> select_participants(int round,
                                        const std::vector<int>& present);
   // Trains every participant at the round's scheduled learning rate
-  // (reading global_, filling states/losses by participant position) —
-  // across the pool when it pays, else sequentially.
+  // (reading global_, sizing and filling states/losses by participant
+  // position) — across the pool when it pays, else sequentially — inside
+  // the sim.train span, which adds its duration to *seconds.
   void train_participants(int round, const std::vector<int>& participants,
                           std::vector<std::vector<float>>& states,
-                          std::vector<double>& losses);
+                          std::vector<double>& losses, double* seconds);
   // Runs the protocol under test on the current global (which it sets as
   // ctx.global) and installs the new one.
   compress::SyncResult synchronize(
@@ -329,9 +330,9 @@ class Simulation {
   // Ends the round `record` describes — aggregated (num_participants > 0)
   // or stalled — once its engine has set the clock: attaches protocol
   // telemetry (aggregated rounds only), re-sync bytes and fault tallies,
-  // evaluates, and records the wall phases and round counters.
+  // and evaluates.
   RoundRecord close_round(RoundRecord record, RoundRecord::FaultCounters fc,
-                          std::size_t resync_bytes, util::Stopwatch& wall_sw);
+                          std::size_t resync_bytes);
 
   SimulationOptions options_;
   std::unique_ptr<compress::SyncProtocol> protocol_;

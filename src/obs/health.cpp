@@ -4,8 +4,6 @@
 #include <stdexcept>
 
 #include "obs/json.h"
-#include "obs/metrics.h"
-#include "obs/obs.h"
 
 namespace fedsu::obs {
 
@@ -80,15 +78,6 @@ void HealthMonitor::emit(int round, const char* rule, AlertSeverity severity,
     // Flushed per alert: a crashed run keeps what it saw.
     if (!out_.flush()) {
       throw std::runtime_error("HealthMonitor: alert write failed");
-    }
-  }
-  if (metrics_enabled()) {
-    auto& reg = MetricsRegistry::global();
-    reg.counter(raised ? "health.alerts.raised" : "health.alerts.cleared")
-        .add(1);
-    if (raised) {
-      reg.counter(std::string("health.alerts.") + severity_name(severity))
-          .add(1);
     }
   }
   alerts_.push_back(std::move(alert));

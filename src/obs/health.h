@@ -16,8 +16,8 @@
 // starts, one "cleared" alert when it ends — no per-round spam while a
 // condition persists. Alerts go to an optional JSONL file (flushed per
 // line, so a killed run keeps its alert history — same durability contract
-// as obs::TelemetryWriter) and to `health.*` counters in the global
-// MetricsRegistry when metrics are enabled.
+// as obs::TelemetryWriter); their per-severity totals reach the run
+// manifest through raised_count().
 //
 // Determinism contract (DESIGN.md §5b): the monitor only READS records and
 // state; it never touches the simulated clock, the RNG streams, or the

@@ -2,7 +2,7 @@
 // log-scale histograms (DESIGN.md §8 "Observability").
 //
 // Naming scheme: `layer.component.metric` (e.g. `fl.round.bytes_up`,
-// `core.fedsu.demotions`). Registration takes a mutex once per metric name;
+// `core.fedsu.promotions`). Registration takes a mutex once per metric name;
 // after that every increment is a handful of relaxed/acq-rel atomic ops on
 // per-metric storage — no locks, no allocation — so instrumented hot loops
 // stay safe to run from thread-pool workers. Metric objects live for the

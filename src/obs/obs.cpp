@@ -22,11 +22,6 @@ bool metrics_enabled() {
          static_cast<int>(Level::kMetrics);
 }
 
-bool trace_enabled() {
-  return g_level.load(std::memory_order_relaxed) >=
-         static_cast<int>(Level::kTrace);
-}
-
 Level parse_level(const std::string& text) {
   if (text == "off" || text == "0") return Level::kOff;
   if (text == "metrics" || text == "1") return Level::kMetrics;

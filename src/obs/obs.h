@@ -22,9 +22,8 @@ enum class Level : int {
 Level level();
 void set_level(Level level);
 
-// Fast-path guards used by instrumentation sites.
+// Fast-path guard used by instrumentation sites (spans read level()).
 bool metrics_enabled();
-bool trace_enabled();
 
 // Parses "off" | "metrics" | "trace" (numeric "0" | "1" | "2" also
 // accepted); throws std::invalid_argument on anything else so flag typos

@@ -180,17 +180,22 @@ Tracer& Tracer::global() {
 
 namespace internal {
 
-ScopedSpan::ScopedSpan(const char* name)
-    : name_(name), begin_ns_(0), active_(trace_enabled()) {
-  if (active_) {
-    begin_ns_ = Tracer::now_ns();
-    ++tl_depth;
-  }
+ScopedSpan::ScopedSpan(const char* name, double* seconds)
+    : name_(name), seconds_(nullptr), begin_ns_(0), traced_(false) {
+  const Level current = level();
+  if (current == Level::kOff) return;
+  traced_ = current == Level::kTrace;
+  seconds_ = seconds;
+  if (!traced_ && !seconds_) return;
+  begin_ns_ = Tracer::now_ns();
+  if (traced_) ++tl_depth;
 }
 
 ScopedSpan::~ScopedSpan() {
-  if (!active_) return;
+  if (!traced_ && !seconds_) return;
   const std::int64_t end_ns = Tracer::now_ns();
+  if (seconds_) *seconds_ += static_cast<double>(end_ns - begin_ns_) * 1e-9;
+  if (!traced_) return;
   --tl_depth;
   Tracer::global().record(name_, begin_ns_, end_ns);
 }

@@ -6,11 +6,14 @@
 //     ...
 //   }
 //
-// Fast path: when obs::trace_enabled() is false the span constructor is a
-// relaxed atomic load and a branch — no clock read, no allocation. When
-// enabled, events append to a per-thread buffer (one uncontended mutex lock
-// per event, taken only against snapshot readers); span names must be
-// string literals (the tracer stores the pointer, never copies).
+// OBS_SPAN("sim.train", &seconds) also adds the span's duration to
+// `seconds` whenever metrics are on: fl::RoundRecord::wall is filled so.
+//
+// Fast path: at level off the span constructor is a relaxed atomic load and
+// a branch — no clock read, no allocation. With tracing on, events append
+// to a per-thread buffer (one uncontended mutex lock per event, taken only
+// against snapshot readers); span names must be string literals (the tracer
+// stores the pointer, never copies).
 //
 // Exports:
 //   * write_chrome_json() — a chrome://tracing / Perfetto "traceEvents"
@@ -87,11 +90,12 @@ class Tracer {
 
 namespace internal {
 
-// RAII span. Captures the enabled decision at construction so toggling the
-// level mid-span cannot produce a torn event.
+// RAII span. Captures the level at construction so toggling it mid-span
+// cannot produce a torn event. The event and `seconds` (added to, so a
+// phase timed by several spans sums them) share the same two clock reads.
 class ScopedSpan {
  public:
-  explicit ScopedSpan(const char* name);
+  explicit ScopedSpan(const char* name, double* seconds = nullptr);
   ~ScopedSpan();
 
   ScopedSpan(const ScopedSpan&) = delete;
@@ -99,16 +103,18 @@ class ScopedSpan {
 
  private:
   const char* name_;
+  double* seconds_;  // null unless metrics are on and a slot was given
   std::int64_t begin_ns_;
-  bool active_;
+  bool traced_;
 };
 
 }  // namespace internal
 
 #define FEDSU_OBS_CONCAT_INNER(a, b) a##b
 #define FEDSU_OBS_CONCAT(a, b) FEDSU_OBS_CONCAT_INNER(a, b)
-// `name` must be a string literal (or otherwise outlive the tracer).
-#define OBS_SPAN(name) \
-  ::fedsu::obs::internal::ScopedSpan FEDSU_OBS_CONCAT(obs_span_, __LINE__)(name)
+// OBS_SPAN(name[, &seconds]); `name` must be a string literal.
+#define OBS_SPAN(...)                                  \
+  ::fedsu::obs::internal::ScopedSpan FEDSU_OBS_CONCAT( \
+      obs_span_, __LINE__)(__VA_ARGS__)
 
 }  // namespace fedsu::obs

@@ -200,14 +200,24 @@ __attribute__((always_inline)) inline void micro_kernel_body(
     acc6 += av[6] * bv;
     acc7 += av[7] * bv;
   }
-  const V accs[MR] = {acc0, acc1, acc2, acc3, acc4, acc5, acc6, acc7};
-  if (nr == L) {
-    for (int i = 0; i < mr; ++i) {
-      V* crow = reinterpret_cast<V*>(c + static_cast<std::size_t>(i) * ldc);
-      if (kOverwrite) *crow = accs[i];
-      else *crow += accs[i];
-    }
+  // Whole rows store straight from the registers. Only an NR-lane tile can
+  // be ragged (panel_width cuts wide panels where NR_WIDE columns remain),
+  // so only it copies the accumulators to the stack: GCC's AddressSanitizer
+  // fake stack frames do not keep an array of 64-byte vectors aligned.
+  if (L == NR_WIDE || nr == L) {
+    const auto row = [c, ldc](int i) -> V& {
+      return *reinterpret_cast<V*>(c + static_cast<std::size_t>(i) * ldc);
+    };
+    if (mr > 0) row(0) = kOverwrite ? acc0 : row(0) + acc0;
+    if (mr > 1) row(1) = kOverwrite ? acc1 : row(1) + acc1;
+    if (mr > 2) row(2) = kOverwrite ? acc2 : row(2) + acc2;
+    if (mr > 3) row(3) = kOverwrite ? acc3 : row(3) + acc3;
+    if (mr > 4) row(4) = kOverwrite ? acc4 : row(4) + acc4;
+    if (mr > 5) row(5) = kOverwrite ? acc5 : row(5) + acc5;
+    if (mr > 6) row(6) = kOverwrite ? acc6 : row(6) + acc6;
+    if (mr > 7) row(7) = kOverwrite ? acc7 : row(7) + acc7;
   } else {
+    const V accs[MR] = {acc0, acc1, acc2, acc3, acc4, acc5, acc6, acc7};
     for (int i = 0; i < mr; ++i) {
       float* FEDSU_RESTRICT crow = c + static_cast<std::size_t>(i) * ldc;
       for (int j = 0; j < nr; ++j) {

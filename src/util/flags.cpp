@@ -76,8 +76,10 @@ bool Flags::parse(int argc, char** argv) {
     }
     Entry& entry = it->second;
     if (!has_value) {
-      if (entry.type == Type::kBool) {
-        // Bare boolean flag means "true".
+      // No binary takes positional arguments, so a boolean reads the next
+      // token unless it is another flag; a bare boolean flag means "true".
+      if (entry.type == Type::kBool &&
+          (i + 1 >= argc || argv[i + 1][0] == '-')) {
         entry.bool_value = true;
         continue;
       }

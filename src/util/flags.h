@@ -1,7 +1,8 @@
 // Minimal command-line flag parser for bench/example binaries.
 //
-// Supports `--name value` and `--name=value`; unknown flags abort with a
-// usage listing so typos in experiment scripts fail loudly.
+// Supports `--name value` and `--name=value`; a boolean given bare
+// (`--name`, or followed by another flag) means true. Unknown flags abort
+// with a usage listing so typos in experiment scripts fail loudly.
 #pragma once
 
 #include <cstdint>

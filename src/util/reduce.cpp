@@ -36,12 +36,11 @@ void fold_columns(const std::vector<std::span<const float>>& rows,
   const std::size_t m = sums.size();
   std::fill(sums.begin(), sums.end(), 0.0);
   if (n == 0 || m == 0) return;
-  const bool fan_out = pool != nullptr && pool->worth_parallelizing();
   const std::size_t blocks = (n + kReduceClientBlock - 1) / kReduceClientBlock;
   if (blocks == 1) {
     // Single block: the fold IS the serial chain. Columns have disjoint
     // accumulators, so chunking them keeps every chain intact.
-    if (fan_out && m > kColumnGrain) {
+    if (pool != nullptr) {
       pool->parallel_for(
           0, m,
           [&](std::size_t k0, std::size_t k1) {
@@ -72,7 +71,7 @@ void fold_columns(const std::vector<std::span<const float>>& rows,
       sums[k] = acc;
     }
   };
-  if (fan_out) {
+  if (pool != nullptr) {
     pool->parallel_for(0, blocks, fill_blocks);
     pool->parallel_for(0, m, combine, kColumnGrain);
   } else {

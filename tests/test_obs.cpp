@@ -5,8 +5,10 @@
 
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -45,13 +47,13 @@ TEST(ObsLevel, GuardsFollowTheLevel) {
   LevelGuard guard;
   obs::set_level(obs::Level::kOff);
   EXPECT_FALSE(obs::metrics_enabled());
-  EXPECT_FALSE(obs::trace_enabled());
+  EXPECT_EQ(obs::level(), obs::Level::kOff);
   obs::set_level(obs::Level::kMetrics);
   EXPECT_TRUE(obs::metrics_enabled());
-  EXPECT_FALSE(obs::trace_enabled());
+  EXPECT_EQ(obs::level(), obs::Level::kMetrics);
   obs::set_level(obs::Level::kTrace);
   EXPECT_TRUE(obs::metrics_enabled());
-  EXPECT_TRUE(obs::trace_enabled());
+  EXPECT_EQ(obs::level(), obs::Level::kTrace);
 }
 
 TEST(Histogram, LinearBucketEdges) {
@@ -265,7 +267,11 @@ TEST(Telemetry, ThreeRoundSimulationInvariants) {
   // A clean FedSU run, then FedAvg under upload loss 0.5 and churn 0.2
   // with a quorum of 3 of 6, through each engine. Those stall most rounds,
   // and a stalled round is still a whole round to the wall phases and the
-  // fl.round.* counters.
+  // fl.round.* counters. Each run checkpoints every round; the async one
+  // into a path that cannot be a directory, so every write fails.
+  const std::string ckpt_dir = ::testing::TempDir() + "/fedsu_obs_ckpt";
+  const std::string blocker = ::testing::TempDir() + "/fedsu_obs_not_a_dir";
+  std::ofstream(blocker) << "x";
   struct Case {
     const char* protocol;
     fl::SimulationOptions options;
@@ -281,14 +287,18 @@ TEST(Telemetry, ThreeRoundSimulationInvariants) {
     stalling.async.enabled = async;
     cases.push_back({"fedavg", stalling, true});
   }
+  for (Case& c : cases) {
+    c.options.checkpoint.every = 1;
+    c.options.checkpoint.dir =
+        c.options.async.enabled ? blocker + "/ckpt" : ckpt_dir;
+  }
 
+  int onsets = 0, checkpoint_failures = 0;
   for (const Case& c : cases) {
     SCOPED_TRACE(std::string(c.protocol) +
                  (c.options.async.enabled ? " async" : " sync"));
     auto& reg = obs::MetricsRegistry::global();
-    const std::uint64_t count0 = reg.counter("fl.round.count").value();
-    const std::uint64_t up0 = reg.counter("fl.round.bytes_up").value();
-    const std::uint64_t down0 = reg.counter("fl.round.bytes_down").value();
+    const obs::MetricsSnapshot before = reg.snapshot();
 
     fl::Simulation sim(c.options, proto_for(c.protocol, c.options.num_clients));
     obs::TelemetryWriter telemetry(path, c.protocol);
@@ -296,14 +306,58 @@ TEST(Telemetry, ThreeRoundSimulationInvariants) {
     const std::vector<fl::RoundRecord> records = sim.run(3);
     ASSERT_EQ(records.size(), 3u);
     EXPECT_EQ(telemetry.rows_written(), 3);
+    const obs::MetricsSnapshot after = reg.snapshot();
 
-    std::uint64_t bytes_up = 0, bytes_down = 0;
+    // Every counter of the round projection, summed from the records
+    // (zero-rate runs must leave the fault counters alone).
+    std::map<std::string, std::uint64_t> expected;
+    for (const char* name :
+         {"fl.round.count", "fl.round.bytes_up", "fl.round.bytes_down",
+          "faults.crashes", "faults.resyncs", "faults.retries",
+          "faults.stragglers", "faults.corrupt", "faults.lost_uploads",
+          "faults.deadline_missed", "faults.quorum_stalls",
+          "checkpoint.writes", "checkpoint.bytes", "checkpoint.failures",
+          "fl.async.aggregations", "fl.async.stale_uploads"}) {
+      expected[name] = 0;
+    }
+    std::uint64_t staleness_count = 0;
+    double staleness_sum = 0.0;
     int stalls = 0;
     for (const fl::RoundRecord& r : records) {
       EXPECT_EQ(r.bytes_up > 0, r.num_participants > 0);
       if (r.num_participants == 0) ++stalls;
-      bytes_up += r.bytes_up;
-      bytes_down += r.bytes_down;
+      expected["fl.round.count"] += 1;
+      expected["fl.round.bytes_up"] += r.bytes_up;
+      expected["fl.round.bytes_down"] += r.bytes_down;
+      if (r.faults) {
+        onsets += r.faults->onsets;
+        expected["faults.crashes"] += r.faults->onsets;
+        expected["faults.resyncs"] += r.faults->resyncs;
+        expected["faults.retries"] += r.faults->retries;
+        expected["faults.stragglers"] += r.faults->stragglers;
+        expected["faults.corrupt"] += r.faults->corrupt;
+        expected["faults.lost_uploads"] += r.uploads_lost;
+        expected["faults.deadline_missed"] += r.faults->deadline_missed;
+        expected["faults.quorum_stalls"] += r.faults->quorum_met ? 0 : 1;
+      }
+      EXPECT_TRUE(r.checkpoint.has_value());
+      if (r.checkpoint && r.checkpoint->ok) {
+        expected["checkpoint.writes"] += 1;
+        expected["checkpoint.bytes"] += r.checkpoint->bytes;
+      } else if (r.checkpoint) {
+        expected["checkpoint.failures"] += 1;
+        ++checkpoint_failures;
+      }
+      if (r.async && r.num_participants > 0) {
+        const std::vector<int>& hist = r.async->staleness_hist;
+        expected["fl.async.aggregations"] += 1;
+        for (std::size_t s = 0; s < hist.size(); ++s) {
+          const auto uploads = static_cast<std::uint64_t>(hist[s]);
+          if (s > 0) expected["fl.async.stale_uploads"] += uploads;
+          staleness_count += uploads;
+          staleness_sum += static_cast<double>(s) * hist[s];
+        }
+      }
       EXPECT_GE(r.speculated_fraction, 0.0);
       EXPECT_LE(r.speculated_fraction, 1.0);
       EXPECT_GE(r.fallback_syncs, 0);
@@ -314,11 +368,24 @@ TEST(Telemetry, ThreeRoundSimulationInvariants) {
       EXPECT_LE(phase_sum, r.wall.total_s * 1.0001 + 1e-9);
     }
     EXPECT_EQ(stalls > 0, c.expect_stalls);
-    EXPECT_EQ(reg.counter("fl.round.count").value() - count0,
-              records.size());
-    EXPECT_EQ(reg.counter("fl.round.bytes_up").value() - up0, bytes_up);
-    EXPECT_EQ(reg.counter("fl.round.bytes_down").value() - down0,
-              bytes_down);
+    auto counter_delta = [&](const std::string& name) {
+      const auto value = [&](const obs::MetricsSnapshot& s) {
+        const auto it = s.counters.find(name);
+        return it == s.counters.end() ? std::uint64_t{0} : it->second;
+      };
+      return value(after) - value(before);
+    };
+    for (const auto& [name, value] : expected) {
+      EXPECT_EQ(counter_delta(name), value) << name;
+    }
+    const auto histogram_of = [](const obs::MetricsSnapshot& s) {
+      const auto it = s.histograms.find("fl.async.staleness");
+      return it == s.histograms.end() ? obs::HistogramSnapshot{} : it->second;
+    };
+    EXPECT_EQ(histogram_of(after).count - histogram_of(before).count,
+              staleness_count);
+    EXPECT_EQ(histogram_of(after).sum - histogram_of(before).sum,
+              staleness_sum);
 
     // The JSONL re-parses and carries the same invariants.
     std::ifstream in(path);
@@ -338,6 +405,68 @@ TEST(Telemetry, ThreeRoundSimulationInvariants) {
     EXPECT_EQ(rows, 3);
     std::remove(path.c_str());
   }
+  // The churn and the failing checkpoint directory both happened.
+  EXPECT_GT(onsets, 0);
+  EXPECT_GT(checkpoint_failures, 0);
+  std::remove(blocker.c_str());
+  std::filesystem::remove_all(ckpt_dir);
+}
+
+// The sim.* spans are the round's only phase clock: each record's wall
+// fields are its round's span durations, and every span one level below
+// sim.round on the simulation thread is one of the five phases — in the
+// synchronous engine and in the async one under churn and upload loss.
+TEST(Telemetry, WallPhasesAreTheRoundSpans) {
+  LevelGuard guard;
+  obs::set_level(obs::Level::kTrace);
+  fl::SimulationOptions async_options = tiny_options();
+  async_options.num_clients = 6;
+  async_options.faults.crash_probability = 0.2;
+  async_options.faults.upload_loss_probability = 0.3;
+  async_options.async.enabled = true;
+  async_options.async.buffer_k = 2;
+  const std::pair<const char*, fl::SimulationOptions> cases[] = {
+      {"fedsu", tiny_options()}, {"fedavg", async_options}};
+  const std::set<std::string> phases = {"sim.select", "sim.train", "sim.sync",
+                                        "sim.timing", "sim.eval"};
+  for (const auto& [protocol, options] : cases) {
+    SCOPED_TRACE(protocol);
+    fl::Simulation sim(options, proto_for(protocol, options.num_clients));
+    obs::Tracer::global().reset();
+    const std::vector<fl::RoundRecord> records = sim.run(4);
+    const std::vector<obs::SpanEvent> events =
+        obs::Tracer::global().snapshot();
+    std::vector<const obs::SpanEvent*> rounds;
+    for (const obs::SpanEvent& e : events) {
+      if (std::string(e.name) == "sim.round") rounds.push_back(&e);
+    }
+    ASSERT_EQ(rounds.size(), records.size());
+    for (std::size_t r = 0; r < rounds.size(); ++r) {
+      const obs::SpanEvent& round = *rounds[r];
+      EXPECT_EQ(round.depth, 0);
+      std::map<std::string, double> seconds;
+      for (const obs::SpanEvent& e : events) {
+        if (e.tid != round.tid || e.depth != 1 ||
+            e.begin_ns < round.begin_ns || e.end_ns > round.end_ns) {
+          continue;
+        }
+        EXPECT_TRUE(phases.count(e.name)) << e.name << " in round " << r;
+        seconds[e.name] += static_cast<double>(e.end_ns - e.begin_ns) * 1e-9;
+      }
+      const fl::RoundRecord::WallPhases& wall = records[r].wall;
+      EXPECT_GT(wall.select_s, 0.0) << r;
+      EXPECT_DOUBLE_EQ(wall.select_s, seconds["sim.select"]) << r;
+      EXPECT_DOUBLE_EQ(wall.train_s, seconds["sim.train"]) << r;
+      EXPECT_DOUBLE_EQ(wall.sync_s, seconds["sim.sync"]) << r;
+      EXPECT_DOUBLE_EQ(wall.timing_s, seconds["sim.timing"]) << r;
+      EXPECT_DOUBLE_EQ(wall.eval_s, seconds["sim.eval"]) << r;
+      EXPECT_DOUBLE_EQ(
+          wall.total_s,
+          static_cast<double>(round.end_ns - round.begin_ns) * 1e-9)
+          << r;
+    }
+  }
+  obs::Tracer::global().reset();
 }
 
 // Telemetry bytes must equal the protocol's exact serialized payload: for

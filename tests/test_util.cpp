@@ -203,7 +203,22 @@ TEST(Flags, BoolAcceptsOnlyKnownWords) {
     const char* argv[] = {"prog", arg.c_str()};
     ASSERT_TRUE(flags.parse(2, const_cast<char**>(argv))) << word;
     EXPECT_EQ(flags.get_bool("verbose"), value) << word;
+    // The same word as the next token, starting from the opposite value.
+    const char* flip[] = {"prog", value ? "--verbose=0" : "--verbose=1"};
+    ASSERT_TRUE(flags.parse(2, const_cast<char**>(flip)));
+    const char* spaced[] = {"prog", "--verbose", word};
+    ASSERT_TRUE(flags.parse(3, const_cast<char**>(spaced))) << word;
+    EXPECT_EQ(flags.get_bool("verbose"), value) << word;
   }
+  const char* unknown_word[] = {"prog", "--verbose", "maybe"};
+  EXPECT_THROW(flags.parse(3, const_cast<char**>(unknown_word)),
+               std::runtime_error);
+  // A bare boolean followed by another flag still means true.
+  flags.add_int("n", 3, "n");
+  const char* bare[] = {"prog", "--verbose=0", "--verbose", "--n", "4"};
+  ASSERT_TRUE(flags.parse(5, const_cast<char**>(bare)));
+  EXPECT_TRUE(flags.get_bool("verbose"));
+  EXPECT_EQ(flags.get_int("n"), 4);
 }
 
 TEST(Flags, HelpReturnsFalse) {

@@ -4,15 +4,14 @@
 // human-readable report:
 //
 //   ./obs_report --manifest m.json [--telemetry t.jsonl] [--alerts a.jsonl]
-//       [--metrics metrics.json] [--faults-trace faults.csv]
-//       [--out report.md] [--format md|json]
+//       [--faults-trace faults.csv] [--out report.md] [--format md|json]
 //
 // The report carries the headline table (per-cell time/bytes-to-target,
 // final accuracy, alert counts), the per-phase wall breakdown summed from
-// telemetry, the raised/cleared alert log, fault-event totals, and the
-// health counters from the metrics snapshot. --fail-on-critical makes the
-// exit code reflect run health (any critical alert => exit 1), which turns
-// a report invocation into a CI gate.
+// telemetry (with the round time no phase covers as its own row), the
+// raised/cleared alert log, and fault-event totals. --fail-on-critical
+// makes the exit code reflect run health (any critical alert => exit 1),
+// which turns a report invocation into a CI gate.
 //
 // Diff mode — the regression gate:
 //
@@ -438,9 +437,12 @@ int run_report(const fedsu::util::Flags& flags) {
       out << "## Wall-phase breakdown (" << t.rows << " rounds)\n\n";
       out << "| phase | seconds | share |\n|---|---|---|\n";
       const double denom = t.total_s > 0 ? t.total_s : 1.0;
+      const double attributed =
+          t.select_s + t.train_s + t.sync_s + t.timing_s + t.eval_s;
       const std::pair<const char*, double> phases[] = {
           {"select", t.select_s}, {"train", t.train_s}, {"sync", t.sync_s},
-          {"timing", t.timing_s}, {"eval", t.eval_s}};
+          {"timing", t.timing_s}, {"eval", t.eval_s},
+          {"unattributed", t.total_s - attributed}};
       for (const auto& [name, seconds] : phases) {
         out << "| " << name << " | " << fmt(seconds) << " | "
             << fmt(100.0 * seconds / denom, 1) << "% |\n";
@@ -475,25 +477,6 @@ int run_report(const fedsu::util::Flags& flags) {
         out << "| " << event << " | " << count << " |\n";
       }
       out << "\n";
-    }
-
-    const std::string metrics_path = flags.get_string("metrics");
-    if (!metrics_path.empty()) {
-      const std::string mtext = read_file(metrics_path);
-      JsonValue metrics;
-      if (!g_failures && parse_json(metrics_path, mtext, metrics)) {
-        out << "## Health counters\n\n| counter | value |\n|---|---|\n";
-        bool any = false;
-        for (const auto& [name, value] :
-             metrics.at("counters").as_object()) {
-          if (name.rfind("health.", 0) != 0) continue;
-          out << "| " << name << " | "
-              << static_cast<long long>(value.as_number()) << " |\n";
-          any = true;
-        }
-        if (!any) out << "| (no health counters recorded) | — |\n";
-        out << "\n";
-      }
     }
   }
 
@@ -537,7 +520,6 @@ int main(int argc, char** argv) {
   flags.add_string("manifest", "", "run manifest JSON (report mode input)")
       .add_string("telemetry", "", "per-round telemetry JSONL (optional)")
       .add_string("alerts", "", "health alerts JSONL (optional)")
-      .add_string("metrics", "", "metrics registry JSON (optional)")
       .add_string("faults-trace", "", "fault trace CSV (optional)")
       .add_string("out", "", "report output path (empty or '-' = stdout)")
       .add_string("format", "md", "report format: md | json")

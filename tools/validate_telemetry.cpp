@@ -12,8 +12,7 @@
 //   * telemetry: every JSONL line parses, rounds are consecutive within a
 //     scheme segment (a reset to 0 starts the next segment in multi-cell
 //     bench files), bytes_up > 0, speculated_fraction in [0,1], and the
-//     per-phase wall durations sum to at most the round's total (within
-//     10% slack for unattributed glue code);
+//     per-phase wall durations sum to at most the round's total;
 //   * alerts: every line parses against the obs::HealthMonitor schema
 //     (severity enum, raised|cleared state), rounds are monotone per
 //     scheme, and every "cleared" follows a "raised" of the same rule;
@@ -24,10 +23,17 @@
 // When both the manifest and the telemetry / alerts files of the SAME run
 // are given, their aggregates are cross-reconciled: manifest total rounds
 // and bytes must equal the telemetry sums, and manifest alert totals must
-// equal the raised edges in the alert stream.
+// equal the raised edges in the alert stream. With the trace, row i's wall
+// phases must be the i-th sim.round span's phase spans (within 1 ns), and
+// nothing else may sit one level below a sim.round on its thread; the two
+// files must cover the same rounds (bench_scale and bench_comm reset the
+// tracer per cell, so their traces hold the last cell only).
 //
 // Exits 0 when every requested check passes, 1 otherwise — no Python
 // needed in CI.
+#include <algorithm>
+#include <array>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -35,6 +41,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "obs/json.h"
 #include "util/flags.h"
@@ -65,29 +72,46 @@ std::string read_file(const std::string& path) {
   return buffer.str();
 }
 
-void validate_trace(const std::string& path) {
+// One complete ("X") trace event, in the trace's microseconds.
+struct Span {
+  std::string name;
+  int tid = 0;
+  int depth = 0;
+  double ts = 0.0;
+  double dur = 0.0;
+};
+
+std::vector<Span> validate_trace(const std::string& path) {
+  std::vector<Span> spans;
   const std::string text = read_file(path);
-  if (text.empty()) return;
+  if (text.empty()) return spans;
   JsonValue root;
   try {
     root = fedsu::obs::json_parse(text);
   } catch (const std::exception& e) {
     fail(path + ": " + e.what());
-    return;
+    return spans;
   }
   if (!root.has("traceEvents") || !root.at("traceEvents").is_array()) {
     fail(path + ": no traceEvents array");
-    return;
+    return spans;
   }
   std::set<std::string> span_names;
   std::set<int> span_tids;
   for (const JsonValue& event : root.at("traceEvents").as_array()) {
     const std::string ph = event.at("ph").as_string();
     if (ph != "X") continue;  // skip metadata rows
-    span_names.insert(event.at("name").as_string());
-    span_tids.insert(static_cast<int>(event.at("tid").as_number()));
-    check(event.at("ts").as_number() >= 0.0, path + ": negative ts");
-    check(event.at("dur").as_number() >= 0.0, path + ": negative dur");
+    Span span;
+    span.name = event.at("name").as_string();
+    span.tid = static_cast<int>(event.at("tid").as_number());
+    span.depth = static_cast<int>(event.at("args").at("depth").as_number());
+    span.ts = event.at("ts").as_number();
+    span.dur = event.at("dur").as_number();
+    span_names.insert(span.name);
+    span_tids.insert(span.tid);
+    check(span.ts >= 0.0, path + ": negative ts");
+    check(span.dur >= 0.0, path + ": negative dur");
+    spans.push_back(std::move(span));
   }
   check(span_names.size() >= 4,
         path + ": expected >= 4 distinct span names, got " +
@@ -97,6 +121,7 @@ void validate_trace(const std::string& path) {
             std::to_string(span_tids.size()));
   std::printf("%s: %zu span names across %zu threads\n", path.c_str(),
               span_names.size(), span_tids.size());
+  return spans;
 }
 
 void validate_metrics(const std::string& path) {
@@ -130,11 +155,19 @@ void validate_metrics(const std::string& path) {
                   : 0);
 }
 
-// Telemetry aggregates handed back for manifest cross-reconciliation.
+// The wall object's fields, in this order, and the span each one is.
+constexpr const char* kWallFields[] = {"select_s", "train_s", "sync_s",
+                                       "timing_s", "eval_s", "total_s"};
+constexpr const char* kWallSpans[] = {"sim.select", "sim.train", "sim.sync",
+                                      "sim.timing", "sim.eval", "sim.round"};
+constexpr int kPhases = 5;  // the first five; total_s is sim.round itself
+
+// Telemetry aggregates handed back for cross-reconciliation.
 struct TelemetryTotals {
   int rows = 0;
   std::uint64_t bytes_up = 0;
   std::uint64_t bytes_down = 0;
+  std::vector<std::array<double, kPhases + 1>> walls;  // per row, seconds
 };
 
 TelemetryTotals validate_telemetry(const std::string& path,
@@ -257,14 +290,17 @@ TelemetryTotals validate_telemetry(const std::string& path,
       }
     }
     const JsonValue& wall = record.at("wall");
-    const double phase_sum =
-        wall.at("select_s").as_number() + wall.at("train_s").as_number() +
-        wall.at("sync_s").as_number() + wall.at("timing_s").as_number() +
-        wall.at("eval_s").as_number();
-    const double total = wall.at("total_s").as_number();
-    check(phase_sum <= total * 1.1 + 1e-6,
+    std::array<double, kPhases + 1> phases{};
+    double phase_sum = 0.0;
+    for (int f = 0; f <= kPhases; ++f) {
+      phases[f] = wall.at(kWallFields[f]).as_number();
+      if (f < kPhases) phase_sum += phases[f];
+    }
+    // The phases are disjoint spans inside the round's span.
+    check(phase_sum <= phases[kPhases] + 1e-9,
           path + ": wall phases exceed round total in round " +
               std::to_string(round));
+    totals.walls.push_back(phases);
   }
   check(rows > 0, path + ": no telemetry rows");
   if (expect_rounds > 0) {
@@ -275,6 +311,53 @@ TelemetryTotals validate_telemetry(const std::string& path,
   std::printf("%s: %d telemetry rows\n", path.c_str(), rows);
   totals.rows = rows;
   return totals;
+}
+
+// The i-th sim.round span is the i-th telemetry row: its wall fields must
+// be the durations of the round's phase spans (one level down, on the
+// round's thread), and nothing else may sit at that level.
+void reconcile_wall_with_trace(const std::vector<Span>& spans,
+                               const TelemetryTotals& telemetry,
+                               const std::string& what) {
+  std::vector<const Span*> rounds;
+  for (const Span& s : spans) {
+    if (s.name == "sim.round") rounds.push_back(&s);
+  }
+  if (rounds.size() != telemetry.walls.size()) {
+    fail(what + ": " + std::to_string(rounds.size()) +
+         " sim.round spans but " + std::to_string(telemetry.walls.size()) +
+         " telemetry rows");
+    return;
+  }
+  for (std::size_t r = 0; r < rounds.size(); ++r) {
+    const Span& round = *rounds[r];
+    std::array<double, kPhases + 1> traced{};
+    traced[kPhases] = round.dur;
+    for (const Span& s : spans) {
+      if (s.tid != round.tid || s.depth != round.depth + 1 ||
+          s.ts < round.ts || s.ts > round.ts + round.dur) {
+        continue;
+      }
+      const int f = static_cast<int>(
+          std::find(kWallSpans, kWallSpans + kPhases, s.name) - kWallSpans);
+      if (f == kPhases) {
+        fail(what + ": span '" + s.name + "' inside sim.round " +
+             std::to_string(r) + " is not a phase");
+        continue;
+      }
+      traced[f] += s.dur;
+    }
+    for (int f = 0; f <= kPhases; ++f) {
+      // Trace durations are microseconds; 1e-3 us is 1 ns.
+      const double wall_us = telemetry.walls[r][f] * 1e6;
+      check(std::abs(traced[f] - wall_us) <= 1e-3,
+            what + ": row " + std::to_string(r) + " wall." + kWallFields[f] +
+                " is " + std::to_string(wall_us) + " us, its " +
+                kWallSpans[f] + " spans " + std::to_string(traced[f]) + " us");
+    }
+  }
+  std::printf("%s: %zu rounds' wall phases checked against their spans\n",
+              what.c_str(), rounds.size());
 }
 
 // Raised-edge counts per severity, for manifest cross-reconciliation.
@@ -501,12 +584,17 @@ int main(int argc, char** argv) {
                          "--telemetry / --alerts / --manifest)\n");
     return 1;
   }
-  if (!trace.empty()) validate_trace(trace);
+  std::vector<Span> spans;
+  if (!trace.empty()) spans = validate_trace(trace);
   if (!metrics.empty()) validate_metrics(metrics);
   TelemetryTotals telemetry_totals;
   if (!telemetry.empty()) {
     telemetry_totals = validate_telemetry(
         telemetry, static_cast<int>(flags.get_int("expect-rounds")));
+    if (!trace.empty()) {
+      reconcile_wall_with_trace(spans, telemetry_totals,
+                                trace + " + " + telemetry);
+    }
   }
   AlertTotals alert_totals;
   if (!alerts.empty()) alert_totals = validate_alerts(alerts);
