@@ -63,5 +63,6 @@ int main(int argc, char** argv) {
                           fedsu.summary.mean_sparsification_ratio)});
     }
   }
+  bench::export_observability(base);
   return 0;
 }

@@ -22,6 +22,7 @@
 // Usage: bench_comm [--out BENCH_comm.json] [--clients-list 8,64,256,1024]
 //                   [--archs logistic,cnn,mlp] [--smoke]
 //                   [+ shared flags: --rounds, --threads, --seed, ...]
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -59,6 +60,31 @@ std::vector<std::string> parse_names(const std::string& csv) {
   }
   if (out.empty()) throw std::invalid_argument("archs: empty");
   return out;
+}
+
+// Span totals recorded since `before`, an earlier Tracer::aggregate():
+// one cell's phases, with the tracer left whole for --trace-out. Ordered
+// by the cell's own total time, descending, as aggregate() orders.
+std::vector<fedsu::obs::PhaseTotal> phases_since(
+    const std::vector<fedsu::obs::PhaseTotal>& before) {
+  std::vector<fedsu::obs::PhaseTotal> phases =
+      fedsu::obs::Tracer::global().aggregate();
+  for (fedsu::obs::PhaseTotal& phase : phases) {
+    for (const fedsu::obs::PhaseTotal& earlier : before) {
+      if (earlier.name != phase.name) continue;
+      phase.count -= earlier.count;
+      phase.total_ms -= earlier.total_ms;
+    }
+  }
+  std::erase_if(phases, [](const fedsu::obs::PhaseTotal& phase) {
+    return phase.count == 0;
+  });
+  std::sort(phases.begin(), phases.end(),
+            [](const fedsu::obs::PhaseTotal& a,
+               const fedsu::obs::PhaseTotal& b) {
+              return a.total_ms > b.total_ms;
+            });
+  return phases;
 }
 
 }  // namespace
@@ -138,7 +164,8 @@ int main(int argc, char** argv) {
         protocol->initialize(init);
         std::vector<float> global = init;
 
-        fedsu::obs::Tracer::global().reset();
+        const std::vector<fedsu::obs::PhaseTotal> before =
+            fedsu::obs::Tracer::global().aggregate();
         double sync_ms = 0.0;
         double bytes_up = 0.0, bytes_down = 0.0;
         double scalars_up = 0.0, scalars_down = 0.0;
@@ -173,7 +200,7 @@ int main(int argc, char** argv) {
           global = std::move(result.new_global);
         }
         const double inv_rounds = 1.0 / config.rounds;
-        const auto phases = fedsu::obs::Tracer::global().aggregate();
+        const auto phases = phases_since(before);
 
         const std::string setting =
             archs[a] + "/c" + std::to_string(clients);
@@ -261,5 +288,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("wrote %s\n", out_path.c_str());
+  fedsu::bench::export_observability(config);
   return 0;
 }

@@ -52,5 +52,6 @@ int main(int argc, char** argv) {
                       util::CsvWriter::field(run.summary.total_time_s)});
     }
   }
+  bench::export_observability(base);
   return 0;
 }

@@ -83,5 +83,6 @@ int main(int argc, char** argv) {
       }
     }
   }
+  bench::export_observability(base);
   return 0;
 }

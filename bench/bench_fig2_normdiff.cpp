@@ -87,5 +87,6 @@ int main(int argc, char** argv) {
                      util::CsvWriter::field(dense_series[r])});
     }
   }
+  bench::export_observability(base);
   return 0;
 }

@@ -52,5 +52,6 @@ int main(int argc, char** argv) {
                 run.summary.mean_sparsification_ratio,
                 run.summary.total_gigabytes);
   }
+  bench::export_observability(config);
   return 0;
 }

@@ -92,5 +92,6 @@ int main(int argc, char** argv) {
                      util::CsvWriter::field(fedavg_states[r][best_param])});
     }
   }
+  bench::export_observability(config);
   return 0;
 }

@@ -61,5 +61,6 @@ int main(int argc, char** argv) {
       }
     }
   }
+  bench::export_observability(base);
   return 0;
 }

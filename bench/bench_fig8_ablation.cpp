@@ -99,5 +99,6 @@ int main(int argc, char** argv) {
     std::printf("  summary: best_acc=%.3f mean_ratio=%.3f\n",
                 summary.best_accuracy, summary.mean_sparsification_ratio);
   }
+  bench::export_observability(config);
   return 0;
 }

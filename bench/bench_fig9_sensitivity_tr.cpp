@@ -56,5 +56,6 @@ int main(int argc, char** argv) {
                       util::CsvWriter::field(run.summary.total_gigabytes)});
     }
   }
+  bench::export_observability(base);
   return 0;
 }

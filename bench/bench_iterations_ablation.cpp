@@ -82,5 +82,6 @@ int main(int argc, char** argv) {
                       util::CsvWriter::field(fedsu.summary.best_accuracy)});
     }
   }
+  bench::export_observability(base);
   return 0;
 }

@@ -108,7 +108,6 @@ int run_mode(const BenchConfig& config, const fedsu::util::Flags& flags,
     }
   }
   observatory.finish(true);
-  bench::export_observability(config);
   return 0;
 }
 
@@ -161,6 +160,7 @@ int main(int argc, char** argv) {
   BenchConfig defaults;
   defaults.rounds = 12;
   fedsu::util::Flags flags = fedsu::bench::make_flags(defaults);
+  fedsu::bench::add_observatory_flags(flags, defaults);
   flags.add_string("scheme", "fedsu", "protocol to run (fedavg | fedsu | ...)")
       .add_string("model-crc-out", "",
                   "write the final model CRC-32 (hex) to this file")
@@ -170,6 +170,10 @@ int main(int argc, char** argv) {
   const BenchConfig config = fedsu::bench::config_from_flags(flags);
   const std::string scheme = flags.get_string("scheme");
   fedsu::bench::print_header("Crash recovery (docs/RECOVERY.md)");
-  if (flags.get_bool("smoke")) return smoke_mode(config, scheme);
-  return run_mode(config, flags, scheme, flags.get_string("model-crc-out"));
+  const int code =
+      flags.get_bool("smoke")
+          ? smoke_mode(config, scheme)
+          : run_mode(config, flags, scheme, flags.get_string("model-crc-out"));
+  fedsu::bench::export_observability(config);
+  return code;
 }

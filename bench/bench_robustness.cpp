@@ -100,6 +100,7 @@ int main(int argc, char** argv) {
   defaults.rounds = 40;
   defaults.eval_every = 2;
   fedsu::util::Flags flags = fedsu::bench::make_flags(defaults);
+  fedsu::bench::add_observatory_flags(flags, defaults);
   flags.add_string("out", "BENCH_robustness.json", "output JSON path")
       .add_double("target", 0.55, "accuracy target for time-to-accuracy")
       .add_bool("smoke", false, "CI mode: tiny workload, schema check only");

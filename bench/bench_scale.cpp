@@ -12,8 +12,9 @@
 //     one shard copy per client (`legacy_shard_bytes`) and the dense
 //     clients x params error matrix (`legacy_error_bytes`, FedSU only) —
 //     the before/after comparison the acceptance bar asks for;
-//   * per-round wall-phase means from the OBS_SPAN tracer (select / train /
-//     sync / timing / eval), traffic, simulated time, and accuracy.
+//   * per-round wall-phase means from the records' wall fields (select /
+//     train / sync / timing / eval, each the round's sim.* span time),
+//     traffic, simulated time, and accuracy.
 //
 // Cells run in ascending client order because peak RSS is monotone over the
 // process lifetime: each cell's peak is then attributable to the largest
@@ -24,6 +25,8 @@
 // as a schema check, same as bench_robustness). --smoke shrinks the ladder
 // to {8, 32} with a tiny workload for CI; tools/obs_report --diff gates
 // cells on time/bytes/accuracy and, via the "memory" object, peak RSS.
+// The obs level defaults to metrics, which records no trace events: pair
+// --trace-out with --obs-level trace.
 //
 // Usage: bench_scale [--out BENCH_scale.json] [--clients-list 8,32,...]
 //                    [--smoke] [+ the shared workload flags]
@@ -59,16 +62,6 @@ std::vector<int> parse_ladder(const std::string& csv) {
   return out;
 }
 
-// Mean wall milliseconds per round for one "sim.*" phase, from the tracer
-// events of a single cell (the tracer is reset per cell).
-double phase_ms_per_round(const std::vector<fedsu::obs::PhaseTotal>& totals,
-                          const char* name, int rounds) {
-  for (const auto& t : totals) {
-    if (t.name == name) return rounds > 0 ? t.total_ms / rounds : 0.0;
-  }
-  return 0.0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -79,10 +72,12 @@ int main(int argc, char** argv) {
   defaults.train_count = 1024;  // floor; raised to 4 x clients per cell
   defaults.test_count = 256;
   defaults.eval_every = 4;
-  // Phase means come from the OBS_SPAN tracer, so tracing defaults on here
-  // (§5b: observation never perturbs results — only the wall clock).
-  defaults.obs_level = "trace";
+  // Phase means come from the records' wall fields, which the metrics
+  // level fills (§5b: observation never perturbs results — only the wall
+  // clock).
+  defaults.obs_level = "metrics";
   fedsu::util::Flags flags = fedsu::bench::make_flags(defaults);
+  fedsu::bench::add_observatory_flags(flags, defaults);
   flags.add_string("out", "BENCH_scale.json", "output JSON path")
       .add_string("clients-list", "8,32,128,512,1024",
                   "ascending cohort ladder (comma-separated)")
@@ -119,7 +114,6 @@ int main(int argc, char** argv) {
       const std::string setting = "c" + std::to_string(clients);
       const std::string label = setting + "/" + scheme;
 
-      fedsu::obs::Tracer::global().reset();
       const fedsu::obs::MemoryStats before = fedsu::obs::sample_memory();
 
       fedsu::fl::Simulation sim(
@@ -143,7 +137,7 @@ int main(int argc, char** argv) {
       // Sampled while the cohort is still alive: this is the number the
       // sweep exists to measure (run_scheme would destroy the simulation
       // before we could look).
-      const fedsu::obs::MemoryStats live = fedsu::obs::record_memory_gauges();
+      const fedsu::obs::MemoryStats live = fedsu::obs::sample_memory();
       observatory.record(run, setting);
 
       const std::size_t params = sim.model_state_size();
@@ -168,14 +162,20 @@ int main(int argc, char** argv) {
               ? built.heap_live_bytes - before.heap_live_bytes
               : 0;
 
-      const auto phases = fedsu::obs::Tracer::global().aggregate();
       const int rounds = run.summary.rounds;
 
       std::uint64_t bytes_up = 0, bytes_down = 0;
+      fedsu::fl::RoundRecord::WallPhases wall_sum;  // over the cell's rounds
       for (const auto& r : run.records) {
         bytes_up += r.bytes_up;
         bytes_down += r.bytes_down;
+        wall_sum.select_s += r.wall.select_s;
+        wall_sum.train_s += r.wall.train_s;
+        wall_sum.sync_s += r.wall.sync_s;
+        wall_sum.timing_s += r.wall.timing_s;
+        wall_sum.eval_s += r.wall.eval_s;
       }
+      const double ms_per_round = rounds > 0 ? 1e3 / rounds : 0.0;
 
       std::printf("%-8d %-8s %9.1f %9.1f %9.1f %9.1f %9.2f %6.1f%%\n",
                   clients, scheme.c_str(), live.peak_rss_bytes / 1e6,
@@ -207,20 +207,15 @@ int main(int argc, char** argv) {
             << ", \"legacy_shard_bytes\": " << legacy_shard_bytes
             << ", \"legacy_error_bytes\": " << legacy_error_bytes << "}"
             << ", \"phases_ms_per_round\": {\"select\": "
-            << fedsu::obs::json_number(
-                   phase_ms_per_round(phases, "sim.select", rounds))
+            << fedsu::obs::json_number(wall_sum.select_s * ms_per_round)
             << ", \"train\": "
-            << fedsu::obs::json_number(
-                   phase_ms_per_round(phases, "sim.train", rounds))
+            << fedsu::obs::json_number(wall_sum.train_s * ms_per_round)
             << ", \"sync\": "
-            << fedsu::obs::json_number(
-                   phase_ms_per_round(phases, "sim.sync", rounds))
+            << fedsu::obs::json_number(wall_sum.sync_s * ms_per_round)
             << ", \"timing\": "
-            << fedsu::obs::json_number(
-                   phase_ms_per_round(phases, "sim.timing", rounds))
+            << fedsu::obs::json_number(wall_sum.timing_s * ms_per_round)
             << ", \"eval\": "
-            << fedsu::obs::json_number(
-                   phase_ms_per_round(phases, "sim.eval", rounds))
+            << fedsu::obs::json_number(wall_sum.eval_s * ms_per_round)
             << "}}";
     }
   }

@@ -26,6 +26,7 @@ struct ModelTask {
 int main(int argc, char** argv) {
   bench::BenchConfig defaults;
   util::Flags flags = bench::make_flags(defaults);
+  bench::add_observatory_flags(flags, defaults);
   flags.add_string("models", "cnn,resnet,densenet",
                    "comma list of models to run (cnn,resnet,densenet)");
   flags.add_double("target-cnn", 0.92, "accuracy target for the CNN");

@@ -21,7 +21,6 @@
 #include "obs/health.h"
 #include "obs/manifest.h"
 #include "obs/memory.h"
-#include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
@@ -64,17 +63,13 @@ struct BenchConfig {
   // requested outputs: trace if --trace-out is set, metrics if any other
   // output is, off otherwise — so plain runs pay zero instrumentation cost.
   std::string obs_level = "auto";  // auto | off | metrics | trace
-  std::string metrics_out;         // metrics registry snapshot file
-  std::string metrics_format = "auto";  // auto | json | csv | prom
-  // Crash durability for the metrics snapshot (DESIGN.md §12): rewrite
-  // --metrics-out every N rounds inside the round loop, not just at
-  // teardown. 0 keeps the historical end-of-run-only write.
-  int metrics_flush_every = 0;
   std::string trace_out;           // chrome://tracing timeline JSON
-  std::string telemetry_out;       // per-round telemetry JSONL
-  // Run-level observability (DESIGN.md §12): one manifest JSON per run and
-  // one JSONL alert stream from the health monitor. Setting either engages
-  // obs::HealthMonitor on the round loop.
+  // Run-level observability (DESIGN.md §12), written by a RunObservatory:
+  // per-round telemetry JSONL, one manifest JSON per run and one JSONL
+  // alert stream from the health monitor. Setting the manifest or the
+  // alerts engages obs::HealthMonitor on the round loop. Only benches that
+  // call add_observatory_flags accept these.
+  std::string telemetry_out;
   std::string manifest_out;
   std::string alerts_out;
   // Health-rule thresholds (obs::HealthOptions; <= 0 windows disable rules).
@@ -127,50 +122,8 @@ inline util::Flags make_flags(const BenchConfig& defaults) {
                   "CMFL sign-relevance threshold")
       .add_string("obs-level", defaults.obs_level,
                   "observability level: auto | off | metrics | trace")
-      .add_string("metrics-out", defaults.metrics_out,
-                  "write the metrics registry snapshot (see --metrics-format)")
-      .add_string("metrics-format", defaults.metrics_format,
-                  "metrics snapshot format: auto | json | csv | prom")
-      .add_int("metrics-flush-every", defaults.metrics_flush_every,
-               "rewrite --metrics-out every N rounds (0 = teardown only)")
       .add_string("trace-out", defaults.trace_out,
                   "write a chrome://tracing span timeline JSON")
-      .add_string("telemetry-out", defaults.telemetry_out,
-                  "write per-round telemetry JSONL")
-      .add_string("manifest-out", defaults.manifest_out,
-                  "write a run manifest JSON (config, environment, aggregates)")
-      .add_string("alerts-out", defaults.alerts_out,
-                  "write health-monitor alerts JSONL")
-      .add_int("health-plateau-window", defaults.health.plateau_window,
-               "rounds without loss improvement before a plateau alert")
-      .add_double("health-plateau-epsilon", defaults.health.plateau_epsilon,
-                  "minimum loss improvement that resets the plateau window")
-      .add_double("health-divergence-factor",
-                  defaults.health.divergence_factor,
-                  "loss multiple over best-so-far that counts as diverging")
-      .add_int("health-divergence-window", defaults.health.divergence_window,
-               "consecutive diverging rounds before a divergence alert")
-      .add_double("health-fallback-fraction",
-                  defaults.health.fallback_storm_fraction,
-                  "fallback syncs per round, as a model fraction, that storm")
-      .add_int("health-fallback-window", defaults.health.fallback_storm_window,
-               "consecutive storming rounds before a fallback-storm alert")
-      .add_double("health-osc-delta", defaults.health.osc_min_delta,
-                  "speculated-fraction step that counts toward oscillation")
-      .add_int("health-osc-window", defaults.health.osc_window,
-               "trailing rounds inspected for speculation oscillation")
-      .add_int("health-osc-flips", defaults.health.osc_flips,
-               "direction reversals in the window that raise the alert")
-      .add_double("health-straggler-fraction",
-                  defaults.health.straggler_fraction,
-                  "windowed straggler/selected ratio that counts as drift")
-      .add_int("health-straggler-window", defaults.health.straggler_window,
-               "trailing rounds for the straggler-drift ratio")
-      .add_int("health-staleness-max", defaults.health.staleness_max,
-               "async staleness (aggregations) above which to alert")
-      .add_int("health-byte-budget",
-               static_cast<long long>(defaults.health.byte_budget_per_round),
-               "per-round byte budget, up+down (0 = no budget)")
       .add_double("faults-churn", defaults.faults.crash_probability,
                   "per-round crash probability per client")
       .add_int("faults-crash-rounds", defaults.faults.crash_rounds_max,
@@ -220,26 +173,63 @@ inline util::Flags make_flags(const BenchConfig& defaults) {
   return flags;
 }
 
+// The outputs and health thresholds of a RunObservatory; registered only
+// by the benches that build one, so every other bench rejects them.
+inline void add_observatory_flags(util::Flags& flags,
+                                  const BenchConfig& defaults) {
+  flags.add_string("telemetry-out", defaults.telemetry_out,
+                   "write per-round telemetry JSONL")
+      .add_string("manifest-out", defaults.manifest_out,
+                  "write a run manifest JSON (config, environment, aggregates)")
+      .add_string("alerts-out", defaults.alerts_out,
+                  "write health-monitor alerts JSONL")
+      .add_int("health-plateau-window", defaults.health.plateau_window,
+               "rounds without loss improvement before a plateau alert")
+      .add_double("health-plateau-epsilon", defaults.health.plateau_epsilon,
+                  "minimum loss improvement that resets the plateau window")
+      .add_double("health-divergence-factor",
+                  defaults.health.divergence_factor,
+                  "loss multiple over best-so-far that counts as diverging")
+      .add_int("health-divergence-window", defaults.health.divergence_window,
+               "consecutive diverging rounds before a divergence alert")
+      .add_double("health-fallback-fraction",
+                  defaults.health.fallback_storm_fraction,
+                  "fallback syncs per round, as a model fraction, that storm")
+      .add_int("health-fallback-window", defaults.health.fallback_storm_window,
+               "consecutive storming rounds before a fallback-storm alert")
+      .add_double("health-osc-delta", defaults.health.osc_min_delta,
+                  "speculated-fraction step that counts toward oscillation")
+      .add_int("health-osc-window", defaults.health.osc_window,
+               "trailing rounds inspected for speculation oscillation")
+      .add_int("health-osc-flips", defaults.health.osc_flips,
+               "direction reversals in the window that raise the alert")
+      .add_double("health-straggler-fraction",
+                  defaults.health.straggler_fraction,
+                  "windowed straggler/selected ratio that counts as drift")
+      .add_int("health-straggler-window", defaults.health.straggler_window,
+               "trailing rounds for the straggler-drift ratio")
+      .add_int("health-staleness-max", defaults.health.staleness_max,
+               "async staleness (aggregations) above which to alert")
+      .add_int("health-byte-budget",
+               static_cast<long long>(defaults.health.byte_budget_per_round),
+               "per-round byte budget, up+down (0 = no budget)");
+}
+
 // Resolves BenchConfig's observability selection into a process level.
 inline obs::Level resolve_obs_level(const BenchConfig& config) {
   if (config.obs_level != "auto") return obs::parse_level(config.obs_level);
   if (!config.trace_out.empty()) return obs::Level::kTrace;
-  if (!config.metrics_out.empty() || !config.telemetry_out.empty() ||
-      !config.manifest_out.empty() || !config.alerts_out.empty()) {
+  if (!config.telemetry_out.empty() || !config.manifest_out.empty() ||
+      !config.alerts_out.empty()) {
     return obs::Level::kMetrics;
   }
   return obs::Level::kOff;
 }
 
-// Writes the outputs BenchConfig requested; call once, after the run loop.
-// (--telemetry-out / --alerts-out / --manifest-out are wired per round via
-// RunObservatory below.)
+// Writes the --trace-out timeline; every bench calls it once, at the end of
+// main. (--telemetry-out / --alerts-out / --manifest-out are wired per round
+// via RunObservatory below.)
 inline void export_observability(const BenchConfig& config) {
-  if (!config.metrics_out.empty()) {
-    obs::MetricsRegistry::global().write(config.metrics_out,
-                                         config.metrics_format);
-    std::printf("metrics written to %s\n", config.metrics_out.c_str());
-  }
   if (!config.trace_out.empty()) {
     obs::Tracer::global().write_chrome_json(config.trace_out);
     std::printf("trace written to %s\n", config.trace_out.c_str());
@@ -271,36 +261,37 @@ inline BenchConfig config_from_flags(const util::Flags& flags) {
   config.no_check = static_cast<int>(flags.get_int("no-check"));
   config.cmfl_relevance = flags.get_double("cmfl-relevance");
   config.obs_level = flags.get_string("obs-level");
-  config.metrics_out = flags.get_string("metrics-out");
-  config.metrics_format = flags.get_string("metrics-format");
-  config.metrics_flush_every =
-      static_cast<int>(flags.get_int("metrics-flush-every"));
   config.trace_out = flags.get_string("trace-out");
-  config.telemetry_out = flags.get_string("telemetry-out");
-  config.manifest_out = flags.get_string("manifest-out");
-  config.alerts_out = flags.get_string("alerts-out");
-  config.health.plateau_window =
-      static_cast<int>(flags.get_int("health-plateau-window"));
-  config.health.plateau_epsilon = flags.get_double("health-plateau-epsilon");
-  config.health.divergence_factor =
-      flags.get_double("health-divergence-factor");
-  config.health.divergence_window =
-      static_cast<int>(flags.get_int("health-divergence-window"));
-  config.health.fallback_storm_fraction =
-      flags.get_double("health-fallback-fraction");
-  config.health.fallback_storm_window =
-      static_cast<int>(flags.get_int("health-fallback-window"));
-  config.health.osc_min_delta = flags.get_double("health-osc-delta");
-  config.health.osc_window = static_cast<int>(flags.get_int("health-osc-window"));
-  config.health.osc_flips = static_cast<int>(flags.get_int("health-osc-flips"));
-  config.health.straggler_fraction =
-      flags.get_double("health-straggler-fraction");
-  config.health.straggler_window =
-      static_cast<int>(flags.get_int("health-straggler-window"));
-  config.health.staleness_max =
-      static_cast<int>(flags.get_int("health-staleness-max"));
-  config.health.byte_budget_per_round =
-      static_cast<std::size_t>(flags.get_int("health-byte-budget"));
+  if (flags.has("telemetry-out")) {  // add_observatory_flags
+    config.telemetry_out = flags.get_string("telemetry-out");
+    config.manifest_out = flags.get_string("manifest-out");
+    config.alerts_out = flags.get_string("alerts-out");
+    config.health.plateau_window =
+        static_cast<int>(flags.get_int("health-plateau-window"));
+    config.health.plateau_epsilon =
+        flags.get_double("health-plateau-epsilon");
+    config.health.divergence_factor =
+        flags.get_double("health-divergence-factor");
+    config.health.divergence_window =
+        static_cast<int>(flags.get_int("health-divergence-window"));
+    config.health.fallback_storm_fraction =
+        flags.get_double("health-fallback-fraction");
+    config.health.fallback_storm_window =
+        static_cast<int>(flags.get_int("health-fallback-window"));
+    config.health.osc_min_delta = flags.get_double("health-osc-delta");
+    config.health.osc_window =
+        static_cast<int>(flags.get_int("health-osc-window"));
+    config.health.osc_flips =
+        static_cast<int>(flags.get_int("health-osc-flips"));
+    config.health.straggler_fraction =
+        flags.get_double("health-straggler-fraction");
+    config.health.straggler_window =
+        static_cast<int>(flags.get_int("health-straggler-window"));
+    config.health.staleness_max =
+        static_cast<int>(flags.get_int("health-staleness-max"));
+    config.health.byte_budget_per_round =
+        static_cast<std::size_t>(flags.get_int("health-byte-budget"));
+  }
   config.faults.crash_probability = flags.get_double("faults-churn");
   config.faults.crash_rounds_max =
       static_cast<int>(flags.get_int("faults-crash-rounds"));
@@ -449,10 +440,6 @@ class RunObservatory {
     }
   }
 
-  bool active() const {
-    return monitor_ || telemetry_ || manifest_ ||
-           config_.metrics_flush_every > 0;
-  }
   obs::HealthMonitor* monitor() { return monitor_ ? &*monitor_ : nullptr; }
 
   // Installs the round feed on `sim` and resets per-cell monitor state.
@@ -476,23 +463,12 @@ class RunObservatory {
   }
 
   // Post-round work the hook cannot do: the model-state probe (needs the
-  // simulation, not just the record) and the periodic metrics flush.
+  // simulation, not just the record) and the manifest's checkpoint counts.
   void after_round(const fl::Simulation& sim, const fl::RoundRecord& record) {
     if (monitor_) monitor_->observe_model(record.round, sim.global_state());
     if (record.checkpoint) {
       if (record.checkpoint->ok) ++checkpoints_written_;
       else ++checkpoint_failures_;
-    }
-    // Keep the obs.mem.* gauges fresh round to round so a periodic metrics
-    // flush (and any scraper of the snapshot) sees live memory, not just
-    // the teardown value. Reads /proc only — never perturbs the run (§5b).
-    if (obs::metrics_enabled()) obs::record_memory_gauges();
-    ++rounds_seen_;
-    if (config_.metrics_flush_every > 0 && !config_.metrics_out.empty() &&
-        obs::metrics_enabled() &&
-        rounds_seen_ % config_.metrics_flush_every == 0) {
-      obs::MetricsRegistry::global().write(config_.metrics_out,
-                                           config_.metrics_format);
     }
   }
 
@@ -511,7 +487,7 @@ class RunObservatory {
     agg.time_to_target_s = run.time_to_target_s.value_or(-1.0);
     // Sampled at cell completion: the peak is process-wide (monotone across
     // cells), heap_live is what this cell still holds at its end.
-    const obs::MemoryStats mem = obs::record_memory_gauges();
+    const obs::MemoryStats mem = obs::sample_memory();
     agg.peak_rss_bytes = mem.peak_rss_bytes;
     agg.heap_live_bytes = mem.heap_live_bytes;
     for (const auto& rec : run.records) {
@@ -564,7 +540,7 @@ class RunObservatory {
   }
 
   // Stamps the outcome and writes the manifest; call once, after the last
-  // cell (export_observability still writes metrics/trace).
+  // cell (export_observability still writes the trace).
   void finish(bool ok) {
     if (!manifest_) return;
     if (resumed_ || config_.checkpoint_every > 0) {
@@ -589,7 +565,6 @@ class RunObservatory {
   std::optional<obs::HealthMonitor> monitor_;
   std::optional<obs::RunManifest> manifest_;
   int alert_base_[3] = {0, 0, 0};
-  long long rounds_seen_ = 0;
   int checkpoints_written_ = 0;
   int checkpoint_failures_ = 0;
   bool resumed_ = false;
@@ -600,8 +575,8 @@ class RunObservatory {
 // Runs one scheme end-to-end. When `target` is set, the run still completes
 // all rounds (curves need the tail) but the crossing is recorded. When an
 // observatory is given, the round loop feeds it (telemetry, health rules,
-// model probe, periodic metrics flush) and the finished cell is folded into
-// its manifest under `setting`.
+// model probe) and the finished cell is folded into its manifest under
+// `setting`.
 inline SchemeRun run_scheme(const BenchConfig& config, const std::string& name,
                             std::optional<float> target = {},
                             RunObservatory* observatory = nullptr,

@@ -3,16 +3,15 @@
 //
 //   ./quickstart [--rounds N] [--clients N] ...
 //
-// Observability ("Inspecting a run" in README.md): pass --metrics-out /
-// --trace-out / --telemetry-out to capture counters, a chrome://tracing
-// timeline, and per-round JSONL telemetry. With none of them the obs
-// subsystem stays off and costs nothing.
+// Observability ("Inspecting a run" in README.md): pass --trace-out /
+// --telemetry-out to capture a chrome://tracing timeline and per-round
+// JSONL telemetry. With neither the obs subsystem stays off and costs
+// nothing.
 #include <cstdio>
 #include <memory>
 
 #include "fl/protocol_factory.h"
 #include "fl/simulation.h"
-#include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
@@ -31,7 +30,6 @@ int main(int argc, char** argv) {
                "identical for any value)")
       .add_string("obs-level", "auto",
                   "observability level: auto | off | metrics | trace")
-      .add_string("metrics-out", "", "write the metrics registry as JSON")
       .add_string("trace-out", "", "write a chrome://tracing timeline JSON")
       .add_string("telemetry-out", "", "write per-round telemetry JSONL")
       .add_bool("async", false,
@@ -46,7 +44,6 @@ int main(int argc, char** argv) {
       static_cast<int>(flags.get_int("threads")));
 
   // Turn instrumentation on only when an output was requested ("auto").
-  const std::string metrics_out = flags.get_string("metrics-out");
   const std::string trace_out = flags.get_string("trace-out");
   const std::string telemetry_out = flags.get_string("telemetry-out");
   const std::string obs_level = flags.get_string("obs-level");
@@ -54,7 +51,7 @@ int main(int argc, char** argv) {
     obs::set_level(obs::parse_level(obs_level));
   } else if (!trace_out.empty()) {
     obs::set_level(obs::Level::kTrace);
-  } else if (!metrics_out.empty() || !telemetry_out.empty()) {
+  } else if (!telemetry_out.empty()) {
     obs::set_level(obs::Level::kMetrics);
   }
 
@@ -103,10 +100,6 @@ int main(int argc, char** argv) {
               sim.elapsed_time_s(), sim.evaluate());
 
   // 4. Export whatever observability outputs were requested.
-  if (!metrics_out.empty()) {
-    obs::MetricsRegistry::global().write_json(metrics_out);
-    std::printf("metrics written to %s\n", metrics_out.c_str());
-  }
   if (!trace_out.empty()) {
     obs::Tracer::global().write_chrome_json(trace_out);
     std::printf("trace written to %s\n", trace_out.c_str());

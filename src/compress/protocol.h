@@ -119,6 +119,9 @@ class SyncProtocol {
     // Speculation phases force-ended this round because the error-feedback
     // check failed — each one costs a fallback synchronization.
     std::size_t fallback_syncs = 0;
+    // Parameters whose linearity diagnosis started a speculation phase
+    // this round (FedSU's promotions).
+    std::size_t promotions = 0;
   };
   virtual Telemetry last_round_telemetry() const { return {}; }
 };

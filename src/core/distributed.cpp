@@ -108,7 +108,7 @@ std::vector<float> FedSuClientManager::finish_sync(
   // Linearity diagnosis for the normally-synchronized parameters (line 10).
   // A new phase needs no clear: local_err_ is written only while a
   // parameter speculates and zeroed when its phase ends.
-  spec_.diagnose(global_, next_, nullptr, [](std::size_t) {});
+  spec_.diagnose(global_, next_, [](std::size_t) {});
   global_ = next_;
   return next_;
 }

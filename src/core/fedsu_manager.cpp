@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "compress/wire.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/reduce.h"
 #include "util/thread_pool.h"
@@ -231,17 +230,7 @@ compress::SyncResult FedSuManager::synchronize(
   // normally this round, possibly promoting them into speculative mode.
   {
   OBS_SPAN("core.fedsu.diagnosis");
-  obs::Histogram* osc_hist = nullptr;
-  if (obs::metrics_enabled()) {
-    obs::HistogramOptions osc_opts;
-    osc_opts.scale = obs::HistogramOptions::Scale::kLog;
-    osc_opts.lo = 1e-4;
-    osc_opts.hi = 10.0;
-    osc_opts.buckets = 20;
-    osc_hist = &obs::MetricsRegistry::global().histogram(
-        "core.fedsu.oscillation_ratio", osc_opts);
-  }
-  spec_.diagnose(global_, new_global, osc_hist, [&](std::size_t j) {
+  spec_.diagnose(global_, new_global, [&](std::size_t j) {
     phase_start_round_[j] = rounds_seen_;
     ++diag_.promotions;
     emit(SpecEvent{ctx.round, j, /*start=*/true});
@@ -257,16 +246,9 @@ compress::SyncResult FedSuManager::synchronize(
   // Wire accounting: unpredictable values travel both ways; expiring
   // parameters add one error scalar per direction (upload local error,
   // download the aggregated verdict/correction).
-  compress::SyncResult result =
-      spec_.result(std::move(new_global), n,
-                   diag_.unpredictable + diag_.expiring, round, "fedsu",
-                   last_ratio_);
-  if (obs::metrics_enabled()) {
-    obs::MetricsRegistry::global()
-        .counter("core.fedsu.promotions")
-        .add(diag_.promotions);
-  }
-  return result;
+  return spec_.result(std::move(new_global), n,
+                      diag_.unpredictable + diag_.expiring, round, "fedsu",
+                      last_ratio_);
 }
 
 std::size_t FedSuManager::state_bytes() const {

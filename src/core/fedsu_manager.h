@@ -90,7 +90,7 @@ class FedSuManager : public compress::SyncProtocol {
   // Demotions are fallback syncs: speculation ended and the parameter was
   // corrected with the aggregated error, rejoining regular updating.
   Telemetry last_round_telemetry() const override {
-    return {predictable_fraction(), diag_.demotions};
+    return {predictable_fraction(), diag_.demotions, diag_.promotions};
   }
 
   // Per-round accounting exposed for diagnosis and the bench harness.

@@ -41,7 +41,7 @@ compress::SyncResult FedSuV1::synchronize(
     spec_.end_phase(j);
     spec_.forget(j);
   }
-  spec_.diagnose(ctx.global, next, nullptr, [](std::size_t) {});
+  spec_.diagnose(ctx.global, next, [](std::size_t) {});
   return spec_.result(std::move(next), client_states.size(),
                       round.unpredictable.size(), round, "fedsu-v1",
                       last_ratio_);

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "compress/wire.h"
-#include "obs/metrics.h"
 #include "util/reduce.h"
 
 namespace fedsu::core {
@@ -99,11 +98,9 @@ void Speculation::end_phase(std::size_t j) {
   remaining_[j] = 0;
 }
 
-bool Speculation::promotes(std::size_t j, float g, obs::Histogram* ratios) {
+bool Speculation::promotes(std::size_t j, float g) {
   const double r = osc_.observe(j, g);
-  if (!osc_.ready(j)) return false;
-  if (ratios) ratios->record(r);
-  return r < options_.t_r;
+  return osc_.ready(j) && r < options_.t_r;
 }
 
 compress::SyncResult Speculation::result(std::vector<float> next,

@@ -30,10 +30,6 @@
 #include "core/oscillation.h"
 #include "io/serialize.h"
 
-namespace fedsu::obs {
-class Histogram;
-}  // namespace fedsu::obs
-
 namespace fedsu::util {
 class ThreadPool;
 }  // namespace fedsu::util
@@ -102,14 +98,14 @@ class Speculation {
   // feeds its update next[j] - global[j] to the tracker and, once R is
   // trusted and below T_R, starts speculation with that update as the
   // slope ("use the update of the last round", §IV-B) and calls
-  // on_start(j). Every trusted R is recorded into `ratios` when given.
+  // on_start(j).
   template <typename OnStart>
   void diagnose(std::span<const float> global, std::span<const float> next,
-                obs::Histogram* ratios, OnStart&& on_start) {
+                OnStart&& on_start) {
     for (std::size_t j = 0; j < mask_.size(); ++j) {
       if (mask_[j]) continue;
       const float g = next[j] - global[j];
-      if (!promotes(j, g, ratios)) continue;
+      if (!promotes(j, g)) continue;
       start_phase(j, g);
       on_start(j);
     }
@@ -117,8 +113,8 @@ class Speculation {
 
   // The round's SyncResult: each of `participants` moves `scalars` f32 each
   // way, sized by wire::measure_dense and, under payload audit, checked
-  // against round.upload encoded. Records the bytes under `protocol` and
-  // stores the sparsification ratio in `ratio`.
+  // against round.upload encoded, naming `protocol` in the audit. Stores
+  // the sparsification ratio in `ratio`.
   compress::SyncResult result(std::vector<float> next, std::size_t participants,
                               std::size_t scalars, const Round& round,
                               const char* protocol, double& ratio) const;
@@ -144,7 +140,7 @@ class Speculation {
 
  private:
   OscillationTracker tracker(std::size_t params) const;
-  bool promotes(std::size_t j, float g, obs::Histogram* ratios);
+  bool promotes(std::size_t j, float g);
 
   FedSuOptions options_;
   OscillationTracker osc_;

@@ -9,7 +9,6 @@
 #include "io/serialize.h"
 #include "net/round_timeline.h"
 #include "nn/loss.h"
-#include "obs/telemetry.h"
 #include "obs/trace.h"
 
 namespace fedsu::fl {
@@ -225,7 +224,6 @@ RoundRecord Simulation::step() {
   // Checkpoint before the hook fires so telemetry and the health monitor
   // see the write outcome on the round it happened.
   maybe_checkpoint(record);
-  obs::count_round(record);
   if (round_hook_) round_hook_(record);
   return record;
 }
@@ -269,6 +267,7 @@ RoundRecord Simulation::close_round(RoundRecord record,
         protocol_->last_round_telemetry();
     record.speculated_fraction = tele.speculated_fraction;
     record.fallback_syncs = static_cast<int>(tele.fallback_syncs);
+    record.promotions = static_cast<int>(tele.promotions);
   }
   record.bytes_down += resync_bytes;
   record.elapsed_time_s = elapsed_time_s_;

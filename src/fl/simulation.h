@@ -146,6 +146,7 @@ struct RoundRecord {
   // last_round_telemetry): zero for non-speculative schemes.
   double speculated_fraction = 0.0;
   int fallback_syncs = 0;
+  int promotions = 0;  // parameters that entered speculation (FedSU only)
 
   // Per-round fault tallies, engaged only when fault injection is on (the
   // optional stays empty otherwise, keeping zero-rate records bit-identical
@@ -205,7 +206,7 @@ struct RoundRecord {
   std::optional<CheckpointEvent> checkpoint;
 
   // Host wall-clock time of each phase of step(): the durations of the
-  // round's sim.* spans when obs::metrics_enabled() (all zero otherwise).
+  // round's sim.* spans at obs level metrics or trace (all zero at off).
   // They never feed back into the simulated clock, so recording them
   // cannot perturb results.
   struct WallPhases {

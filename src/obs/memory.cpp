@@ -3,9 +3,6 @@
 #include <cstdio>
 #include <cstring>
 
-#include "obs/metrics.h"
-#include "obs/obs.h"
-
 #if defined(__linux__) || defined(__APPLE__)
 #include <sys/resource.h>
 #endif
@@ -68,20 +65,6 @@ MemoryStats sample_memory() {
   stats.heap_live_bytes = static_cast<std::uint64_t>(mi.uordblks);
 #endif
 #endif
-  return stats;
-}
-
-MemoryStats record_memory_gauges() {
-  const MemoryStats stats = sample_memory();
-  if (metrics_enabled()) {
-    auto& reg = MetricsRegistry::global();
-    reg.gauge("obs.mem.peak_rss_bytes")
-        .set(static_cast<double>(stats.peak_rss_bytes));
-    reg.gauge("obs.mem.current_rss_bytes")
-        .set(static_cast<double>(stats.current_rss_bytes));
-    reg.gauge("obs.mem.heap_live_bytes")
-        .set(static_cast<double>(stats.heap_live_bytes));
-  }
   return stats;
 }
 

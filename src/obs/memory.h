@@ -27,9 +27,4 @@ struct MemoryStats {
 // Samples the current process. Never throws; unsupported fields are 0.
 MemoryStats sample_memory();
 
-// Publishes the sample as obs.mem.* gauges (peak_rss_bytes,
-// current_rss_bytes, heap_live_bytes) in the global MetricsRegistry.
-// No-op when obs::metrics_enabled() is false. Returns the sample either way.
-MemoryStats record_memory_gauges();
-
 }  // namespace fedsu::obs

@@ -17,11 +17,6 @@ void set_level(Level level) {
   g_level.store(static_cast<int>(level), std::memory_order_relaxed);
 }
 
-bool metrics_enabled() {
-  return g_level.load(std::memory_order_relaxed) >=
-         static_cast<int>(Level::kMetrics);
-}
-
 Level parse_level(const std::string& text) {
   if (text == "off" || text == "0") return Level::kOff;
   if (text == "metrics" || text == "1") return Level::kMetrics;

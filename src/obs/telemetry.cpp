@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "obs/json.h"
-#include "obs/metrics.h"
 
 namespace fedsu::obs {
 
@@ -33,6 +32,7 @@ std::string TelemetryWriter::to_json_line(const fl::RoundRecord& record,
   line += ", \"speculated_fraction\": " +
           json_number(record.speculated_fraction);
   line += ", \"fallback_syncs\": " + std::to_string(record.fallback_syncs);
+  line += ", \"promotions\": " + std::to_string(record.promotions);
   line += ", \"wall\": {\"select_s\": " + json_number(record.wall.select_s);
   line += ", \"train_s\": " + json_number(record.wall.train_s);
   line += ", \"sync_s\": " + json_number(record.wall.sync_s);
@@ -105,49 +105,6 @@ void TelemetryWriter::append(const fl::RoundRecord& record) {
 
 std::function<void(const fl::RoundRecord&)> TelemetryWriter::hook() {
   return [this](const fl::RoundRecord& record) { append(record); };
-}
-
-void count_round(const fl::RoundRecord& record) {
-  if (!metrics_enabled()) return;
-  auto& reg = MetricsRegistry::global();
-  auto add = [&](const char* name, std::uint64_t value) {
-    reg.counter(name).add(value);
-  };
-  add("fl.round.count", 1);
-  add("fl.round.bytes_up", record.bytes_up);
-  add("fl.round.bytes_down", record.bytes_down);
-  if (record.faults) {
-    const auto& fc = *record.faults;
-    if (fc.onsets > 0) add("faults.crashes", fc.onsets);
-    add("faults.resyncs", fc.resyncs);
-    add("faults.retries", fc.retries);
-    add("faults.stragglers", fc.stragglers);
-    add("faults.corrupt", fc.corrupt);
-    add("faults.lost_uploads", record.uploads_lost);
-    add("faults.deadline_missed", fc.deadline_missed);
-    if (!fc.quorum_met) add("faults.quorum_stalls", 1);
-  }
-  if (record.checkpoint) {
-    if (record.checkpoint->ok) {
-      add("checkpoint.writes", 1);
-      add("checkpoint.bytes", record.checkpoint->bytes);
-    } else {
-      add("checkpoint.failures", 1);
-    }
-  }
-  if (record.async && record.num_participants > 0) {
-    const auto& hist = record.async->staleness_hist;
-    add("fl.async.aggregations", 1);
-    // staleness_hist sums to the consumed uploads; bucket 0 are the fresh.
-    add("fl.async.stale_uploads", record.async->consumed - hist[0]);
-    Histogram& staleness = reg.histogram(
-        "fl.async.staleness", {.lo = 0.0, .hi = 32.0, .buckets = 16});
-    for (std::size_t s = 0; s < hist.size(); ++s) {
-      for (int c = 0; c < hist[s]; ++c) {
-        staleness.record(static_cast<double>(s));
-      }
-    }
-  }
 }
 
 }  // namespace fedsu::obs

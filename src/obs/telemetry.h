@@ -2,10 +2,9 @@
 // JSONL and flushed per line so a killed run keeps its partial telemetry.
 //
 // Carries the observability fields an analysis pipeline needs without
-// re-running: exact bytes on the wire, speculation state, fallback
-// synchronizations, and the per-phase wall-time split. The registry's round
-// counters are a projection of the same record (count_round), so the two
-// can never disagree.
+// re-running: exact bytes on the wire, speculation state, promotions and
+// fallback synchronizations, and the per-phase wall-time split. Every
+// per-round count of a run is a sum over these lines.
 #pragma once
 
 #include <fstream>
@@ -44,13 +43,5 @@ class TelemetryWriter {
   std::string protocol_;
   int rows_ = 0;
 };
-
-// Adds one finished round to the metrics registry (no-op with metrics off):
-// fl.round.{count,bytes_up,bytes_down}; with fault injection on, faults.*
-// (faults.crashes counts onsets); on checkpoint rounds, checkpoint.*; and
-// on async cycles that aggregated, fl.async.{aggregations,stale_uploads}
-// plus the fl.async.staleness histogram. fl::Simulation::step() calls it
-// once per round; every value is read from the record.
-void count_round(const fl::RoundRecord& record);
 
 }  // namespace fedsu::obs

@@ -26,6 +26,9 @@ class Flags {
   // exit 0). Throws std::runtime_error on unknown flags or bad values.
   bool parse(int argc, char** argv);
 
+  // Whether a flag named `name` was registered.
+  bool has(const std::string& name) const { return entries_.count(name) != 0; }
+
   long long get_int(const std::string& name) const;
   double get_double(const std::string& name) const;
   const std::string& get_string(const std::string& name) const;

@@ -1,9 +1,8 @@
-// Observability subsystem tests: level gate, histogram bucket edges,
-// registry thread-safety, span nesting/export, per-round telemetry
-// invariants, and the must-not-perturb-results contract (DESIGN.md §8).
+// Observability subsystem tests: level gate, span nesting/export,
+// per-round telemetry invariants, and the must-not-perturb-results
+// contract (DESIGN.md §8).
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -12,15 +11,14 @@
 #include <set>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "core/fedsu_manager.h"
 #include "fl/protocol_factory.h"
 #include "fl/simulation.h"
 #include "obs/health.h"
 #include "obs/json.h"
 #include "obs/manifest.h"
-#include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
@@ -46,133 +44,11 @@ TEST(ObsLevel, ParseRoundTripsAndRejectsTypos) {
 TEST(ObsLevel, GuardsFollowTheLevel) {
   LevelGuard guard;
   obs::set_level(obs::Level::kOff);
-  EXPECT_FALSE(obs::metrics_enabled());
   EXPECT_EQ(obs::level(), obs::Level::kOff);
   obs::set_level(obs::Level::kMetrics);
-  EXPECT_TRUE(obs::metrics_enabled());
   EXPECT_EQ(obs::level(), obs::Level::kMetrics);
   obs::set_level(obs::Level::kTrace);
-  EXPECT_TRUE(obs::metrics_enabled());
   EXPECT_EQ(obs::level(), obs::Level::kTrace);
-}
-
-TEST(Histogram, LinearBucketEdges) {
-  obs::HistogramOptions options;
-  options.lo = 0.0;
-  options.hi = 10.0;
-  options.buckets = 10;
-  obs::Histogram h(options);
-  EXPECT_EQ(h.bucket_index(-0.001), -1);  // underflow
-  EXPECT_EQ(h.bucket_index(0.0), 0);      // lower edge inclusive
-  EXPECT_EQ(h.bucket_index(0.999), 0);
-  EXPECT_EQ(h.bucket_index(1.0), 1);      // bucket edges are lower-inclusive
-  EXPECT_EQ(h.bucket_index(9.999), 9);
-  EXPECT_EQ(h.bucket_index(10.0), 10);    // hi is exclusive -> overflow
-  EXPECT_EQ(h.bucket_index(1e9), 10);
-
-  h.record(-1.0);
-  h.record(0.5);
-  h.record(5.5);
-  h.record(42.0);
-  const obs::HistogramSnapshot snap = h.snapshot();
-  EXPECT_EQ(snap.underflow, 1u);
-  EXPECT_EQ(snap.overflow, 1u);
-  EXPECT_EQ(snap.counts[0], 1u);
-  EXPECT_EQ(snap.counts[5], 1u);
-  EXPECT_EQ(snap.count, 4u);
-  EXPECT_DOUBLE_EQ(snap.sum, -1.0 + 0.5 + 5.5 + 42.0);
-}
-
-TEST(Histogram, LogScaleBucketEdges) {
-  obs::HistogramOptions options;
-  options.scale = obs::HistogramOptions::Scale::kLog;
-  options.lo = 1.0;
-  options.hi = 1024.0;
-  options.buckets = 10;  // exact powers of two per bucket
-  obs::Histogram h(options);
-  EXPECT_EQ(h.bucket_index(0.5), -1);
-  EXPECT_EQ(h.bucket_index(0.0), -1);   // log-underflow, not -inf
-  EXPECT_EQ(h.bucket_index(-3.0), -1);
-  EXPECT_EQ(h.bucket_index(1.0), 0);
-  EXPECT_EQ(h.bucket_index(1.99), 0);
-  EXPECT_EQ(h.bucket_index(2.0), 1);    // geometric edges, lower-inclusive
-  EXPECT_EQ(h.bucket_index(512.0), 9);
-  EXPECT_EQ(h.bucket_index(1023.9), 9);
-  EXPECT_EQ(h.bucket_index(1024.0), 10);  // overflow
-}
-
-TEST(Histogram, LogScaleRequiresPositiveLo) {
-  obs::HistogramOptions options;
-  options.scale = obs::HistogramOptions::Scale::kLog;
-  options.lo = 0.0;
-  options.hi = 1.0;
-  EXPECT_THROW(obs::Histogram{options}, std::invalid_argument);
-}
-
-TEST(MetricsRegistry, KindConflictThrows) {
-  obs::MetricsRegistry registry;
-  registry.counter("x.kind.conflict");
-  EXPECT_THROW(registry.gauge("x.kind.conflict"), std::logic_error);
-  EXPECT_THROW(registry.histogram("x.kind.conflict"), std::logic_error);
-  // Re-registering the same kind returns the same object.
-  registry.counter("x.kind.conflict").add(3);
-  EXPECT_EQ(registry.counter("x.kind.conflict").value(), 3u);
-}
-
-// Snapshots taken while worker threads hammer the same metrics must be
-// race-free (the TSan job runs this) and the final totals exact.
-TEST(MetricsRegistry, SnapshotUnderConcurrentIncrements) {
-  obs::MetricsRegistry registry;
-  obs::Counter& counter = registry.counter("test.concurrent.counter");
-  obs::HistogramOptions options;
-  options.lo = 0.0;
-  options.hi = 1.0;
-  options.buckets = 4;
-  obs::Histogram& hist = registry.histogram("test.concurrent.hist", options);
-
-  constexpr int kThreads = 4;
-  constexpr int kIncrements = 20000;
-  std::atomic<bool> stop{false};
-  std::thread reader([&] {
-    while (!stop.load(std::memory_order_relaxed)) {
-      const obs::MetricsSnapshot snap = registry.snapshot();
-      EXPECT_LE(snap.counters.at("test.concurrent.counter"),
-                static_cast<std::uint64_t>(kThreads) * kIncrements);
-    }
-  });
-  std::vector<std::thread> writers;
-  for (int t = 0; t < kThreads; ++t) {
-    writers.emplace_back([&, t] {
-      for (int i = 0; i < kIncrements; ++i) {
-        counter.add(1);
-        hist.record((t * 0.25 + 0.1) / kThreads * 4.0 * 0.25);
-      }
-    });
-  }
-  for (auto& w : writers) w.join();
-  stop.store(true, std::memory_order_relaxed);
-  reader.join();
-
-  const obs::MetricsSnapshot snap = registry.snapshot();
-  EXPECT_EQ(snap.counters.at("test.concurrent.counter"),
-            static_cast<std::uint64_t>(kThreads) * kIncrements);
-  EXPECT_EQ(snap.histograms.at("test.concurrent.hist").count,
-            static_cast<std::uint64_t>(kThreads) * kIncrements);
-}
-
-TEST(MetricsRegistry, JsonExportParsesBack) {
-  obs::MetricsRegistry registry;
-  registry.counter("a.b.count").add(7);
-  registry.gauge("a.b.level").set(0.25);
-  obs::HistogramOptions options;
-  options.lo = 0.0;
-  options.hi = 4.0;
-  options.buckets = 4;
-  registry.histogram("a.b.hist", options).record(1.5);
-  const obs::JsonValue root = obs::json_parse(registry.to_json());
-  EXPECT_EQ(root.at("counters").at("a.b.count").as_number(), 7.0);
-  EXPECT_DOUBLE_EQ(root.at("gauges").at("a.b.level").as_number(), 0.25);
-  EXPECT_EQ(root.at("histograms").at("a.b.hist").at("count").as_number(), 1.0);
 }
 
 TEST(Tracer, SpanNestingAndOrdering) {
@@ -267,8 +143,8 @@ TEST(Telemetry, ThreeRoundSimulationInvariants) {
   // A clean FedSU run, then FedAvg under upload loss 0.5 and churn 0.2
   // with a quorum of 3 of 6, through each engine. Those stall most rounds,
   // and a stalled round is still a whole round to the wall phases and the
-  // fl.round.* counters. Each run checkpoints every round; the async one
-  // into a path that cannot be a directory, so every write fails.
+  // telemetry. Each run checkpoints every round; the async one into a path
+  // that cannot be a directory, so every write fails.
   const std::string ckpt_dir = ::testing::TempDir() + "/fedsu_obs_ckpt";
   const std::string blocker = ::testing::TempDir() + "/fedsu_obs_not_a_dir";
   std::ofstream(blocker) << "x";
@@ -297,67 +173,20 @@ TEST(Telemetry, ThreeRoundSimulationInvariants) {
   for (const Case& c : cases) {
     SCOPED_TRACE(std::string(c.protocol) +
                  (c.options.async.enabled ? " async" : " sync"));
-    auto& reg = obs::MetricsRegistry::global();
-    const obs::MetricsSnapshot before = reg.snapshot();
-
     fl::Simulation sim(c.options, proto_for(c.protocol, c.options.num_clients));
     obs::TelemetryWriter telemetry(path, c.protocol);
     sim.set_round_hook(telemetry.hook());
     const std::vector<fl::RoundRecord> records = sim.run(3);
     ASSERT_EQ(records.size(), 3u);
     EXPECT_EQ(telemetry.rows_written(), 3);
-    const obs::MetricsSnapshot after = reg.snapshot();
 
-    // Every counter of the round projection, summed from the records
-    // (zero-rate runs must leave the fault counters alone).
-    std::map<std::string, std::uint64_t> expected;
-    for (const char* name :
-         {"fl.round.count", "fl.round.bytes_up", "fl.round.bytes_down",
-          "faults.crashes", "faults.resyncs", "faults.retries",
-          "faults.stragglers", "faults.corrupt", "faults.lost_uploads",
-          "faults.deadline_missed", "faults.quorum_stalls",
-          "checkpoint.writes", "checkpoint.bytes", "checkpoint.failures",
-          "fl.async.aggregations", "fl.async.stale_uploads"}) {
-      expected[name] = 0;
-    }
-    std::uint64_t staleness_count = 0;
-    double staleness_sum = 0.0;
     int stalls = 0;
     for (const fl::RoundRecord& r : records) {
       EXPECT_EQ(r.bytes_up > 0, r.num_participants > 0);
       if (r.num_participants == 0) ++stalls;
-      expected["fl.round.count"] += 1;
-      expected["fl.round.bytes_up"] += r.bytes_up;
-      expected["fl.round.bytes_down"] += r.bytes_down;
-      if (r.faults) {
-        onsets += r.faults->onsets;
-        expected["faults.crashes"] += r.faults->onsets;
-        expected["faults.resyncs"] += r.faults->resyncs;
-        expected["faults.retries"] += r.faults->retries;
-        expected["faults.stragglers"] += r.faults->stragglers;
-        expected["faults.corrupt"] += r.faults->corrupt;
-        expected["faults.lost_uploads"] += r.uploads_lost;
-        expected["faults.deadline_missed"] += r.faults->deadline_missed;
-        expected["faults.quorum_stalls"] += r.faults->quorum_met ? 0 : 1;
-      }
+      if (r.faults) onsets += r.faults->onsets;
       EXPECT_TRUE(r.checkpoint.has_value());
-      if (r.checkpoint && r.checkpoint->ok) {
-        expected["checkpoint.writes"] += 1;
-        expected["checkpoint.bytes"] += r.checkpoint->bytes;
-      } else if (r.checkpoint) {
-        expected["checkpoint.failures"] += 1;
-        ++checkpoint_failures;
-      }
-      if (r.async && r.num_participants > 0) {
-        const std::vector<int>& hist = r.async->staleness_hist;
-        expected["fl.async.aggregations"] += 1;
-        for (std::size_t s = 0; s < hist.size(); ++s) {
-          const auto uploads = static_cast<std::uint64_t>(hist[s]);
-          if (s > 0) expected["fl.async.stale_uploads"] += uploads;
-          staleness_count += uploads;
-          staleness_sum += static_cast<double>(s) * hist[s];
-        }
-      }
+      if (r.checkpoint && !r.checkpoint->ok) ++checkpoint_failures;
       EXPECT_GE(r.speculated_fraction, 0.0);
       EXPECT_LE(r.speculated_fraction, 1.0);
       EXPECT_GE(r.fallback_syncs, 0);
@@ -368,24 +197,6 @@ TEST(Telemetry, ThreeRoundSimulationInvariants) {
       EXPECT_LE(phase_sum, r.wall.total_s * 1.0001 + 1e-9);
     }
     EXPECT_EQ(stalls > 0, c.expect_stalls);
-    auto counter_delta = [&](const std::string& name) {
-      const auto value = [&](const obs::MetricsSnapshot& s) {
-        const auto it = s.counters.find(name);
-        return it == s.counters.end() ? std::uint64_t{0} : it->second;
-      };
-      return value(after) - value(before);
-    };
-    for (const auto& [name, value] : expected) {
-      EXPECT_EQ(counter_delta(name), value) << name;
-    }
-    const auto histogram_of = [](const obs::MetricsSnapshot& s) {
-      const auto it = s.histograms.find("fl.async.staleness");
-      return it == s.histograms.end() ? obs::HistogramSnapshot{} : it->second;
-    };
-    EXPECT_EQ(histogram_of(after).count - histogram_of(before).count,
-              staleness_count);
-    EXPECT_EQ(histogram_of(after).sum - histogram_of(before).sum,
-              staleness_sum);
 
     // The JSONL re-parses and carries the same invariants.
     std::ifstream in(path);
@@ -482,37 +293,55 @@ TEST(Telemetry, BytesMatchSerializedPayload) {
   EXPECT_EQ(record.bytes_down, record.bytes_up);
 }
 
-TEST(Metrics, PrometheusExposition) {
-  obs::MetricsRegistry registry;
-  registry.counter("fl.round.count").add(3);
-  registry.gauge("async/buffer.fill").set(0.5);
-  obs::HistogramOptions options;
-  options.lo = 0.0;
-  options.hi = 4.0;
-  options.buckets = 4;
-  obs::Histogram& hist = registry.histogram("round.time_s", options);
-  hist.record(-1.0);  // underflow: folds into every bucket
-  hist.record(0.5);
-  hist.record(2.5);
-  hist.record(99.0);  // overflow: +Inf only
-  const std::string text = registry.to_prometheus();
+// FedSU's promotions are a round-record field: each round's count is the
+// manager's own diagnosis of that round, the JSONL line carries the same
+// integer, and a scheme without speculation reports 0.
+TEST(Telemetry, PromotionsAreTheManagersDiagnosis) {
+  const std::string path =
+      ::testing::TempDir() + "/fedsu_obs_promotions.jsonl";
+  for (const char* protocol : {"fedsu", "fedavg"}) {
+    SCOPED_TRACE(protocol);
+    fl::Simulation sim(tiny_options(), proto_for(protocol, 4));
+    const auto* manager =
+        dynamic_cast<const core::FedSuManager*>(&sim.protocol());
+    ASSERT_EQ(manager != nullptr, std::string(protocol) == "fedsu");
+    obs::TelemetryWriter telemetry(path, protocol);
+    std::vector<int> diagnosed;
+    sim.set_round_hook([&](const fl::RoundRecord& record) {
+      diagnosed.push_back(
+          manager ? static_cast<int>(
+                        manager->last_round_diagnostics().promotions)
+                  : 0);
+      telemetry.append(record);
+    });
+    const std::vector<fl::RoundRecord> records = sim.run(10);
+    ASSERT_EQ(diagnosed.size(), records.size());
+    int total = 0;
+    for (std::size_t r = 0; r < records.size(); ++r) {
+      EXPECT_EQ(records[r].promotions, diagnosed[r]) << r;
+      total += records[r].promotions;
+    }
+    if (manager) {
+      EXPECT_GT(total, 0);
+    } else {
+      EXPECT_EQ(total, 0);
+    }
 
-  EXPECT_EQ(obs::MetricsRegistry::prometheus_name("async/buffer.fill"),
-            "fedsu_async_buffer_fill");
-  EXPECT_NE(text.find("# TYPE fedsu_fl_round_count counter"),
-            std::string::npos);
-  EXPECT_NE(text.find("fedsu_fl_round_count 3"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE fedsu_async_buffer_fill gauge"),
-            std::string::npos);
-  // Buckets are cumulative: le="1" holds underflow + the 0.5 sample; the
-  // overflow sample appears only in +Inf; _count covers all four.
-  EXPECT_NE(text.find("fedsu_round_time_s_bucket{le=\"1\"} 2"),
-            std::string::npos);
-  EXPECT_NE(text.find("fedsu_round_time_s_bucket{le=\"4\"} 3"),
-            std::string::npos);
-  EXPECT_NE(text.find("fedsu_round_time_s_bucket{le=\"+Inf\"} 4"),
-            std::string::npos);
-  EXPECT_NE(text.find("fedsu_round_time_s_count 4"), std::string::npos);
+    std::ifstream in(path);
+    std::string line;
+    std::size_t row = 0;
+    while (std::getline(in, line)) {
+      ASSERT_LT(row, records.size());
+      const obs::JsonValue promotions =
+          obs::json_parse(line).at("promotions");
+      EXPECT_EQ(promotions.as_number(),
+                static_cast<double>(records[row].promotions))
+          << row;
+      ++row;
+    }
+    EXPECT_EQ(row, records.size());
+    std::remove(path.c_str());
+  }
 }
 
 fl::RoundRecord health_record(int round, double loss) {

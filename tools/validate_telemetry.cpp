@@ -1,18 +1,17 @@
 // Validates the observability outputs of a run — the CI telemetry gate.
 //
-//   ./validate_telemetry [--trace trace.json] [--metrics metrics.json]
-//       [--telemetry telemetry.jsonl] [--alerts alerts.jsonl]
-//       [--manifest manifest.json] [--expect-rounds N]
+//   ./validate_telemetry [--trace trace.json] [--telemetry telemetry.jsonl]
+//       [--alerts alerts.jsonl] [--manifest manifest.json]
+//       [--expect-rounds N]
 //
 // Checks, per file (each optional; pass what the run produced):
 //   * trace: well-formed chrome://tracing JSON with >= 4 distinct span
 //     names across >= 2 distinct threads, every event with ts/dur >= 0;
-//   * metrics: fl.round.count and fl.round.bytes_up counters present and
-//     positive;
 //   * telemetry: every JSONL line parses, rounds are consecutive within a
 //     scheme segment (a reset to 0 starts the next segment in multi-cell
-//     bench files), bytes_up > 0, speculated_fraction in [0,1], and the
-//     per-phase wall durations sum to at most the round's total;
+//     bench files), bytes_up > 0, speculated_fraction in [0,1], promotions
+//     a non-negative integer, and the per-phase wall durations sum to at
+//     most the round's total;
 //   * alerts: every line parses against the obs::HealthMonitor schema
 //     (severity enum, raised|cleared state), rounds are monotone per
 //     scheme, and every "cleared" follows a "raised" of the same rule;
@@ -26,8 +25,7 @@
 // equal the raised edges in the alert stream. With the trace, row i's wall
 // phases must be the i-th sim.round span's phase spans (within 1 ns), and
 // nothing else may sit one level below a sim.round on its thread; the two
-// files must cover the same rounds (bench_scale and bench_comm reset the
-// tracer per cell, so their traces hold the last cell only).
+// files must cover the same rounds.
 //
 // Exits 0 when every requested check passes, 1 otherwise — no Python
 // needed in CI.
@@ -124,37 +122,6 @@ std::vector<Span> validate_trace(const std::string& path) {
   return spans;
 }
 
-void validate_metrics(const std::string& path) {
-  const std::string text = read_file(path);
-  if (text.empty()) return;
-  JsonValue root;
-  try {
-    root = fedsu::obs::json_parse(text);
-  } catch (const std::exception& e) {
-    fail(path + ": " + e.what());
-    return;
-  }
-  if (!root.has("counters")) {
-    fail(path + ": no counters object");
-    return;
-  }
-  const JsonValue& counters = root.at("counters");
-  for (const char* name : {"fl.round.count", "fl.round.bytes_up"}) {
-    if (!counters.has(name)) {
-      fail(path + ": missing counter " + name);
-      continue;
-    }
-    check(counters.at(name).as_number() > 0.0,
-          path + ": counter " + name + " is zero");
-  }
-  std::printf("%s: %zu counters, %zu gauges, %zu histograms\n", path.c_str(),
-              counters.as_object().size(),
-              root.has("gauges") ? root.at("gauges").as_object().size() : 0,
-              root.has("histograms")
-                  ? root.at("histograms").as_object().size()
-                  : 0);
-}
-
 // The wall object's fields, in this order, and the span each one is.
 constexpr const char* kWallFields[] = {"select_s", "train_s", "sync_s",
                                        "timing_s", "eval_s", "total_s"};
@@ -218,6 +185,11 @@ TelemetryTotals validate_telemetry(const std::string& path,
     check(spec >= 0.0 && spec <= 1.0,
           path + ": speculated_fraction outside [0,1] in round " +
               std::to_string(round));
+    const double promotions =
+        record.has("promotions") ? record.at("promotions").as_number() : -1.0;
+    check(promotions >= 0.0 && promotions == std::floor(promotions),
+          path + ": promotions missing or not a non-negative integer in "
+                 "round " + std::to_string(round));
     const bool is_async = record.has("async");
     if (is_async) {
       // Buffered-async cycle object: the staleness histogram must account
@@ -565,7 +537,6 @@ ManifestTotals validate_manifest(const std::string& path) {
 int main(int argc, char** argv) {
   fedsu::util::Flags flags;
   flags.add_string("trace", "", "chrome://tracing JSON to validate")
-      .add_string("metrics", "", "metrics registry JSON to validate")
       .add_string("telemetry", "", "per-round telemetry JSONL to validate")
       .add_string("alerts", "", "health-monitor alerts JSONL to validate")
       .add_string("manifest", "", "run manifest JSON to validate")
@@ -574,19 +545,17 @@ int main(int argc, char** argv) {
   if (!flags.parse(argc, argv)) return 0;
 
   const std::string trace = flags.get_string("trace");
-  const std::string metrics = flags.get_string("metrics");
   const std::string telemetry = flags.get_string("telemetry");
   const std::string alerts = flags.get_string("alerts");
   const std::string manifest = flags.get_string("manifest");
-  if (trace.empty() && metrics.empty() && telemetry.empty() &&
-      alerts.empty() && manifest.empty()) {
-    std::fprintf(stderr, "nothing to validate (pass --trace / --metrics / "
-                         "--telemetry / --alerts / --manifest)\n");
+  if (trace.empty() && telemetry.empty() && alerts.empty() &&
+      manifest.empty()) {
+    std::fprintf(stderr, "nothing to validate (pass --trace / --telemetry / "
+                         "--alerts / --manifest)\n");
     return 1;
   }
   std::vector<Span> spans;
   if (!trace.empty()) spans = validate_trace(trace);
-  if (!metrics.empty()) validate_metrics(metrics);
   TelemetryTotals telemetry_totals;
   if (!telemetry.empty()) {
     telemetry_totals = validate_telemetry(
