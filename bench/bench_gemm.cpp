@@ -56,7 +56,9 @@ const char* variant_name(Variant v) {
 // cover every GEMM of its training step: per sample, each conv's forward
 // (NN), weight gradient g * cols^T (NT) and, past the first layer, input
 // gradient W^T * g (TN); per batch of 16, each Linear's forward X * W^T
-// (NT), weight gradient dY^T * X (TN) and input gradient dY * W (NN).
+// (NT), weight gradient dY^T * X (TN) and input gradient dY * W (NN). The
+// ResNet and DenseNet rows pair each conv's forward with its weight
+// gradient, m = out channels.
 std::vector<Shape> benchmark_shapes() {
   return {
       // CNN (EMNIST 28x28): conv5x5 stack + FC head, fc1 = Linear(256, 64),
@@ -72,17 +74,28 @@ std::vector<Shape> benchmark_shapes() {
       {"cnn.fc2", Variant::kNT, 16, 10, 64},
       {"cnn.fc2.wgrad", Variant::kTN, 10, 64, 16},
       {"cnn.fc2.dgrad", Variant::kNN, 16, 64, 10},
-      // ResNet-style (FMNIST 28x28, base width 8): stem + three stages.
+      // ResNet-style (FMNIST 28x28, base width 8): stem + three stages,
+      // each conv's forward and per-sample weight gradient.
       {"resnet.stem", Variant::kNN, 8, 784, 9},
+      {"resnet.stem.wgrad", Variant::kNT, 8, 9, 784},
       {"resnet.stage1", Variant::kNN, 8, 784, 72},
+      {"resnet.stage1.wgrad", Variant::kNT, 8, 72, 784},
       {"resnet.stage2a", Variant::kNN, 16, 196, 72},
+      {"resnet.stage2a.wgrad", Variant::kNT, 16, 72, 196},
       {"resnet.stage2b", Variant::kNN, 16, 196, 144},
+      {"resnet.stage2b.wgrad", Variant::kNT, 16, 144, 196},
       {"resnet.stage3a", Variant::kNN, 32, 49, 144},
+      {"resnet.stage3a.wgrad", Variant::kNT, 32, 144, 49},
       {"resnet.stage3b", Variant::kNN, 32, 49, 288},
-      // DenseNet-style (CIFAR 32x32, growth 6): dense layer + transition.
+      {"resnet.stage3b.wgrad", Variant::kNT, 32, 288, 49},
+      // DenseNet-style (CIFAR 32x32, growth 6): dense layer + transition,
+      // forward and per-sample weight gradient.
       {"densenet.dense1", Variant::kNN, 6, 1024, 72},
+      {"densenet.dense1.wgrad", Variant::kNT, 6, 72, 1024},
       {"densenet.trans1", Variant::kNN, 13, 1024, 26},
+      {"densenet.trans1.wgrad", Variant::kNT, 13, 26, 1024},
       {"densenet.dense2", Variant::kNN, 6, 256, 117},
+      {"densenet.dense2.wgrad", Variant::kNT, 6, 117, 256},
       // Square references: where the kernel's peak rate shows.
       {"square.128", Variant::kNN, 128, 128, 128},
       {"square.256", Variant::kNN, 256, 256, 256},

@@ -1,6 +1,5 @@
 #include "nn/conv2d.h"
 
-#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -22,18 +21,6 @@ constexpr std::size_t kParallelMacThreshold = std::size_t{1} << 20;
 bool should_parallelize(std::size_t batch, std::size_t macs) {
   return batch > 1 && macs >= kParallelMacThreshold &&
          fedsu::util::ThreadPool::global().worth_parallelizing();
-}
-
-// Output positions o in [lo, hi) whose input index o * stride + offset
-// lies in [0, size), clamped to [0, count).
-struct ValidRange {
-  int lo, hi;
-};
-ValidRange valid_range(int offset, int size, int stride, int count) {
-  const int lo = std::min(offset >= 0 ? 0 : (stride - 1 - offset) / stride,
-                          count);
-  const int hi = offset >= size ? 0 : (size - 1 - offset) / stride + 1;
-  return {lo, std::clamp(hi, lo, count)};
 }
 
 typedef float v4sf __attribute__((vector_size(16)));
@@ -89,107 +76,6 @@ Conv2d::Conv2d(int in_channels, int out_channels, int kernel, util::Rng& rng,
   }
 }
 
-void Conv2d::im2col(const float* image, int h, int w, float* cols) const {
-  const int oh = out_height(h);
-  const int ow = out_width(w);
-  const std::size_t patch = static_cast<std::size_t>(oh) * ow;
-  // The staged plane of one (c, kc): row t holds input row t - padding_
-  // sampled at columns ocol * stride_ + kc - padding_ (zero outside the
-  // image), so row (c, kr, kc) of cols is staged rows kr, kr + stride_, ...
-  // — one contiguous block of oh rows when stride_ is 1.
-  const int span = (oh - 1) * stride_ + kernel_;
-  util::ScratchArena& arena = util::ScratchArena::local();
-  util::ScratchArena::Frame frame(arena);
-  float* staged = arena.floats(static_cast<std::size_t>(span) * ow);
-  const ValidRange rows = valid_range(-padding_, h, 1, span);
-  // cols layout: row = (c, kr, kc), col = (orow, ocol)
-  for (int c = 0; c < in_channels_; ++c) {
-    const float* plane = image + static_cast<std::size_t>(c) * h * w;
-    for (int kc = 0; kc < kernel_; ++kc) {
-      const int offset = kc - padding_;
-      const ValidRange in = valid_range(offset, w, stride_, ow);
-      // A tap that misses every input column stages an all-zero plane.
-      const ValidRange live = in.lo < in.hi ? rows : ValidRange{0, 0};
-      tensor::vec::fill(staged, 0.0f,
-                        static_cast<std::size_t>(live.lo) * ow);
-      for (int t = live.lo; t < live.hi; ++t) {
-        float* dst = staged + static_cast<std::size_t>(t) * ow;
-        const float* src = plane +
-                           static_cast<std::size_t>(t - padding_) * w +
-                           (in.lo * stride_ + offset);
-        tensor::vec::fill(dst, 0.0f, static_cast<std::size_t>(in.lo));
-        if (stride_ == 1) {
-          std::memcpy(dst + in.lo, src, sizeof(float) * (in.hi - in.lo));
-        } else {
-          for (int o = in.lo; o < in.hi; ++o) {
-            dst[o] = src[static_cast<std::size_t>(o - in.lo) * stride_];
-          }
-        }
-        tensor::vec::fill(dst + in.hi, 0.0f,
-                          static_cast<std::size_t>(ow - in.hi));
-      }
-      tensor::vec::fill(staged + static_cast<std::size_t>(live.hi) * ow,
-                        0.0f, static_cast<std::size_t>(span - live.hi) * ow);
-      for (int kr = 0; kr < kernel_; ++kr) {
-        float* block = cols + (static_cast<std::size_t>(c) * kernel_ * kernel_ +
-                               static_cast<std::size_t>(kr) * kernel_ + kc) *
-                                  patch;
-        if (stride_ == 1) {
-          std::memcpy(block, staged + static_cast<std::size_t>(kr) * ow,
-                      sizeof(float) * patch);
-          continue;
-        }
-        for (int orow = 0; orow < oh; ++orow) {
-          std::memcpy(block + static_cast<std::size_t>(orow) * ow,
-                      staged + (static_cast<std::size_t>(orow) * stride_ + kr) *
-                                   ow,
-                      sizeof(float) * ow);
-        }
-      }
-    }
-  }
-}
-
-void Conv2d::col2im(const float* cols, int h, int w, float* image) const {
-  const int oh = out_height(h);
-  const int ow = out_width(w);
-  const std::size_t patch = static_cast<std::size_t>(oh) * ow;
-  std::memset(image, 0,
-              sizeof(float) * static_cast<std::size_t>(in_channels_) * h * w);
-  // Same (c, kr, kc, orow) order as a per-element scatter, so every input
-  // pixel still sums its (kr, kc) contributions in ascending order; only the
-  // bounds checks moved out to one clipped [lo, hi) range per offset.
-  for (int c = 0; c < in_channels_; ++c) {
-    float* plane = image + static_cast<std::size_t>(c) * h * w;
-    for (int kr = 0; kr < kernel_; ++kr) {
-      const ValidRange out_rows = valid_range(kr - padding_, h, stride_, oh);
-      for (int kc = 0; kc < kernel_; ++kc) {
-        const int offset = kc - padding_;
-        const ValidRange in = valid_range(offset, w, stride_, ow);
-        if (in.lo == in.hi) continue;
-        const float* row = cols +
-                           (static_cast<std::size_t>(c) * kernel_ * kernel_ +
-                            static_cast<std::size_t>(kr) * kernel_ + kc) *
-                               patch;
-        for (int orow = out_rows.lo; orow < out_rows.hi; ++orow) {
-          float* dst = plane +
-                       static_cast<std::size_t>(orow * stride_ + kr -
-                                                padding_) * w +
-                       (in.lo * stride_ + offset);
-          const float* src = row + static_cast<std::size_t>(orow) * ow + in.lo;
-          if (stride_ == 1) {
-            tensor::vec::add(dst, src, static_cast<std::size_t>(in.hi - in.lo));
-            continue;
-          }
-          for (int o = 0; o < in.hi - in.lo; ++o) {
-            dst[static_cast<std::size_t>(o) * stride_] += src[o];
-          }
-        }
-      }
-    }
-  }
-}
-
 const tensor::Tensor& Conv2d::forward(const tensor::Tensor& input,
                                       bool /*train*/) {
   if (input.rank() != 4 || input.dim(1) != in_channels_) {
@@ -217,8 +103,10 @@ const tensor::Tensor& Conv2d::forward(const tensor::Tensor& input,
   // across workers without changing any result bit.
   auto forward_sample = [&](int in) {
     float* cols = cols_.data() + static_cast<std::size_t>(in) * fan_in * patch;
-    im2col(input.data() + static_cast<std::size_t>(in) * in_channels_ * h * w,
-           h, w, cols);
+    tensor::gemm::im2col(
+        shape(h, w),
+        input.data() + static_cast<std::size_t>(in) * in_channels_ * h * w,
+        cols);
     // out[in] = W[outC, fan_in] * cols[fan_in, patch] (+ bias)
     float* y =
         out_.data() + static_cast<std::size_t>(in) * out_channels_ * patch;
@@ -297,8 +185,9 @@ void Conv2d::backward_into(const tensor::Tensor& grad_output, float* dx) {
     tensor::gemm::sgemm(tensor::gemm::Variant::kTN, fan_in, patch,
                         out_channels_, wmat, g, dcols,
                         tensor::gemm::Accumulate::kOverwrite);
-    col2im(dcols, h, w,
-           dx + static_cast<std::size_t>(in) * in_channels_ * h * w);
+    tensor::gemm::col2im(
+        shape(h, w), dcols,
+        dx + static_cast<std::size_t>(in) * in_channels_ * h * w);
   };
 
   // All scratch below comes from per-thread arenas: after the first batch

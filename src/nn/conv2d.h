@@ -2,6 +2,7 @@
 #pragma once
 
 #include "nn/module.h"
+#include "tensor/gemm.h"
 #include "util/rng.h"
 
 namespace fedsu::nn {
@@ -23,15 +24,10 @@ class Conv2d : public Module {
   int out_width(int w) const { return (w + 2 * padding_ - kernel_) / stride_ + 1; }
 
  private:
-  // Unpacks one sample [C,H,W] into columns [C*k*k, oh*ow]. Per (c, kc)
-  // it stages the column-shifted, zero-padded input plane once in the
-  // thread's ScratchArena; each kr's column block is then oh rows of that
-  // plane, one contiguous copy at stride 1.
-  void im2col(const float* image, int h, int w, float* cols) const;
-  // Zeroes a [C,H,W] image buffer and adds the columns into it, one clipped
-  // row run per (c, kr, kc, orow). Every pixel sums its (kr, kc)
-  // contributions in ascending order, as a per-element scatter would.
-  void col2im(const float* cols, int h, int w, float* image) const;
+  // One sample's geometry for tensor::gemm::im2col / col2im.
+  tensor::gemm::ConvShape shape(int h, int w) const {
+    return {in_channels_, h, w, kernel_, stride_, padding_};
+  }
   // Accumulates the parameter grads and, when `dx` is non-null, writes
   // dL/d input there.
   void backward_into(const tensor::Tensor& grad_output, float* dx);

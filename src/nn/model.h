@@ -33,6 +33,7 @@ class Model {
     root_->backward_params(grad_output);
   }
 
+  Module& root() { return *root_; }
   const std::vector<Param*>& parameters() const { return params_; }
   void zero_grads() const { nn::zero_grads(params_); }
 

@@ -26,6 +26,9 @@ class Sequential : public Module {
   void collect_params(std::vector<Param*>& out) override;
   std::string name() const override { return "Sequential"; }
 
+  // The chain, in order (bench_train_step times it layer by layer).
+  const std::vector<ModulePtr>& modules() const { return modules_; }
+
  private:
   std::vector<ModulePtr> modules_;
 };

@@ -169,9 +169,11 @@ struct Product {
 };
 
 // FNV-1a over every output bit of each product, run once overwriting and
-// once adding onto a random C, with operands drawn from Rng(seed).
+// once adding onto a random C, with operands drawn from Rng(seed). `pooled`
+// runs each product through sgemm (which fans rows out over the global pool
+// once a product is large enough) instead of sgemm_rows on this thread.
 std::uint64_t product_hash(const std::vector<Product>& products,
-                           std::uint64_t seed) {
+                           std::uint64_t seed, bool pooled = false) {
   util::Rng rng(seed);
   std::uint64_t hash = 0xcbf29ce484222325ULL;
   for (const Product& p : products) {
@@ -182,8 +184,13 @@ std::uint64_t product_hash(const std::vector<Product>& products,
         random_buffer(static_cast<std::size_t>(p.n) * p.k, rng);
     for (Accumulate mode : {Accumulate::kOverwrite, Accumulate::kAdd}) {
       std::vector<float> c = random_buffer(c_size, rng);
-      gemm::sgemm_rows(p.variant, 0, p.m, p.m, p.n, p.k, a.data(), b.data(),
-                       c.data(), mode);
+      if (pooled) {
+        gemm::sgemm(p.variant, p.m, p.n, p.k, a.data(), b.data(), c.data(),
+                    mode);
+      } else {
+        gemm::sgemm_rows(p.variant, 0, p.m, p.m, p.n, p.k, a.data(),
+                         b.data(), c.data(), mode);
+      }
       const auto* bytes = reinterpret_cast<const unsigned char*>(c.data());
       for (std::size_t i = 0; i < c_size * sizeof(float); ++i) {
         hash ^= bytes[i];
@@ -241,6 +248,90 @@ TEST(Gemm, TileSeamsAreBitwisePinned) {
   const std::uint64_t pinned[2] = {0x884fcaef1ac3815aULL,
                                    0x884fcaef1ac3815aULL};
   EXPECT_EQ(hash, pinned[column]) << "0x" << std::hex << hash;
+}
+
+// The kNT shapes with 4 <= m <= 16 and n >= 4: every conv layer's weight
+// gradient g * cols^T (m = out channels) and Linear's forward at batch
+// <= 16. k straddles the KC = 256 block, and the 16 x 200 x 576 products
+// are large enough to split their rows over a 4-thread pool.
+TEST(Gemm, NarrowNtIsBitwisePinned) {
+  const int column = pin_column();
+  if (column < 0) GTEST_SKIP() << "no pins for this compiler, flags or ISA";
+  std::vector<Product> products;
+  for (int m : {4, 5, 6, 8, 11, 16}) {
+    for (int n : {4, 7, 8, 9, 25, 200}) {
+      for (int k : {1, 64, 255, 256, 257, 576}) {
+        products.push_back({Variant::kNT, m, n, k});
+      }
+    }
+  }
+  // avx512vl, avx2-fma
+  const std::uint64_t pinned[2] = {0x49d2e47fc786efd8ULL,
+                                   0x49d2e47fc786efd8ULL};
+  const int threads = util::ThreadPool::global().size();
+  for (int t : {1, 4}) {
+    util::ThreadPool::set_global_threads(t);
+    const std::uint64_t hash = product_hash(products, 31, /*pooled=*/true);
+    EXPECT_EQ(hash, pinned[column]) << t << " threads: 0x" << std::hex << hash;
+  }
+  util::ThreadPool::set_global_threads(threads);
+}
+
+// Which columns of C may depend on n, the column count. Tile boundaries
+// depend only on n, so this is also why threading (which splits rows)
+// cannot move a bit. Every kNT column, and every column of a packed-B
+// kNN/kTN product (m >= MC = 64), is one FMA chain per KC block wherever
+// its tile starts. A direct-B kNN/kTN product (m < 64) computes its ragged
+// right edge (the last n % 8 columns) unfused, so only those columns may
+// differ from the same column of a wider product. m < 4 takes the small
+// path at every n.
+TEST(Gemm, OnlyDirectRaggedColumnsDependOnN) {
+  constexpr int kMaxN = 40;
+  util::Rng rng(37);
+  for (Variant v : {Variant::kNN, Variant::kTN, Variant::kNT}) {
+    for (int m : {3, 4, 9, 16, 70}) {
+      for (int k : {8, 25, 300}) {
+        const std::vector<float> a =
+            random_buffer(static_cast<std::size_t>(m) * k, rng);
+        // op(B) with kMaxN columns: [k, kMaxN] for kNN/kTN, [kMaxN, k] for
+        // kNT; a narrower product takes its first n columns.
+        const std::vector<float> b =
+            random_buffer(static_cast<std::size_t>(kMaxN) * k, rng);
+        std::vector<float> wide(static_cast<std::size_t>(m) * kMaxN);
+        gemm::sgemm_rows(v, 0, m, m, kMaxN, k, a.data(), b.data(),
+                         wide.data(), Accumulate::kOverwrite);
+        const bool direct = v != Variant::kNT && m >= 4 && m < 64;
+        for (int n = 4; n < kMaxN; ++n) {
+          std::vector<float> bn(static_cast<std::size_t>(n) * k);
+          for (int l = 0; l < k; ++l) {
+            for (int j = 0; j < n; ++j) {
+              if (v == Variant::kNT) {
+                bn[static_cast<std::size_t>(j) * k + l] =
+                    b[static_cast<std::size_t>(j) * k + l];
+              } else {
+                bn[static_cast<std::size_t>(l) * n + j] =
+                    b[static_cast<std::size_t>(l) * kMaxN + j];
+              }
+            }
+          }
+          std::vector<float> c(static_cast<std::size_t>(m) * n);
+          gemm::sgemm_rows(v, 0, m, m, n, k, a.data(), bn.data(), c.data(),
+                           Accumulate::kOverwrite);
+          const int fixed = direct ? n - n % 8 : n;
+          for (int i = 0; i < m; ++i) {
+            for (int j = 0; j < fixed; ++j) {
+              const float got = c[static_cast<std::size_t>(i) * n + j];
+              const float want = wide[static_cast<std::size_t>(i) * kMaxN + j];
+              ASSERT_EQ(std::memcmp(&got, &want, sizeof got), 0)
+                  << "variant " << static_cast<int>(v) << " m=" << m
+                  << " k=" << k << " n=" << n << " C[" << i << "][" << j
+                  << "]";
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 // IEEE semantics through the kernel: a zero operand against Inf must

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <functional>
 #include <limits>
@@ -16,6 +18,7 @@
 #include "nn/loss.h"
 #include "nn/pooling.h"
 #include "nn/sequential.h"
+#include "tensor/gemm.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -238,6 +241,160 @@ TEST(Conv2d, MatchesNaiveConvolutionSweep) {
     expect_near(only_params[1]->grad, want_db, "backward_params db");
   }
   util::ThreadPool::set_global_threads(threads);
+}
+
+// Index of the recorded pin column for this build, or -1: the rule of
+// test_nn_step.cpp (plain GCC builds, avx512vl or avx2-fma clone).
+int pin_column() {
+#if !defined(FEDSU_NN_UNPINNED) && !defined(__FMA__)
+  const std::string isa = tensor::gemm::isa_name();
+  if (isa == "avx512vl") return 0;
+  if (isa == "avx2-fma") return 1;
+#endif
+  return -1;
+}
+
+// 64-bit FNV-1a over every bit of a tensor.
+void fnv1a(std::uint64_t& hash, const tensor::Tensor& t) {
+  const auto* bytes = reinterpret_cast<const unsigned char*>(t.data());
+  for (std::size_t i = 0; i < t.size() * sizeof(float); ++i) {
+    hash ^= bytes[i];
+    hash *= 0x100000001b3ULL;
+  }
+}
+
+// Every bit Conv2d's column moves (im2col, col2im) feed, over kernel
+// {1, 2, 3, 5} x stride {1, 2, 3} x padding {0, 1, 2} x width {1, 7, 12,
+// 16, 17, 33} (every case with a non-empty output): the forward output,
+// dL/dx, dW and db of two 7-row samples whose inputs and gradients carry
+// -0 and subnormal lanes. The GEMMs between the moves make the bits per
+// ISA (DESIGN.md §5b), so the hash is pinned per clone.
+TEST(Conv2d, ColumnMovesAreBitwisePinned) {
+  const int column = pin_column();
+  if (column < 0) GTEST_SKIP() << "no pins for this compiler, flags or ISA";
+  const auto mark_lanes = [](tensor::Tensor& t) {
+    for (std::size_t i = 0; i < t.size(); ++i) {
+      if (i % 7 == 3) t[i] = -0.0f;
+      if (i % 11 == 5) t[i] = (i % 2 ? -1.0f : 1.0f) * 3e-40f;
+    }
+  };
+  util::Rng rng(43);
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  int cases = 0;
+  for (int kernel : {1, 2, 3, 5}) {
+    for (int stride : {1, 2, 3}) {
+      for (int padding : {0, 1, 2}) {
+        for (int width : {1, 7, 12, 16, 17, 33}) {
+          if (width + 2 * padding < kernel) continue;
+          Conv2d conv(2, 5, kernel, rng, stride, padding);
+          std::vector<Param*> params;
+          conv.collect_params(params);
+          tensor::Tensor x = random_tensor({2, 2, 7, width}, rng);
+          mark_lanes(x);
+          const tensor::Tensor& y = conv.forward(x, /*train=*/true);
+          tensor::Tensor g = random_tensor(y.shape(), rng);
+          mark_lanes(g);
+          fnv1a(hash, y);
+          zero_grads(params);
+          fnv1a(hash, conv.backward(g));
+          fnv1a(hash, params[0]->grad);
+          fnv1a(hash, params[1]->grad);
+          ++cases;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 204);
+  // avx512vl, avx2-fma
+  const std::uint64_t pinned[2] = {0x68b626072b4c7a8fULL,
+                                   0xd5f23ea1181abe5fULL};
+  EXPECT_EQ(hash, pinned[column]) << "0x" << std::hex << hash;
+}
+
+// tensor::gemm::im2col and col2im against the per-element gather and
+// scatter they stand for, bit for bit, over the grid above on two 6-row
+// channels whose lanes include NaN, +-inf, -0 and subnormals. The NaN is
+// the default quiet NaN that inf + -inf also produces, so a sum that
+// meets two NaNs has one result whatever the operand order. The buffers
+// are sized exactly, so a sanitizer build also checks that neither kernel
+// touches a float outside them.
+TEST(Conv2d, ColumnMovesMatchPerElementGatherAndScatter) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float specials[] = {std::bit_cast<float>(0xffc00000u), inf, -inf,
+                            -0.0f, 1e-45f, -3e-39f, 2.5f};
+  util::Rng rng(47);
+  const auto fill = [&](std::vector<float>& v) {
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      v[i] = i % 3 == 1 ? specials[rng.uniform_index(std::size(specials))]
+                        : static_cast<float>(rng.uniform(-1.0, 1.0));
+    }
+  };
+  for (int kernel : {1, 2, 3, 5}) {
+    for (int stride : {1, 2, 3}) {
+      for (int padding : {0, 1, 2}) {
+        for (int width : {1, 7, 12, 16, 17, 33}) {
+          if (width + 2 * padding < kernel) continue;
+          const tensor::gemm::ConvShape s{2, 6, width, kernel, stride,
+                                          padding};
+          const int oh = s.out_h(), ow = s.out_w();
+          const std::size_t patch = static_cast<std::size_t>(oh) * ow;
+          std::vector<float> image(static_cast<std::size_t>(2) * 6 * width);
+          std::vector<float> cols(2 * kernel * kernel * patch);
+          const auto pixel = [&](int c, int kr, int kc, int orow,
+                                 int ocol) -> std::ptrdiff_t {
+            const int y = orow * stride + kr - padding;
+            const int x = ocol * stride + kc - padding;
+            if (y < 0 || y >= 6 || x < 0 || x >= width) return -1;
+            return (static_cast<std::ptrdiff_t>(c) * 6 + y) * width + x;
+          };
+          const auto col = [&](int c, int kr, int kc, int orow, int ocol) {
+            return ((static_cast<std::size_t>(c) * kernel + kr) * kernel +
+                    kc) * patch + static_cast<std::size_t>(orow) * ow + ocol;
+          };
+          const std::string label =
+              "k " + std::to_string(kernel) + " s " + std::to_string(stride) +
+              " p " + std::to_string(padding) + " w " + std::to_string(width);
+
+          fill(image);
+          std::vector<float> want(cols.size());
+          for (int c = 0; c < 2; ++c)
+            for (int kr = 0; kr < kernel; ++kr)
+              for (int kc = 0; kc < kernel; ++kc)
+                for (int orow = 0; orow < oh; ++orow)
+                  for (int ocol = 0; ocol < ow; ++ocol) {
+                    const std::ptrdiff_t p = pixel(c, kr, kc, orow, ocol);
+                    want[col(c, kr, kc, orow, ocol)] =
+                        p < 0 ? 0.0f : image[static_cast<std::size_t>(p)];
+                  }
+          tensor::gemm::im2col(s, image.data(), cols.data());
+          ASSERT_EQ(std::memcmp(cols.data(), want.data(),
+                                cols.size() * sizeof(float)),
+                    0)
+              << "im2col " << label;
+
+          fill(cols);
+          std::vector<float> sum(image.size(), 0.0f);
+          for (int c = 0; c < 2; ++c)
+            for (int kr = 0; kr < kernel; ++kr)
+              for (int kc = 0; kc < kernel; ++kc)
+                for (int orow = 0; orow < oh; ++orow)
+                  for (int ocol = 0; ocol < ow; ++ocol) {
+                    const std::ptrdiff_t p = pixel(c, kr, kc, orow, ocol);
+                    if (p >= 0) {
+                      sum[static_cast<std::size_t>(p)] +=
+                          cols[col(c, kr, kc, orow, ocol)];
+                    }
+                  }
+          fill(image);  // col2im overwrites every pixel
+          tensor::gemm::col2im(s, cols.data(), image.data());
+          ASSERT_EQ(std::memcmp(image.data(), sum.data(),
+                                image.size() * sizeof(float)),
+                    0)
+              << "col2im " << label;
+        }
+      }
+    }
+  }
 }
 
 TEST(MaxPool2d, ForwardSelectsMax) {
