@@ -1,14 +1,18 @@
 // Extension bench (DESIGN.md §7): the regression-free second-order
 // oscillation ratio (§IV-A) versus the window least-squares diagnoser the
 // paper argues against. Compares (a) diagnosis quality on labeled synthetic
-// trajectories, (b) per-parameter state size, (c) refresh throughput.
-#include <benchmark/benchmark.h>
-
+// trajectories, (b) per-parameter state size, (c) refresh throughput, timed
+// by bench::measure.
+//
+// Takes no flags. Exits 1 unless the oscillation ratio classifies the
+// trajectories more accurately than the window regression.
 #include <cmath>
 #include <cstdio>
 
 #include "core/oscillation.h"
 #include "core/regression.h"
+#include "harness.h"
+#include "util/flags.h"
 #include "util/rng.h"
 
 using namespace fedsu;
@@ -53,41 +57,14 @@ std::vector<Trajectory> make_trajectories(int count, int length,
   return out;
 }
 
-void BM_OscillationRefresh(benchmark::State& state) {
-  const std::size_t p = 100000;
-  core::OscillationTracker tracker(p);
-  util::Rng rng(3);
-  std::vector<float> g(p);
-  for (auto& x : g) x = static_cast<float>(rng.normal());
-  for (auto _ : state) {
-    for (std::size_t j = 0; j < p; ++j) {
-      benchmark::DoNotOptimize(tracker.observe(j, g[j]));
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<long long>(p));
-}
-BENCHMARK(BM_OscillationRefresh);
+constexpr std::size_t kRefreshParams = 100000;
 
-void BM_RegressionRefresh(benchmark::State& state) {
-  const std::size_t p = 100000;
-  core::RegressionOptions options;
-  options.window = 8;
-  core::RegressionDiagnoser diag(p, options);
-  util::Rng rng(3);
-  std::vector<float> v(p);
-  for (auto& x : v) x = static_cast<float>(rng.normal());
-  for (auto _ : state) {
-    for (std::size_t j = 0; j < p; ++j) {
-      diag.observe(j, v[j]);
-      benchmark::DoNotOptimize(diag.ready(j) ? diag.normalized_residual(j)
-                                             : 1.0);
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<long long>(p));
-}
-BENCHMARK(BM_RegressionRefresh);
+}  // namespace
 
-void print_quality_table() {
+int run(int argc, char** argv) {
+  util::Flags flags;
+  if (!flags.parse(argc, argv)) return 0;
+
   util::Rng rng(11);
   const int count = 2000, length = 40;
   const auto trajectories = make_trajectories(count, length, rng);
@@ -107,26 +84,51 @@ void print_quality_table() {
     if (osc_verdict == t.linear) ++osc_correct;
     if (reg.is_linear(0) == t.linear) ++reg_correct;
   }
-  core::OscillationTracker osc_state(100000);
+
+  // Refresh throughput: parameters per second over one pass of
+  // kRefreshParams. The refreshed values are summed into a checksum the
+  // bench prints, so the compiler cannot drop the loops.
+  util::Rng value_rng(3);
+  std::vector<float> values(kRefreshParams);
+  for (auto& x : values) x = static_cast<float>(value_rng.normal());
+  double checksum = 0.0;
+  core::OscillationTracker osc_state(kRefreshParams);
+  const double osc_rate = kRefreshParams / bench::measure([&] {
+    for (std::size_t j = 0; j < kRefreshParams; ++j) {
+      checksum += osc_state.observe(j, values[j]);
+    }
+  }).median;
   core::RegressionOptions roptions;
   roptions.window = 8;
-  core::RegressionDiagnoser reg_state(100000, roptions);
+  core::RegressionDiagnoser reg_state(kRefreshParams, roptions);
+  const double reg_rate = kRefreshParams / bench::measure([&] {
+    for (std::size_t j = 0; j < kRefreshParams; ++j) {
+      reg_state.observe(j, values[j]);
+      checksum += reg_state.ready(j) ? reg_state.normalized_residual(j) : 1.0;
+    }
+  }).median;
 
+  const double osc_accuracy = 100.0 * osc_correct / count;
+  const double reg_accuracy = 100.0 * reg_correct / count;
   std::printf("\n=== Diagnosis ablation: oscillation ratio vs window "
               "regression ===\n");
-  std::printf("%-24s %14s %20s\n", "Method", "Accuracy", "State (bytes/param)");
-  std::printf("%-24s %13.1f%% %20.1f\n", "oscillation ratio (R)",
-              100.0 * osc_correct / count, osc_state.state_bytes() / 1e5);
-  std::printf("%-24s %13.1f%% %20.1f\n", "window regression (K=8)",
-              100.0 * reg_correct / count, reg_state.state_bytes() / 1e5);
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  print_quality_table();
+  std::printf("%-24s %14s %20s %18s\n", "Method", "Accuracy",
+              "State (bytes/param)", "Refresh (M/s)");
+  std::printf("%-24s %13.1f%% %20.1f %18.1f\n", "oscillation ratio (R)",
+              osc_accuracy,
+              osc_state.state_bytes() / static_cast<double>(kRefreshParams),
+              osc_rate / 1e6);
+  std::printf("%-24s %13.1f%% %20.1f %18.1f\n", "window regression (K=8)",
+              reg_accuracy,
+              reg_state.state_bytes() / static_cast<double>(kRefreshParams),
+              reg_rate / 1e6);
+  std::printf("(refresh checksum %.6g)\n", checksum);
+  if (osc_accuracy <= reg_accuracy) {
+    std::fprintf(stderr,
+                 "FAIL: the oscillation ratio (%.1f%%) does not classify more "
+                 "accurately than the window regression (%.1f%%)\n",
+                 osc_accuracy, reg_accuracy);
+    return 1;
+  }
   return 0;
 }

@@ -36,7 +36,7 @@ std::vector<double> normdiff_series(const bench::BenchConfig& config) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   bench::BenchConfig defaults;
   defaults.rounds = 40;
   util::Flags flags = bench::make_flags(defaults);

@@ -10,7 +10,7 @@
 
 using namespace fedsu;
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   bench::BenchConfig defaults;
   defaults.rounds = 50;
   util::Flags flags = bench::make_flags(defaults);

@@ -6,28 +6,29 @@
 //
 // Every shape is correctness-checked (blocked vs naive, tolerance scaled by
 // k) before it is timed; a mismatch exits non-zero, which is what the CI
-// smoke step keys on. Results land in a JSON file (default BENCH_gemm.json,
-// self-reparsed through obs::json_parse as a schema check, naming the CPU,
-// its core count and the dispatched micro-kernel) so the kernel perf
-// trajectory is tracked across PRs.
+// smoke step keys on. Each kernel is timed by bench::measure: per shape the
+// blocked kernel's median and MAD per call, GFLOP/s from the medians. Results
+// land in a JSON file (default BENCH_gemm.json, written through
+// bench::write_json, naming the CPU, its core count and the dispatched
+// micro-kernel) so the kernel perf trajectory is tracked across PRs.
 //
-// Usage: bench_gemm [--out BENCH_gemm.json] [--min-time-ms 200] [--smoke]
-// A bad flag prints one line to stderr and exits 2.
-#include <algorithm>
+// Usage: bench_gemm [--out BENCH_gemm.json] [--smoke]
+// --smoke shortens every sample: correctness and schema only.
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "harness.h"
 #include "obs/json.h"
 #include "tensor/gemm.h"
 #include "util/flags.h"
 #include "util/rng.h"
-#include "util/stopwatch.h"
 
 namespace {
 
@@ -151,97 +152,89 @@ std::vector<float> random_buffer(std::size_t n, fedsu::util::Rng& rng) {
   return out;
 }
 
-// Repeats fn until it has run for at least min_ms, returns GFLOP/s.
-template <typename Fn>
-double time_gflops(double flops_per_call, double min_ms, const Fn& fn) {
-  // Warm-up (page in buffers, settle turbo).
-  fn();
-  int reps = 1;
-  for (;;) {
-    fedsu::util::Stopwatch sw;
-    for (int r = 0; r < reps; ++r) fn();
-    const double ms = sw.elapsed_ms();
-    if (ms >= min_ms) {
-      return flops_per_call * reps / (ms * 1e-3) * 1e-9;
-    }
-    reps = (ms <= 0.01) ? reps * 16 : static_cast<int>(reps * (min_ms / ms) + 1);
-  }
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   fedsu::util::Flags flags;
   flags.add_string("out", "BENCH_gemm.json", "output JSON path")
-      .add_double("min-time-ms", 200.0, "minimum measured time per kernel")
       .add_bool("smoke", false,
-                "CI mode: tiny timing budget, correctness + schema only");
-  try {
-    if (!flags.parse(argc, argv)) return 0;
-  } catch (const std::exception& e) {
-    const std::string what = e.what();  // an unknown flag appends the usage
-    std::fprintf(stderr, "bench_gemm: %s (see --help)\n",
-                 what.substr(0, what.find('\n')).c_str());
-    return 2;
-  }
-  const double min_ms =
-      flags.get_bool("smoke") ? 5.0 : flags.get_double("min-time-ms");
+                "CI mode: short samples, correctness + schema only");
+  if (!flags.parse(argc, argv)) return 0;
+  const bool smoke = flags.get_bool("smoke");
 
+  // Operands of every shape stay alive so bench::measure can sample all
+  // kernels round-robin.
+  struct Operands {
+    std::vector<float> a, b, c_naive, c_blocked;
+  };
+  const std::vector<Shape> shapes = benchmark_shapes();
+  std::vector<Operands> operands(shapes.size());
+  std::vector<std::function<void()>> kernels;  // naive, blocked per shape
   fedsu::util::Rng rng(42);
-  std::ostringstream shapes_json;
   bool all_ok = true;
-  double speedup_log_sum = 0.0;
-  int speedup_count = 0;
-
-  std::printf("%-18s %-3s %5s %5s %5s  %10s %10s %8s\n", "shape", "op", "m",
-              "n", "k", "naive", "blocked", "speedup");
-  for (const Shape& s : benchmark_shapes()) {
+  for (std::size_t i = 0; i < shapes.size(); ++i) {
+    const Shape& s = shapes[i];
+    Operands& o = operands[i];
     const std::size_t c_size = static_cast<std::size_t>(s.m) * s.n;
-    const std::vector<float> a =
-        random_buffer(static_cast<std::size_t>(s.m) * s.k, rng);
-    const std::vector<float> b =
-        random_buffer(static_cast<std::size_t>(s.n) * s.k, rng);
-    std::vector<float> c_naive(c_size), c_blocked(c_size);
-
-    naive_gemm(s.variant, s.m, s.n, s.k, a.data(), b.data(), c_naive.data());
-    fedsu::tensor::gemm::sgemm_rows(s.variant, 0, s.m, s.m, s.n, s.k,
-                                    a.data(), b.data(), c_blocked.data(),
-                                    Accumulate::kOverwrite);
+    o = {random_buffer(static_cast<std::size_t>(s.m) * s.k, rng),
+         random_buffer(static_cast<std::size_t>(s.n) * s.k, rng),
+         std::vector<float>(c_size), std::vector<float>(c_size)};
+    kernels.push_back([&s, &o] {
+      naive_gemm(s.variant, s.m, s.n, s.k, o.a.data(), o.b.data(),
+                 o.c_naive.data());
+    });
+    kernels.push_back([&s, &o] {
+      fedsu::tensor::gemm::sgemm_rows(s.variant, 0, s.m, s.m, s.n, s.k,
+                                      o.a.data(), o.b.data(),
+                                      o.c_blocked.data(),
+                                      Accumulate::kOverwrite);
+    });
+    kernels[2 * i]();
+    kernels[2 * i + 1]();
     // The two kernels accumulate in different orders; tolerance scales
     // with the reduction length.
     const double tol = 1e-6 * s.k + 1e-5;
-    for (std::size_t i = 0; i < c_size; ++i) {
-      if (std::fabs(static_cast<double>(c_naive[i]) - c_blocked[i]) > tol) {
+    for (std::size_t j = 0; j < c_size; ++j) {
+      if (std::fabs(static_cast<double>(o.c_naive[j]) - o.c_blocked[j]) >
+          tol) {
         std::fprintf(stderr,
                      "FAIL %s: blocked[%zu]=%g vs naive=%g (tol %g)\n",
-                     s.name.c_str(), i, c_blocked[i], c_naive[i], tol);
+                     s.name.c_str(), j, o.c_blocked[j], o.c_naive[j], tol);
         all_ok = false;
         break;
       }
     }
+  }
+  const std::vector<fedsu::bench::Stats> times =
+      fedsu::bench::measure(kernels, smoke);
 
+  std::printf("%-21s %-3s %5s %5s %5s  %10s %10s %7s %8s\n", "shape", "op",
+              "m", "n", "k", "naive", "blocked", "MAD", "speedup");
+  std::ostringstream shapes_json;
+  double speedup_log_sum = 0.0;
+  for (std::size_t i = 0; i < shapes.size(); ++i) {
+    const Shape& s = shapes[i];
+    const fedsu::bench::Stats& naive = times[2 * i];
+    const fedsu::bench::Stats& blocked = times[2 * i + 1];
     const double flops = 2.0 * s.m * s.n * s.k;
-    const double gflops_naive = time_gflops(flops, min_ms, [&] {
-      naive_gemm(s.variant, s.m, s.n, s.k, a.data(), b.data(),
-                 c_naive.data());
-    });
-    const double gflops_blocked = time_gflops(flops, min_ms, [&] {
-      fedsu::tensor::gemm::sgemm_rows(s.variant, 0, s.m, s.m, s.n, s.k,
-                                      a.data(), b.data(), c_blocked.data(),
-                                      Accumulate::kOverwrite);
-    });
-    const double speedup = gflops_blocked / gflops_naive;
+    const double gflops_naive = flops / naive.median * 1e-9;
+    const double gflops_blocked = flops / blocked.median * 1e-9;
+    const double speedup = naive.median / blocked.median;
     speedup_log_sum += std::log(speedup);
-    ++speedup_count;
-    std::printf("%-18s %-3s %5d %5d %5d  %10.2f %10.2f %7.2fx\n",
+    std::printf("%-21s %-3s %5d %5d %5d  %10.2f %10.2f %6.1f%% %7.2fx\n",
                 s.name.c_str(), variant_name(s.variant), s.m, s.n, s.k,
-                gflops_naive, gflops_blocked, speedup);
+                gflops_naive, gflops_blocked,
+                100.0 * blocked.mad / blocked.median, speedup);
 
-    shapes_json << (speedup_count > 1 ? ",\n" : "\n")
+    shapes_json << (i > 0 ? ",\n" : "\n")
                 << "    {\"name\": " << fedsu::obs::json_quote(s.name)
                 << ", \"variant\": \""
                 << variant_name(s.variant) << "\", \"m\": " << s.m
                 << ", \"n\": " << s.n << ", \"k\": " << s.k
+                << ", \"blocked_us\": "
+                << fedsu::obs::json_number(blocked.median * 1e6)
+                << ", \"blocked_mad_us\": "
+                << fedsu::obs::json_number(blocked.mad * 1e6)
                 << ", \"gflops_naive\": "
                 << fedsu::obs::json_number(gflops_naive)
                 << ", \"gflops_blocked\": "
@@ -251,8 +244,8 @@ int main(int argc, char** argv) {
   }
 
   const double geomean =
-      speedup_count > 0 ? std::exp(speedup_log_sum / speedup_count) : 0.0;
-  std::printf("%-18s %45s %7.2fx\n", "geomean", "", geomean);
+      std::exp(speedup_log_sum / static_cast<double>(shapes.size()));
+  std::printf("%-21s %56s %7.2fx\n", "geomean", "", geomean);
 
   std::ostringstream doc;
   doc << "{\n  \"bench\": \"gemm\",\n  \"threads\": 1,\n"
@@ -260,40 +253,28 @@ int main(int argc, char** argv) {
       << ", \"nproc\": " << std::thread::hardware_concurrency()
       << ", \"isa\": "
       << fedsu::obs::json_quote(fedsu::tensor::gemm::isa_name()) << "},\n"
-      << "  \"flops_model\": \"2*m*n*k\",\n  \"smoke\": "
-      << (flags.get_bool("smoke") ? "true" : "false") << ",\n"
+      << "  \"flops_model\": \"2*m*n*k\",\n  \"samples\": "
+      << fedsu::bench::kSamples << ",\n  \"smoke\": "
+      << (smoke ? "true" : "false") << ",\n"
       << "  \"shapes\": [" << shapes_json.str() << "\n  ],\n"
       << "  \"geomean_speedup\": " << fedsu::obs::json_number(geomean)
       << "\n}\n";
 
-  // Schema self-check: the emitted document must parse and carry the keys
-  // downstream tooling reads. Run before writing so a broken emitter never
-  // overwrites a good checked-in file.
-  try {
-    const fedsu::obs::JsonValue parsed = fedsu::obs::json_parse(doc.str());
-    const auto& shapes = parsed.at("shapes").as_array();
-    if (shapes.empty()) throw std::runtime_error("no shapes");
-    for (const auto& sh : shapes) {
-      sh.at("name").as_string();
-      sh.at("gflops_naive").as_number();
-      sh.at("gflops_blocked").as_number();
-      sh.at("speedup").as_number();
-    }
-    parsed.at("geomean_speedup").as_number();
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "FAIL: emitted JSON failed schema check: %s\n",
-                 e.what());
-    return 1;
-  }
-
-  const std::string out_path = flags.get_string("out");
-  std::ofstream out(out_path);
-  out << doc.str();
-  if (!out) {
-    std::fprintf(stderr, "FAIL: could not write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::printf("wrote %s\n", out_path.c_str());
+  fedsu::bench::write_json(
+      doc.str(), flags.get_string("out"),
+      [](const fedsu::obs::JsonValue& parsed) {
+        const auto& shapes = parsed.at("shapes").as_array();
+        if (shapes.empty()) throw std::runtime_error("no shapes");
+        for (const auto& sh : shapes) {
+          sh.at("name").as_string();
+          sh.at("blocked_us").as_number();
+          sh.at("blocked_mad_us").as_number();
+          sh.at("gflops_naive").as_number();
+          sh.at("gflops_blocked").as_number();
+          sh.at("speedup").as_number();
+        }
+        parsed.at("geomean_speedup").as_number();
+      });
 
   if (!all_ok) {
     std::fprintf(stderr, "FAIL: blocked kernel diverged from naive\n");

@@ -156,7 +156,7 @@ int smoke_mode(const BenchConfig& base, const std::string& scheme) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   BenchConfig defaults;
   defaults.rounds = 12;
   fedsu::util::Flags flags = fedsu::bench::make_flags(defaults);

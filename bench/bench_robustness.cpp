@@ -6,8 +6,8 @@
 //
 // Each (setting, scheme) cell reports the accuracy target crossing (time
 // and rounds), total traffic, final accuracy, and the run's aggregate fault
-// tallies. Results land in BENCH_robustness.json (self-reparsed through
-// obs::json_parse as a schema check, same as bench_gemm).
+// tallies. Results land in BENCH_robustness.json (written through
+// bench::write_json, which schema-checks it first).
 //
 // With --async the same ladder runs under buffered-async execution
 // (DESIGN.md §11): cells gain an "async-" prefix and the bench additionally
@@ -20,13 +20,14 @@
 //                         [+ the shared workload flags]
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common.h"
+#include "harness.h"
 #include "obs/json.h"
 
 namespace {
@@ -78,12 +79,6 @@ std::vector<Setting> settings(const FaultOptions& base) {
   return out;
 }
 
-struct FaultTotals {
-  long long crashes = 0, rejoins = 0, resyncs = 0, stragglers = 0;
-  long long retries = 0, lost = 0, corrupt = 0, stalls = 0;
-  long long selected = 0, deadline = 0, unused = 0;
-};
-
 // Aggregates folded from the per-cycle async objects of one cell.
 struct AsyncTotals {
   long long consumed = 0;
@@ -95,7 +90,7 @@ struct AsyncTotals {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   BenchConfig defaults;
   defaults.rounds = 40;
   defaults.eval_every = 2;
@@ -144,15 +139,20 @@ int main(int argc, char** argv) {
       cell_config.faults = setting.faults;
       const std::string cell_name =
           async_mode ? "async-" + setting.name : setting.name;
-      FaultTotals totals;
-      AsyncTotals async_totals;
       // run_scheme builds the simulation from cell_config, so the fault
       // plan (and the async engine) rides in via simulation_options();
       // tallies are folded from the per-round records afterwards.
       fedsu::bench::SchemeRun run = fedsu::bench::run_scheme(
           cell_config, scheme, target, &observatory, cell_name);
+      std::map<std::string, std::uint64_t> faults =
+          fedsu::bench::fault_totals(run.records);
+      const auto count = [&](const char* key) {
+        return static_cast<long long>(faults[key]);
+      };
+      long long lost = 0;
+      AsyncTotals async_totals;
       for (const fedsu::fl::RoundRecord& r : run.records) {
-        totals.lost += r.uploads_lost;
+        lost += r.uploads_lost;
         if (r.async) {
           async_totals.consumed += r.async->consumed;
           async_totals.final_inflight = r.async->inflight;
@@ -173,17 +173,6 @@ int main(int argc, char** argv) {
             return 1;
           }
         }
-        if (!r.faults) continue;
-        totals.selected += r.faults->selected;
-        totals.crashes += r.faults->crashed;
-        totals.rejoins += r.faults->rejoined;
-        totals.resyncs += r.faults->resyncs;
-        totals.stragglers += r.faults->stragglers;
-        totals.retries += r.faults->retries;
-        totals.corrupt += r.faults->corrupt;
-        totals.deadline += r.faults->deadline_missed;
-        totals.unused += r.faults->unused;
-        if (!r.faults->quorum_met) ++totals.stalls;
       }
       if (async_mode) {
         // Every cycle of an async cell must carry the async object...
@@ -198,18 +187,16 @@ int main(int argc, char** argv) {
         // barrier invariant has no meaning without a barrier).
         const bool cell_faulty = !run.records.empty() &&
                                  run.records.front().faults.has_value();
-        if (cell_faulty &&
-            totals.selected != async_totals.consumed + totals.lost +
-                                   totals.corrupt + totals.deadline +
-                                   totals.unused +
-                                   async_totals.final_inflight) {
+        const long long accounted =
+            async_totals.consumed + lost + count("corrupt") +
+            count("deadline_missed") + count("unused") +
+            async_totals.final_inflight;
+        if (cell_faulty && count("selected") != accounted) {
           std::fprintf(stderr,
                        "FAIL: async dispatch reconciliation broke (%s/%s): "
                        "%lld dispatched vs %lld accounted\n",
-                       cell_name.c_str(), scheme.c_str(), totals.selected,
-                       async_totals.consumed + totals.lost + totals.corrupt +
-                           totals.deadline + totals.unused +
-                           async_totals.final_inflight);
+                       cell_name.c_str(), scheme.c_str(), count("selected"),
+                       accounted);
           return 1;
         }
       }
@@ -219,8 +206,8 @@ int main(int argc, char** argv) {
       const double mb = run.summary.total_gigabytes * 1024.0;
       std::printf("%-16s %-8s %9.1f %9.2f %6.1f%% %6lld %6lld %6lld %6lld\n",
                   cell_name.c_str(), scheme.c_str(), tta, mb,
-                  100.0 * run.summary.final_accuracy, totals.crashes,
-                  totals.lost, totals.retries, totals.stalls);
+                  100.0 * run.summary.final_accuracy, count("crashed"), lost,
+                  count("retries"), count("stalled_rounds"));
 
       cells << (cell_count++ ? ",\n" : "\n") << "    {\"setting\": "
             << fedsu::obs::json_quote(cell_name) << ", \"scheme\": "
@@ -243,14 +230,14 @@ int main(int argc, char** argv) {
             << fedsu::obs::json_number(run.summary.best_accuracy)
             << ", \"mean_sparsification\": "
             << fedsu::obs::json_number(run.summary.mean_sparsification_ratio)
-            << ", \"crashes\": " << totals.crashes
-            << ", \"rejoins\": " << totals.rejoins
-            << ", \"resyncs\": " << totals.resyncs
-            << ", \"stragglers\": " << totals.stragglers
-            << ", \"retries\": " << totals.retries
-            << ", \"uploads_lost\": " << totals.lost
-            << ", \"corrupt\": " << totals.corrupt
-            << ", \"quorum_stalls\": " << totals.stalls
+            << ", \"crashes\": " << count("crashed")
+            << ", \"rejoins\": " << count("rejoined")
+            << ", \"resyncs\": " << count("resyncs")
+            << ", \"stragglers\": " << count("stragglers")
+            << ", \"retries\": " << count("retries")
+            << ", \"uploads_lost\": " << lost
+            << ", \"corrupt\": " << count("corrupt")
+            << ", \"quorum_stalls\": " << count("stalled_rounds")
             << ", \"async\": " << (async_mode ? "true" : "false")
             << ", \"max_staleness\": " << async_totals.max_staleness
             << ", \"mean_staleness\": "
@@ -272,37 +259,24 @@ int main(int argc, char** argv) {
       << ",\n  \"smoke\": " << (flags.get_bool("smoke") ? "true" : "false")
       << ",\n  \"cells\": [" << cells.str() << "\n  ]\n}\n";
 
-  // Schema self-check before touching the checked-in file (bench_gemm
-  // idiom): a broken emitter must never overwrite a good artifact.
-  try {
-    const fedsu::obs::JsonValue parsed = fedsu::obs::json_parse(doc.str());
-    const auto& parsed_cells = parsed.at("cells").as_array();
-    if (parsed_cells.size() < 9) {
-      throw std::runtime_error("expected >= 9 cells (3 settings x 3 schemes)");
-    }
-    for (const auto& cell : parsed_cells) {
-      cell.at("setting").as_string();
-      cell.at("scheme").as_string();
-      cell.at("total_gigabytes").as_number();
-      cell.at("final_accuracy").as_number();
-      cell.at("quorum_stalls").as_number();
-      cell.at("async").as_bool();
-      cell.at("max_staleness").as_number();
-    }
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "FAIL: emitted JSON failed schema check: %s\n",
-                 e.what());
-    return 1;
-  }
-
-  const std::string out_path = flags.get_string("out");
-  std::ofstream out(out_path);
-  out << doc.str();
-  if (!out) {
-    std::fprintf(stderr, "FAIL: could not write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::printf("wrote %s\n", out_path.c_str());
+  fedsu::bench::write_json(
+      doc.str(), flags.get_string("out"),
+      [&](const fedsu::obs::JsonValue& parsed) {
+        const auto& parsed_cells = parsed.at("cells").as_array();
+        if (parsed_cells.size() < 9) {
+          throw std::runtime_error(
+              "expected >= 9 cells (3 settings x 3 schemes)");
+        }
+        for (const auto& cell : parsed_cells) {
+          cell.at("setting").as_string();
+          cell.at("scheme").as_string();
+          cell.at("total_gigabytes").as_number();
+          cell.at("final_accuracy").as_number();
+          cell.at("quorum_stalls").as_number();
+          cell.at("async").as_bool();
+          cell.at("max_staleness").as_number();
+        }
+      });
   observatory.finish(/*ok=*/true);
   fedsu::bench::export_observability(config);
   return 0;

@@ -21,8 +21,8 @@
 // cohort seen so far, i.e. to itself. train-count scales with the cohort
 // (>= 4 samples per client) so the Dirichlet partition never starves.
 //
-// Results land in BENCH_scale.json (self-reparsed through obs::json_parse
-// as a schema check, same as bench_robustness). --smoke shrinks the ladder
+// Results land in BENCH_scale.json (written through bench::write_json,
+// which schema-checks it first). --smoke shrinks the ladder
 // to {8, 32} with a tiny workload for CI; tools/obs_report --diff gates
 // cells on time/bytes/accuracy and, via the "memory" object, peak RSS.
 // The obs level defaults to metrics, which records no trace events: pair
@@ -30,41 +30,22 @@
 //
 // Usage: bench_scale [--out BENCH_scale.json] [--clients-list 8,32,...]
 //                    [--smoke] [+ the shared workload flags]
+#include <algorithm>
 #include <cstdio>
-#include <fstream>
+#include <functional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common.h"
+#include "harness.h"
 #include "obs/json.h"
 #include "obs/memory.h"
 
-namespace {
-
 using fedsu::bench::BenchConfig;
 
-std::vector<int> parse_ladder(const std::string& csv) {
-  std::vector<int> out;
-  std::stringstream ss(csv);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    const int v = std::stoi(item);
-    if (v <= 0) throw std::invalid_argument("clients-list: need positive ints");
-    if (!out.empty() && v <= out.back()) {
-      throw std::invalid_argument(
-          "clients-list: must be strictly ascending (peak RSS is monotone)");
-    }
-    out.push_back(v);
-  }
-  if (out.empty()) throw std::invalid_argument("clients-list: empty");
-  return out;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   BenchConfig defaults;
   defaults.rounds = 4;
   defaults.iterations = 2;
@@ -85,7 +66,11 @@ int main(int argc, char** argv) {
   if (!flags.parse(argc, argv)) return 0;
 
   BenchConfig config = fedsu::bench::config_from_flags(flags);
-  std::vector<int> ladder = parse_ladder(flags.get_string("clients-list"));
+  std::vector<int> ladder = fedsu::bench::ladder_flag(flags, "clients-list");
+  if (!std::is_sorted(ladder.begin(), ladder.end(), std::less_equal<>())) {
+    throw fedsu::util::UsageError(
+        "--clients-list: must be strictly ascending (peak RSS is monotone)");
+  }
   if (flags.get_bool("smoke")) {
     ladder = {8, 32};
     config.rounds = 3;
@@ -229,40 +214,26 @@ int main(int argc, char** argv) {
       << ",\n  \"smoke\": " << (flags.get_bool("smoke") ? "true" : "false")
       << ",\n  \"cells\": [" << cells.str() << "\n  ]\n}\n";
 
-  // Schema self-check before touching the checked-in file (bench_gemm
-  // idiom): a broken emitter must never overwrite a good artifact.
-  try {
-    const fedsu::obs::JsonValue parsed = fedsu::obs::json_parse(doc.str());
-    const auto& parsed_cells = parsed.at("cells").as_array();
-    const std::size_t expected = ladder.size() * schemes.size();
-    if (parsed_cells.size() != expected) {
-      throw std::runtime_error("expected " + std::to_string(expected) +
-                               " cells");
-    }
-    for (const auto& cell : parsed_cells) {
-      cell.at("setting").as_string();
-      cell.at("scheme").as_string();
-      cell.at("clients").as_number();
-      cell.at("total_gigabytes").as_number();
-      cell.at("final_accuracy").as_number();
-      cell.at("memory").at("peak_rss_bytes").as_number();
-      cell.at("memory").at("legacy_shard_bytes").as_number();
-      cell.at("phases_ms_per_round").at("train").as_number();
-    }
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "FAIL: emitted JSON failed schema check: %s\n",
-                 e.what());
-    return 1;
-  }
-
-  const std::string out_path = flags.get_string("out");
-  std::ofstream out(out_path);
-  out << doc.str();
-  if (!out) {
-    std::fprintf(stderr, "FAIL: could not write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::printf("wrote %s\n", out_path.c_str());
+  fedsu::bench::write_json(
+      doc.str(), flags.get_string("out"),
+      [&](const fedsu::obs::JsonValue& parsed) {
+        const auto& parsed_cells = parsed.at("cells").as_array();
+        const std::size_t expected = ladder.size() * schemes.size();
+        if (parsed_cells.size() != expected) {
+          throw std::runtime_error("expected " + std::to_string(expected) +
+                                   " cells");
+        }
+        for (const auto& cell : parsed_cells) {
+          cell.at("setting").as_string();
+          cell.at("scheme").as_string();
+          cell.at("clients").as_number();
+          cell.at("total_gigabytes").as_number();
+          cell.at("final_accuracy").as_number();
+          cell.at("memory").at("peak_rss_bytes").as_number();
+          cell.at("memory").at("legacy_shard_bytes").as_number();
+          cell.at("phases_ms_per_round").at("train").as_number();
+        }
+      });
   observatory.finish(/*ok=*/true);
   fedsu::bench::export_observability(config);
   return 0;

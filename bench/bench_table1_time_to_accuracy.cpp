@@ -23,7 +23,7 @@ struct ModelTask {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   bench::BenchConfig defaults;
   util::Flags flags = bench::make_flags(defaults);
   bench::add_observatory_flags(flags, defaults);

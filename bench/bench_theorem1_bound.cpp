@@ -9,7 +9,7 @@
 
 using namespace fedsu;
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   util::Flags flags;
   flags.add_double("beta", 1.0, "smoothness constant (Assumption 1)")
       .add_double("sigma2", 1.0, "gradient bound sigma^2 (Assumption 2)")

@@ -4,31 +4,30 @@
 // backward median and MAD over repeated steps and the layer's share of
 // the step; for each Conv2d also its GFLOP/s next to the GEMM kernel's on
 // the same three shapes (forward kNN, weight gradient kNT and, past the
-// first layer, input gradient kTN), timed here the way bench_gemm times
-// them.
+// first layer, input gradient kTN), timed by bench::measure as bench_gemm
+// times them.
 //
 // The steps run as a real pool task on one thread, as a training worker's
 // do: inside the task worth_parallelizing() is false, so Conv2d and the
 // GEMM never fan out. Every case first checks that the layer-by-layer walk
 // computes the same logits, loss and gradients, bit for bit, as
 // Model::forward / Model::backward on a replica; a mismatch exits 1.
-// Results land in a JSON file (default BENCH_train.json) that is reparsed
-// as a schema check before it is written.
+// Results land in a JSON file (default BENCH_train.json), written through
+// bench::write_json.
 //
 // Usage: bench_train_step [--out BENCH_train.json] [--smoke]
-// Each case times 200 steps; --smoke runs 3: correctness and schema only
-// (CI, no timing gate). A bad flag prints one line to stderr and exits 2.
-#include <algorithm>
+// Each case times 200 steps; --smoke runs 3 and shortens the GEMM samples:
+// correctness and schema only (CI, no timing gate).
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "harness.h"
 #include "nn/loss.h"
 #include "nn/model.h"
 #include "nn/sequential.h"
@@ -55,47 +54,22 @@ struct Case {
 
 constexpr int kWarmupSteps = 10;
 
-// Median and median absolute deviation, in the samples' unit.
-struct Spread {
-  double median = 0.0, mad = 0.0;
-};
-double median_of(std::vector<double> v) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  const std::size_t mid = v.size() / 2;
-  return v.size() % 2 ? v[mid] : 0.5 * (v[mid - 1] + v[mid]);
-}
-Spread spread(const std::vector<double>& v) {
-  Spread s;
-  s.median = median_of(v);
-  std::vector<double> dev(v.size());
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    dev[i] = std::fabs(v[i] - s.median);
-  }
-  s.mad = median_of(dev);
-  return s;
-}
-
-// GFLOP/s of one single-threaded GEMM shape, repeated for min_ms.
-double gemm_gflops(Variant v, int m, int n, int k, double min_ms) {
+// GFLOP/s of the GEMM kernel alone on one shape, single-threaded, from
+// bench::measure's median.
+double kernel_gflops(Variant v, int m, int n, int k, bool smoke) {
   fedsu::util::Rng rng(0x7e57);
   std::vector<float> a(static_cast<std::size_t>(m) * k);
   std::vector<float> b(static_cast<std::size_t>(n) * k);
   std::vector<float> c(static_cast<std::size_t>(m) * n);
   for (float& x : a) x = static_cast<float>(rng.uniform(-1.0, 1.0));
   for (float& x : b) x = static_cast<float>(rng.uniform(-1.0, 1.0));
-  const auto run = [&] {
-    fedsu::tensor::gemm::sgemm_rows(v, 0, m, m, n, k, a.data(), b.data(),
-                                    c.data(), Accumulate::kOverwrite);
-  };
-  run();
-  for (int reps = 1;;) {
-    fedsu::util::Stopwatch sw;
-    for (int r = 0; r < reps; ++r) run();
-    const double ms = sw.elapsed_ms();
-    if (ms >= min_ms) return 2.0 * m * n * k * reps / (ms * 1e6);
-    reps = ms <= 0.01 ? reps * 16 : static_cast<int>(reps * (min_ms / ms) + 1);
-  }
+  const fedsu::bench::Stats t = fedsu::bench::measure(
+      [&] {
+        fedsu::tensor::gemm::sgemm_rows(v, 0, m, m, n, k, a.data(), b.data(),
+                                        c.data(), Accumulate::kOverwrite);
+      },
+      smoke);
+  return 2.0 * m * n * k / t.median * 1e-9;
 }
 
 bool same_bits(const Tensor& x, const Tensor& y) {
@@ -159,7 +133,7 @@ std::string num(double v) { return fedsu::obs::json_number(v); }
 
 // Runs one case on the calling thread and appends its JSON object.
 // Returns false when the layer walk and Model disagree on a bit.
-bool run_case(const Case& c, int steps, double gemm_ms, std::ostream& json) {
+bool run_case(const Case& c, int steps, bool smoke, std::ostream& json) {
   nn::ModelSpec spec = nn::paper_spec(c.dataset);
   nn::Model model = nn::build_model(spec, fedsu::util::Rng(17));
   nn::ModelSpec replica_spec = spec;
@@ -215,7 +189,7 @@ bool run_case(const Case& c, int steps, double gemm_ms, std::ostream& json) {
     timed_step(seq, input, labels, loss, model, sgd, &t);
   }
 
-  const Spread step = spread(t.step);
+  const fedsu::bench::Stats step = fedsu::bench::stats_of(t.step);
   std::printf("%s batch %d: step %.1f us (MAD %.1f)\n", spec.arch.c_str(),
               c.batch, step.median, step.mad);
   json << "    {\"arch\": " << fedsu::obs::json_quote(spec.arch)
@@ -223,8 +197,9 @@ bool run_case(const Case& c, int steps, double gemm_ms, std::ostream& json) {
        << ", " << spec.image_size << ", " << spec.image_size
        << "], \"step_us\": " << num(step.median)
        << ", \"step_mad_us\": " << num(step.mad) << ",\n     \"layers\": [";
-  const auto row = [&](bool first, const std::string& name, const Spread& f,
-                       const Spread& b, const std::string& extra) {
+  const auto row = [&](bool first, const std::string& name,
+                       const fedsu::bench::Stats& f,
+                       const fedsu::bench::Stats& b, const std::string& extra) {
     json << (first ? "\n" : ",\n") << "      {\"name\": "
          << fedsu::obs::json_quote(name) << ", \"fwd_us\": " << num(f.median)
          << ", \"fwd_mad_us\": " << num(f.mad) << ", \"bwd_us\": "
@@ -239,7 +214,8 @@ bool run_case(const Case& c, int steps, double gemm_ms, std::ostream& json) {
   };
   for (std::size_t i = 0; i < count; ++i) {
     nn::Module& layer = *seq.modules()[i];
-    const Spread f = spread(t.fwd[i]), b = spread(t.bwd[i]);
+    const fedsu::bench::Stats f = fedsu::bench::stats_of(t.fwd[i]);
+    const fedsu::bench::Stats b = fedsu::bench::stats_of(t.bwd[i]);
     std::string extra;
     if (layer.name() == "Conv2d") {
       std::vector<nn::Param*> params;
@@ -256,67 +232,44 @@ bool run_case(const Case& c, int steps, double gemm_ms, std::ostream& json) {
         << num(gemm_flops / (f.median * 1e3)) << ", \"bwd_gflops\": "
         << num((dx ? 2 : 1) * gemm_flops / (b.median * 1e3))
         << ", \"gemm_fwd_gflops\": "
-        << num(gemm_gflops(Variant::kNN, out_c, patch, fan_in, gemm_ms))
+        << num(kernel_gflops(Variant::kNN, out_c, patch, fan_in, smoke))
         << ", \"gemm_wgrad_gflops\": "
-        << num(gemm_gflops(Variant::kNT, out_c, fan_in, patch, gemm_ms));
+        << num(kernel_gflops(Variant::kNT, out_c, fan_in, patch, smoke));
       if (dx) {
         e << ", \"gemm_dgrad_gflops\": "
-          << num(gemm_gflops(Variant::kTN, fan_in, patch, out_c, gemm_ms));
+          << num(kernel_gflops(Variant::kTN, fan_in, patch, out_c, smoke));
       }
       extra = e.str();
     }
     row(i == 0, std::to_string(i) + "." + layer.name(), f, b, extra);
   }
-  row(false, "loss", spread(t.loss), Spread{}, "");
-  row(false, "sgd", spread(t.sgd), Spread{}, "");
+  row(false, "loss", fedsu::bench::stats_of(t.loss), {}, "");
+  row(false, "sgd", fedsu::bench::stats_of(t.sgd), {}, "");
   json << "\n     ]}";
   return ok;
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   fedsu::util::Flags flags;
   flags.add_string("out", "BENCH_train.json", "output JSON path")
       .add_bool("smoke", false,
                 "CI mode: a few steps, correctness + schema only");
-  try {
-    if (!flags.parse(argc, argv)) return 0;
-  } catch (const std::exception& e) {
-    const std::string what = e.what();  // an unknown flag appends the usage
-    std::fprintf(stderr, "bench_train_step: %s (see --help)\n",
-                 what.substr(0, what.find('\n')).c_str());
-    return 2;
-  }
+  if (!flags.parse(argc, argv)) return 0;
   const bool smoke = flags.get_bool("smoke");
   const int steps = smoke ? 3 : 200;
-  const double gemm_ms = smoke ? 1.0 : 50.0;
   const Case cases[] = {
       {"emnist", 16}, {"emnist", 8}, {"fmnist", 16}, {"cifar", 16}};
 
   std::ostringstream models;
   bool ok = true;
-  std::string error;
-  // Two chunks: chunk 0 runs on this thread flagged as a pool task (the
-  // other chunk is empty), so nothing inside it fans out.
-  fedsu::util::ThreadPool::global().parallel_for(
-      0, 2,
-      [&](std::size_t begin, std::size_t) {
-        if (begin != 0) return;
-        try {
-          for (const Case& c : cases) {
-            if (&c != cases) models << ",\n";
-            ok = run_case(c, steps, gemm_ms, models) && ok;
-          }
-        } catch (const std::exception& e) {
-          error = e.what();
-        }
-      },
-      1);
-  if (!error.empty()) {
-    std::fprintf(stderr, "FAIL: %s\n", error.c_str());
-    return 1;
-  }
+  fedsu::bench::run_as_pool_task([&] {
+    for (const Case& c : cases) {
+      if (&c != cases) models << ",\n";
+      ok = run_case(c, steps, smoke, models) && ok;
+    }
+  });
 
   std::ostringstream doc;
   doc << "{\n  \"bench\": \"train_step\",\n  \"threads\": 1,\n"
@@ -328,37 +281,26 @@ int main(int argc, char** argv) {
       << "  \"time_unit\": \"us\",\n"
       << "  \"models\": [\n" << models.str() << "\n  ]\n}\n";
 
-  // Schema self-check before anything is written.
-  try {
-    const fedsu::obs::JsonValue parsed = fedsu::obs::json_parse(doc.str());
-    const auto& list = parsed.at("models").as_array();
-    if (list.size() != std::size(cases)) throw std::runtime_error("models");
-    for (const auto& m : list) {
-      m.at("arch").as_string();
-      m.at("step_us").as_number();
-      for (const auto& layer : m.at("layers").as_array()) {
-        layer.at("name").as_string();
-        for (const char* key : {"fwd_us", "fwd_mad_us", "bwd_us",
-                                "bwd_mad_us", "share"}) {
-          if (!std::isfinite(layer.at(key).as_number())) {
-            throw std::runtime_error(std::string("non-finite ") + key);
+  fedsu::bench::write_json(
+      doc.str(), flags.get_string("out"),
+      [&](const fedsu::obs::JsonValue& parsed) {
+        const auto& list = parsed.at("models").as_array();
+        if (list.size() != std::size(cases)) {
+          throw std::runtime_error("models");
+        }
+        for (const auto& m : list) {
+          m.at("arch").as_string();
+          m.at("step_us").as_number();
+          for (const auto& layer : m.at("layers").as_array()) {
+            layer.at("name").as_string();
+            for (const char* key : {"fwd_us", "fwd_mad_us", "bwd_us",
+                                    "bwd_mad_us", "share"}) {
+              if (!std::isfinite(layer.at(key).as_number())) {
+                throw std::runtime_error(std::string("non-finite ") + key);
+              }
+            }
           }
         }
-      }
-    }
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "FAIL: emitted JSON failed schema check: %s\n",
-                 e.what());
-    return 1;
-  }
-
-  const std::string out_path = flags.get_string("out");
-  std::ofstream out(out_path);
-  out << doc.str();
-  if (!out) {
-    std::fprintf(stderr, "FAIL: could not write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::printf("wrote %s\n", out_path.c_str());
+      });
   return ok ? 0 : 1;
 }

@@ -11,9 +11,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "fl/protocol_factory.h"
 #include "fl/simulation.h"
@@ -215,6 +218,34 @@ inline void add_observatory_flags(util::Flags& flags,
                "per-round byte budget, up+down (0 = no budget)");
 }
 
+// The comma-separated items of list flag `name`; empty is a usage error.
+inline std::vector<std::string> list_flag(const util::Flags& flags,
+                                          const std::string& name) {
+  std::vector<std::string> out;
+  std::stringstream ss(flags.get_string(name));
+  for (std::string item; std::getline(ss, item, ',');) {
+    if (!item.empty()) out.push_back(item);
+  }
+  if (out.empty()) throw util::UsageError("--" + name + ": empty list");
+  return out;
+}
+
+// A list flag of positive ints, such as a cohort ladder.
+inline std::vector<int> ladder_flag(const util::Flags& flags,
+                                    const std::string& name) {
+  std::vector<int> out;
+  for (const std::string& item : list_flag(flags, name)) {
+    const bool digits = item.size() < 10 &&
+                        item.find_first_not_of("0123456789") == item.npos;
+    const int v = digits ? std::stoi(item) : 0;
+    if (v <= 0) {
+      throw util::UsageError("--" + name + ": not a positive int: " + item);
+    }
+    out.push_back(v);
+  }
+  return out;
+}
+
 // Resolves BenchConfig's observability selection into a process level.
 inline obs::Level resolve_obs_level(const BenchConfig& config) {
   if (config.obs_level != "auto") return obs::parse_level(config.obs_level);
@@ -396,6 +427,28 @@ struct SchemeRun {
   int threads = 1;            // resolved worker-thread count of the run
 };
 
+// Fault tallies summed over a run's records, keyed as the run manifest
+// records them; empty when the fault layer was off.
+inline std::map<std::string, std::uint64_t> fault_totals(
+    const std::vector<fl::RoundRecord>& records) {
+  std::map<std::string, std::uint64_t> f;
+  for (const fl::RoundRecord& rec : records) {
+    if (!rec.faults) continue;
+    f["selected"] += static_cast<std::uint64_t>(rec.faults->selected);
+    f["crashed"] += static_cast<std::uint64_t>(rec.faults->crashed);
+    f["rejoined"] += static_cast<std::uint64_t>(rec.faults->rejoined);
+    f["resyncs"] += static_cast<std::uint64_t>(rec.faults->resyncs);
+    f["stragglers"] += static_cast<std::uint64_t>(rec.faults->stragglers);
+    f["retries"] += static_cast<std::uint64_t>(rec.faults->retries);
+    f["corrupt"] += static_cast<std::uint64_t>(rec.faults->corrupt);
+    f["deadline_missed"] +=
+        static_cast<std::uint64_t>(rec.faults->deadline_missed);
+    f["unused"] += static_cast<std::uint64_t>(rec.faults->unused);
+    if (!rec.faults->quorum_met) f["stalled_rounds"] += 1;
+  }
+  return f;
+}
+
 // Run-level observability for a bench process (DESIGN.md §12): owns the
 // telemetry writer, the health monitor, and the run manifest that
 // --telemetry-out / --alerts-out / --manifest-out requested, and feeds them
@@ -439,8 +492,6 @@ class RunObservatory {
       telemetry_.emplace(config_.telemetry_out, bench_name);
     }
   }
-
-  obs::HealthMonitor* monitor() { return monitor_ ? &*monitor_ : nullptr; }
 
   // Installs the round feed on `sim` and resets per-cell monitor state.
   // `label` tags telemetry rows and alerts; convention: "setting/scheme"
@@ -493,21 +544,8 @@ class RunObservatory {
     for (const auto& rec : run.records) {
       agg.bytes_up += rec.bytes_up;
       agg.bytes_down += rec.bytes_down;
-      if (rec.faults) {
-        auto& f = agg.fault_totals;
-        f["selected"] += static_cast<std::uint64_t>(rec.faults->selected);
-        f["crashed"] += static_cast<std::uint64_t>(rec.faults->crashed);
-        f["rejoined"] += static_cast<std::uint64_t>(rec.faults->rejoined);
-        f["resyncs"] += static_cast<std::uint64_t>(rec.faults->resyncs);
-        f["stragglers"] += static_cast<std::uint64_t>(rec.faults->stragglers);
-        f["retries"] += static_cast<std::uint64_t>(rec.faults->retries);
-        f["corrupt"] += static_cast<std::uint64_t>(rec.faults->corrupt);
-        f["deadline_missed"] +=
-            static_cast<std::uint64_t>(rec.faults->deadline_missed);
-        f["unused"] += static_cast<std::uint64_t>(rec.faults->unused);
-        if (!rec.faults->quorum_met) f["stalled_rounds"] += 1;
-      }
     }
+    agg.fault_totals = fault_totals(run.records);
     if (run.rounds_to_target) {
       std::uint64_t bytes = 0;
       const std::size_t upto =

@@ -41,7 +41,7 @@ fl::ProtocolConfig fedsu_config() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   util::Flags flags;
   flags.add_int("rounds", 12, "rounds before AND after the restart")
       .add_string("path", "/tmp/fedsu_example_checkpoint",
@@ -89,4 +89,8 @@ int main(int argc, char** argv) {
   std::filesystem::remove(file, ec);
   std::filesystem::remove(dir, ec);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return fedsu::util::run_main(argc, argv, run);
 }

@@ -12,7 +12,7 @@
 
 using namespace fedsu;
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   util::Flags flags;
   flags.add_int("rounds", 30, "FL rounds per scheme")
       .add_int("clients", 8, "number of clients")
@@ -53,4 +53,8 @@ int main(int argc, char** argv) {
                 summary.mean_sparsification_ratio);
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return fedsu::util::run_main(argc, argv, run);
 }

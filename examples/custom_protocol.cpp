@@ -81,7 +81,7 @@ fl::SimulationOptions workload() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   util::Flags flags;
   flags.add_int("rounds", 30, "FL rounds")
       .add_double("fraction", 0.3, "random-k synchronized fraction");
@@ -107,4 +107,8 @@ int main(int argc, char** argv) {
               "FedSU (see quickstart) chooses WHICH coordinates to skip using "
               "trajectory linearity, keeping accuracy intact.\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return fedsu::util::run_main(argc, argv, run);
 }

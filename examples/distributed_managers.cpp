@@ -18,7 +18,7 @@
 
 using namespace fedsu;
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   util::Flags flags;
   flags.add_int("rounds", 25, "FL rounds").add_int("clients", 4, "clients");
   if (!flags.parse(argc, argv)) return 0;
@@ -99,4 +99,8 @@ int main(int argc, char** argv) {
   std::printf("\nall %d client replicas identical: %s\n", num_clients,
               identical ? "yes" : "NO");
   return identical ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return fedsu::util::run_main(argc, argv, run);
 }

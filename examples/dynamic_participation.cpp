@@ -13,7 +13,7 @@
 
 using namespace fedsu;
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   util::Flags flags;
   flags.add_int("rounds", 36, "total FL rounds");
   if (!flags.parse(argc, argv)) return 0;
@@ -60,4 +60,8 @@ int main(int argc, char** argv) {
   }
   std::printf("final accuracy: %.3f\n", sim.evaluate());
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return fedsu::util::run_main(argc, argv, run);
 }

@@ -12,7 +12,7 @@
 
 using namespace fedsu;
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   util::Flags flags;
   flags.add_int("rounds", 30, "FL rounds per alpha")
       .add_int("clients", 8, "number of clients");
@@ -51,4 +51,8 @@ int main(int argc, char** argv) {
                 100.0 * ratio);
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return fedsu::util::run_main(argc, argv, run);
 }

@@ -20,7 +20,7 @@
 
 using namespace fedsu;
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   util::Flags flags;
   flags.add_int("rounds", 20, "FL rounds to run")
       .add_int("clients", 8, "number of clients")
@@ -105,4 +105,8 @@ int main(int argc, char** argv) {
     std::printf("trace written to %s\n", trace_out.c_str());
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return fedsu::util::run_main(argc, argv, run);
 }

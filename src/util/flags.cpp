@@ -1,10 +1,36 @@
 #include "util/flags.h"
 
 #include <cstdio>
+#include <exception>
 #include <sstream>
-#include <stdexcept>
 
 namespace fedsu::util {
+
+namespace {
+
+// The first line of an exception's message (an unknown flag appends the
+// usage listing after it).
+std::string first_line(const std::exception& e) {
+  const std::string what = e.what();
+  return what.substr(0, what.find('\n'));
+}
+
+}  // namespace
+
+int run_main(int argc, char** argv, int (*body)(int argc, char** argv)) {
+  const std::string path = argc > 0 ? argv[0] : "";
+  const std::string program = path.substr(path.find_last_of('/') + 1);
+  try {
+    return body(argc, argv);
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "%s: %s (see --help)\n", program.c_str(),
+                 first_line(e).c_str());
+    return 2;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: %s\n", program.c_str(), first_line(e).c_str());
+    return 1;
+  }
+}
 
 Flags& Flags::add_int(const std::string& name, long long def,
                       const std::string& help) {
@@ -58,7 +84,7 @@ bool Flags::parse(int argc, char** argv) {
       return false;
     }
     if (arg.rfind("--", 0) != 0) {
-      throw std::runtime_error("Flags: positional argument not supported: " + arg);
+      throw UsageError("Flags: positional argument not supported: " + arg);
     }
     std::string name = arg.substr(2);
     std::string value;
@@ -71,7 +97,7 @@ bool Flags::parse(int argc, char** argv) {
     }
     auto it = entries_.find(name);
     if (it == entries_.end()) {
-      throw std::runtime_error("Flags: unknown flag --" + name + "\n" +
+      throw UsageError("Flags: unknown flag --" + name + "\n" +
                                usage(argv[0]));
     }
     Entry& entry = it->second;
@@ -84,7 +110,7 @@ bool Flags::parse(int argc, char** argv) {
         continue;
       }
       if (i + 1 >= argc) {
-        throw std::runtime_error("Flags: missing value for --" + name);
+        throw UsageError("Flags: missing value for --" + name);
       }
       value = argv[++i];
     }
@@ -116,7 +142,7 @@ bool Flags::parse(int argc, char** argv) {
       ok = false;
     }
     if (!ok) {
-      throw std::runtime_error("Flags: bad value '" + value + "' for --" + name);
+      throw UsageError("Flags: bad value '" + value + "' for --" + name);
     }
   }
   return true;

@@ -1,17 +1,32 @@
-// Minimal command-line flag parser for bench/example binaries.
+// Minimal command-line flag parser for bench/example/tool binaries, and
+// the main() wrapper they all share.
 //
 // Supports `--name value` and `--name=value`; a boolean given bare
-// (`--name`, or followed by another flag) means true. Unknown flags abort
-// with a usage listing so typos in experiment scripts fail loudly.
+// (`--name`, or followed by another flag) means true. An unknown flag or a
+// bad value throws UsageError, which run_main turns into exit status 2, so
+// typos in experiment scripts fail loudly.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 namespace fedsu::util {
+
+// Misuse of a binary's command line: an unknown flag, a missing or
+// malformed value, a positional argument.
+class UsageError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
+// Runs a binary's body and returns its exit status. A UsageError prints
+// one line to stderr and returns 2; any other exception prints one line and
+// returns 1.
+int run_main(int argc, char** argv, int (*body)(int argc, char** argv));
 
 class Flags {
  public:
@@ -23,7 +38,7 @@ class Flags {
   Flags& add_bool(const std::string& name, bool def, const std::string& help);
 
   // Parses argv. On `--help` prints usage and returns false (caller should
-  // exit 0). Throws std::runtime_error on unknown flags or bad values.
+  // exit 0). Throws UsageError on unknown flags or bad values.
   bool parse(int argc, char** argv);
 
   // Whether a flag named `name` was registered.

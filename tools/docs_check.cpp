@@ -151,7 +151,7 @@ void check_file(const fs::path& file, const fs::path& root,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   fedsu::util::Flags flags;
   flags.add_string("root", ".", "repository root to scan")
       .add_string("flags-manifest", "",
@@ -219,4 +219,8 @@ int main(int argc, char** argv) {
   std::printf("docs_check: %d markdown files clean (%zu known flags)\n",
               files, known_flags.size());
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return fedsu::util::run_main(argc, argv, run);
 }

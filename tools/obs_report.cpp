@@ -30,7 +30,8 @@
 // memory win never fails the diff). GEMM shapes are checked structurally
 // (speedup finite and positive) because shared CI runners are too noisy
 // for GFLOP/s gates; --tol-speedup-rel > 0 opts into a throughput floor
-// for quiet machines. Exit 0 = no regression, 1 = regression or error.
+// for quiet machines. Exit 0 = no regression, 1 = regression or error,
+// 2 = misuse.
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -515,7 +516,7 @@ int run_report(const fedsu::util::Flags& flags) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   fedsu::util::Flags flags;
   flags.add_string("manifest", "", "run manifest JSON (report mode input)")
       .add_string("telemetry", "", "per-round telemetry JSONL (optional)")
@@ -543,8 +544,7 @@ int main(int argc, char** argv) {
   if (!baseline.empty()) {
     const std::string current = flags.get_string("against");
     if (current.empty()) {
-      std::fprintf(stderr, "--diff needs --against <current.json>\n");
-      return 1;
+      throw fedsu::util::UsageError("--diff needs --against <current.json>");
     }
     Tolerances tol;
     tol.accuracy = flags.get_double("tol-accuracy");
@@ -555,9 +555,12 @@ int main(int argc, char** argv) {
     return run_diff(baseline, current, tol);
   }
   if (flags.get_string("manifest").empty()) {
-    std::fprintf(stderr,
-                 "report mode needs --manifest (or use --diff/--against)\n");
-    return 1;
+    throw fedsu::util::UsageError(
+        "report mode needs --manifest (or use --diff/--against)");
   }
   return run_report(flags);
+}
+
+int main(int argc, char** argv) {
+  return fedsu::util::run_main(argc, argv, run);
 }

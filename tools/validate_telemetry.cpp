@@ -29,8 +29,8 @@
 // files must cover the same rounds.
 //
 // A line or event that parses but lacks a key it needs fails that check.
-// Exits 0 when every requested check passes, 1 otherwise — no Python
-// needed in CI.
+// Exits 0 when every requested check passes, 1 otherwise, 2 on misuse — no
+// Python needed in CI.
 #include <algorithm>
 #include <array>
 #include <cmath>
@@ -557,7 +557,7 @@ ManifestTotals validate_manifest(const std::string& path) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   fedsu::util::Flags flags;
   flags.add_string("trace", "", "chrome://tracing JSON to validate")
       .add_string("telemetry", "", "per-round telemetry JSONL to validate")
@@ -573,9 +573,9 @@ int main(int argc, char** argv) {
   const std::string manifest = flags.get_string("manifest");
   if (trace.empty() && telemetry.empty() && alerts.empty() &&
       manifest.empty()) {
-    std::fprintf(stderr, "nothing to validate (pass --trace / --telemetry / "
-                         "--alerts / --manifest)\n");
-    return 1;
+    throw fedsu::util::UsageError(
+        "nothing to validate (pass --trace / --telemetry / --alerts / "
+        "--manifest)");
   }
   std::vector<Span> spans;
   if (!trace.empty()) spans = validate_trace(trace);
@@ -615,4 +615,8 @@ int main(int argc, char** argv) {
   }
   std::printf("all checks passed\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return fedsu::util::run_main(argc, argv, run);
 }
