@@ -15,7 +15,8 @@
 //   * exact per-round bytes and scalars in each direction from the
 //     wire::measure_* accounting — deterministic, so the regression gate
 //     (tools/obs_report --diff) holds them to tolerance bytes_rel and the
-//     wall median to time_rel.
+//     wall median to time_rel;
+//   * the protocol's sparsification ratio, a mean over the same rounds.
 //
 // Results land in BENCH_comm.json (written through bench::write_json).
 // --smoke shrinks to {logistic} x {8, 32} for CI.
@@ -95,7 +96,7 @@ int run(int argc, char** argv) {
 
         std::vector<double> sync_ms;
         double bytes_up = 0.0, bytes_down = 0.0;
-        double scalars_up = 0.0, scalars_down = 0.0;
+        double scalars_up = 0.0, scalars_down = 0.0, ratio = 0.0;
         std::map<std::string, double> phase_ms;
         const auto on_round = [&](const fedsu::bench::CohortRound& round) {
           const fedsu::compress::SyncResult& r = round.result;
@@ -106,6 +107,7 @@ int run(int argc, char** argv) {
           }
           scalars_up += static_cast<double>(r.scalars_up);
           scalars_down += static_cast<double>(r.scalars_down);
+          ratio += protocol->last_sparsification_ratio();
           for (const auto& [name, ms] : round.span_ms) phase_ms[name] += ms;
         };
         cohort.run(*protocol, config.rounds, on_round);
@@ -117,8 +119,7 @@ int run(int argc, char** argv) {
         std::printf("%-9s %8zu %-8d %-8s %10.3f %8.3f %10.1f %10.1f %6.3f\n",
                     archs[a].c_str(), p, clients, scheme.c_str(), wall.median,
                     wall.mad, bytes_up * inv_rounds / 1e3,
-                    bytes_down * inv_rounds / 1e3,
-                    protocol->last_sparsification_ratio());
+                    bytes_down * inv_rounds / 1e3, ratio * inv_rounds);
 
         cells << (cell_count++ ? ",\n" : "\n") << "    {\"setting\": "
               << fedsu::obs::json_quote(setting) << ", \"scheme\": "
@@ -138,8 +139,7 @@ int run(int argc, char** argv) {
               << ", \"scalars_down_per_round\": "
               << fedsu::obs::json_number(scalars_down * inv_rounds)
               << ", \"sparsification_ratio\": "
-              << fedsu::obs::json_number(
-                     protocol->last_sparsification_ratio())
+              << fedsu::obs::json_number(ratio * inv_rounds)
               << ", \"phases_ms_per_round\": {";
         // A round records only its protocol's compress.* / core.fedsu.*
         // spans.

@@ -75,8 +75,6 @@ struct BenchConfig {
   std::string telemetry_out;
   std::string manifest_out;
   std::string alerts_out;
-  // Health-rule thresholds (obs::HealthOptions; <= 0 windows disable rules).
-  obs::HealthOptions health;
   // Fault injection & churn (fl/faults, docs/FAULT_MODEL.md). All zero by
   // default: the fault layer stays off and results are bitwise identical to
   // a faultless build.
@@ -176,8 +174,8 @@ inline util::Flags make_flags(const BenchConfig& defaults) {
   return flags;
 }
 
-// The outputs and health thresholds of a RunObservatory; registered only
-// by the benches that build one, so every other bench rejects them.
+// The outputs of a RunObservatory; registered only by the benches that
+// build one, so every other bench rejects them.
 inline void add_observatory_flags(util::Flags& flags,
                                   const BenchConfig& defaults) {
   flags.add_string("telemetry-out", defaults.telemetry_out,
@@ -185,37 +183,7 @@ inline void add_observatory_flags(util::Flags& flags,
       .add_string("manifest-out", defaults.manifest_out,
                   "write a run manifest JSON (config, environment, aggregates)")
       .add_string("alerts-out", defaults.alerts_out,
-                  "write health-monitor alerts JSONL")
-      .add_int("health-plateau-window", defaults.health.plateau_window,
-               "rounds without loss improvement before a plateau alert")
-      .add_double("health-plateau-epsilon", defaults.health.plateau_epsilon,
-                  "minimum loss improvement that resets the plateau window")
-      .add_double("health-divergence-factor",
-                  defaults.health.divergence_factor,
-                  "loss multiple over best-so-far that counts as diverging")
-      .add_int("health-divergence-window", defaults.health.divergence_window,
-               "consecutive diverging rounds before a divergence alert")
-      .add_double("health-fallback-fraction",
-                  defaults.health.fallback_storm_fraction,
-                  "fallback syncs per round, as a model fraction, that storm")
-      .add_int("health-fallback-window", defaults.health.fallback_storm_window,
-               "consecutive storming rounds before a fallback-storm alert")
-      .add_double("health-osc-delta", defaults.health.osc_min_delta,
-                  "speculated-fraction step that counts toward oscillation")
-      .add_int("health-osc-window", defaults.health.osc_window,
-               "trailing rounds inspected for speculation oscillation")
-      .add_int("health-osc-flips", defaults.health.osc_flips,
-               "direction reversals in the window that raise the alert")
-      .add_double("health-straggler-fraction",
-                  defaults.health.straggler_fraction,
-                  "windowed straggler/selected ratio that counts as drift")
-      .add_int("health-straggler-window", defaults.health.straggler_window,
-               "trailing rounds for the straggler-drift ratio")
-      .add_int("health-staleness-max", defaults.health.staleness_max,
-               "async staleness (aggregations) above which to alert")
-      .add_int("health-byte-budget",
-               static_cast<long long>(defaults.health.byte_budget_per_round),
-               "per-round byte budget, up+down (0 = no budget)");
+                  "write health-monitor alerts JSONL");
 }
 
 // The comma-separated items of list flag `name`; empty is a usage error.
@@ -297,31 +265,6 @@ inline BenchConfig config_from_flags(const util::Flags& flags) {
     config.telemetry_out = flags.get_string("telemetry-out");
     config.manifest_out = flags.get_string("manifest-out");
     config.alerts_out = flags.get_string("alerts-out");
-    config.health.plateau_window =
-        static_cast<int>(flags.get_int("health-plateau-window"));
-    config.health.plateau_epsilon =
-        flags.get_double("health-plateau-epsilon");
-    config.health.divergence_factor =
-        flags.get_double("health-divergence-factor");
-    config.health.divergence_window =
-        static_cast<int>(flags.get_int("health-divergence-window"));
-    config.health.fallback_storm_fraction =
-        flags.get_double("health-fallback-fraction");
-    config.health.fallback_storm_window =
-        static_cast<int>(flags.get_int("health-fallback-window"));
-    config.health.osc_min_delta = flags.get_double("health-osc-delta");
-    config.health.osc_window =
-        static_cast<int>(flags.get_int("health-osc-window"));
-    config.health.osc_flips =
-        static_cast<int>(flags.get_int("health-osc-flips"));
-    config.health.straggler_fraction =
-        flags.get_double("health-straggler-fraction");
-    config.health.straggler_window =
-        static_cast<int>(flags.get_int("health-straggler-window"));
-    config.health.staleness_max =
-        static_cast<int>(flags.get_int("health-staleness-max"));
-    config.health.byte_budget_per_round =
-        static_cast<std::size_t>(flags.get_int("health-byte-budget"));
   }
   config.faults.crash_probability = flags.get_double("faults-churn");
   config.faults.crash_rounds_max =
@@ -480,10 +423,11 @@ class RunObservatory {
       manifest_->set_environment(env);
       if (flags) manifest_->set_config(flags->resolved());
     }
-    // The monitor runs whenever anything consumes its output: an alert
-    // stream, or a manifest (which records per-cell alert totals).
+    // The monitor runs, at the obs::HealthOptions defaults, whenever
+    // anything consumes its output: an alert stream, or a manifest (which
+    // records per-cell alert totals).
     if (!config_.alerts_out.empty() || manifest_) {
-      monitor_.emplace(config_.health);
+      monitor_.emplace();
       if (!config_.alerts_out.empty()) {
         monitor_->open_alerts_file(config_.alerts_out);
       }

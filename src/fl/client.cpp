@@ -19,13 +19,8 @@ float Client::train_round(nn::Model& model, const LocalTrainOptions& options) {
   nn::SgdOptions sgd_options;
   sgd_options.learning_rate = options.learning_rate;
   sgd_options.weight_decay = options.weight_decay;
-  sgd_options.momentum = options.momentum;
   nn::Sgd sgd(model.parameters(), sgd_options);
   nn::SoftmaxCrossEntropy loss;
-
-  // FedProx anchor: the global state the round started from.
-  std::vector<float> anchor;
-  if (options.proximal_mu != 0.0f) anchor = model.state_vector();
 
   tensor::Tensor batch;
   std::vector<int> labels;
@@ -36,29 +31,11 @@ float Client::train_round(nn::Model& model, const LocalTrainOptions& options) {
     const tensor::Tensor& logits = model.forward(batch, /*train=*/true);
     total_loss += loss.forward(logits, labels);
     model.backward(loss.backward());
-    if (options.proximal_mu != 0.0f) {
-      apply_proximal_term(model, anchor, options.proximal_mu);
-    }
     sgd.step();
   }
   return options.iterations > 0
              ? static_cast<float>(total_loss / options.iterations)
              : 0.0f;
-}
-
-void Client::apply_proximal_term(nn::Model& model,
-                                 const std::vector<float>& anchor,
-                                 float mu) const {
-  // grad += mu * (x - x_global), over trainable parameters only.
-  std::size_t offset = 0;
-  for (nn::Param* p : model.parameters()) {
-    if (p->trainable) {
-      for (std::size_t i = 0; i < p->value.size(); ++i) {
-        p->grad[i] += mu * (p->value[i] - anchor[offset + i]);
-      }
-    }
-    offset += p->value.size();
-  }
 }
 
 }  // namespace fedsu::fl

@@ -9,8 +9,6 @@
 // time; its batch-loader RNG is part of its private state.
 #pragma once
 
-#include <vector>
-
 #include "data/dataset.h"
 #include "data/loader.h"
 #include "nn/loss.h"
@@ -20,17 +18,12 @@
 
 namespace fedsu::fl {
 
+// Plain local SGD with weight decay, the paper's client recipe (§VI-A).
 struct LocalTrainOptions {
   int iterations = 10;  // F_s in Algorithm 1 (paper runs 50)
   int batch_size = 16;
   float learning_rate = 0.01f;
   float weight_decay = 1e-3f;
-  float momentum = 0.0f;
-  // FedProx proximal coefficient mu (Li et al., MLSys'20): adds
-  // mu * (x - x_global) to each local gradient, damping client drift under
-  // non-IID data. 0 disables. The paper notes FedSU composes with such
-  // accuracy-oriented methods (§VI-A footnote 3).
-  float proximal_mu = 0.0f;
 };
 
 class Client {
@@ -59,11 +52,6 @@ class Client {
   void restore_loader(data::BatchLoader::Snapshot snapshot) {
     loader_.restore(std::move(snapshot));
   }
-
- private:
-  void apply_proximal_term(nn::Model& model,
-                           const std::vector<float>& anchor,
-                           float mu) const;
 
  private:
   int id_;

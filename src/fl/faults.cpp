@@ -38,10 +38,8 @@ FaultPlan::FaultPlan(FaultOptions options) : options_(std::move(options)) {
   check_probability(options_.over_select_fraction, "over_select_fraction");
   check_probability(options_.server_crash_probability,
                     "server_crash_probability");
-  if (options_.crash_rounds_min < 1 ||
-      options_.crash_rounds_max < options_.crash_rounds_min) {
-    throw std::invalid_argument(
-        "FaultPlan: need 1 <= crash_rounds_min <= crash_rounds_max");
+  if (options_.crash_rounds_max < 1) {
+    throw std::invalid_argument("FaultPlan: crash_rounds_max must be >= 1");
   }
   if (options_.straggler_compute_factor <= 0.0 ||
       options_.straggler_comm_factor <= 0.0) {
@@ -210,11 +208,9 @@ void FaultPlan::begin_round(int round, int num_clients) {
     // must complete before the client can crash again.
     if (!f.rejoined && options_.crash_probability > 0.0 &&
         draw.bernoulli(options_.crash_probability)) {
-      const int span =
-          options_.crash_rounds_max - options_.crash_rounds_min + 1;
       const int duration =
-          options_.crash_rounds_min +
-          static_cast<int>(draw.uniform_index(static_cast<std::uint64_t>(span)));
+          1 + static_cast<int>(draw.uniform_index(
+                  static_cast<std::uint64_t>(options_.crash_rounds_max)));
       down_until_[c] = round + duration;
       f.absent = true;
       f.delivered = false;

@@ -24,11 +24,10 @@ namespace fedsu::fl {
 struct FaultOptions {
   // Crash/rejoin churn: each round an up client crashes with this
   // probability and stays absent for a uniform number of rounds in
-  // [crash_rounds_min, crash_rounds_max]. On return it is stale: the server
-  // forces a re-sync (model + protocol speculation state) before it may
-  // participate again.
+  // [1, crash_rounds_max]. On return it is stale: the server forces a
+  // re-sync (model + protocol speculation state) before it may participate
+  // again.
   double crash_probability = 0.0;
-  int crash_rounds_min = 1;
   int crash_rounds_max = 3;
   // Stragglers: with this probability a client's round runs slower by the
   // given multipliers (>= 1; compute and communication independently), so

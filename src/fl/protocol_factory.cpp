@@ -22,9 +22,7 @@ std::unique_ptr<compress::SyncProtocol> make_protocol(
     return std::make_unique<compress::Cmfl>(options);
   }
   if (config.name == "apf") {
-    compress::ApfOptions options;
-    options.stability_threshold = config.apf_stability;
-    return std::make_unique<compress::Apf>(options);
+    return std::make_unique<compress::Apf>();
   }
   if (config.name == "fedsu") {
     return std::make_unique<core::FedSuManager>(config.num_clients,
@@ -37,19 +35,13 @@ std::unique_ptr<compress::SyncProtocol> make_protocol(
     return std::make_unique<core::FedSuV2>(config.fedsu_v2);
   }
   if (config.name == "topk") {
-    compress::TopKOptions options;
-    options.fraction = config.topk_fraction;
-    return std::make_unique<compress::TopK>(config.num_clients, options);
+    return std::make_unique<compress::TopK>(config.num_clients);
   }
   if (config.name == "qsgd") {
-    compress::QsgdOptions options;
-    options.bits = config.qsgd_bits;
-    return std::make_unique<compress::Qsgd>(options);
+    return std::make_unique<compress::Qsgd>();
   }
   if (config.name == "signsgd") {
-    compress::SignSgdOptions options;
-    options.step_scale = config.signsgd_step_scale;
-    return std::make_unique<compress::SignSgd>(options);
+    return std::make_unique<compress::SignSgd>();
   }
   throw std::invalid_argument("make_protocol: unknown protocol '" +
                               config.name + "'");

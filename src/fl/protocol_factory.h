@@ -21,10 +21,7 @@ struct ProtocolConfig {
   core::FedSuV1Options fedsu_v1;  // fedsu-v1
   core::FedSuV2Options fedsu_v2;  // fedsu-v2
   double cmfl_relevance = 0.8;    // cmfl
-  double apf_stability = 0.05;    // apf
-  double topk_fraction = 0.1;     // topk
-  int qsgd_bits = 8;              // qsgd
-  double signsgd_step_scale = 1.0;  // signsgd
+  // apf, topk, qsgd and signsgd run at their *Options defaults.
 };
 
 std::unique_ptr<compress::SyncProtocol> make_protocol(

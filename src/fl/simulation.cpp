@@ -162,48 +162,34 @@ std::vector<int> Simulation::select_participants(
              std::ceil(options_.participation_fraction *
                        static_cast<double>(present.size()))));
   select_target_ = target;
-  std::size_t take = target;
-  if (faults_.options().over_select_fraction > 0.0) {
-    // Over-selection: the server starts extra clients beyond the
-    // aggregation target so lost/late uploads can be backfilled.
-    take = std::min(
-        present.size(),
-        std::max(target,
-                 static_cast<std::size_t>(std::ceil(
-                     (options_.participation_fraction +
-                      faults_.options().over_select_fraction) *
-                     static_cast<double>(present.size())))));
-  }
+  // Over-selection: the server starts extra clients beyond the aggregation
+  // target so lost/late uploads can be backfilled. Without it this is
+  // `target` exactly: ceil(fraction * n) <= target <= n.
+  const std::size_t take = std::min(
+      present.size(),
+      std::max(target, static_cast<std::size_t>(std::ceil(
+                           (options_.participation_fraction +
+                            faults_.options().over_select_fraction) *
+                           static_cast<double>(present.size())))));
   std::vector<int> chosen;
   chosen.reserve(take);
-  if (options_.participation == SimulationOptions::Participation::kUniform) {
-    util::Rng pick(options_.seed ^ 0x5e1ec7 ^
-                   (0x9e3779b97f4a7c15ULL * (round + 1)));
-    const auto perm = pick.permutation(present.size());
-    for (std::size_t i = 0; i < take; ++i) {
-      chosen.push_back(present[perm[i]]);
-    }
-  } else {
-    const double flops = model_flops_per_round();
-    const auto est_bytes = static_cast<std::size_t>(last_mean_payload_bytes_);
-    std::vector<std::pair<double, int>> finish;
-    finish.reserve(present.size());
-    for (int id : present) {
-      // Straggler multipliers feed the estimate, so the earliest cut
-      // reshuffles when a fast client has a slow round.
-      const ClientFault& f = faults_.fault(id);
-      finish.emplace_back(
-          network_.compute_time(id, round, flops) * f.compute_factor +
-              network_.comm_time(id, est_bytes, est_bytes,
-                                 static_cast<int>(present.size())) *
-                  f.comm_factor,
-          id);
-    }
-    std::sort(finish.begin(), finish.end());
-    for (std::size_t i = 0; i < take && i < finish.size(); ++i) {
-      chosen.push_back(finish[i].second);
-    }
+  const double flops = model_flops_per_round();
+  const auto est_bytes = static_cast<std::size_t>(last_mean_payload_bytes_);
+  std::vector<std::pair<double, int>> finish;
+  finish.reserve(present.size());
+  for (int id : present) {
+    // Straggler multipliers feed the estimate, so the earliest cut
+    // reshuffles when a fast client has a slow round.
+    const ClientFault& f = faults_.fault(id);
+    finish.emplace_back(
+        network_.compute_time(id, round, flops) * f.compute_factor +
+            network_.comm_time(id, est_bytes, est_bytes,
+                               static_cast<int>(present.size())) *
+                f.comm_factor,
+        id);
   }
+  std::sort(finish.begin(), finish.end());
+  for (std::size_t i = 0; i < take; ++i) chosen.push_back(finish[i].second);
   std::sort(chosen.begin(), chosen.end());
   return chosen;
 }
@@ -308,86 +294,82 @@ RoundRecord Simulation::step_sync() {
   const double flops = model_flops_per_round();
   const FaultOptions& fo = faults_.options();
 
-  // Selection, then the fault pipeline's delivery cut: resolve which
-  // uploads the server aggregates. Delivery order uses estimated times
-  // (actual payload bytes exist only after synchronization, but the cut
-  // must be made before it); the simulated clock below charges actual
-  // bytes.
-  std::vector<int> participants;
+  // Selection, then the delivery cut: resolve which uploads the server
+  // aggregates. Delivery order uses estimated times (actual payload bytes
+  // exist only after synchronization, but the cut must be made before it);
+  // the simulated clock below charges actual bytes. Under the neutral
+  // ClientFault{} every selected upload arrives, the target is the whole
+  // selection and the quorum is 1, so the cut keeps every participant.
   std::vector<int> kept;       // the aggregation set
   std::vector<int> train_ids;  // kept plus the corrupt deliveries
   bool stalled = false;
   {
   OBS_SPAN("sim.select", &record.wall.select_s);
-  participants =
+  const std::vector<int> participants =
       select_participants(round, open_round(round, fc, resync_bytes));
-  kept = participants;
-  std::vector<int> corrupt_ids;  // delivered, but fail the CRC
-  if (faults_.enabled()) {
-    fc.selected = static_cast<int>(participants.size());
-    const auto est_bytes = static_cast<std::size_t>(last_mean_payload_bytes_);
-    const int concurrent = static_cast<int>(participants.size());
-    double last_giveup_s = 0.0;  // when the slowest selected client stopped
-    std::vector<std::pair<double, int>> arrivals;
-    arrivals.reserve(participants.size());
-    for (int id : participants) {
-      const ClientFault& f = faults_.fault(id);
-      if (f.straggler) ++fc.stragglers;
-      fc.retries += f.upload_attempts - 1;
-      // Retries re-send the payload and wait out the backoff in between —
-      // all on the simulated clock.
-      const double est =
-          network_.compute_time(id, round, flops) * f.compute_factor +
-          static_cast<double>(f.upload_attempts) *
-              network_.upload_time(id, est_bytes, concurrent) * f.comm_factor +
-          static_cast<double>(f.upload_attempts - 1) * fo.retry_backoff_s;
-      last_giveup_s = std::max(last_giveup_s, est);
-      if (!f.delivered) {
-        ++record.uploads_lost;
-        continue;
-      }
-      if (fo.deadline_s > 0.0 && est > fo.deadline_s) {
-        ++fc.deadline_missed;
-        continue;
-      }
-      arrivals.emplace_back(est, id);
+  fc.selected = static_cast<int>(participants.size());
+  const auto est_bytes = static_cast<std::size_t>(last_mean_payload_bytes_);
+  const int concurrent = static_cast<int>(participants.size());
+  double last_giveup_s = 0.0;  // when the slowest selected client stopped
+  std::vector<std::pair<double, int>> arrivals;
+  arrivals.reserve(participants.size());
+  for (int id : participants) {
+    const ClientFault& f = faults_.fault(id);
+    if (f.straggler) ++fc.stragglers;
+    fc.retries += f.upload_attempts - 1;
+    // Retries re-send the payload and wait out the backoff in between —
+    // all on the simulated clock.
+    const double est =
+        network_.compute_time(id, round, flops) * f.compute_factor +
+        static_cast<double>(f.upload_attempts) *
+            network_.upload_time(id, est_bytes, concurrent) * f.comm_factor +
+        static_cast<double>(f.upload_attempts - 1) * fo.retry_backoff_s;
+    last_giveup_s = std::max(last_giveup_s, est);
+    if (!f.delivered) {
+      ++record.uploads_lost;
+      continue;
     }
-    std::sort(arrivals.begin(), arrivals.end());
-    // The server consumes uploads in (estimated) arrival order until the
-    // aggregation target is met. A corrupt payload fails its CRC-32 on
-    // receipt and is discarded, never counting toward the target — the
-    // next arrival backfills. Whatever lands after the target is met goes
-    // unused.
-    kept.clear();
-    for (const auto& [est, id] : arrivals) {
-      (void)est;
-      if (kept.size() >= select_target_) {
-        ++fc.unused;
-        continue;
-      }
-      if (faults_.fault(id).corrupt) {
-        corrupt_ids.push_back(id);
-      } else {
-        kept.push_back(id);
-      }
+    if (fo.deadline_s > 0.0 && est > fo.deadline_s) {
+      ++fc.deadline_missed;
+      continue;
     }
-    fc.corrupt = static_cast<int>(corrupt_ids.size());
-    if (kept.size() < static_cast<std::size_t>(fo.min_quorum)) {
-      // Below quorum: the round stalls. Time still passes — until the
-      // server deadline if one is set, else until the slowest selected
-      // client finished or gave up; a fully-crashed population costs one
-      // latency heartbeat.
-      double stall_time =
-          fo.deadline_s > 0.0 ? fo.deadline_s : last_giveup_s;
-      if (stall_time <= 0.0) stall_time = options_.network.base_latency_s;
-      fc.unused += static_cast<int>(kept.size());
-      elapsed_time_s_ += stall_time;
-      record.round_time_s = stall_time;
-      stalled = true;
-    }
-    std::sort(kept.begin(), kept.end());  // protocol contract: ascending ids
-    std::sort(corrupt_ids.begin(), corrupt_ids.end());
+    arrivals.emplace_back(est, id);
   }
+  std::sort(arrivals.begin(), arrivals.end());
+  // The server consumes uploads in (estimated) arrival order until the
+  // aggregation target is met. A corrupt payload fails its CRC-32 on
+  // receipt and is discarded, never counting toward the target — the next
+  // arrival backfills. Whatever lands after the target is met goes unused.
+  kept.reserve(select_target_);
+  std::vector<int> corrupt_ids;  // delivered, but fail the CRC
+  for (const auto& [est, id] : arrivals) {
+    (void)est;
+    if (kept.size() >= select_target_) {
+      ++fc.unused;
+      continue;
+    }
+    if (faults_.fault(id).corrupt) {
+      corrupt_ids.push_back(id);
+    } else {
+      kept.push_back(id);
+    }
+  }
+  fc.corrupt = static_cast<int>(corrupt_ids.size());
+  const int quorum = faults_.enabled() ? fo.min_quorum : 1;
+  if (kept.size() < static_cast<std::size_t>(quorum)) {
+    // Below quorum: the round stalls. Time still passes — until the server
+    // deadline if one is set, else until the slowest selected client
+    // finished or gave up; a fully-crashed population costs one latency
+    // heartbeat.
+    double stall_time = fo.deadline_s > 0.0 ? fo.deadline_s : last_giveup_s;
+    if (stall_time <= 0.0) stall_time = options_.network.base_latency_s;
+    fc.unused += static_cast<int>(kept.size());
+    elapsed_time_s_ += stall_time;
+    record.round_time_s = stall_time;
+    stalled = true;
+  }
+  std::sort(kept.begin(), kept.end());  // protocol contract: ascending ids
+  std::sort(corrupt_ids.begin(), corrupt_ids.end());
   // Who trains: the aggregation set plus the corrupt deliveries. Their
   // compute is spent, and training advances their batch loaders exactly as
   // a clean round would.
@@ -399,7 +381,7 @@ RoundRecord Simulation::step_sync() {
 
   std::vector<std::vector<float>> states;
   std::vector<double> losses;
-  train_participants(round, train_ids, states, losses, &record.wall.train_s);
+  train_participants(train_ids, states, losses, &record.wall.train_s);
 
   // Synchronization through the protocol under test.
   compress::SyncResult sync;
@@ -520,8 +502,7 @@ RoundRecord Simulation::step_async() {
   // §5b thread-count determinism argument carries over verbatim.
   std::vector<std::vector<float>> states;
   std::vector<double> losses;
-  train_participants(round, dispatch_ids, states, losses,
-                     &record.wall.train_s);
+  train_participants(dispatch_ids, states, losses, &record.wall.train_s);
 
   // The delivery rule's outcome, read by the sync and both timing stages.
   auto free_client = [&](const InFlight& leg, double when) {
@@ -793,22 +774,17 @@ RoundRecord Simulation::step_async() {
   return close_round(std::move(record), fc, resync_bytes);
 }
 
-void Simulation::train_participants(int round,
-                                    const std::vector<int>& participants,
+void Simulation::train_participants(const std::vector<int>& participants,
                                     std::vector<std::vector<float>>& states,
                                     std::vector<double>& losses,
                                     double* seconds) {
   OBS_SPAN("sim.train", seconds);
   states.resize(participants.size());
   losses.assign(participants.size(), 0.0);
-  LocalTrainOptions local = options_.local;
-  if (options_.lr_schedule) {
-    local.learning_rate = options_.lr_schedule->lr(round);
-  }
   auto train_one = [&](std::size_t idx, nn::Model& model) {
     model.load_state_vector(global_);
     losses[idx] = clients_[static_cast<std::size_t>(participants[idx])]
-                      ->train_round(model, local);
+                      ->train_round(model, options_.local);
     states[idx] = model.state_vector();
   };
 
@@ -843,17 +819,10 @@ void Simulation::train_participants(int round,
       });
 }
 
-std::vector<RoundRecord> Simulation::run(int rounds,
-                                         std::optional<float> stop_at_accuracy) {
+std::vector<RoundRecord> Simulation::run(int rounds) {
   std::vector<RoundRecord> records;
   records.reserve(static_cast<std::size_t>(rounds));
-  for (int r = 0; r < rounds; ++r) {
-    records.push_back(step());
-    if (stop_at_accuracy && records.back().test_accuracy &&
-        *records.back().test_accuracy >= *stop_at_accuracy) {
-      break;
-    }
-  }
+  for (int r = 0; r < rounds; ++r) records.push_back(step());
   return records;
 }
 
@@ -866,9 +835,9 @@ float Simulation::evaluate() const {
   tensor::Tensor batch;
   std::vector<int> labels;
   std::vector<std::size_t> idx;
+  constexpr std::size_t kEvalBatch = 64;
   while (done < n) {
-    const std::size_t take =
-        std::min(static_cast<std::size_t>(options_.eval_batch), n - done);
+    const std::size_t take = std::min(kEvalBatch, n - done);
     idx.resize(take);
     std::iota(idx.begin(), idx.end(), done);
     test.gather(idx, batch, labels);

@@ -21,7 +21,6 @@
 #include "fl/faults.h"
 #include "net/async_queue.h"
 #include "net/network_model.h"
-#include "nn/schedule.h"
 #include "nn/zoo.h"
 #include "util/thread_pool.h"
 
@@ -93,18 +92,9 @@ struct SimulationOptions {
   int num_clients = 8;
   double dirichlet_alpha = 1.0;  // paper §VI-A uses alpha = 1
   LocalTrainOptions local;
-  // Optional learning-rate schedule; when set it overrides
-  // local.learning_rate per round (e.g. the O(1/sqrt(T)) schedule Theorem 1
-  // suggests). Null means the constant local.learning_rate.
-  std::shared_ptr<const nn::LrSchedule> lr_schedule;
   // Fraction of clients whose updates the server uses each round — the
   // earliest finishers (paper: 70 %).
   double participation_fraction = 0.7;
-  // How the fraction is chosen: the paper keeps the EARLIEST finishers
-  // (biasing toward fast devices); kUniform samples uniformly instead
-  // (classic FedAvg C-fraction), at the cost of waiting for slow devices.
-  enum class Participation { kEarliest, kUniform };
-  Participation participation = Participation::kEarliest;
   net::NetworkOptions network;
   TimingModel timing = TimingModel::kCoarse;
   // Deterministic fault injection & churn (fl/faults, DESIGN.md §10,
@@ -121,7 +111,6 @@ struct SimulationOptions {
   // checkpoint only reads state, so enabling it cannot perturb results.
   CheckpointOptions checkpoint;
   int eval_every = 1;       // test-set evaluation period, in rounds
-  int eval_batch = 64;
   std::uint64_t seed = 42;
   // Worker threads for the round's local training (each participant trains
   // on a per-worker model replica). 0 = hardware concurrency; 1 runs the
@@ -229,10 +218,8 @@ class Simulation {
   // Runs one round; returns its record.
   RoundRecord step();
 
-  // Runs `rounds` rounds, collecting records. `stop_at_accuracy`, when set,
-  // ends the run early once a test evaluation reaches the target.
-  std::vector<RoundRecord> run(int rounds,
-                               std::optional<float> stop_at_accuracy = {});
+  // Runs `rounds` rounds, collecting records.
+  std::vector<RoundRecord> run(int rounds);
 
   float evaluate() const;  // test accuracy of the current global model
 
@@ -316,11 +303,11 @@ class Simulation {
                               std::size_t& resync_bytes);
   std::vector<int> select_participants(int round,
                                        const std::vector<int>& present);
-  // Trains every participant at the round's scheduled learning rate
-  // (reading global_, sizing and filling states/losses by participant
-  // position) — across the pool when it pays, else sequentially — inside
-  // the sim.train span, which adds its duration to *seconds.
-  void train_participants(int round, const std::vector<int>& participants,
+  // Trains every participant (reading global_, sizing and filling
+  // states/losses by participant position) — across the pool when it pays,
+  // else sequentially — inside the sim.train span, which adds its duration
+  // to *seconds.
+  void train_participants(const std::vector<int>& participants,
                           std::vector<std::vector<float>>& states,
                           std::vector<double>& losses, double* seconds);
   // Runs the protocol under test on the current global (which it sets as

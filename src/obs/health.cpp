@@ -32,8 +32,7 @@ void HealthMonitor::begin_run(const std::string& scheme,
   scheme_ = scheme;
   model_size_ = model_size;
   nonfinite_loss_ = nonfinite_model_ = plateau_ = divergence_ = fallback_ =
-      oscillation_ = straggler_ = staleness_ = byte_budget_ =
-          checkpoint_failure_ = Rule{};
+      oscillation_ = straggler_ = staleness_ = checkpoint_failure_ = Rule{};
   best_loss_ = 0.0;
   has_best_loss_ = false;
   rounds_since_improvement_ = 0;
@@ -202,24 +201,13 @@ void HealthMonitor::observe_round(const fl::RoundRecord& record) {
   }
 
   // --- checkpoint-write failure (crash-recovery frontier lost) ---
-  if (options_.checkpoint_failures && record.checkpoint) {
+  if (record.checkpoint) {
     edge(checkpoint_failure_, !record.checkpoint->ok, round,
          "checkpoint_failure", AlertSeverity::kCritical,
          record.checkpoint->ok ? 0.0 : 1.0, 0.0,
          record.checkpoint->ok
              ? "condition cleared"
              : "run-checkpoint write failed: " + record.checkpoint->error);
-  }
-
-  // --- per-round byte budget ---
-  if (options_.byte_budget_per_round > 0) {
-    const double bytes =
-        static_cast<double>(record.bytes_up + record.bytes_down);
-    edge(byte_budget_, bytes > static_cast<double>(
-                                   options_.byte_budget_per_round),
-         round, "byte_budget_overrun", AlertSeverity::kWarning, bytes,
-         static_cast<double>(options_.byte_budget_per_round),
-         "round exceeded its byte budget");
   }
 }
 

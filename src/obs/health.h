@@ -10,7 +10,7 @@
 // divergence windows, fallback-sync storms and speculated-fraction
 // oscillation (the promote/demote flapping the paper's speculation fence
 // exists to prevent), straggler drift, staleness blowup in async mode, and
-// per-round byte-budget overruns.
+// failed checkpoint writes.
 //
 // Every rule is edge-triggered: one "raised" alert when the condition
 // starts, one "cleared" alert when it ends — no per-round spam while a
@@ -45,6 +45,13 @@ const char* severity_name(AlertSeverity severity);
 // 10-iteration rounds (noisy losses: plateau/divergence windows are
 // several rounds so one bad round never pages). A threshold's rule is
 // disabled entirely when its window/limit is <= 0.
+//
+// Two critical rules take no threshold: NaN/Inf in the loss or the model,
+// and a failed checkpoint write (RoundRecord::checkpoint with ok == false,
+// docs/RECOVERY.md) — a run silently losing its recovery frontier is
+// exactly the state this subsystem exists to prevent. The checkpoint field
+// only appears when checkpointing is configured, so that rule is inert on
+// checkpoint-off runs.
 struct HealthOptions {
   // Loss plateau: the best finite train loss has not improved by at least
   // plateau_epsilon for plateau_window consecutive aggregating rounds.
@@ -78,18 +85,6 @@ struct HealthOptions {
   // Async staleness blowup: a consumed update older than staleness_max
   // aggregations.
   int staleness_max = 8;
-
-  // Per-round byte budget over bytes_up + bytes_down, all participants.
-  // 0 disables.
-  std::size_t byte_budget_per_round = 0;
-
-  // Checkpoint-write failure (docs/RECOVERY.md): a round whose scheduled
-  // run-checkpoint write failed (RoundRecord::checkpoint with ok == false).
-  // Critical — a run silently losing its recovery frontier is exactly the
-  // state this subsystem exists to prevent. true enables (the record field
-  // only appears when checkpointing is configured, so the rule is inert on
-  // checkpoint-off runs either way).
-  bool checkpoint_failures = true;
 };
 
 // One edge of one rule. `raised` false means the condition cleared.
@@ -160,7 +155,7 @@ class HealthMonitor {
 
   // --- per-run rule state (reset by begin_run) ---
   Rule nonfinite_loss_, nonfinite_model_, plateau_, divergence_, fallback_,
-      oscillation_, straggler_, staleness_, byte_budget_, checkpoint_failure_;
+      oscillation_, straggler_, staleness_, checkpoint_failure_;
   double best_loss_ = 0.0;
   bool has_best_loss_ = false;
   int rounds_since_improvement_ = 0;

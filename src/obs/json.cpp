@@ -179,8 +179,18 @@ class Parser {
   JsonValue parse_value() {
     skip_ws();
     switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        // Each level recurses once, so unbounded nesting would overflow
+        // the stack; every document the tools read is a few levels deep.
+        if (++depth_ > kMaxDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxDepth) +
+               " levels");
+        }
+        JsonValue v = peek() == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': return JsonValue::make_string(parse_string());
       case 't':
         if (!consume_literal("true")) fail("bad literal");
@@ -314,8 +324,11 @@ class Parser {
     return JsonValue::make_number(value);
   }
 
+  static constexpr int kMaxDepth = 256;
+
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // arrays and objects open at pos_
 };
 
 }  // namespace

@@ -62,7 +62,8 @@ class JsonValue {
 };
 
 // Parses a complete JSON document; throws std::runtime_error with a byte
-// offset on malformed input or trailing garbage.
+// offset on malformed input, trailing garbage, or arrays and objects nested
+// deeper than 256 levels.
 JsonValue json_parse(const std::string& text);
 
 }  // namespace fedsu::obs

@@ -197,7 +197,7 @@ TEST(AsyncBarrier, KEqualToCohortWithoutFaultsIsTheSyncPathBitwise) {
   sync_options.participation_fraction = 1.0;
   sync_options.timing = TimingModel::kFlowLevel;
 
-  for (const char* proto : {"fedsu", "fedavg"}) {
+  for (const std::string& proto : known_protocols()) {
     Simulation sync_sim(sync_options, proto_for(proto, 4));
     Simulation async_sim(async_options(4), proto_for(proto, 4));
     const auto sync_records = sync_sim.run(6);

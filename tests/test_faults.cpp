@@ -122,12 +122,12 @@ TEST(FaultPlan, DeterministicInSeedRoundClient) {
 TEST(FaultPlan, CrashAbsencesAreContiguousAndEndInARejoin) {
   FaultOptions options;
   options.crash_probability = 0.3;
-  options.crash_rounds_min = 2;
   options.crash_rounds_max = 4;
   FaultPlan plan(options);
 
   const int clients = 6;
   std::vector<bool> was_absent(clients, false);
+  std::vector<int> absent_run(clients, 0);
   int total_onsets = 0, total_rejoins = 0;
   for (int round = 0; round < 60; ++round) {
     plan.begin_round(round, clients);
@@ -140,6 +140,13 @@ TEST(FaultPlan, CrashAbsencesAreContiguousAndEndInARejoin) {
       EXPECT_EQ(f.rejoined, was_absent[c] && !f.absent);
       if (f.absent) {
         EXPECT_FALSE(f.delivered);
+        ++absent_run[c];
+      }
+      // Each absence lasts 1 to crash_rounds_max rounds.
+      if (f.rejoined) {
+        EXPECT_GE(absent_run[c], 1);
+        EXPECT_LE(absent_run[c], options.crash_rounds_max);
+        absent_run[c] = 0;
       }
       was_absent[c] = f.absent;
     }
@@ -266,8 +273,7 @@ TEST(FaultPlan, RejectsBadOptions) {
   EXPECT_THROW(FaultPlan{quorum}, std::invalid_argument);
   FaultOptions rounds;
   rounds.crash_probability = 0.1;
-  rounds.crash_rounds_min = 3;
-  rounds.crash_rounds_max = 2;
+  rounds.crash_rounds_max = 0;
   EXPECT_THROW(FaultPlan{rounds}, std::invalid_argument);
 }
 

@@ -95,47 +95,6 @@ TEST(Client, DifferentShardsProduceDifferentUpdates) {
   EXPECT_NE(ma.state_vector(), mb.state_vector());
 }
 
-TEST(Client, ProximalTermDampsDrift) {
-  // With a huge mu, local training barely moves from the global anchor.
-  Client a(0, small_shard(), 16, util::Rng(11));
-  Client b(0, small_shard(), 16, util::Rng(11));
-  nn::Model free_model = small_model();
-  nn::Model anchored_model = small_model();
-  const auto start = free_model.state_vector();
-  LocalTrainOptions free_opts;
-  free_opts.iterations = 10;
-  free_opts.learning_rate = 0.05f;
-  free_opts.weight_decay = 0.0f;
-  LocalTrainOptions prox_opts = free_opts;
-  // Stability needs lr * mu < 1 (the proximal pull is a contraction, not an
-  // oscillator): lr 0.05 * mu 10 = 0.5.
-  prox_opts.proximal_mu = 10.0f;
-  a.train_round(free_model, free_opts);
-  b.train_round(anchored_model, prox_opts);
-  double drift_free = 0.0, drift_prox = 0.0;
-  const auto sf = free_model.state_vector();
-  const auto sp = anchored_model.state_vector();
-  for (std::size_t i = 0; i < start.size(); ++i) {
-    drift_free += std::fabs(sf[i] - start[i]);
-    drift_prox += std::fabs(sp[i] - start[i]);
-  }
-  EXPECT_LT(drift_prox, 0.5 * drift_free);
-}
-
-TEST(Client, ZeroMuMatchesPlainTraining) {
-  Client a(0, small_shard(), 16, util::Rng(12));
-  Client b(0, small_shard(), 16, util::Rng(12));
-  nn::Model ma = small_model();
-  nn::Model mb = small_model();
-  LocalTrainOptions opts;
-  opts.iterations = 5;
-  LocalTrainOptions zero_mu = opts;
-  zero_mu.proximal_mu = 0.0f;
-  a.train_round(ma, opts);
-  b.train_round(mb, zero_mu);
-  EXPECT_EQ(ma.state_vector(), mb.state_vector());
-}
-
 TEST(Client, WeightDecayShrinksNorm) {
   // With a huge weight decay, the parameter norm must shrink fast.
   Client client(0, small_shard(), 16, util::Rng(10));

@@ -1,6 +1,6 @@
 // Combined-feature integration: the simulator options that individually
-// work must also compose — flow-level timing + upload loss + uniform
-// participation + client churn + LR schedule, all under FedSU.
+// work must also compose — flow-level timing + upload loss + client add/drop
+// churn, all under FedSU.
 // The round count is CI-tunable: FEDSU_TORTURE_ROUNDS=<n> stretches the
 // long tests for the nightly torture job (default 24, the tier-1 budget).
 #include <gtest/gtest.h>
@@ -28,10 +28,7 @@ SimulationOptions torture_options() {
   options.local.iterations = 5;
   options.local.batch_size = 8;
   options.local.learning_rate = 0.05f;
-  options.local.proximal_mu = 0.01f;
-  options.lr_schedule = std::make_shared<nn::InverseSqrtLr>(0.05f, 2);
   options.timing = TimingModel::kFlowLevel;
-  options.participation = SimulationOptions::Participation::kUniform;
   options.participation_fraction = 0.7;
   options.faults.upload_loss_probability = 0.15;
   options.eval_every = 4;

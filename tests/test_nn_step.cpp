@@ -500,7 +500,6 @@ TEST_F(StepAllocs, TrainRoundCostDoesNotGrowWithIterations) {
   fl::Client client(0, data::DatasetView::all_of(train_set(640)), 16,
                     util::Rng(6));
   fl::LocalTrainOptions options;
-  options.momentum = 0.9f;
   options.iterations = 2;
   (void)client.train_round(model, options);  // warm-up
   options.iterations = 10;

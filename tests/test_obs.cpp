@@ -51,6 +51,24 @@ TEST(ObsLevel, GuardsFollowTheLevel) {
   EXPECT_EQ(obs::level(), obs::Level::kTrace);
 }
 
+TEST(Json, NestingIsBoundedAt256Levels) {
+  const auto nested = [](int depth, const std::string& open,
+                         const std::string& close) {
+    std::string text;
+    for (int i = 0; i < depth; ++i) text += open;
+    text += "0";
+    for (int i = 0; i < depth; ++i) text += close;
+    return text;
+  };
+  EXPECT_NO_THROW(obs::json_parse(nested(256, "[", "]")));
+  EXPECT_NO_THROW(obs::json_parse(nested(256, "{\"a\": ", "}")));
+  EXPECT_THROW(obs::json_parse(nested(257, "[", "]")), std::runtime_error);
+  // Far past the bound the parser throws instead of overflowing the stack.
+  EXPECT_THROW(obs::json_parse(nested(100000, "[", "]")), std::runtime_error);
+  EXPECT_THROW(obs::json_parse(nested(100000, "{\"a\": ", "}")),
+               std::runtime_error);
+}
+
 TEST(Tracer, SpanNestingAndOrdering) {
   LevelGuard guard;
   obs::set_level(obs::Level::kTrace);
@@ -349,8 +367,6 @@ fl::RoundRecord health_record(int round, double loss) {
   r.round = round;
   r.train_loss = loss;
   r.num_participants = 4;
-  r.bytes_up = 100;
-  r.bytes_down = 100;
   return r;
 }
 
@@ -501,33 +517,26 @@ TEST(Health, StragglerDriftOverFaultWindow) {
   EXPECT_FALSE(edges[1].raised);
 }
 
-TEST(Health, StalenessBlowupAndByteBudget) {
+TEST(Health, StalenessBlowup) {
   obs::HealthOptions options;
   options.staleness_max = 2;
-  options.byte_budget_per_round = 150;
   obs::HealthMonitor monitor(options);
   monitor.begin_run("async/fedsu", 0);
-  fl::RoundRecord hot = health_record(0, 1.0);  // 200 bytes > 150 budget
+  fl::RoundRecord hot = health_record(0, 1.0);
   hot.async.emplace();
   hot.async->max_staleness = 5;
   monitor.observe_round(hot);
   fl::RoundRecord cool = health_record(1, 1.0);
   cool.async.emplace();
   cool.async->max_staleness = 1;
-  cool.bytes_up = cool.bytes_down = 50;
   monitor.observe_round(cool);
 
   const auto staleness = alerts_for(monitor, "staleness_blowup");
-  const auto budget = alerts_for(monitor, "byte_budget_overrun");
   ASSERT_EQ(staleness.size(), 2u);
-  ASSERT_EQ(budget.size(), 2u);
   EXPECT_TRUE(staleness[0].raised);
   EXPECT_DOUBLE_EQ(staleness[0].value, 5.0);
   EXPECT_FALSE(staleness[1].raised);
-  EXPECT_TRUE(budget[0].raised);
-  EXPECT_DOUBLE_EQ(budget[0].value, 200.0);
-  EXPECT_FALSE(budget[1].raised);
-  EXPECT_EQ(monitor.raised_count(obs::AlertSeverity::kWarning), 2);
+  EXPECT_EQ(monitor.raised_count(obs::AlertSeverity::kWarning), 1);
 }
 
 TEST(Health, ModelProbeCatchesNaNInjection) {
@@ -606,7 +615,6 @@ TEST(Health, FaultsAndAsyncIntegrationRaisesAlerts) {
   options.faults.straggler_probability = 1.0;
 
   obs::HealthOptions health;
-  health.byte_budget_per_round = 1;  // every cycle overruns
   health.straggler_fraction = 0.25;
   health.straggler_window = 2;
   obs::HealthMonitor monitor(health);
@@ -616,9 +624,8 @@ TEST(Health, FaultsAndAsyncIntegrationRaisesAlerts) {
   sim.set_round_hook(monitor.hook());
   for (int cycle = 0; cycle < 6; ++cycle) sim.step();
 
-  EXPECT_FALSE(alerts_for(monitor, "byte_budget_overrun").empty());
   EXPECT_FALSE(alerts_for(monitor, "straggler_drift").empty());
-  EXPECT_GE(monitor.raised_count(obs::AlertSeverity::kWarning), 2);
+  EXPECT_GE(monitor.raised_count(obs::AlertSeverity::kWarning), 1);
   EXPECT_TRUE(monitor.healthy());  // noisy, but not critical
 }
 

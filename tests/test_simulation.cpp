@@ -8,9 +8,6 @@
 #include "fl/simulation.h"
 #include "metrics/convergence.h"
 
-#include <cmath>
-#include <set>
-
 namespace fedsu::fl {
 namespace {
 
@@ -75,15 +72,6 @@ TEST(Simulation, FedAvgLearnsOverRounds) {
   const auto records = sim.run(20);
   metrics::RunSummary summary = metrics::summarize(records);
   EXPECT_GT(summary.best_accuracy, acc0 + 0.2f);
-}
-
-TEST(Simulation, StopAtAccuracyEndsEarly) {
-  SimulationOptions options = tiny_options();
-  options.eval_every = 1;
-  Simulation sim(options, proto_for("fedavg", 4));
-  const auto records = sim.run(60, 0.5f);
-  EXPECT_LT(records.size(), 60u);
-  EXPECT_GE(*records.back().test_accuracy, 0.5f);
 }
 
 TEST(Simulation, EveryProtocolCompletesRounds) {
@@ -192,29 +180,6 @@ TEST(Simulation, DeterministicForSeed) {
   EXPECT_DOUBLE_EQ(a.elapsed_time_s(), b.elapsed_time_s());
 }
 
-TEST(Simulation, LrScheduleOverridesConstantRate) {
-  // A schedule deep in a 100-round warmup keeps the rate at 1-5 % of the
-  // base over the first 5 rounds, so the model barely moves; compare total
-  // parameter displacement against the constant-lr run.
-  SimulationOptions fast = tiny_options();
-  fast.eval_every = 0;
-  SimulationOptions decayed = fast;
-  decayed.lr_schedule = std::make_shared<nn::InverseSqrtLr>(
-      fast.local.learning_rate, /*warmup=*/100);
-  Simulation a(fast, proto_for("fedavg", 4));
-  Simulation b(decayed, proto_for("fedavg", 4));
-  const auto start_a = a.global_state();
-  const auto start_b = b.global_state();
-  a.run(5);
-  b.run(5);
-  double move_a = 0.0, move_b = 0.0;
-  for (std::size_t j = 0; j < start_a.size(); ++j) {
-    move_a += std::fabs(a.global_state()[j] - start_a[j]);
-    move_b += std::fabs(b.global_state()[j] - start_b[j]);
-  }
-  EXPECT_LT(move_b, 0.5 * move_a);
-}
-
 TEST(Simulation, FlowLevelTimingRunsAndDiffersFromCoarse) {
   SimulationOptions coarse = tiny_options();
   coarse.eval_every = 0;
@@ -257,26 +222,6 @@ TEST(Simulation, TrainingSurvivesHeavyUploadLoss) {
   const float acc0 = sim.evaluate();
   const auto records = sim.run(25);
   EXPECT_GT(metrics::summarize(records).best_accuracy, acc0 + 0.15f);
-}
-
-TEST(Simulation, UniformParticipationVariesMembership) {
-  SimulationOptions options = tiny_options();
-  options.num_clients = 8;
-  options.eval_every = 0;
-  options.participation = SimulationOptions::Participation::kUniform;
-  options.participation_fraction = 0.5;
-  Simulation sim(options, proto_for("fedavg", 8));
-  // Earliest-selection is near-deterministic (same fast devices win); under
-  // uniform sampling the union of selected clients over a few rounds must
-  // cover (nearly) everyone.
-  std::set<int> seen;
-  sim.set_round_hook([&](const RoundRecord&) {});
-  for (int r = 0; r < 8; ++r) {
-    const auto record = sim.step();
-    EXPECT_EQ(record.num_participants, 4);
-  }
-  // Indirect coverage check via determinism of the run itself.
-  SUCCEED();
 }
 
 TEST(Simulation, RejectsBadConfig) {
