@@ -49,10 +49,11 @@ struct BenchConfig {
   double bandwidth_mbps = 0.1;
   std::uint64_t seed = 42;
   std::string csv_dir;  // empty: no CSV dump
-  // Worker threads for client training and the large tensor kernels.
-  // 0 = hardware concurrency; 1 = the historical sequential path. Results
-  // are bitwise identical either way (DESIGN.md §"Determinism under
-  // parallelism"); only the wall clock changes.
+  // Worker threads for dataset synthesis, client training, test evaluation
+  // and the large tensor kernels. 0 = hardware concurrency; 1 = the
+  // historical sequential path. Results are bitwise identical either way
+  // (DESIGN.md §"Determinism under parallelism"); only the wall clock
+  // changes.
   int threads = 0;
   // FedSU thresholds; defaults are the lossless operating point calibrated
   // for 10-iteration rounds (EXPERIMENTS.md "Threshold scaling").
@@ -115,7 +116,8 @@ inline util::Flags make_flags(const BenchConfig& defaults) {
       .add_int("seed", static_cast<long long>(defaults.seed), "random seed")
       .add_string("csv", defaults.csv_dir, "directory for CSV dumps (optional)")
       .add_int("threads", defaults.threads,
-               "worker threads for training/kernels (0 = hardware concurrency)")
+               "worker threads for data, training, eval and kernels "
+               "(0 = hardware concurrency)")
       .add_double("t-r", defaults.t_r, "FedSU predictability threshold T_R")
       .add_double("t-s", defaults.t_s, "FedSU error-feedback threshold T_S")
       .add_int("no-check", defaults.no_check, "FedSU initial no-check period")

@@ -13,6 +13,10 @@
 #include "data/dataset.h"
 #include "util/rng.h"
 
+namespace fedsu::util {
+class ThreadPool;
+}
+
 namespace fedsu::data {
 
 struct SyntheticSpec {
@@ -37,6 +41,8 @@ struct TrainTest {
   Dataset test;
 };
 
-TrainTest generate_synthetic(const SyntheticSpec& spec);
+// With a pool the pixels fill in parallel; the bytes are the same without.
+TrainTest generate_synthetic(const SyntheticSpec& spec,
+                             util::ThreadPool* pool = nullptr);
 
 }  // namespace fedsu::data

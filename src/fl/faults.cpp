@@ -132,6 +132,13 @@ FaultPlan::FaultPlan(FaultOptions options) : options_(std::move(options)) {
   server_faults_enabled_ = options_.server_crash_at >= 0 ||
                            options_.server_crash_probability > 0.0 ||
                            trace_has_server_crash;
+  // Both engines apply the quorum only while a client fault is enabled; on
+  // its own it would be accepted and silently ignored.
+  if (options_.min_quorum > 1 && !enabled_) {
+    throw std::invalid_argument(
+        "FaultPlan: min_quorum > 1 needs a client fault enabled (it applies "
+        "only to rounds with client faults)");
+  }
 }
 
 bool FaultPlan::server_crash(int round) const {

@@ -20,6 +20,36 @@ double staleness_weight(int staleness, double alpha) {
   return std::pow(1.0 + static_cast<double>(staleness), -alpha);
 }
 
+namespace {
+// Evaluation scores the test set in blocks of this many samples, each
+// block's accuracy weighted by its size.
+constexpr std::size_t kEvalBlock = 64;
+}  // namespace
+
+std::vector<std::pair<std::size_t, std::size_t>> eval_sub_batches(
+    std::size_t test_size, int batch_size) {
+  // A sample's logits do not depend on the rows beside it (conv GEMMs run
+  // per sample, and the m >= 4 kNT paths give each row the same FMA chain
+  // where the GEMM bits are pinned, DESIGN.md §5b), with one exception: a
+  // product of fewer than 4 rows takes the unfused small-GEMM path. So no
+  // piece has fewer than 4 rows unless its whole block has, which is how
+  // that block always ran.
+  constexpr std::size_t kMinRows = 4;
+  const std::size_t rows = std::clamp(static_cast<std::size_t>(batch_size),
+                                      kMinRows, kEvalBlock);
+  std::vector<std::pair<std::size_t, std::size_t>> pieces;
+  for (std::size_t begin = 0; begin < test_size; begin += kEvalBlock) {
+    const std::size_t end = std::min(test_size, begin + kEvalBlock);
+    for (std::size_t pos = begin; pos < end;) {
+      std::size_t size = std::min(rows, end - pos);
+      if (end - pos - size < kMinRows) size = end - pos;
+      pieces.emplace_back(pos, pos + size);
+      pos += size;
+    }
+  }
+  return pieces;
+}
+
 Simulation::Simulation(SimulationOptions options,
                        std::unique_ptr<compress::SyncProtocol> protocol)
     : options_(std::move(options)),
@@ -75,7 +105,8 @@ Simulation::Simulation(SimulationOptions options,
 
   // Generate the data once; clients share the training set through views.
   {
-    data::TrainTest data = data::generate_synthetic(options_.dataset);
+    data::TrainTest data =
+        data::generate_synthetic(options_.dataset, pool_.get());
     train_data_ = std::make_shared<const data::Dataset>(std::move(data.train));
     test_data_ = std::move(data.test);
   }
@@ -774,18 +805,39 @@ RoundRecord Simulation::step_async() {
   return close_round(std::move(record), fc, resync_bytes);
 }
 
+std::vector<std::unique_ptr<nn::Model>>& Simulation::replicas() const {
+  // A replica built from the same spec+seed as scratch_model_ has the
+  // identical parameter layout, and every user overwrites all its
+  // parameters (weights and BN buffers alike) via load_state_vector before
+  // running it, so which replica runs a client or a sub-batch cannot change
+  // any bit of the result.
+  if (replicas_.size() < static_cast<std::size_t>(pool_->size())) {
+    replicas_.clear();
+    for (int w = 0; w < pool_->size(); ++w) {
+      nn::ModelSpec spec = options_.model;
+      replicas_.push_back(std::make_unique<nn::Model>(
+          nn::build_model(spec, util::Rng(options_.seed))));
+    }
+  }
+  return replicas_;
+}
+
 void Simulation::train_participants(const std::vector<int>& participants,
                                     std::vector<std::vector<float>>& states,
                                     std::vector<double>& losses,
                                     double* seconds) {
   OBS_SPAN("sim.train", seconds);
+  // The state vectors are allocated here, on the calling thread, so they
+  // come from its heap rather than a per-worker malloc arena; the workers
+  // only write into them.
   states.resize(participants.size());
+  for (std::vector<float>& state : states) state.resize(global_.size());
   losses.assign(participants.size(), 0.0);
   auto train_one = [&](std::size_t idx, nn::Model& model) {
     model.load_state_vector(global_);
     losses[idx] = clients_[static_cast<std::size_t>(participants[idx])]
                       ->train_round(model, options_.local);
-    states[idx] = model.state_vector();
+    model.write_state(states[idx]);
   };
 
   if (!pool_ || participants.size() <= 1) {
@@ -795,28 +847,14 @@ void Simulation::train_participants(const std::vector<int>& participants,
     return;
   }
 
-  // Lazily build one replica per worker. A replica built from the same
-  // spec+seed as scratch_model_ has the identical parameter layout, and
-  // train_one overwrites every parameter (weights and BN buffers alike) via
-  // load_state_vector, so which replica trains a client cannot change any
-  // bit of the result. Each client is trained by exactly one chunk, and its
-  // own batch-loader RNG advances exactly as it would sequentially.
-  if (replicas_.size() < static_cast<std::size_t>(pool_->size())) {
-    replicas_.clear();
-    for (int w = 0; w < pool_->size(); ++w) {
-      nn::ModelSpec spec = options_.model;
-      replicas_.push_back(std::make_unique<nn::Model>(
-          nn::build_model(spec, util::Rng(options_.seed))));
-    }
-  }
-  pool_->parallel_chunks(
-      0, participants.size(),
-      [&](std::size_t chunk_begin, std::size_t chunk_end, std::size_t chunk) {
-        nn::Model& model = *replicas_[chunk];
-        for (std::size_t i = chunk_begin; i < chunk_end; ++i) {
-          train_one(i, model);
-        }
-      });
+  // Each client is trained by exactly one worker, on that worker's
+  // replica, and its own batch-loader RNG advances exactly as it would
+  // sequentially.
+  std::vector<std::unique_ptr<nn::Model>>& models = replicas();
+  pool_->parallel_pull(participants.size(),
+                       [&](std::size_t i, std::size_t worker) {
+                         train_one(i, *models[worker]);
+                       });
 }
 
 std::vector<RoundRecord> Simulation::run(int rounds) {
@@ -827,27 +865,57 @@ std::vector<RoundRecord> Simulation::run(int rounds) {
 }
 
 float Simulation::evaluate() const {
-  scratch_model_.load_state_vector(global_);
   const data::Dataset& test = test_data_;
   const std::size_t n = test.size();
-  std::size_t done = 0;
-  double correct_weighted = 0.0;
-  tensor::Tensor batch;
-  std::vector<int> labels;
-  std::vector<std::size_t> idx;
-  constexpr std::size_t kEvalBatch = 64;
-  while (done < n) {
-    const std::size_t take = std::min(kEvalBatch, n - done);
-    idx.resize(take);
-    std::iota(idx.begin(), idx.end(), done);
-    test.gather(idx, batch, labels);
-    const tensor::Tensor& logits =
-        scratch_model_.forward(batch, /*train=*/false);
-    correct_weighted +=
-        static_cast<double>(nn::accuracy(logits, labels)) * take;
-    done += take;
+  if (n == 0) return 0.0f;
+
+  // The pieces are sub-batches of the training batch size, so the models'
+  // buffers stay at their training shape.
+  const std::vector<std::pair<std::size_t, std::size_t>> pieces =
+      eval_sub_batches(n, options_.local.batch_size);
+  std::vector<int> correct(pieces.size(), 0);
+  struct Worker {
+    nn::Model* model = nullptr;
+    tensor::Tensor batch;
+    std::vector<int> labels;
+    std::vector<std::size_t> idx;
+  };
+  std::vector<Worker> workers(pool_ ? static_cast<std::size_t>(pool_->size())
+                                    : 1);
+  for (std::size_t w = 0; w < workers.size(); ++w) {
+    workers[w].model = pool_ ? replicas()[w].get() : &scratch_model_;
+    workers[w].model->load_state_vector(global_);
   }
-  return n == 0 ? 0.0f : static_cast<float>(correct_weighted / n);
+  auto score = [&](std::size_t p, std::size_t w) {
+    Worker& worker = workers[w];
+    const auto [begin, end] = pieces[p];
+    worker.idx.resize(end - begin);
+    std::iota(worker.idx.begin(), worker.idx.end(), begin);
+    test.gather(worker.idx, worker.batch, worker.labels);
+    correct[p] = nn::count_correct(
+        worker.model->forward(worker.batch, /*train=*/false), worker.labels);
+  };
+  if (pool_) {
+    pool_->parallel_pull(pieces.size(), score);
+  } else {
+    for (std::size_t p = 0; p < pieces.size(); ++p) score(p, 0);
+  }
+
+  // Per block, in block order: the block's accuracy as a float, times its
+  // size, exactly as the whole-block loop summed it.
+  double correct_weighted = 0.0;
+  for (std::size_t p = 0; p < pieces.size();) {
+    const std::size_t block = pieces[p].first / kEvalBlock;
+    const std::size_t take = std::min(kEvalBlock, n - block * kEvalBlock);
+    int block_correct = 0;
+    for (; p < pieces.size() && pieces[p].first / kEvalBlock == block; ++p) {
+      block_correct += correct[p];
+    }
+    correct_weighted += static_cast<double>(static_cast<float>(block_correct) /
+                                            static_cast<float>(take)) *
+                        take;
+  }
+  return static_cast<float>(correct_weighted / n);
 }
 
 std::pair<int, std::size_t> Simulation::add_client(data::Dataset shard) {

@@ -1,10 +1,11 @@
 // End-to-end FL simulation: dataset generation, Dirichlet partitioning,
 // round loop with earliest-70 % participation, protocol-driven
 // synchronization, and the simulated-time cost model (DESIGN.md §2).
-// Participant training runs across a thread pool (SimulationOptions::threads)
-// with bitwise-identical results for every thread count: clients train on
-// per-worker replicas in parallel, and aggregation consumes the states in
-// deterministic participant order.
+// Dataset synthesis, participant training and test evaluation run across a
+// thread pool (SimulationOptions::threads) with bitwise-identical results
+// for every thread count: workers pull clients and test sub-batches onto
+// per-worker replicas, and aggregation consumes the states in deterministic
+// participant order.
 #pragma once
 
 #include <functional>
@@ -12,6 +13,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "compress/protocol.h"
@@ -53,6 +55,13 @@ struct AsyncOptions {
 // The staleness discount w = 1/(1+s)^alpha. s <= 0 or alpha == 0 gives
 // exactly 1.0. Exposed for tests and doc examples.
 double staleness_weight(int staleness, double alpha);
+
+// The sub-batches Simulation::evaluate scores, as [begin, end) row ranges
+// in order: each 64-sample block of the test set cut into pieces of
+// clamp(batch_size, 4, 64) rows, a remainder under 4 rows joined to the
+// piece before it, and a block under 4 rows left whole. Exposed for tests.
+std::vector<std::pair<std::size_t, std::size_t>> eval_sub_batches(
+    std::size_t test_size, int batch_size);
 
 // Periodic run checkpointing (docs/RECOVERY.md): every `every` completed
 // rounds the simulation serializes its full resume frontier
@@ -112,10 +121,11 @@ struct SimulationOptions {
   CheckpointOptions checkpoint;
   int eval_every = 1;       // test-set evaluation period, in rounds
   std::uint64_t seed = 42;
-  // Worker threads for the round's local training (each participant trains
-  // on a per-worker model replica). 0 = hardware concurrency; 1 runs the
-  // historical sequential path. Results are bitwise identical for every
-  // value — see DESIGN.md §"Determinism under parallelism".
+  // Worker threads for dataset synthesis, the round's local training (each
+  // participant trains on a per-worker model replica) and test evaluation.
+  // 0 = hardware concurrency; 1 runs everything on the calling thread.
+  // Results are bitwise identical for every value — see DESIGN.md
+  // §"Determinism under parallelism".
   int threads = 0;
 };
 
@@ -221,7 +231,9 @@ class Simulation {
   // Runs `rounds` rounds, collecting records.
   std::vector<RoundRecord> run(int rounds);
 
-  float evaluate() const;  // test accuracy of the current global model
+  // Test accuracy of the current global model: 64-sample blocks, each
+  // scored in sub-batches of the training batch size across the pool.
+  float evaluate() const;
 
   const std::vector<float>& global_state() const { return global_; }
   compress::SyncProtocol& protocol() { return *protocol_; }
@@ -310,6 +322,8 @@ class Simulation {
   void train_participants(const std::vector<int>& participants,
                           std::vector<std::vector<float>>& states,
                           std::vector<double>& losses, double* seconds);
+  // One model replica per pool worker, built on first use.
+  std::vector<std::unique_ptr<nn::Model>>& replicas() const;
   // Runs the protocol under test on the current global (which it sets as
   // ctx.global) and installs the new one.
   compress::SyncResult synchronize(
@@ -334,11 +348,12 @@ class Simulation {
   std::vector<bool> active_;
   mutable nn::Model scratch_model_;
   // Worker pool plus one model replica per worker; both null/empty when
-  // options_.threads resolves to 1. Replicas are built lazily on the first
-  // multi-participant round from the same spec+seed as scratch_model_, so a
-  // replica that loaded global_ is bit-identical to the scratch model.
+  // options_.threads resolves to 1. The pool also synthesizes the dataset.
+  // Replicas train clients and score the test set; they are built lazily
+  // (replicas()) from the same spec+seed as scratch_model_, so a replica
+  // that loaded global_ is bit-identical to the scratch model.
   std::unique_ptr<util::ThreadPool> pool_;
-  std::vector<std::unique_ptr<nn::Model>> replicas_;
+  mutable std::vector<std::unique_ptr<nn::Model>> replicas_;
   net::NetworkModel network_;
   FaultPlan faults_;
   // Aggregation target of the latest selection (before over-selection).

@@ -58,14 +58,14 @@ const tensor::Tensor& SoftmaxCrossEntropy::backward() {
   return grad_;
 }
 
-float accuracy(const tensor::Tensor& logits, const std::vector<int>& labels) {
+int count_correct(const tensor::Tensor& logits,
+                  const std::vector<int>& labels) {
   if (logits.rank() != 2 ||
       static_cast<std::size_t>(logits.dim(0)) != labels.size()) {
     throw std::invalid_argument("accuracy: shape mismatch");
   }
   const int n = logits.dim(0);
   const int c = logits.dim(1);
-  if (n == 0) return 0.0f;
   int correct = 0;
   for (int i = 0; i < n; ++i) {
     // Ties go to the lowest class index.
@@ -73,7 +73,14 @@ float accuracy(const tensor::Tensor& logits, const std::vector<int>& labels) {
     const auto pred = std::max_element(row, row + c) - row;
     if (pred == labels[static_cast<std::size_t>(i)]) ++correct;
   }
-  return static_cast<float>(correct) / static_cast<float>(n);
+  return correct;
+}
+
+float accuracy(const tensor::Tensor& logits, const std::vector<int>& labels) {
+  const int correct = count_correct(logits, labels);
+  const int n = logits.dim(0);
+  return n == 0 ? 0.0f
+                : static_cast<float>(correct) / static_cast<float>(n);
 }
 
 }  // namespace fedsu::nn

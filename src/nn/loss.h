@@ -25,6 +25,8 @@ class SoftmaxCrossEntropy {
   tensor::Tensor grad_;
 };
 
+// Rows whose argmax (ties to the lowest class) matches the label.
+int count_correct(const tensor::Tensor& logits, const std::vector<int>& labels);
 // Fraction of rows whose argmax matches the label.
 float accuracy(const tensor::Tensor& logits, const std::vector<int>& labels);
 

@@ -101,6 +101,7 @@ bool Flags::parse(int argc, char** argv) {
                                usage(argv[0]));
     }
     Entry& entry = it->second;
+    entry.given = true;
     if (!has_value) {
       // No binary takes positional arguments, so a boolean reads the next
       // token unless it is another flag; a bare boolean flag means "true".
@@ -157,6 +158,14 @@ const Flags::Entry& Flags::find(const std::string& name, Type type) const {
     throw std::runtime_error("Flags: type mismatch for --" + name);
   }
   return it->second;
+}
+
+bool Flags::given(const std::string& name) const {
+  auto it = entries_.find(name);
+  if (it == entries_.end()) {
+    throw std::runtime_error("Flags: flag not registered: --" + name);
+  }
+  return it->second.given;
 }
 
 long long Flags::get_int(const std::string& name) const {

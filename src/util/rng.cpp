@@ -69,6 +69,21 @@ double Rng::normal() {
   return radius * std::cos(angle);
 }
 
+void Rng::skip_normals(std::size_t count) {
+  if (count > 0 && has_cached_normal_) {
+    has_cached_normal_ = false;
+    --count;
+  }
+  // Each pair is two uniform() draws; the last one or two normals run in
+  // full so the cache flag and the cached value come out as normal() sets
+  // them.
+  for (; count > 2; count -= 2) {
+    next_u64();
+    next_u64();
+  }
+  for (; count > 0; --count) normal();
+}
+
 double Rng::normal(double mean, double stddev) {
   return mean + stddev * normal();
 }

@@ -42,6 +42,10 @@ class Rng {
   // Standard normal via Box-Muller (cached pair).
   double normal();
   double normal(double mean, double stddev);
+  // Advances the generator exactly as `count` normal() calls would, Box-Muller
+  // cache included: all seven state words end as those calls leave them.
+  // Only the last pair is computed, so skipping costs two next_u64() per pair.
+  void skip_normals(std::size_t count);
   // Lognormal with parameters of the underlying normal.
   double lognormal(double mu, double sigma);
   // Gamma(shape, 1) via Marsaglia-Tsang; used by the Dirichlet sampler.

@@ -1,6 +1,7 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <exception>
 #include <memory>
 #include <string>
@@ -63,17 +64,9 @@ bool ThreadPool::worth_parallelizing() const {
   return size_ > 1 && !tl_inside_worker;
 }
 
-void ThreadPool::run_chunks(
-    std::size_t begin, std::size_t end, std::size_t chunks,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& body) {
-  const std::size_t n = end - begin;
-  if (chunks <= 1 || !worth_parallelizing()) {
-    body(begin, end, 0);
-    return;
-  }
-
-  // Shared completion state for this region. Chunk boundaries depend only on
-  // (n, chunks), never on scheduling, so the partition is deterministic.
+void ThreadPool::run_jobs(std::size_t jobs,
+                          const std::function<void(std::size_t)>& job) {
+  // Shared completion state for this region.
   struct Region {
     std::mutex mutex;
     std::condition_variable done;
@@ -81,13 +74,11 @@ void ThreadPool::run_chunks(
     std::exception_ptr error;
   };
   auto region = std::make_shared<Region>();
-  region->remaining = chunks;
+  region->remaining = jobs;
 
-  const std::size_t base = n / chunks;
-  const std::size_t extra = n % chunks;  // first `extra` chunks get +1
-  auto run_one = [region, &body](std::size_t b, std::size_t e, std::size_t c) {
+  auto run_one = [region, &job](std::size_t j) {
     try {
-      body(b, e, c);
+      job(j);
     } catch (...) {
       std::lock_guard<std::mutex> lock(region->mutex);
       if (!region->error) region->error = std::current_exception();
@@ -96,40 +87,30 @@ void ThreadPool::run_chunks(
     if (--region->remaining == 0) region->done.notify_all();
   };
 
-  // Compute boundaries up front so queueing order cannot affect them.
-  std::vector<std::pair<std::size_t, std::size_t>> bounds(chunks);
-  std::size_t cursor = begin;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t len = base + (c < extra ? 1 : 0);
-    bounds[c] = {cursor, cursor + len};
-    cursor += len;
-  }
-
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    for (std::size_t c = 1; c < chunks; ++c) {
-      queue_.emplace_back([run_one, b = bounds[c].first, e = bounds[c].second,
-                           c] { run_one(b, e, c); });
+    for (std::size_t j = 1; j < jobs; ++j) {
+      queue_.emplace_back([run_one, j] { run_one(j); });
     }
   }
   work_ready_.notify_all();
 
-  // The caller runs chunk 0, then helps drain the queue until the region is
+  // The caller runs job 0, then helps drain the queue until the region is
   // finished (its remaining jobs may belong to a concurrent region — running
   // them is harmless and keeps all N threads busy).
   tl_inside_worker = true;
-  run_one(bounds[0].first, bounds[0].second, 0);
+  run_one(0);
   for (;;) {
-    std::function<void()> job;
+    std::function<void()> next;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       if (!queue_.empty()) {
-        job = std::move(queue_.front());
+        next = std::move(queue_.front());
         queue_.pop_front();
       }
     }
-    if (!job) break;
-    job();
+    if (!next) break;
+    next();
   }
   tl_inside_worker = false;
 
@@ -147,17 +128,42 @@ void ThreadPool::parallel_for(
   const std::size_t g = std::max<std::size_t>(1, grain);
   const std::size_t chunks =
       std::min<std::size_t>(static_cast<std::size_t>(size_), (n + g - 1) / g);
-  run_chunks(begin, end, chunks,
-             [&body](std::size_t b, std::size_t e, std::size_t) { body(b, e); });
+  if (chunks <= 1 || !worth_parallelizing()) {
+    body(begin, end);
+    return;
+  }
+  // Chunk boundaries depend only on (n, chunks), never on scheduling, so
+  // the partition is deterministic: the first n % chunks chunks get one
+  // index more than the rest.
+  const std::size_t base = n / chunks;
+  const std::size_t extra = n % chunks;
+  run_jobs(chunks, [&](std::size_t c) {
+    const std::size_t b = begin + c * base + std::min(c, extra);
+    body(b, b + base + (c < extra ? 1 : 0));
+  });
 }
 
-void ThreadPool::parallel_chunks(
-    std::size_t begin, std::size_t end,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& body) {
-  if (begin >= end) return;
-  const std::size_t chunks =
-      std::min<std::size_t>(static_cast<std::size_t>(size_), end - begin);
-  run_chunks(begin, end, chunks, body);
+void ThreadPool::parallel_pull(
+    std::size_t count,
+    const std::function<void(std::size_t, std::size_t)>& body) {
+  const std::size_t workers =
+      std::min<std::size_t>(static_cast<std::size_t>(size_), count);
+  if (workers <= 1 || !worth_parallelizing()) {
+    for (std::size_t i = 0; i < count; ++i) body(i, 0);
+    return;
+  }
+  std::atomic<std::size_t> next{0};
+  run_jobs(workers, [&](std::size_t worker) {
+    try {
+      for (std::size_t i = next.fetch_add(1); i < count;
+           i = next.fetch_add(1)) {
+        body(i, worker);
+      }
+    } catch (...) {
+      next.store(count);  // the other workers take no new item
+      throw;
+    }
+  });
 }
 
 namespace {

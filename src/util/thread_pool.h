@@ -1,14 +1,17 @@
-// Fixed-size worker pool with a chunked parallel_for.
+// Fixed-size worker pool with a chunked parallel_for and a pull queue.
 //
 // Design notes (DESIGN.md §"Determinism under parallelism"):
-//  * Work is split into contiguous index chunks; each chunk runs the same
-//    sequential loop body it would run single-threaded, so any computation
-//    whose outputs are disjoint per index is bitwise identical for every
-//    thread count (including 1).
+//  * parallel_for splits work into contiguous index chunks; each chunk runs
+//    the same sequential loop body it would run single-threaded, so any
+//    computation whose outputs are disjoint per index is bitwise identical
+//    for every thread count (including 1).
+//  * parallel_pull hands items out one at a time to workers that each own
+//    a dense worker index (e.g. a model replica); a worker that finishes
+//    early takes the next item, so uneven items leave no thread idle.
 //  * Calls issued from inside a worker run inline on that worker (nested
-//    parallel_for never deadlocks and never oversubscribes).
-//  * The first exception thrown by any chunk is rethrown on the caller once
-//    all chunks have finished; the pool stays usable afterwards.
+//    calls never deadlock and never oversubscribe).
+//  * The first exception thrown by any chunk or item is rethrown on the
+//    caller once every worker has stopped; the pool stays usable afterwards.
 #pragma once
 
 #include <condition_variable>
@@ -44,12 +47,18 @@ class ThreadPool {
                     const std::function<void(std::size_t, std::size_t)>& body,
                     std::size_t grain = 1);
 
-  // Like parallel_for, but with at most size() chunks and the chunk index
-  // (dense in [0, chunks)) passed as the third argument so callers can index
-  // per-worker scratch state (e.g. model replicas).
-  void parallel_chunks(
-      std::size_t begin, std::size_t end,
-      const std::function<void(std::size_t, std::size_t, std::size_t)>& body);
+  // Runs body(item, worker) once for every item in [0, count). Up to
+  // size() workers take part, each with a worker index dense in
+  // [0, min(size(), count)) that no other thread holds while the call
+  // runs, so callers can index per-worker state (e.g. model replicas).
+  // Workers pull item indices from a shared counter: which worker runs an
+  // item depends on scheduling, so only what the item computes may enter
+  // its result. After an item throws, no new item starts. On a 1-thread
+  // pool or from inside a worker every item runs inline, in order, as
+  // worker 0.
+  void parallel_pull(
+      std::size_t count,
+      const std::function<void(std::size_t, std::size_t)>& body);
 
   // True when a parallel_for issued from this thread would actually fan out
   // (more than one worker and not already inside a worker of any pool).
@@ -65,9 +74,10 @@ class ThreadPool {
 
  private:
   void worker_loop(int worker_index);
-  void run_chunks(std::size_t begin, std::size_t end, std::size_t chunks,
-                  const std::function<void(std::size_t, std::size_t,
-                                           std::size_t)>& body);
+  // Runs job(0) on the caller and job(1) .. job(jobs - 1) on the workers;
+  // returns once all have finished, rethrowing the first exception.
+  void run_jobs(std::size_t jobs,
+                const std::function<void(std::size_t)>& job);
 
   int size_;
   std::vector<std::thread> workers_;

@@ -2,11 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <set>
+#include <utility>
 
 #include "data/loader.h"
 #include "data/partition.h"
 #include "data/synthetic.h"
+#include "util/thread_pool.h"
 
 namespace fedsu::data {
 namespace {
@@ -140,6 +144,145 @@ TEST(Synthetic, ClassesAreSeparable) {
       EXPECT_GT(std::sqrt(d2), 1.0) << "classes " << a << "," << b;
     }
   }
+}
+
+TEST(Synthetic, PooledSynthesisIsByteIdenticalToSerial) {
+  // The pool fills each sample's pixels from the generator state a serial
+  // pass recorded for it. A 1x5x5 image has an odd pixel count, so every
+  // other sample starts its noise on a cached Box-Muller value.
+  std::vector<SyntheticSpec> specs;
+  for (const char* preset : {"emnist", "fmnist", "cifar"}) {
+    SyntheticSpec spec = synthetic_preset(preset);
+    spec.train_count = 150;
+    spec.test_count = 37;
+    specs.push_back(spec);
+  }
+  SyntheticSpec odd;
+  odd.name = "odd";
+  odd.image_size = 5;
+  odd.train_count = 101;
+  odd.test_count = 13;
+  specs.push_back(odd);
+  SyntheticSpec noisy = synthetic_preset("emnist");
+  noisy.label_noise = 0.3f;
+  noisy.train_count = 120;
+  noisy.test_count = 30;
+  specs.push_back(noisy);
+
+  util::ThreadPool pool(4);
+  for (const SyntheticSpec& spec : specs) {
+    const TrainTest serial = generate_synthetic(spec);
+    const TrainTest pooled = generate_synthetic(spec, &pool);
+    for (const auto& [a, b] : {std::pair{&serial.train, &pooled.train},
+                               std::pair{&serial.test, &pooled.test}}) {
+      ASSERT_EQ(a->images().shape(), b->images().shape()) << spec.name;
+      EXPECT_EQ(std::memcmp(a->images().data(), b->images().data(),
+                            a->images().size() * sizeof(float)),
+                0)
+          << spec.name;
+      EXPECT_EQ(a->labels(), b->labels()) << spec.name;
+    }
+  }
+}
+
+TEST(Synthetic, PixelNoiseFollowsEachSampleHeaderInOneStream) {
+  // A split is one stream, Rng(seed).fork(1) for train and fork(2) for
+  // test, drawn per sample as class, label noise, shift (2), contrast,
+  // brightness, then one normal per pixel. Replayed here draw by draw; a
+  // pixel's noise is its value at noise 1 minus its value at noise 0. The
+  // 1x5x5 image has an odd pixel count, so half the samples start their
+  // noise on a cached Box-Muller value.
+  SyntheticSpec spec;
+  spec.image_size = 5;
+  spec.train_count = 40;
+  spec.test_count = 9;
+  spec.label_noise = 0.3f;
+  spec.noise = 1.0f;
+  SyntheticSpec quiet = spec;
+  quiet.noise = 0.0f;
+  util::ThreadPool pool(4);
+  const TrainTest noisy = generate_synthetic(spec, &pool);
+  const TrainTest clean = generate_synthetic(quiet);
+  constexpr std::size_t kPixels = 25;
+  for (const int split : {1, 2}) {
+    const Dataset& a = split == 1 ? noisy.train : noisy.test;
+    const Dataset& b = split == 1 ? clean.train : clean.test;
+    util::Rng rng = util::Rng(spec.seed).fork(split);
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      int label = static_cast<int>(rng.uniform_index(10));
+      if (rng.bernoulli(spec.label_noise)) {
+        label = static_cast<int>(rng.uniform_index(10));
+      }
+      EXPECT_EQ(a.labels()[i], label) << "split " << split << " sample " << i;
+      for (int draw = 0; draw < 4; ++draw) rng.uniform();
+      for (std::size_t px = 0; px < kPixels; ++px) {
+        const std::size_t at = i * kPixels + px;
+        EXPECT_NEAR(a.images()[at] - b.images()[at], rng.normal(), 1e-4)
+            << "split " << split << " sample " << i << " pixel " << px;
+      }
+    }
+  }
+}
+
+// FNV-1a over each split's image bytes, then its labels, train first.
+std::uint64_t synthetic_hash(const TrainTest& data) {
+  std::uint64_t h = 14695981039346656037ULL;
+  auto mix = [&h](const void* bytes, std::size_t n) {
+    const auto* b = static_cast<const unsigned char*>(bytes);
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= b[i];
+      h *= 1099511628211ULL;
+    }
+  };
+  for (const Dataset* split : {&data.train, &data.test}) {
+    mix(split->images().data(), split->images().size() * sizeof(float));
+    mix(split->labels().data(), split->labels().size() * sizeof(int));
+  }
+  return h;
+}
+
+TEST(Synthetic, BytesArePinned) {
+  // The synthesized bytes, recorded from the plain GCC build of the commit
+  // before pixels were filled on a pool, so a faster generator must keep
+  // them: with and without a pool, for a grey and a colour preset, an odd
+  // pixel count with label noise, and shifts large enough to clamp taps at
+  // both edges. Builds that compile float code differently
+  // (FEDSU_NN_UNPINNED, tests/CMakeLists.txt) skip it.
+#ifdef FEDSU_NN_UNPINNED
+  GTEST_SKIP() << "synthesis bytes are pinned for the plain GCC build only";
+#else
+  SyntheticSpec grey = synthetic_preset("emnist");
+  grey.train_count = 300;
+  grey.test_count = 40;
+  grey.seed = 1;
+  SyntheticSpec colour = synthetic_preset("cifar");
+  colour.train_count = 200;
+  colour.test_count = 30;
+  colour.seed = 7;
+  SyntheticSpec odd;
+  odd.image_size = 5;
+  odd.train_count = 101;
+  odd.test_count = 13;
+  odd.label_noise = 0.3f;
+  SyntheticSpec wide = synthetic_preset("emnist");
+  wide.shift_fraction = 0.6f;
+  wide.train_count = 200;
+  wide.test_count = 20;
+  wide.seed = 3;
+  const std::pair<SyntheticSpec, std::uint64_t> cases[] = {
+      {grey, 0xa89b606b0f697946ULL},
+      {colour, 0x0ec3b30fa35546d4ULL},
+      {odd, 0xecbb65d02e7f67a7ULL},
+      {wide, 0xf8cd902dcd28748cULL},
+  };
+  util::ThreadPool pool(3);
+  for (const auto& [spec, pin] : cases) {
+    EXPECT_EQ(synthetic_hash(generate_synthetic(spec)), pin)
+        << spec.name << " seed " << spec.seed << " size " << spec.image_size;
+    EXPECT_EQ(synthetic_hash(generate_synthetic(spec, &pool)), pin)
+        << spec.name << " seed " << spec.seed << " pooled";
+  }
+#endif
 }
 
 TEST(Synthetic, RejectsBadSpec) {

@@ -277,6 +277,30 @@ TEST(FaultPlan, RejectsBadOptions) {
   EXPECT_THROW(FaultPlan{rounds}, std::invalid_argument);
 }
 
+TEST(FaultPlan, RejectsAQuorumWithoutAClientFault) {
+  // The quorum binds only while a client fault is enabled, so on its own
+  // (or beside server faults alone, which engage no client machinery) it
+  // would be accepted and never applied.
+  FaultOptions lone;
+  lone.min_quorum = 3;
+  EXPECT_THROW(FaultPlan{lone}, std::invalid_argument);
+  FaultOptions server_only = lone;
+  server_only.server_crash_at = 5;
+  EXPECT_THROW(FaultPlan{server_only}, std::invalid_argument);
+  FaultOptions with_deadline = lone;
+  with_deadline.deadline_s = 1e12;
+  const FaultPlan plan(with_deadline);
+  EXPECT_TRUE(plan.enabled());
+  FaultOptions default_quorum;
+  default_quorum.min_quorum = 1;
+  EXPECT_FALSE(FaultPlan{default_quorum}.enabled());
+
+  SimulationOptions options = tiny_options();
+  options.faults.min_quorum = 2;
+  EXPECT_THROW(Simulation(options, proto_for("fedavg", options.num_clients)),
+               std::invalid_argument);
+}
+
 // --- simulation pipeline ---------------------------------------------------
 
 FaultOptions hostile_mix() {

@@ -2,11 +2,17 @@
 // protocol, participation selection, simulated time, and dynamicity.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <numeric>
+
 #include "compress/fedavg.h"
 #include "core/fedsu_manager.h"
 #include "fl/protocol_factory.h"
 #include "fl/simulation.h"
 #include "metrics/convergence.h"
+#include "nn/loss.h"
+#include "tensor/gemm.h"
 
 namespace fedsu::fl {
 namespace {
@@ -33,6 +39,162 @@ std::unique_ptr<compress::SyncProtocol> proto_for(const std::string& name,
   config.name = name;
   config.num_clients = clients;
   return make_protocol(config);
+}
+
+// Sub-batched scoring gives the whole-block loop's bits where the narrow
+// kNT path (4 <= m <= 16 rows) is pinned to the packed path's bits: the
+// plain GCC build on the avx512vl or avx2-fma GEMM clone (pin_column() in
+// tests/test_gemm.cpp). Elsewhere only thread-count invariance is promised.
+bool narrow_nt_matches_packed() {
+#if !defined(FEDSU_NN_UNPINNED) && !defined(__FMA__)
+  const std::string isa = tensor::gemm::isa_name();
+  return isa == "avx512vl" || isa == "avx2-fma";
+#else
+  return false;
+#endif
+}
+
+// The test-set accuracy as evaluate() computed it with one model over
+// whole 64-sample blocks, recomputed through the public model API.
+float batch64_accuracy(const SimulationOptions& options,
+                       const std::vector<float>& global,
+                       const data::Dataset& test) {
+  nn::ModelSpec spec = options.model;
+  nn::Model model = nn::build_model(spec, util::Rng(options.seed));
+  model.load_state_vector(global);
+  const std::size_t n = test.size();
+  double correct_weighted = 0.0;
+  tensor::Tensor batch;
+  std::vector<int> labels;
+  std::vector<std::size_t> idx;
+  for (std::size_t done = 0; done < n;) {
+    const std::size_t take = std::min<std::size_t>(64, n - done);
+    idx.resize(take);
+    std::iota(idx.begin(), idx.end(), done);
+    test.gather(idx, batch, labels);
+    correct_weighted +=
+        static_cast<double>(nn::accuracy(model.forward(batch, false), labels)) *
+        take;
+    done += take;
+  }
+  return static_cast<float>(correct_weighted / n);
+}
+
+TEST(SimulationEval, EqualsTheWholeBlockLoopBitForBit) {
+  // evaluate() scores sub-batches of the training batch size on the pool's
+  // replicas. For every architecture, thread count, test-set size (130
+  // ends in a 2-row block, 500 in a 52-row one) and batch size, before and
+  // after a round of training, it must give the whole-block loop's float.
+  // The global model is the same at every thread count (checked here too),
+  // so the reference is computed once per round, from the 1-thread run.
+  // Where that equality is not pinned, every thread count must still give
+  // the 1-thread result.
+  const bool pinned = narrow_nt_matches_packed();
+  for (const char* arch : {"cnn", "resnet", "densenet"}) {
+    for (const int test_count : {400, 500, 130}) {
+      // The CNN needs 16x16 inputs; the other two run at 8x8 to stay cheap.
+      const int image_size = std::string(arch) == "cnn" ? 16 : 8;
+      SimulationOptions options;
+      options.model.arch = arch;
+      options.model.image_size = image_size;
+      options.dataset.image_size = image_size;
+      options.dataset.train_count = 96;
+      options.dataset.test_count = test_count;
+      options.num_clients = 3;
+      options.local.iterations = 1;
+      options.eval_every = 0;
+      const data::Dataset test = data::generate_synthetic(options.dataset).test;
+      for (const int batch : {2, 8, 16, 100}) {
+        options.local.batch_size = batch;
+        std::vector<float> want, globals[2];
+        for (const int threads : {1, 2, 4, 8}) {
+          options.threads = threads;
+          Simulation sim(options, proto_for("fedavg", options.num_clients));
+          for (int round = 0; round < 2; ++round) {
+            if (round == 1) sim.step();
+            const float got = sim.evaluate();
+            if (threads == 1) {
+              globals[round] = sim.global_state();
+              want.push_back(pinned ? batch64_accuracy(options, globals[round],
+                                                       test)
+                                    : got);
+            }
+            ASSERT_EQ(sim.global_state(), globals[round]);
+            EXPECT_EQ(std::memcmp(&got, &want[round], sizeof got), 0)
+                << arch << " test " << test_count << " batch " << batch
+                << " threads " << threads << " round " << round << ": "
+                << got << " vs " << want[round];
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimulationEval, SubBatchesHaveFourRowsOrAWholeBlock) {
+  // The cut evaluate() scores: in order, inside one 64-sample block each,
+  // of the clamped batch size but the block's last, and never under 4 rows
+  // (the m < 4 GEMM path) unless the whole block is that small.
+  for (std::size_t n = 1; n <= 200; ++n) {
+    for (const int batch : {1, 2, 3, 4, 5, 7, 8, 16, 63, 64, 100}) {
+      const std::size_t rows =
+          std::clamp<std::size_t>(static_cast<std::size_t>(batch), 4, 64);
+      const auto pieces = eval_sub_batches(n, batch);
+      std::size_t next = 0;
+      for (std::size_t p = 0; p < pieces.size(); ++p) {
+        const auto [begin, end] = pieces[p];
+        const std::size_t block_end = std::min(n, begin / 64 * 64 + 64);
+        const std::size_t block_size = block_end - begin / 64 * 64;
+        ASSERT_EQ(begin, next) << "n " << n << " batch " << batch;
+        ASSERT_GT(end, begin);
+        EXPECT_LE(end, block_end) << "n " << n << " batch " << batch;
+        EXPECT_GE(end - begin, std::min<std::size_t>(4, block_size))
+            << "n " << n << " batch " << batch << " piece " << begin;
+        if (end < block_end) {
+          EXPECT_EQ(end - begin, rows) << "n " << n << " batch " << batch;
+        } else {
+          EXPECT_LT(end - begin, rows + 4) << "n " << n << " batch " << batch;
+        }
+        next = end;
+      }
+      EXPECT_EQ(next, n) << "n " << n << " batch " << batch;
+    }
+  }
+}
+
+TEST(SimulationEval, LogitsOfASampleDoNotDependOnTheRowsBesideIt) {
+  // What makes sub-batched scoring exact: every sub-batch of at least 4
+  // rows gives each sample the logits the whole 64-row block gives it.
+  if (!narrow_nt_matches_packed()) {
+    GTEST_SKIP() << "narrow and packed kNT bits are pinned equal only in the "
+                    "plain GCC build on an FMA clone";
+  }
+  util::Rng rng(5);
+  tensor::Tensor block({64, 1, 16, 16});
+  for (std::size_t i = 0; i < block.size(); ++i) {
+    block[i] = static_cast<float>(rng.normal());
+  }
+  for (const char* arch : {"cnn", "resnet", "densenet"}) {
+    nn::ModelSpec spec;
+    spec.arch = arch;
+    spec.image_size = 16;
+    nn::Model model = nn::build_model(spec, util::Rng(3));
+    const tensor::Tensor whole = model.forward(block, false);
+    const std::size_t classes = static_cast<std::size_t>(whole.dim(1));
+    const std::size_t sample = block.size() / 64;
+    for (const int rows : {4, 5, 7, 8, 16, 19, 33}) {
+      for (int begin = 0; begin + rows <= 64; begin += rows) {
+        tensor::Tensor part({rows, 1, 16, 16});
+        std::memcpy(part.data(), block.data() + begin * sample,
+                    part.size() * sizeof(float));
+        const tensor::Tensor& logits = model.forward(part, false);
+        EXPECT_EQ(std::memcmp(logits.data(), whole.data() + begin * classes,
+                              logits.size() * sizeof(float)),
+                  0)
+            << arch << " rows " << begin << ".." << begin + rows;
+      }
+    }
+  }
 }
 
 TEST(Simulation, RunsRoundsAndAdvancesTime) {

@@ -1,6 +1,7 @@
 // util::ThreadPool: exact range coverage, exception propagation, nested and
-// degenerate ranges, chunk indexing — plus the FL determinism contract: a
-// simulation's global model is bitwise identical at 1 and 8 threads.
+// degenerate ranges, the pull queue's worker indexing — plus the FL
+// determinism contract: a simulation's global model is bitwise identical at
+// 1 and 8 threads.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -67,8 +68,7 @@ TEST(ThreadPool, EmptyAndReversedRangesAreNoOps) {
   std::atomic<int> calls{0};
   pool.parallel_for(5, 5, [&](std::size_t, std::size_t) { calls.fetch_add(1); });
   pool.parallel_for(7, 3, [&](std::size_t, std::size_t) { calls.fetch_add(1); });
-  pool.parallel_chunks(
-      2, 2, [&](std::size_t, std::size_t, std::size_t) { calls.fetch_add(1); });
+  pool.parallel_pull(0, [&](std::size_t, std::size_t) { calls.fetch_add(1); });
   EXPECT_EQ(calls.load(), 0);
 }
 
@@ -116,32 +116,104 @@ TEST(ThreadPool, NestedParallelForRunsInlineWithoutDeadlock) {
   }
 }
 
-TEST(ThreadPool, ParallelChunksIndicesAreDenseAndBoundedByPoolSize) {
+TEST(ThreadPool, ParallelPullRunsEveryItemOnceOnADenseWorker) {
   ThreadPool pool(4);
-  std::mutex mutex;
-  std::set<std::size_t> chunk_ids;
-  std::vector<std::atomic<int>> counts(1000);
-  pool.parallel_chunks(
-      0, 1000, [&](std::size_t begin, std::size_t end, std::size_t chunk) {
-        {
-          std::lock_guard<std::mutex> lock(mutex);
-          EXPECT_TRUE(chunk_ids.insert(chunk).second) << "duplicate chunk id";
-        }
-        for (std::size_t i = begin; i < end; ++i) counts[i].fetch_add(1);
-      });
-  EXPECT_LE(chunk_ids.size(), std::size_t{4});
-  for (std::size_t id : chunk_ids) EXPECT_LT(id, std::size_t{4});
-  for (std::size_t i = 0; i < counts.size(); ++i) EXPECT_EQ(counts[i].load(), 1);
+  constexpr std::size_t kItems = 1000;
+  std::vector<std::atomic<int>> counts(kItems);
+  // A worker index is held by one thread at a time: two threads inside
+  // the body with the same index would both see busy[worker] set.
+  std::vector<std::atomic<int>> busy(4);
+  std::vector<std::atomic<int>> used(4);
+  std::atomic<bool> shared{false};
+  pool.parallel_pull(kItems, [&](std::size_t item, std::size_t worker) {
+    ASSERT_LT(worker, std::size_t{4});
+    if (busy[worker].fetch_add(1) != 0) shared.store(true);
+    used[worker].store(1);
+    counts[item].fetch_add(1);
+    busy[worker].fetch_sub(1);
+  });
+  EXPECT_FALSE(shared.load()) << "two threads held one worker index";
+  for (std::size_t i = 0; i < kItems; ++i) EXPECT_EQ(counts[i].load(), 1);
+  // Dense: the indices in use are 0 .. k-1 for some k.
+  std::size_t k = 0;
+  while (k < used.size() && used[k].load()) ++k;
+  for (std::size_t w = k; w < used.size(); ++w) {
+    EXPECT_EQ(used[w].load(), 0) << "worker " << w << " used after a gap";
+  }
+  EXPECT_GE(k, std::size_t{1});
 }
 
-TEST(ThreadPool, ParallelChunksNeverExceedsRangeLength) {
+TEST(ThreadPool, ParallelPullNeverUsesMoreWorkersThanItems) {
   ThreadPool pool(8);
-  std::atomic<int> chunks{0};
-  pool.parallel_chunks(0, 3,
-                       [&](std::size_t, std::size_t, std::size_t) {
-                         chunks.fetch_add(1);
-                       });
-  EXPECT_LE(chunks.load(), 3);
+  std::mutex mutex;
+  std::set<std::size_t> workers;
+  pool.parallel_pull(3, [&](std::size_t, std::size_t worker) {
+    std::lock_guard<std::mutex> lock(mutex);
+    workers.insert(worker);
+  });
+  EXPECT_LE(workers.size(), std::size_t{3});
+  for (std::size_t w : workers) EXPECT_LT(w, std::size_t{3});
+}
+
+TEST(ThreadPool, ParallelPullHandsOutItemsToIdleWorkers) {
+  // Item 0 blocks its worker until every other item has run: with a fixed
+  // contiguous split the worker holding item 0 would also own items 1 ..,
+  // so this only finishes if the other workers pull them.
+  ThreadPool pool(4);
+  constexpr std::size_t kItems = 64;
+  std::atomic<std::size_t> done{0};
+  pool.parallel_pull(kItems, [&](std::size_t item, std::size_t) {
+    if (item == 0) {
+      while (done.load() < kItems - 1) std::this_thread::yield();
+    }
+    done.fetch_add(1);
+  });
+  EXPECT_EQ(done.load(), kItems);
+}
+
+TEST(ThreadPool, ParallelPullPropagatesTheFirstException) {
+  ThreadPool pool(4);
+  try {
+    pool.parallel_pull(1000, [&](std::size_t item, std::size_t) {
+      if (item == 5) throw std::runtime_error("item 5 failed");
+    });
+    ADD_FAILURE() << "parallel_pull returned normally";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "item 5 failed");
+  }
+  // Every worker stopped before the rethrow, and the pool accepts new work.
+  std::atomic<int> after{0};
+  pool.parallel_pull(64, [&](std::size_t, std::size_t) { after.fetch_add(1); });
+  EXPECT_EQ(after.load(), 64);
+}
+
+TEST(ThreadPool, ParallelPullRunsInlineOnOneThreadAndWhenNested) {
+  const std::thread::id caller = std::this_thread::get_id();
+  ThreadPool serial(1);
+  std::vector<std::size_t> order;
+  serial.parallel_pull(5, [&](std::size_t item, std::size_t worker) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    EXPECT_EQ(worker, std::size_t{0});
+    order.push_back(item);
+  });
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+
+  ThreadPool pool(4);
+  constexpr std::size_t kOuter = 8, kInner = 20;
+  std::vector<std::atomic<int>> counts(kOuter * kInner);
+  pool.parallel_pull(kOuter, [&](std::size_t outer, std::size_t) {
+    const std::thread::id worker_thread = std::this_thread::get_id();
+    std::size_t expected = 0;
+    pool.parallel_pull(kInner, [&](std::size_t inner, std::size_t worker) {
+      EXPECT_EQ(std::this_thread::get_id(), worker_thread);
+      EXPECT_EQ(worker, std::size_t{0});
+      EXPECT_EQ(inner, expected++);
+      counts[outer * kInner + inner].fetch_add(1);
+    });
+  });
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    EXPECT_EQ(counts[i].load(), 1) << "index " << i;
+  }
 }
 
 TEST(ThreadPool, WorthParallelizingReflectsSizeAndNesting) {

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <set>
 #include <string>
@@ -144,6 +145,29 @@ TEST(Rng, BernoulliRate) {
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.02);
 }
 
+TEST(Rng, SkipNormalsLeavesTheStateThatDrawingThemDoes) {
+  // Every count from an empty and from a full Box-Muller cache, odd counts
+  // included (they leave a value cached): all seven state words, and the
+  // draws that follow, match calling normal() that many times.
+  for (const bool cached : {false, true}) {
+    for (std::size_t count = 0; count < 12; ++count) {
+      Rng drawn(99), skipped(99);
+      if (cached) {
+        drawn.normal();
+        skipped.normal();
+      }
+      for (std::size_t i = 0; i < count; ++i) drawn.normal();
+      skipped.skip_normals(count);
+      EXPECT_EQ(drawn.state_words(), skipped.state_words())
+          << "count " << count << (cached ? " after a cached draw" : "");
+      for (int i = 0; i < 3; ++i) {
+        const double a = drawn.normal(), b = skipped.normal();
+        EXPECT_EQ(std::memcmp(&a, &b, sizeof a), 0) << "count " << count;
+      }
+    }
+  }
+}
+
 TEST(Flags, ParsesAllTypes) {
   Flags flags;
   flags.add_int("rounds", 10, "rounds")
@@ -219,6 +243,25 @@ TEST(Flags, BoolAcceptsOnlyKnownWords) {
   ASSERT_TRUE(flags.parse(5, const_cast<char**>(bare)));
   EXPECT_TRUE(flags.get_bool("verbose"));
   EXPECT_EQ(flags.get_int("n"), 4);
+}
+
+TEST(Flags, GivenTellsACommandLineValueFromTheDefault) {
+  Flags flags;
+  flags.add_int("rounds", 10, "rounds")
+      .add_double("lr", 0.1, "learning rate")
+      .add_bool("verbose", false, "verbosity");
+  const char* none[] = {"prog"};
+  ASSERT_TRUE(flags.parse(1, const_cast<char**>(none)));
+  EXPECT_FALSE(flags.given("rounds"));
+  EXPECT_FALSE(flags.given("lr"));
+  EXPECT_FALSE(flags.given("verbose"));
+  // Given at its default value still counts, and a bare bool counts.
+  const char* argv[] = {"prog", "--rounds", "10", "--verbose"};
+  ASSERT_TRUE(flags.parse(4, const_cast<char**>(argv)));
+  EXPECT_TRUE(flags.given("rounds"));
+  EXPECT_FALSE(flags.given("lr"));
+  EXPECT_TRUE(flags.given("verbose"));
+  EXPECT_THROW(flags.given("bogus"), std::runtime_error);
 }
 
 TEST(Flags, HelpReturnsFalse) {
