@@ -24,8 +24,10 @@ struct ModelTask {
 }  // namespace
 
 int run(int argc, char** argv) {
+  // Every task sets its own rounds, learning rate and dataset below (one
+  // Table I row per model), so those flags are not registered.
   bench::BenchConfig defaults;
-  util::Flags flags = bench::make_flags(defaults);
+  util::Flags flags = bench::make_flags(defaults, /*task_flags=*/false);
   bench::add_observatory_flags(flags, defaults);
   flags.add_string("models", "cnn,resnet,densenet",
                    "comma list of models to run (cnn,resnet,densenet)");
@@ -36,15 +38,6 @@ int run(int argc, char** argv) {
                  "rerun each task's fedavg at --threads 1 and report the "
                  "wall-clock speedup of the configured thread count");
   if (!flags.parse(argc, argv)) return 0;
-  // Every task sets its own rounds, learning rate and dataset below (one
-  // Table I row per model), so these shared flags would be ignored.
-  for (const char* name : {"rounds", "lr", "dataset"}) {
-    if (flags.given(name)) {
-      throw util::UsageError(std::string("--") + name +
-                             " is set per model in Table I and cannot be "
-                             "given");
-    }
-  }
   bench::BenchConfig base = bench::config_from_flags(flags);
   const bool speedup_vs_serial = flags.get_bool("speedup-vs-serial");
   bench::RunObservatory observatory(base, "bench_table1_time_to_accuracy",

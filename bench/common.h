@@ -98,14 +98,20 @@ struct BenchConfig {
   bool resume = false;
 };
 
-inline util::Flags make_flags(const BenchConfig& defaults) {
+// `task_flags` registers --dataset, --rounds and --lr. A bench that sets
+// all three per task (Table I) leaves them out, so its --help does not
+// list them and giving one is an unknown-flag usage error.
+inline util::Flags make_flags(const BenchConfig& defaults,
+                              bool task_flags = true) {
   util::Flags flags;
-  flags.add_string("dataset", defaults.dataset, "emnist | fmnist | cifar")
-      .add_int("clients", defaults.clients, "number of FL clients")
-      .add_int("rounds", defaults.rounds, "FL rounds to run")
+  if (task_flags) {
+    flags.add_string("dataset", defaults.dataset, "emnist | fmnist | cifar")
+        .add_int("rounds", defaults.rounds, "FL rounds to run")
+        .add_double("lr", defaults.lr, "SGD learning rate");
+  }
+  flags.add_int("clients", defaults.clients, "number of FL clients")
       .add_int("iterations", defaults.iterations, "local iterations per round")
       .add_int("batch", defaults.batch, "local batch size")
-      .add_double("lr", defaults.lr, "SGD learning rate")
       .add_double("noise", defaults.noise, "synthetic dataset noise stddev")
       .add_double("alpha", defaults.alpha, "Dirichlet non-IID concentration")
       .add_int("train-count", defaults.train_count, "training samples")
@@ -239,12 +245,14 @@ inline void export_observability(const BenchConfig& config) {
 
 inline BenchConfig config_from_flags(const util::Flags& flags) {
   BenchConfig config;
-  config.dataset = flags.get_string("dataset");
+  if (flags.has("dataset")) {  // the task flags (make_flags)
+    config.dataset = flags.get_string("dataset");
+    config.rounds = static_cast<int>(flags.get_int("rounds"));
+    config.lr = flags.get_double("lr");
+  }
   config.clients = static_cast<int>(flags.get_int("clients"));
-  config.rounds = static_cast<int>(flags.get_int("rounds"));
   config.iterations = static_cast<int>(flags.get_int("iterations"));
   config.batch = static_cast<int>(flags.get_int("batch"));
-  config.lr = flags.get_double("lr");
   config.noise = flags.get_double("noise");
   config.alpha = flags.get_double("alpha");
   config.train_count = static_cast<int>(flags.get_int("train-count"));

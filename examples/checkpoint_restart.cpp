@@ -59,7 +59,7 @@ int run(int argc, char** argv) {
     fl::Simulation sim(workload(), std::move(proto));
     sim.run(rounds);
     mask_fraction = manager->predictable_fraction();
-    const std::vector<std::uint8_t> payload = sim.snapshot_state();
+    const std::vector<std::uint8_t>& payload = sim.snapshot_state();
     file = io::save_run_checkpoint(dir, sim.rounds_completed(), payload);
     std::printf("phase 1: %d rounds trained, accuracy %.3f, "
                 "%.1f%% of parameters speculative\n",

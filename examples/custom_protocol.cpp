@@ -7,8 +7,9 @@
 // and the sparsification-ratio metric. synchronize() reads the current
 // global model from ctx.global — the simulator owns it; a protocol keeps no
 // copy. A protocol with cross-round state (masks, EMAs, residuals) also
-// implements snapshot()/restore() so a checkpointed run resumes byte-exact;
-// RandomK draws each round's subset from (seed, round) and so has none.
+// implements serialize()/deserialize() so a checkpointed run resumes
+// byte-exact; RandomK draws each round's subset from (seed, round) and so
+// has none.
 #include <cstdio>
 
 #include "compress/fedavg.h"

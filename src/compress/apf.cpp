@@ -113,19 +113,16 @@ namespace {
 constexpr std::uint32_t kApfSnapshotMagic = 0xFED5'A9F1;
 }  // namespace
 
-std::vector<std::uint8_t> Apf::snapshot() const {
-  io::BinaryWriter writer;
+void Apf::serialize(io::BinaryWriter& writer) const {
   writer.write_magic(kApfSnapshotMagic);
   writer.write_vector(ema_update_);
   writer.write_vector(ema_abs_update_);
   writer.write_vector(freeze_remaining_);
   writer.write_vector(freeze_period_);
   writer.write_vector(observations_);
-  return writer.take();
 }
 
-void Apf::restore(const std::vector<std::uint8_t>& bytes) {
-  io::BinaryReader reader(bytes);
+void Apf::deserialize(io::BinaryReader& reader) {
   reader.expect_magic(kApfSnapshotMagic, "APF snapshot");
   const std::size_t p = ema_update_.size();
   auto ema_update = reader.read_vector<float>(p);

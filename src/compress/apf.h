@@ -38,8 +38,8 @@ class Apf : public SyncProtocol {
       const std::vector<std::span<const float>>& client_states) override;
 
   double last_sparsification_ratio() const override { return last_ratio_; }
-  std::vector<std::uint8_t> snapshot() const override;
-  void restore(const std::vector<std::uint8_t>& bytes) override;
+  void serialize(io::BinaryWriter& writer) const override;
+  void deserialize(io::BinaryReader& reader) override;
   // Frozen parameters are APF's analogue of speculated ones: held locally
   // without transmission.
   Telemetry last_round_telemetry() const override {

@@ -110,16 +110,13 @@ namespace {
 constexpr std::uint32_t kCmflSnapshotMagic = 0xFED5'C3F1;
 }  // namespace
 
-std::vector<std::uint8_t> Cmfl::snapshot() const {
-  io::BinaryWriter writer;
+void Cmfl::serialize(io::BinaryWriter& writer) const {
   writer.write_magic(kCmflSnapshotMagic);
   writer.write_vector(prev_update_);
   writer.write_bool(has_prev_update_);
-  return writer.take();
 }
 
-void Cmfl::restore(const std::vector<std::uint8_t>& bytes) {
-  io::BinaryReader reader(bytes);
+void Cmfl::deserialize(io::BinaryReader& reader) {
   reader.expect_magic(kCmflSnapshotMagic, "CMFL snapshot");
   auto prev_update = reader.read_vector<float>(prev_update_.size());
   const bool has_prev_update = reader.read_bool();

@@ -32,8 +32,8 @@ class Cmfl : public SyncProtocol {
       const std::vector<std::span<const float>>& client_states) override;
 
   double last_sparsification_ratio() const override { return last_ratio_; }
-  std::vector<std::uint8_t> snapshot() const override;
-  void restore(const std::vector<std::uint8_t>& bytes) override;
+  void serialize(io::BinaryWriter& writer) const override;
+  void deserialize(io::BinaryReader& reader) override;
 
   // Relevance of each participant in the most recent round (for tests).
   const std::vector<double>& last_relevances() const { return last_relevances_; }

@@ -3,7 +3,26 @@
 #include <algorithm>
 #include <functional>
 
+#include "io/serialize.h"
+
 namespace fedsu::compress {
+
+void SyncProtocol::deserialize(io::BinaryReader& reader) {
+  if (!reader.at_end()) {
+    throw std::logic_error(name() + ": restore not supported");
+  }
+}
+
+std::vector<std::uint8_t> SyncProtocol::snapshot() const {
+  io::BinaryWriter writer;
+  serialize(writer);
+  return writer.take();
+}
+
+void SyncProtocol::restore(const std::vector<std::uint8_t>& bytes) {
+  io::BinaryReader reader(bytes);
+  deserialize(reader);
+}
 
 namespace {
 // Both engines pass ascending ids, which one pass confirms without

@@ -6,7 +6,7 @@
 // model they all started from (RoundContext::global), and receives the new
 // global state plus exact per-client byte counts. The caller owns the global
 // model; a protocol's members hold only the cross-round state it needs
-// (masks, EMAs, residuals), and snapshot() round-trips all of it, so
+// (masks, EMAs, residuals), and serialize() round-trips all of it, so
 // restoring a snapshot next to the model it was taken with resumes the run
 // byte-exact. This mirrors the paper's Algorithm 1 while keeping byte
 // accounting exact — what travels on the wire is decided here, not by the
@@ -18,6 +18,11 @@
 #include <stdexcept>
 #include <string>
 #include <vector>
+
+namespace fedsu::io {
+class BinaryReader;
+class BinaryWriter;
+}  // namespace fedsu::io
 
 namespace fedsu::compress {
 
@@ -94,17 +99,19 @@ class SyncProtocol {
     return 0;
   }
 
-  // Serializes the protocol's cross-round state for checkpoint/restart —
-  // all of it: a protocol resumed from its snapshot and the matching global
-  // model continues bitwise like the uninterrupted one. Protocols without
-  // cross-round state return an empty buffer; restore() of an empty buffer
-  // is a no-op. A restore() that throws leaves the protocol unchanged.
-  virtual std::vector<std::uint8_t> snapshot() const { return {}; }
-  virtual void restore(const std::vector<std::uint8_t>& bytes) {
-    if (!bytes.empty()) {
-      throw std::logic_error(name() + ": restore not supported");
-    }
-  }
+  // Checkpoint/restart. serialize() appends the protocol's cross-round
+  // state to `writer` — all of it: a protocol resumed from those bytes and
+  // the matching global model continues bitwise like the uninterrupted one.
+  // deserialize() reads them back from a reader that holds exactly them,
+  // and throws unless it ends at the reader's end. Protocols without
+  // cross-round state write nothing and accept only an empty reader. A
+  // deserialize() that throws leaves the protocol unchanged.
+  virtual void serialize(io::BinaryWriter& writer) const { (void)writer; }
+  virtual void deserialize(io::BinaryReader& reader);
+
+  // The same state as a standalone byte vector, and back (tests, tools).
+  std::vector<std::uint8_t> snapshot() const;
+  void restore(const std::vector<std::uint8_t>& bytes);
 
   // Fraction of model scalars NOT uploaded, averaged over participants, for
   // the most recent round (the paper's "sparsification ratio").

@@ -113,15 +113,12 @@ namespace {
 constexpr std::uint32_t kSignSgdSnapshotMagic = 0xFED5'5165;
 }  // namespace
 
-std::vector<std::uint8_t> SignSgd::snapshot() const {
-  io::BinaryWriter writer;
+void SignSgd::serialize(io::BinaryWriter& writer) const {
   writer.write_magic(kSignSgdSnapshotMagic);
   writer.write_f32(step_);
-  return writer.take();
 }
 
-void SignSgd::restore(const std::vector<std::uint8_t>& bytes) {
-  io::BinaryReader reader(bytes);
+void SignSgd::deserialize(io::BinaryReader& reader) {
   reader.expect_magic(kSignSgdSnapshotMagic, "signSGD snapshot");
   const float step = reader.read_f32();
   if (!reader.at_end()) {

@@ -31,8 +31,8 @@ class SignSgd : public SyncProtocol {
   SyncResult synchronize(
       const RoundContext& ctx,
       const std::vector<std::span<const float>>& client_states) override;
-  std::vector<std::uint8_t> snapshot() const override;
-  void restore(const std::vector<std::uint8_t>& bytes) override;
+  void serialize(io::BinaryWriter& writer) const override;
+  void deserialize(io::BinaryReader& reader) override;
 
  private:
   SignSgdOptions options_;

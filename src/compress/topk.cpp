@@ -202,20 +202,17 @@ namespace {
 constexpr std::uint32_t kTopKSnapshotMagic = 0xFED5701D;
 }  // namespace
 
-std::vector<std::uint8_t> TopK::snapshot() const {
-  io::BinaryWriter writer;
+void TopK::serialize(io::BinaryWriter& writer) const {
   writer.write_magic(kTopKSnapshotMagic);
   writer.write_i32(num_clients_);
   writer.write_f64(last_ratio_);
   residual_.serialize(writer);
-  return writer.take();
 }
 
-void TopK::restore(const std::vector<std::uint8_t>& bytes) {
+void TopK::deserialize(io::BinaryReader& reader) {
   // Parse and validate into locals, then commit: a malformed snapshot
   // throws and leaves this TopK unchanged. The client count is checked
   // before it shapes the residual store, so it never sizes an allocation.
-  io::BinaryReader reader(bytes);
   reader.expect_magic(kTopKSnapshotMagic, "TopK snapshot");
   if (reader.read_i32() != num_clients_) {
     throw std::runtime_error("TopK snapshot: client count mismatch");

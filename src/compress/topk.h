@@ -42,10 +42,10 @@ class TopK : public SyncProtocol {
       const RoundContext& ctx,
       const std::vector<std::span<const float>>& client_states) override;
   double last_sparsification_ratio() const override { return last_ratio_; }
-  std::vector<std::uint8_t> snapshot() const override;
+  void serialize(io::BinaryWriter& writer) const override;
   // Restores the residuals of the same cohort (the snapshot's client count
   // must equal this TopK's) over a model of the same size.
-  void restore(const std::vector<std::uint8_t>& bytes) override;
+  void deserialize(io::BinaryReader& reader) override;
 
   // Residual slabs currently resident server-side (bench/test introspection;
   // the dense design held one slab per client unconditionally).

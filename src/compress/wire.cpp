@@ -86,23 +86,49 @@ std::vector<std::uint8_t> encode_quantized(std::span<const std::int32_t> levels,
   return writer.take();
 }
 
-std::uint32_t crc32(std::span<const std::uint8_t> bytes) {
-  static const auto table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      t[i] = c;
+namespace {
+// kCrcTables[0] is the bytewise table; kCrcTables[k][b] advances byte b's
+// CRC over k more zero bytes, so one step folds 8 bytes at once.
+constexpr auto kCrcTables = [] {
+  std::array<std::array<std::uint32_t, 256>, 8> t{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    return t;
-  }();
-  std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::uint8_t b : bytes) {
-    crc = table[(crc ^ b) & 0xFFu] ^ (crc >> 8);
+    t[0][i] = c;
   }
-  return crc ^ 0xFFFFFFFFu;
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
+}();
+
+// Little-endian load, whatever the host's byte order.
+inline std::uint32_t load_le32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
+}
+}  // namespace
+
+std::uint32_t crc32(std::span<const std::uint8_t> bytes, std::uint32_t crc) {
+  const auto& t = kCrcTables;
+  const std::uint8_t* p = bytes.data();
+  std::size_t n = bytes.size();
+  crc = ~crc;
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = load_le32(p) ^ crc;
+    const std::uint32_t hi = load_le32(p + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) crc = t[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
+  return ~crc;
 }
 
 }  // namespace fedsu::compress::wire

@@ -76,6 +76,9 @@ std::vector<std::uint8_t> encode_quantized(std::span<const std::int32_t> levels,
 // CRC-32 (IEEE 802.3 polynomial, bit-reflected) over a byte buffer; any
 // single-bit flip changes it. The run-checkpoint frame (io/checkpoint.cpp)
 // stamps its body with it, and perfbench fingerprints final models with it.
-std::uint32_t crc32(std::span<const std::uint8_t> bytes);
+// Passing an earlier result as `crc` continues it over more bytes:
+// crc32(b, crc32(a)) == crc32(a followed by b). Computed slicing-by-8
+// (eight table lookups per 8 bytes).
+std::uint32_t crc32(std::span<const std::uint8_t> bytes, std::uint32_t crc = 0);
 
 }  // namespace fedsu::compress::wire

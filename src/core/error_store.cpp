@@ -1,6 +1,5 @@
 #include "core/error_store.h"
 
-#include <cstring>
 #include <stdexcept>
 
 #include "util/thread_pool.h"
@@ -49,8 +48,7 @@ void SparseErrorStore::serialize(io::BinaryWriter& writer) const {
   for (std::size_t c = 0; c < slabs_.size(); ++c) {
     if (!slabs_[c]) continue;
     writer.write_u32(static_cast<std::uint32_t>(c));
-    std::vector<float> slab(slabs_[c].get(), slabs_[c].get() + params_);
-    writer.write_vector(slab);
+    writer.write_span(std::span<const float>(slabs_[c].get(), params_));
   }
 }
 
@@ -69,12 +67,11 @@ void SparseErrorStore::deserialize(io::BinaryReader& reader, int num_clients,
       throw std::runtime_error("SparseErrorStore: bad slab client id");
     }
     prev = static_cast<std::int64_t>(client);
-    const std::vector<float> slab = reader.read_vector<float>();
-    if (slab.size() != params) {
-      throw std::runtime_error("SparseErrorStore: bad slab size");
-    }
-    float* dst = ensure(static_cast<int>(client));
-    if (params > 0) std::memcpy(dst, slab.data(), params * sizeof(float));
+    // The slab is read straight into its storage, which the model's size
+    // bounds; no zero fill, since the read covers it or throws.
+    auto slab = std::make_unique_for_overwrite<float[]>(params);
+    reader.read_into(std::span<float>(slab.get(), params));
+    slabs_[client] = std::move(slab);
   }
 }
 

@@ -272,8 +272,7 @@ namespace {
 constexpr std::uint32_t kFedSuSnapshotMagic = 0xFED50003;
 }  // namespace
 
-std::vector<std::uint8_t> FedSuManager::snapshot() const {
-  io::BinaryWriter writer;
+void FedSuManager::serialize(io::BinaryWriter& writer) const {
   writer.write_magic(kFedSuSnapshotMagic);
   writer.write_i32(num_clients_);
   writer.write_i32(rounds_seen_);
@@ -283,13 +282,11 @@ std::vector<std::uint8_t> FedSuManager::snapshot() const {
   writer.write_vector(phase_start_round_);
   writer.write_vector(rejoin_stamp_);
   client_err_.serialize(writer);
-  return writer.take();
 }
 
-void FedSuManager::restore(const std::vector<std::uint8_t>& bytes) {
+void FedSuManager::deserialize(io::BinaryReader& reader) {
   // Parse into locals and validate before touching a member, so a
   // malformed snapshot throws and leaves the manager exactly as it was.
-  io::BinaryReader reader(bytes);
   reader.expect_magic(kFedSuSnapshotMagic, "FedSuManager snapshot");
   const int num_clients = reader.read_i32();
   const int rounds_seen = reader.read_i32();
@@ -308,6 +305,9 @@ void FedSuManager::restore(const std::vector<std::uint8_t>& bytes) {
   }
   SparseErrorStore client_err;
   client_err.deserialize(reader, num_clients, p);
+  if (!reader.at_end()) {
+    throw std::runtime_error("FedSuManager snapshot: trailing bytes");
+  }
 
   num_clients_ = num_clients;
   rounds_seen_ = rounds_seen;

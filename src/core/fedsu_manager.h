@@ -84,8 +84,8 @@ class FedSuManager : public compress::SyncProtocol {
   }
   // Resident memory FedSU adds on a device (Table II memory inflation).
   std::size_t state_bytes() const;
-  std::vector<std::uint8_t> snapshot() const override;
-  void restore(const std::vector<std::uint8_t>& bytes) override;
+  void serialize(io::BinaryWriter& writer) const override;
+  void deserialize(io::BinaryReader& reader) override;
   double last_sparsification_ratio() const override { return last_ratio_; }
   // Demotions are fallback syncs: speculation ended and the parameter was
   // corrected with the aggregated error, rejoining regular updating.

@@ -47,15 +47,12 @@ compress::SyncResult FedSuV1::synchronize(
                       last_ratio_);
 }
 
-std::vector<std::uint8_t> FedSuV1::snapshot() const {
-  io::BinaryWriter writer;
+void FedSuV1::serialize(io::BinaryWriter& writer) const {
   writer.write_magic(kFedSuV1SnapshotMagic);
   spec_.serialize(writer);
-  return writer.take();
 }
 
-void FedSuV1::restore(const std::vector<std::uint8_t>& bytes) {
-  io::BinaryReader reader(bytes);
+void FedSuV1::deserialize(io::BinaryReader& reader) {
   reader.expect_magic(kFedSuV1SnapshotMagic, "FedSU-v1 snapshot");
   Speculation spec = spec_.parse(reader, spec_.size());
   if (!reader.at_end()) {
@@ -102,17 +99,14 @@ compress::SyncResult FedSuV2::synchronize(
                       last_ratio_);
 }
 
-std::vector<std::uint8_t> FedSuV2::snapshot() const {
-  io::BinaryWriter writer;
+void FedSuV2::serialize(io::BinaryWriter& writer) const {
   writer.write_magic(kFedSuV2SnapshotMagic);
   spec_.serialize(writer);
   writer.write_bool(has_prev_update_);
   for (const std::uint64_t w : rng_.state_words()) writer.write_u64(w);
-  return writer.take();
 }
 
-void FedSuV2::restore(const std::vector<std::uint8_t>& bytes) {
-  io::BinaryReader reader(bytes);
+void FedSuV2::deserialize(io::BinaryReader& reader) {
   reader.expect_magic(kFedSuV2SnapshotMagic, "FedSU-v2 snapshot");
   Speculation spec = spec_.parse(reader, spec_.size());
   const bool has_prev_update = reader.read_bool();

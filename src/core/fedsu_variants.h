@@ -39,8 +39,8 @@ class FedSuV1 : public compress::SyncProtocol {
   compress::SyncResult synchronize(
       const compress::RoundContext& ctx,
       const std::vector<std::span<const float>>& client_states) override;
-  std::vector<std::uint8_t> snapshot() const override;
-  void restore(const std::vector<std::uint8_t>& bytes) override;
+  void serialize(io::BinaryWriter& writer) const override;
+  void deserialize(io::BinaryReader& reader) override;
   double last_sparsification_ratio() const override { return last_ratio_; }
   Telemetry last_round_telemetry() const override {
     return {predictable_fraction(), 0};
@@ -67,8 +67,8 @@ class FedSuV2 : public compress::SyncProtocol {
   compress::SyncResult synchronize(
       const compress::RoundContext& ctx,
       const std::vector<std::span<const float>>& client_states) override;
-  std::vector<std::uint8_t> snapshot() const override;
-  void restore(const std::vector<std::uint8_t>& bytes) override;
+  void serialize(io::BinaryWriter& writer) const override;
+  void deserialize(io::BinaryReader& reader) override;
   double last_sparsification_ratio() const override { return last_ratio_; }
   Telemetry last_round_telemetry() const override {
     return {predictable_fraction(), 0};

@@ -251,7 +251,8 @@ void Simulation::maybe_checkpoint(RoundRecord& record) {
   RoundRecord::CheckpointEvent ev;
   ev.round = round_;
   try {
-    const std::vector<std::uint8_t> payload = snapshot_state();
+    OBS_SPAN("sim.checkpoint", &ev.wall_s);
+    const std::vector<std::uint8_t>& payload = snapshot_state();
     ev.bytes = payload.size();
     ev.path = io::save_run_checkpoint(options_.checkpoint.dir, round_, payload);
     ev.ok = true;
@@ -959,9 +960,24 @@ constexpr std::uint32_t kSnapFaultsMagic = 0xFED5'C404;
 constexpr std::uint32_t kSnapAsyncMagic = 0xFED5'C405;
 }  // namespace
 
-std::vector<std::uint8_t> Simulation::snapshot_state() const {
-  io::BinaryWriter writer;
+const std::vector<std::uint8_t>& Simulation::snapshot_state() const {
+  io::BinaryWriter counter = io::BinaryWriter::counter();
+  write_state(counter);
+  const std::size_t bytes = counter.size();
+  if (snapshot_.capacity() < bytes) {
+    // Free the old buffer before taking the new one, and leave 1/8 headroom
+    // so a frontier that grows a little (one more error slab or in-flight
+    // leg) still fits next time.
+    snapshot_ = {};
+    snapshot_.reserve(bytes + bytes / 8);
+  }
+  snapshot_.clear();
+  io::BinaryWriter writer(snapshot_);
+  write_state(writer);
+  return snapshot_;
+}
 
+void Simulation::write_state(io::BinaryWriter& writer) const {
   // Section 1: sim core + the identity fingerprint restore validates.
   writer.write_magic(kSnapCoreMagic);
   writer.write_string(protocol_->name());
@@ -973,18 +989,16 @@ std::vector<std::uint8_t> Simulation::snapshot_state() const {
   writer.write_f64(elapsed_time_s_);
   writer.write_f64(last_mean_payload_bytes_);
   writer.write_vector(global_);
-  {
-    std::vector<std::uint8_t> active(active_.size());
-    for (std::size_t i = 0; i < active_.size(); ++i) {
-      active[i] = active_[i] ? 1 : 0;
-    }
-    writer.write_vector(active);
-  }
+  writer.write_u64(active_.size());  // the active set as u8 flags
+  for (const bool active : active_) writer.write_u8(active ? 1 : 0);
 
   // Section 2: the protocol's own snapshot (for FedSU: promotion/demotion
-  // phase state, SparseErrorStore slabs, rejoin stamps — magic 0xFED50003).
+  // phase state, SparseErrorStore slabs, rejoin stamps — magic 0xFED50003),
+  // written in place behind its length.
   writer.write_magic(kSnapProtocolMagic);
-  writer.write_vector(protocol_->snapshot());
+  const std::size_t protocol_at = writer.begin_length();
+  protocol_->serialize(writer);
+  writer.end_length(protocol_at);
 
   // Section 3: per-client batch-loader state (shuffle RNG words, epoch
   // permutation, cursor). The shards themselves re-derive from the seed.
@@ -995,11 +1009,8 @@ std::vector<std::uint8_t> Simulation::snapshot_state() const {
   // Section 4: fault-plan churn state — the only stateful part of the
   // fault schedule (everything else is (seed, round, client)-keyed).
   writer.write_magic(kSnapFaultsMagic);
-  {
-    const std::vector<int>& down = faults_.churn_state();
-    std::vector<std::int32_t> down32(down.begin(), down.end());
-    writer.write_vector(down32);
-  }
+  writer.write_u64(faults_.churn_state().size());  // as i32 down-rounds
+  for (const int down : faults_.churn_state()) writer.write_i32(down);
 
   // Section 5: the async in-flight frontier, so restore does not require a
   // quiescent server. Dispatch-era globals are deduplicated by identity
@@ -1007,9 +1018,9 @@ std::vector<std::uint8_t> Simulation::snapshot_state() const {
   // content-identical vectors preserves the re-base arithmetic bitwise.
   if (async_engine_) {
     writer.write_magic(kSnapAsyncMagic);
-    {
-      std::vector<std::uint8_t> busy(client_busy_.begin(), client_busy_.end());
-      writer.write_vector(busy);
+    writer.write_u64(client_busy_.size());  // as u8 flags
+    for (const char busy : client_busy_) {
+      writer.write_u8(static_cast<std::uint8_t>(busy));
     }
     writer.write_vector(client_ready_s_);
     const std::vector<net::Flow>& flows = uplink_->flows();
@@ -1052,16 +1063,14 @@ std::vector<std::uint8_t> Simulation::snapshot_state() const {
       writer.write_u32(base_index[e]);
     }
   }
-
-  return writer.take();
 }
 
-void Simulation::restore_state(const std::vector<std::uint8_t>& payload) {
+void Simulation::restore_state(std::span<const std::uint8_t> payload) {
   io::BinaryReader reader(payload);
 
   // Every section parses and validates into locals first, so a mismatched
   // run or a malformed payload throws before anything changes. The commit
-  // below starts with the protocol's restore, itself all-or-nothing, and
+  // below starts with the protocol's deserialize, itself all-or-nothing, and
   // nothing after it can fail.
   reader.expect_magic(kSnapCoreMagic, "run-checkpoint core section");
   const std::string protocol_name = reader.read_string();
@@ -1107,8 +1116,7 @@ void Simulation::restore_state(const std::vector<std::uint8_t>& payload) {
   }
 
   reader.expect_magic(kSnapProtocolMagic, "run-checkpoint protocol section");
-  std::vector<std::uint8_t> protocol_snapshot =
-      reader.read_vector<std::uint8_t>();
+  io::BinaryReader protocol_section = reader.read_section();
 
   reader.expect_magic(kSnapClientsMagic, "run-checkpoint clients section");
   const std::uint64_t client_count = reader.read_u64();
@@ -1208,7 +1216,7 @@ void Simulation::restore_state(const std::vector<std::uint8_t>& payload) {
 
   // Commit. (Byte-level damage never reaches this function: a run
   // checkpoint file is rejected on its CRC footer before it is parsed.)
-  protocol_->restore(protocol_snapshot);
+  protocol_->deserialize(protocol_section);
   for (std::size_t i = 0; i < clients_.size(); ++i) {
     clients_[i]->restore_loader(std::move(loaders[i]));
   }

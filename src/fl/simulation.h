@@ -11,6 +11,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -198,9 +199,12 @@ struct RoundRecord {
   struct CheckpointEvent {
     bool ok = false;
     int round = 0;          // rounds completed in the snapshot
-    std::size_t bytes = 0;  // payload size (the file adds a 16-byte frame)
+    std::size_t bytes = 0;  // payload size (the file adds a 20-byte frame)
     std::string path;       // final file path; "" on failure
     std::string error;      // diagnostic on failure
+    // Host wall time of the write (snapshot, file, retention): the
+    // sim.checkpoint span's duration, 0 at obs level off like WallPhases.
+    double wall_s = 0.0;
   };
   std::optional<CheckpointEvent> checkpoint;
 
@@ -264,7 +268,12 @@ class Simulation {
   // in-flight dispatch leg, so restore does not require a quiescent server.
   // Everything else (shards, network model, selection RNGs) re-derives from
   // SimulationOptions deterministically and is validated, not stored.
-  std::vector<std::uint8_t> snapshot_state() const;
+  //
+  // A counting pass sizes the payload, then one pass writes it into a
+  // buffer the simulation keeps: the reference stays valid until the next
+  // call or the simulation's destruction, and the buffer is reused while
+  // the payload fits it. Not for concurrent callers.
+  const std::vector<std::uint8_t>& snapshot_state() const;
 
   // Restores a snapshot_state() payload onto a Simulation constructed with
   // the SAME options (protocol, cohort, model, seed — `threads` may differ;
@@ -275,8 +284,9 @@ class Simulation {
   // model size, or sync/async mode) and on malformed payloads; either way
   // the simulation is left exactly as it was (all-or-nothing). Mid-run
   // add_client joiners are outside the resume frontier: restore onto the
-  // constructed cohort, then re-add them.
-  void restore_state(const std::vector<std::uint8_t>& payload);
+  // constructed cohort, then re-add them. The payload is parsed in place;
+  // only the restored state is copied out of it.
+  void restore_state(std::span<const std::uint8_t> payload);
 
  private:
   // One upload leg in flight between dispatch and consumption (async mode).
@@ -307,6 +317,8 @@ class Simulation {
   // Writes the periodic run checkpoint when the cadence says so, attaching
   // the outcome to `record` (before the round hook sees it).
   void maybe_checkpoint(RoundRecord& record);
+  // The snapshot_state() payload, section by section, into `writer`.
+  void write_state(io::BinaryWriter& writer) const;
 
   // Resolves `round`'s faults and returns the clients that can start work:
   // active, not crashed, and not mid-upload. Each rejoiner among them is
@@ -374,6 +386,9 @@ class Simulation {
   std::vector<InFlight> inflight_;
   std::vector<char> client_busy_;       // has an upload leg in flight
   std::vector<double> client_ready_s_;  // absolute next-dispatch time
+
+  // snapshot_state()'s payload, kept so later snapshots reuse its storage.
+  mutable std::vector<std::uint8_t> snapshot_;
 
 };
 

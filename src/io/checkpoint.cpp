@@ -1,11 +1,10 @@
 #include "io/checkpoint.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 #include <stdexcept>
 #include <utility>
 
@@ -42,6 +41,11 @@ int parse_checkpoint_round(const std::string& name) {
   return round;
 }
 
+// magic, version, payload length: the bytes before the payload.
+constexpr std::size_t kHeaderBytes = 2 * sizeof(std::uint32_t) +
+                                     sizeof(std::uint64_t);
+constexpr std::size_t kFooterBytes = sizeof(std::uint32_t);  // CRC-32
+
 }  // namespace
 
 std::string save_run_checkpoint(const std::string& dir, int round,
@@ -57,23 +61,35 @@ std::string save_run_checkpoint(const std::string& dir, int round,
                              "': " + ec.message());
   }
 
-  BinaryWriter writer;
-  writer.write_magic(kRunCheckpointMagic);
-  writer.write_u32(kRunCheckpointVersion);
-  writer.write_vector(payload);
-  // CRC-32 footer over everything above; a flipped bit anywhere in the
+  BinaryWriter header;
+  header.write_magic(kRunCheckpointMagic);
+  header.write_u32(kRunCheckpointVersion);
+  header.write_u64(payload.size());
+  // CRC-32 footer over everything before it; a flipped bit anywhere in the
   // frame (header, length, or payload) fails verification on load.
-  const std::uint32_t crc = compress::wire::crc32(writer.buffer());
-  writer.write_u32(crc);
+  const std::uint32_t crc =
+      compress::wire::crc32(payload, compress::wire::crc32(header.buffer()));
 
   const fs::path final_path = fs::path(dir) / checkpoint_filename(round);
-  const fs::path tmp_path = final_path.string() + ".tmp";
-  writer.save_to_file(tmp_path.string());
+  const std::string tmp_path = final_path.string() + ".tmp";
+  {
+    std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(header.buffer().data()),
+              static_cast<std::streamsize>(header.size()));
+    out.write(reinterpret_cast<const char*>(payload.data()),
+              static_cast<std::streamsize>(payload.size()));
+    out.write(reinterpret_cast<const char*>(&crc), sizeof(crc));
+    out.close();
+    if (!out) {
+      std::remove(tmp_path.c_str());
+      throw std::runtime_error("save_run_checkpoint: cannot write '" +
+                               tmp_path + "'");
+    }
+  }
   // std::rename within one directory is atomic on POSIX: readers see either
   // the old file set or the complete new checkpoint, never a torn write.
-  if (std::rename(tmp_path.string().c_str(), final_path.string().c_str()) !=
-      0) {
-    std::remove(tmp_path.string().c_str());
+  if (std::rename(tmp_path.c_str(), final_path.string().c_str()) != 0) {
+    std::remove(tmp_path.c_str());
     throw std::runtime_error("save_run_checkpoint: rename to '" +
                              final_path.string() + "' failed");
   }
@@ -81,49 +97,48 @@ std::string save_run_checkpoint(const std::string& dir, int round,
 }
 
 std::vector<std::uint8_t> load_run_checkpoint(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw std::runtime_error("run checkpoint '" + path + "': cannot open");
+  auto fail = [&](const std::string& what) {
+    return std::runtime_error("run checkpoint '" + path + "': " + what);
+  };
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  const std::streamoff end = in.tellg();
+  if (!in || end < 0) throw fail("cannot open");
+  const auto file_bytes = static_cast<std::uint64_t>(end);
+  in.seekg(0);
+  if (file_bytes < kHeaderBytes + kFooterBytes) {
+    throw fail("truncated (shorter than the frame header)");
   }
-  std::vector<std::uint8_t> frame(
-      (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  // Verify the CRC footer over the raw frame before parsing anything: a
-  // damaged file must never yield a partially-valid payload.
-  if (frame.size() < 3 * sizeof(std::uint32_t)) {
-    throw std::runtime_error("run checkpoint '" + path +
-                             "': truncated (shorter than the frame header)");
+  std::array<std::uint8_t, kHeaderBytes> header{};
+  in.read(reinterpret_cast<char*>(header.data()),
+          static_cast<std::streamsize>(header.size()));
+  BinaryReader fields(header);
+  const std::uint32_t magic = fields.read_u32();
+  const std::uint32_t version = fields.read_u32();
+  // The length field sizes nothing until the file size confirms it.
+  const std::uint64_t length = fields.read_u64();
+  const std::uint64_t held = file_bytes - kHeaderBytes - kFooterBytes;
+  if (length != held) {
+    throw fail("the length field says " + std::to_string(length) +
+               " payload bytes, the file holds " + std::to_string(held) +
+               " (truncated or damaged)");
   }
-  const std::size_t body = frame.size() - sizeof(std::uint32_t);
+  std::vector<std::uint8_t> payload(static_cast<std::size_t>(length));
+  in.read(reinterpret_cast<char*>(payload.data()),
+          static_cast<std::streamsize>(payload.size()));
   std::uint32_t stored = 0;
-  std::memcpy(&stored, frame.data() + body, sizeof(stored));
-  const std::uint32_t actual = compress::wire::crc32({frame.data(), body});
-  if (stored != actual) {
-    throw std::runtime_error(
-        "run checkpoint '" + path +
-        "': CRC mismatch (file is corrupt or was truncated mid-write)");
+  in.read(reinterpret_cast<char*>(&stored), sizeof(stored));
+  if (!in) throw fail("read failed");
+  // Verify the CRC footer over the whole frame before reading another
+  // field: a damaged file must never yield a partially-valid payload.
+  if (stored !=
+      compress::wire::crc32(payload, compress::wire::crc32(header))) {
+    throw fail("CRC mismatch (file is corrupt or was truncated mid-write)");
   }
-  BinaryReader reader(std::move(frame));
-  const std::uint32_t magic = reader.read_u32();
   if (magic != kRunCheckpointMagic) {
-    throw std::runtime_error("run checkpoint '" + path +
-                             "': wrong magic (not a run checkpoint)");
+    throw fail("wrong magic (not a run checkpoint)");
   }
-  const std::uint32_t version = reader.read_u32();
   if (version != kRunCheckpointVersion) {
-    throw std::runtime_error("run checkpoint '" + path +
-                             "': unsupported format version " +
-                             std::to_string(version));
-  }
-  std::vector<std::uint8_t> payload;
-  try {
-    payload = reader.read_vector<std::uint8_t>();
-  } catch (const std::exception& e) {
-    throw std::runtime_error("run checkpoint '" + path +
-                             "': " + e.what());
-  }
-  if (reader.remaining() != sizeof(std::uint32_t)) {
-    throw std::runtime_error("run checkpoint '" + path +
-                             "': trailing bytes after the payload");
+    throw fail("unsupported format version " + std::to_string(version));
   }
   return payload;
 }

@@ -18,14 +18,17 @@ inline constexpr std::uint32_t kRunCheckpointVersion = 1;
 // Atomically writes `payload` as `dir/ckpt-<round>.fedsu` (tmp file in the
 // same directory, then std::rename, so a crash mid-write never leaves a
 // half-visible checkpoint). Creates `dir` if needed. Returns the final
-// path. Throws on I/O failure.
+// path. Throws on I/O failure. The header, the payload and the CRC footer
+// stream to the file as they are; no frame is assembled in memory.
 std::string save_run_checkpoint(const std::string& dir, int round,
                                 const std::vector<std::uint8_t>& payload);
 
 // Verifies the outer frame (magic, version, length, CRC-32 footer) and
 // returns the payload. Any damage — wrong magic, truncation, a flipped
 // bit — throws with a diagnostic naming the failure; no partially-valid
-// payload is ever returned.
+// payload is ever returned. The length field must match the file size
+// before anything is allocated; the payload is then read once, into the
+// returned vector.
 std::vector<std::uint8_t> load_run_checkpoint(const std::string& path);
 
 // Path of the highest-round `ckpt-<round>.fedsu` in `dir`, or "" when the

@@ -1,7 +1,5 @@
 #include "io/serialize.h"
 
-#include <fstream>
-
 namespace fedsu::io {
 
 void BinaryWriter::write_string(const std::string& s) {
@@ -9,28 +7,21 @@ void BinaryWriter::write_string(const std::string& s) {
   write_raw(s.data(), s.size());
 }
 
+void BinaryWriter::end_length(std::size_t at) {
+  if (counting_) return;
+  std::vector<std::uint8_t>& out = sink_ ? *sink_ : own_;
+  const std::uint64_t length = out.size() - at - sizeof(std::uint64_t);
+  std::memcpy(out.data() + at, &length, sizeof(length));
+}
+
 void BinaryWriter::write_raw(const void* data, std::size_t bytes) {
+  if (counting_) {
+    counted_ += bytes;
+    return;
+  }
+  std::vector<std::uint8_t>& out = sink_ ? *sink_ : own_;
   const auto* p = static_cast<const std::uint8_t*>(data);
-  buffer_.insert(buffer_.end(), p, p + bytes);
-}
-
-void BinaryWriter::save_to_file(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw std::runtime_error("BinaryWriter: cannot open " + path);
-  out.write(reinterpret_cast<const char*>(buffer_.data()),
-            static_cast<std::streamsize>(buffer_.size()));
-  if (!out) throw std::runtime_error("BinaryWriter: write failed for " + path);
-}
-
-BinaryReader BinaryReader::from_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) throw std::runtime_error("BinaryReader: cannot open " + path);
-  const std::streamsize size = in.tellg();
-  in.seekg(0);
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
-  in.read(reinterpret_cast<char*>(bytes.data()), size);
-  if (!in) throw std::runtime_error("BinaryReader: read failed for " + path);
-  return BinaryReader(std::move(bytes));
+  out.insert(out.end(), p, p + bytes);
 }
 
 std::uint32_t BinaryReader::read_u32() {
@@ -69,6 +60,13 @@ std::string BinaryReader::read_string() {
   std::string s(static_cast<std::size_t>(n), '\0');
   read_raw(s.data(), s.size());
   return s;
+}
+
+BinaryReader BinaryReader::read_section() {
+  const std::size_t n = read_count<std::uint8_t>();
+  BinaryReader section(bytes_.subspan(cursor_, n));
+  cursor_ += n;
+  return section;
 }
 
 void BinaryReader::expect_magic(std::uint32_t magic, const char* what) {

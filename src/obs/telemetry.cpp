@@ -88,6 +88,7 @@ std::string TelemetryWriter::to_json_line(const fl::RoundRecord& record,
     line += ", \"bytes\": " + std::to_string(cp.bytes);
     line += ", \"path\": " + json_quote(cp.path);
     if (!cp.ok) line += ", \"error\": " + json_quote(cp.error);
+    line += ", \"wall_s\": " + json_number(cp.wall_s);
     line += "}";
   }
   line += "}";

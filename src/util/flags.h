@@ -43,9 +43,6 @@ class Flags {
 
   // Whether a flag named `name` was registered.
   bool has(const std::string& name) const { return entries_.count(name) != 0; }
-  // Whether parse() read the registered flag `name` from a command line, as
-  // opposed to it keeping its default.
-  bool given(const std::string& name) const;
 
   long long get_int(const std::string& name) const;
   double get_double(const std::string& name) const;
@@ -68,7 +65,6 @@ class Flags {
     double double_value = 0.0;
     std::string string_value;
     bool bool_value = false;
-    bool given = false;
   };
 
   const Entry& find(const std::string& name, Type type) const;

@@ -8,10 +8,12 @@
 // across a server crash).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -21,6 +23,7 @@
 #include "io/checkpoint.h"
 #include "io/serialize.h"
 #include "obs/health.h"
+#include "tensor/gemm.h"
 
 namespace fedsu::fl {
 namespace {
@@ -241,7 +244,9 @@ TEST(RunCheckpointFile, WrongMagicIsRejectedEvenWithAValidCrc) {
   writer.write_vector(std::vector<std::uint8_t>{1, 2, 3});
   writer.write_u32(compress::wire::crc32(writer.buffer()));
   const std::string path = dir + "/ckpt-00000001.fedsu";
-  writer.save_to_file(path);
+  std::ofstream(path, std::ios::binary)
+      .write(reinterpret_cast<const char*>(writer.buffer().data()),
+             static_cast<std::streamsize>(writer.buffer().size()));
 
   try {
     io::load_run_checkpoint(path);
@@ -520,6 +525,101 @@ TEST(RunCheckpointRestore, ATruncatedSectionLeavesTheRunUntouched) {
     // The intact snapshot still restores.
     EXPECT_NO_THROW(target.restore_state(snapshot));
     EXPECT_EQ(target.rounds_completed(), 5);
+  }
+}
+
+// --- the snapshot payload ----------------------------------------------------
+
+TEST(RunCheckpointPayload, SnapshotsReuseOneBuffer) {
+  // snapshot_state() sizes the payload first and writes it once into a
+  // buffer the simulation keeps: a second call whose payload does not grow
+  // writes the same bytes into the same storage.
+  for (const bool async : {false, true}) {
+    SCOPED_TRACE(async ? "async" : "sync");
+    SimulationOptions options = tiny_options();
+    options.faults = churn_and_stragglers();
+    options.async.enabled = async;
+    options.async.buffer_k = 3;
+    Simulation sim = make_sim(options);
+    for (int r = 0; r < 4; ++r) sim.step();
+    const std::vector<std::uint8_t>& first = sim.snapshot_state();
+    const std::uint8_t* data = first.data();
+    const std::vector<std::uint8_t> copy = first;
+    const std::vector<std::uint8_t>& second = sim.snapshot_state();
+    EXPECT_EQ(&second, &first);
+    EXPECT_EQ(second.data(), data);
+    EXPECT_EQ(second, copy);
+    // The reused buffer restores like a fresh one.
+    Simulation resumed = make_sim(options);
+    resumed.restore_state(second);
+    EXPECT_EQ(resumed.snapshot_state(), copy);
+  }
+}
+
+// Index of the recorded pin column for this build, or -1: the rule of
+// test_gemm.cpp (plain GCC builds, avx512vl or avx2-fma clone), since a
+// snapshot holds the trained model's bits.
+int pin_column() {
+#if !defined(FEDSU_NN_UNPINNED) && !defined(__FMA__)
+  const std::string isa = tensor::gemm::isa_name();
+  if (isa == "avx512vl") return 0;
+  if (isa == "avx2-fma") return 1;
+#endif
+  return -1;
+}
+
+TEST(RunCheckpointPayload, BytesArePinned) {
+  // The CRC-32 of snapshot_state() and the CRC footer of the file
+  // save_run_checkpoint writes from it (a CRC over the header and payload;
+  // the CRC of a whole frame is the CRC-32 residue for every frame), after
+  // six rounds of a small FedSU run in each engine under churn and
+  // stragglers, recorded at the commit before snapshots were written in
+  // place: the payload and file formats cannot drift.
+  const int column = pin_column();
+  if (column < 0) {
+    GTEST_SKIP() << "snapshot bytes are pinned for the plain GCC build's "
+                    "avx512vl and avx2-fma GEMM clones only";
+  }
+  struct Case {
+    bool async;
+    std::uint32_t payload[2];
+    std::uint32_t footer[2];
+  };
+  const Case cases[] = {
+      {false, {0x88c88f2bu, 0x9ffe0b70u}, {0x691d63fcu, 0x7e2be7a7u}},
+      {true, {0x18b0cec1u, 0xf25cf9b5u}, {0x6e8d3745u, 0x84610031u}},
+  };
+  for (const Case& c : cases) {
+    for (const int threads : {1, 4}) {
+      const std::string label = std::string(c.async ? "async" : "sync") +
+                                " at " + std::to_string(threads) + " threads";
+      SimulationOptions options = tiny_options(threads);
+      options.faults = churn_and_stragglers();
+      options.async.enabled = c.async;
+      options.async.buffer_k = 3;
+      Simulation sim = make_sim(options);
+      for (int r = 0; r < 6; ++r) sim.step();
+      const std::vector<std::uint8_t>& payload = sim.snapshot_state();
+      const std::string path =
+          io::save_run_checkpoint(fresh_dir("pinned"), 6, payload);
+      std::ifstream in(path, std::ios::binary);
+      const std::vector<std::uint8_t> file(
+          (std::istreambuf_iterator<char>(in)),
+          std::istreambuf_iterator<char>());
+      EXPECT_EQ(compress::wire::crc32(payload), c.payload[column])
+          << label << ": payload crc 0x" << std::hex
+          << compress::wire::crc32(payload) << ", " << std::dec
+          << payload.size() << " bytes";
+      ASSERT_EQ(file.size(), payload.size() + 20) << label;
+      EXPECT_TRUE(std::equal(payload.begin(), payload.end(),
+                             file.begin() + 16))
+          << label;
+      std::uint32_t footer = 0;
+      std::memcpy(&footer, file.data() + file.size() - 4, sizeof(footer));
+      EXPECT_EQ(footer, c.footer[column])
+          << label << ": file footer 0x" << std::hex << footer;
+      EXPECT_EQ(compress::wire::crc32(file), 0x2144DF1Cu) << label;
+    }
   }
 }
 

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <memory>
+#include <span>
 #include <string>
 
 #include "compress/apf.h"
@@ -196,6 +198,87 @@ TEST(Invariants, EveryProtocolRejectsMisshapenInputs) {
   }
 }
 
+// A protocol from the factory after 8 rounds over `p` parameters and `n`
+// clients, so every stateful one has state; `global` tracks the model.
+std::unique_ptr<compress::SyncProtocol> warmed_protocol(
+    const std::string& name, std::size_t p, int n, std::vector<float>& global) {
+  fl::ProtocolConfig config;
+  config.name = name;
+  config.num_clients = n;
+  auto proto = fl::make_protocol(config);
+  global.assign(p, 0.0f);
+  proto->initialize(global);
+  util::Rng rng(41);
+  for (int round = 0; round < 8; ++round) {
+    std::vector<std::vector<float>> states(n, global);
+    for (auto& s : states) {
+      for (std::size_t j = 0; j < p; ++j) {
+        s[j] += j % 2 == 0 ? 0.125f : static_cast<float>(0.1 * rng.normal());
+      }
+    }
+    global = proto->synchronize(ctx_of(round, n, global), views(states))
+                 .new_global;
+  }
+  return proto;
+}
+
+// INVARIANT: each protocol has one serializer. serialize() writes the same
+// bytes as its standalone snapshot() into a writer that holds other bytes
+// around them (a run checkpoint's protocol section) and counts them exactly
+// in a counting writer, and deserialize() from a view of them inside that
+// buffer restores a protocol that snapshots and continues identically.
+TEST(Invariants, EveryProtocolWritesAndReadsItsStateInPlace) {
+  const std::size_t p = 24;
+  const int n = 4;
+  for (const auto& name : fl::known_protocols()) {
+    std::vector<float> global;
+    auto proto = warmed_protocol(name, p, n, global);
+    const std::vector<std::uint8_t> standalone = proto->snapshot();
+
+    io::BinaryWriter counter = io::BinaryWriter::counter();
+    proto->serialize(counter);
+    EXPECT_EQ(counter.size(), standalone.size()) << name;
+
+    std::vector<std::uint8_t> frame = {0xAA, 0xBB};
+    io::BinaryWriter writer(frame);
+    const std::size_t at = writer.begin_length();
+    proto->serialize(writer);
+    writer.end_length(at);
+    writer.write_u32(0xC0FFEE);
+    ASSERT_EQ(frame.size(), 2 + 8 + standalone.size() + 4) << name;
+    EXPECT_TRUE(std::equal(standalone.begin(), standalone.end(),
+                           frame.begin() + 10))
+        << name;
+
+    fl::ProtocolConfig config;
+    config.name = name;
+    config.num_clients = n;
+    auto restored = fl::make_protocol(config);
+    restored->initialize(std::vector<float>(p, 0.0f));
+    io::BinaryReader reader(std::span<const std::uint8_t>(frame).subspan(2));
+    io::BinaryReader section = reader.read_section();
+    restored->deserialize(section);
+    EXPECT_TRUE(section.at_end()) << name;
+    EXPECT_EQ(reader.read_u32(), 0xC0FFEEu) << name;
+    EXPECT_EQ(restored->snapshot(), standalone) << name;
+
+    util::Rng rng(43);
+    for (int round = 8; round < 11; ++round) {
+      std::vector<std::vector<float>> states(n, global);
+      for (auto& s : states) {
+        for (auto& v : s) v += static_cast<float>(0.1 * rng.normal());
+      }
+      const auto a = proto->synchronize(ctx_of(round, n, global), views(states));
+      const auto b =
+          restored->synchronize(ctx_of(round, n, global), views(states));
+      ASSERT_EQ(a.new_global, b.new_global) << name << " round " << round;
+      ASSERT_EQ(a.bytes_up, b.bytes_up) << name << " round " << round;
+      global = a.new_global;
+    }
+    EXPECT_EQ(restored->snapshot(), proto->snapshot()) << name;
+  }
+}
+
 // Offset of an oscillation tracker's serialized header — f64 decay, i32
 // warmup, then the u64 length of its first vector — in `bytes`, or npos.
 std::size_t find_tracker(const std::vector<std::uint8_t>& bytes,
@@ -213,31 +296,18 @@ std::size_t find_tracker(const std::vector<std::uint8_t>& bytes,
 }
 
 // INVARIANT: a restore that throws leaves the protocol exactly as it was.
-// Every strict prefix of a warmed snapshot is malformed, and so is a
-// snapshot whose oscillation tracker claims a NaN decay or a zero warmup
-// (a tracker restored with either would never promote again).
+// Every strict prefix of a warmed snapshot is malformed, and so are the
+// snapshot followed by one more byte and a snapshot whose oscillation
+// tracker claims a NaN decay or a zero warmup (a tracker restored with
+// either would never promote again).
 TEST(Invariants, EveryProtocolRestoreIsAllOrNothing) {
   const std::size_t p = 24;
   const int n = 4;
   std::vector<std::string> carriers;
+  const fl::ProtocolConfig config;  // the trackers' default options
   for (const auto& name : fl::known_protocols()) {
-    fl::ProtocolConfig config;
-    config.name = name;
-    config.num_clients = n;
-    auto proto = fl::make_protocol(config);
-    std::vector<float> global(p, 0.0f);
-    proto->initialize(global);
-    util::Rng rng(41);
-    for (int round = 0; round < 8; ++round) {
-      std::vector<std::vector<float>> states(n, global);
-      for (auto& s : states) {
-        for (std::size_t j = 0; j < p; ++j) {
-          s[j] += j % 2 == 0 ? 0.125f : static_cast<float>(0.1 * rng.normal());
-        }
-      }
-      global = proto->synchronize(ctx_of(round, n, global), views(states))
-                   .new_global;
-    }
+    std::vector<float> global;
+    auto proto = warmed_protocol(name, p, n, global);
     const std::vector<std::uint8_t> before = proto->snapshot();
     auto expect_rejected = [&](const std::vector<std::uint8_t>& bytes,
                                const std::string& what) {
@@ -248,6 +318,11 @@ TEST(Invariants, EveryProtocolRestoreIsAllOrNothing) {
     for (std::size_t cut = 0; cut < before.size(); ++cut) {
       expect_rejected({before.begin(), before.begin() + cut},
                       "truncated to " + std::to_string(cut) + " bytes");
+    }
+    if (!before.empty()) {
+      std::vector<std::uint8_t> padded = before;
+      padded.push_back(0);
+      expect_rejected(padded, "a byte past the state");
     }
     for (const auto& [decay, warmup] :
          {std::pair{config.fedsu.ema_decay, config.fedsu.warmup},

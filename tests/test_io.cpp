@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <span>
+#include <string>
 
 #include "compress/fedavg.h"
+#include "compress/wire.h"
 #include "core/fedsu_manager.h"
 #include "io/serialize.h"
 #include "util/rng.h"
@@ -21,7 +25,8 @@ TEST(Serialize, PrimitivesRoundTrip) {
   writer.write_string("hello fedsu");
   writer.write_vector(std::vector<float>{1.0f, 2.0f});
 
-  io::BinaryReader reader(writer.take());
+  const std::vector<std::uint8_t> bytes = writer.take();
+  io::BinaryReader reader(bytes);
   EXPECT_EQ(reader.read_u32(), 0xDEADBEEF);
   EXPECT_EQ(reader.read_u64(), 1234567890123ULL);
   EXPECT_EQ(reader.read_i32(), -42);
@@ -34,14 +39,16 @@ TEST(Serialize, PrimitivesRoundTrip) {
 }
 
 TEST(Serialize, ReadPastEndThrows) {
-  io::BinaryReader reader({1, 2});
+  const std::vector<std::uint8_t> bytes{1, 2};
+  io::BinaryReader reader(bytes);
   EXPECT_THROW(reader.read_u32(), std::runtime_error);
 }
 
 TEST(Serialize, TruncatedVectorThrows) {
   io::BinaryWriter writer;
   writer.write_u64(1000);  // claims 1000 floats, provides none
-  io::BinaryReader reader(writer.take());
+  const std::vector<std::uint8_t> bytes = writer.take();
+  io::BinaryReader reader(bytes);
   EXPECT_THROW(reader.read_vector<float>(), std::runtime_error);
 
   // Lengths whose byte count wraps modulo 2^64 (to 0 and to 8) must not
@@ -49,14 +56,16 @@ TEST(Serialize, TruncatedVectorThrows) {
   {
     io::BinaryWriter wraps;
     wraps.write_u64(std::uint64_t{1} << 62);
-    io::BinaryReader r(wraps.take());
+    const std::vector<std::uint8_t> wrapped = wraps.take();
+    io::BinaryReader r(wrapped);
     EXPECT_THROW(r.read_vector<float>(), std::runtime_error);
   }
   {
     io::BinaryWriter wraps;
     wraps.write_u64((std::uint64_t{1} << 61) + 1);
     wraps.write_f64(1.0);
-    io::BinaryReader r(wraps.take());
+    const std::vector<std::uint8_t> wrapped = wraps.take();
+    io::BinaryReader r(wrapped);
     EXPECT_THROW(r.read_vector<double>(), std::runtime_error);
   }
 }
@@ -64,20 +73,117 @@ TEST(Serialize, TruncatedVectorThrows) {
 TEST(Serialize, MagicMismatchThrows) {
   io::BinaryWriter writer;
   writer.write_magic(0x1111);
-  io::BinaryReader reader(writer.take());
+  const std::vector<std::uint8_t> bytes = writer.take();
+  io::BinaryReader reader(bytes);
   EXPECT_THROW(reader.expect_magic(0x2222, "test"), std::runtime_error);
 }
 
-TEST(Serialize, FileRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/fedsu_serialize_test.bin";
+// What one serializer pass writes, whichever writer it goes through: its own
+// buffer, a caller's buffer after earlier bytes, or only a count.
+void write_sample(io::BinaryWriter& writer) {
+  writer.write_magic(0xABCD);
+  const std::size_t at = writer.begin_length();
+  writer.write_string("section");
+  writer.write_vector(std::vector<float>{1.0f, -2.0f, 3.5f});
+  writer.end_length(at);
+  writer.write_i32(-7);
+}
+
+TEST(Serialize, CountingSinkAndOwnWritersAgree) {
+  io::BinaryWriter own;
+  write_sample(own);
+  const std::vector<std::uint8_t> expected = own.take();
+
+  io::BinaryWriter counter = io::BinaryWriter::counter();
+  write_sample(counter);
+  EXPECT_EQ(counter.size(), expected.size());
+
+  // The patched length prefix is the bytes write_vector() would write.
+  io::BinaryWriter inner;
+  inner.write_string("section");
+  inner.write_vector(std::vector<float>{1.0f, -2.0f, 3.5f});
+  io::BinaryWriter framed;
+  framed.write_magic(0xABCD);
+  framed.write_vector(inner.buffer());
+  framed.write_i32(-7);
+  EXPECT_EQ(framed.buffer(), expected);
+
+  std::vector<std::uint8_t> sink = {9, 9, 9};
+  io::BinaryWriter appender(sink);
+  write_sample(appender);
+  ASSERT_EQ(sink.size(), 3 + expected.size());
+  EXPECT_TRUE(std::equal(expected.begin(), expected.end(), sink.begin() + 3));
+}
+
+TEST(Serialize, ASectionIsAViewThatKeepsEveryBoundsCheck) {
   io::BinaryWriter writer;
-  writer.write_string("file payload");
-  writer.save_to_file(path);
-  io::BinaryReader reader = io::BinaryReader::from_file(path);
-  EXPECT_EQ(reader.read_string(), "file payload");
-  std::remove(path.c_str());
-  EXPECT_THROW(io::BinaryReader::from_file("/no/such/dir/x.bin"),
+  write_sample(writer);
+  const std::vector<std::uint8_t> bytes = writer.take();
+  io::BinaryReader reader(bytes);
+  reader.expect_magic(0xABCD, "sample");
+  io::BinaryReader section = reader.read_section();
+  EXPECT_EQ(reader.read_i32(), -7);
+  EXPECT_TRUE(reader.at_end());
+  EXPECT_EQ(section.read_string(), "section");
+  std::vector<float> values(3);
+  section.read_into(std::span<float>(values));
+  EXPECT_EQ(values, (std::vector<float>{1.0f, -2.0f, 3.5f}));
+  EXPECT_TRUE(section.at_end());
+  // A section never reads past its own end, even with bytes after it.
+  EXPECT_THROW(section.read_u32(), std::runtime_error);
+
+  // read_into() checks the length before it copies.
+  io::BinaryReader again(bytes);
+  again.expect_magic(0xABCD, "sample");
+  io::BinaryReader short_read = again.read_section();
+  short_read.read_string();
+  std::vector<float> two(2);
+  EXPECT_THROW(short_read.read_into(std::span<float>(two)),
                std::runtime_error);
+
+  // A section whose length runs past the buffer is rejected.
+  std::vector<std::uint8_t> cut(bytes.begin(), bytes.end() - 12);
+  io::BinaryReader truncated(cut);
+  truncated.expect_magic(0xABCD, "sample");
+  EXPECT_THROW(truncated.read_section(), std::runtime_error);
+}
+
+// The bytewise CRC-32 the slicing-by-8 one replaced, kept as the reference.
+std::uint32_t bytewise_crc32(const std::uint8_t* p, std::size_t n) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) {
+    crc ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1u) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, KnownAnswer) {
+  const std::string check = "123456789";
+  const std::span<const std::uint8_t> bytes(
+      reinterpret_cast<const std::uint8_t*>(check.data()), check.size());
+  EXPECT_EQ(compress::wire::crc32(bytes), 0xCBF43926u);
+  // Continued over a split, it is the CRC of the whole.
+  EXPECT_EQ(compress::wire::crc32(bytes.subspan(5),
+                                  compress::wire::crc32(bytes.first(5))),
+            0xCBF43926u);
+}
+
+TEST(Crc32, MatchesTheBytewiseReferenceAtEveryAlignment) {
+  util::Rng rng(30);
+  std::vector<std::uint8_t> buffer(4096 + 8);
+  for (auto& b : buffer) b = static_cast<std::uint8_t>(rng.next_u64());
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (int trial = 0; trial < 64; ++trial) {
+      const std::size_t n = trial < 17 ? static_cast<std::size_t>(trial)
+                                       : rng.uniform_index(4097);
+      const std::uint8_t* p = buffer.data() + offset;
+      ASSERT_EQ(compress::wire::crc32({p, n}), bytewise_crc32(p, n))
+          << "offset " << offset << " length " << n;
+    }
+  }
 }
 
 // Drives a FedSU manager a few rounds so its snapshot is non-trivial.

@@ -298,6 +298,63 @@ TEST(Telemetry, WallPhasesAreTheRoundSpans) {
   obs::Tracer::global().reset();
 }
 
+// A checkpoint write is its own root span, sim.checkpoint, right after its
+// round's sim.round span: the record's checkpoint.wall_s is that span's
+// duration, the JSONL line carries it, and at level off it stays 0.
+TEST(Telemetry, CheckpointWallIsItsSpan) {
+  LevelGuard guard;
+  const std::string dir = ::testing::TempDir() + "/fedsu_obs_ckpt_span";
+  std::filesystem::remove_all(dir);
+  fl::SimulationOptions options = tiny_options();
+  options.checkpoint.every = 2;
+  options.checkpoint.dir = dir;
+  obs::set_level(obs::Level::kTrace);
+  obs::Tracer::global().reset();
+  {
+    fl::Simulation sim(options, proto_for("fedsu", options.num_clients));
+    const std::vector<fl::RoundRecord> records = sim.run(5);
+    std::vector<const fl::RoundRecord*> written;
+    for (const fl::RoundRecord& r : records) {
+      if (r.checkpoint) written.push_back(&r);
+    }
+    ASSERT_EQ(written.size(), 2u);
+    const std::vector<obs::SpanEvent> events =
+        obs::Tracer::global().snapshot();
+    std::vector<const obs::SpanEvent*> rounds, writes;
+    for (const obs::SpanEvent& e : events) {
+      if (std::string(e.name) == "sim.round") rounds.push_back(&e);
+      if (std::string(e.name) == "sim.checkpoint") writes.push_back(&e);
+    }
+    ASSERT_EQ(rounds.size(), 5u);
+    ASSERT_EQ(writes.size(), 2u);
+    for (std::size_t i = 0; i < writes.size(); ++i) {
+      const obs::SpanEvent& write = *writes[i];
+      EXPECT_EQ(write.depth, 0);
+      // Rounds 2 and 4 (indices 1 and 3) wrote.
+      EXPECT_GE(write.begin_ns, rounds[2 * i + 1]->end_ns);
+      EXPECT_LE(write.end_ns, rounds[2 * i + 2]->begin_ns);
+      EXPECT_TRUE(written[i]->checkpoint->ok);
+      EXPECT_GT(written[i]->checkpoint->wall_s, 0.0);
+      EXPECT_DOUBLE_EQ(
+          written[i]->checkpoint->wall_s,
+          static_cast<double>(write.end_ns - write.begin_ns) * 1e-9);
+      const obs::JsonValue line = obs::json_parse(
+          obs::TelemetryWriter::to_json_line(*written[i], "fedsu"));
+      EXPECT_DOUBLE_EQ(line.at("checkpoint").at("wall_s").as_number(),
+                       written[i]->checkpoint->wall_s);
+    }
+  }
+  obs::set_level(obs::Level::kOff);
+  {
+    fl::Simulation sim(options, proto_for("fedsu", options.num_clients));
+    const std::vector<fl::RoundRecord> records = sim.run(2);
+    ASSERT_TRUE(records[1].checkpoint);
+    EXPECT_EQ(records[1].checkpoint->wall_s, 0.0);
+  }
+  obs::Tracer::global().reset();
+  std::filesystem::remove_all(dir);
+}
+
 // Telemetry bytes must equal the protocol's exact serialized payload: for
 // FedSU, one f32 per unpredictable parameter plus one per expiring error
 // scalar, per participant (pinned independently in test_invariants.cpp).

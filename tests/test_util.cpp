@@ -245,25 +245,6 @@ TEST(Flags, BoolAcceptsOnlyKnownWords) {
   EXPECT_EQ(flags.get_int("n"), 4);
 }
 
-TEST(Flags, GivenTellsACommandLineValueFromTheDefault) {
-  Flags flags;
-  flags.add_int("rounds", 10, "rounds")
-      .add_double("lr", 0.1, "learning rate")
-      .add_bool("verbose", false, "verbosity");
-  const char* none[] = {"prog"};
-  ASSERT_TRUE(flags.parse(1, const_cast<char**>(none)));
-  EXPECT_FALSE(flags.given("rounds"));
-  EXPECT_FALSE(flags.given("lr"));
-  EXPECT_FALSE(flags.given("verbose"));
-  // Given at its default value still counts, and a bare bool counts.
-  const char* argv[] = {"prog", "--rounds", "10", "--verbose"};
-  ASSERT_TRUE(flags.parse(4, const_cast<char**>(argv)));
-  EXPECT_TRUE(flags.given("rounds"));
-  EXPECT_FALSE(flags.given("lr"));
-  EXPECT_TRUE(flags.given("verbose"));
-  EXPECT_THROW(flags.given("bogus"), std::runtime_error);
-}
-
 TEST(Flags, HelpReturnsFalse) {
   Flags flags;
   flags.add_int("n", 3, "n");

@@ -26,7 +26,9 @@
 // equal the raised edges in the alert stream. With the trace, row i's wall
 // phases must be the i-th sim.round span's phase spans (within 1 ns), and
 // nothing else may sit one level below a sim.round on its thread; the two
-// files must cover the same rounds.
+// files must cover the same rounds. Each row's checkpoint.wall_s must be the
+// duration of the sim.checkpoint span right after its sim.round span, and
+// there must be one such span per checkpoint object.
 //
 // A line or event that parses but lacks a key it needs fails that check.
 // Exits 0 when every requested check passes, 1 otherwise, 2 on misuse — no
@@ -41,6 +43,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/json.h"
@@ -148,6 +151,9 @@ struct TelemetryTotals {
   std::uint64_t bytes_up = 0;
   std::uint64_t bytes_down = 0;
   std::vector<std::array<double, kPhases + 1>> walls;  // per row, seconds
+  // (index into walls, checkpoint.wall_s) of every row with a checkpoint
+  // object.
+  std::vector<std::pair<std::size_t, double>> checkpoints;
 };
 
 TelemetryTotals validate_telemetry(const std::string& path,
@@ -206,6 +212,7 @@ TelemetryTotals validate_telemetry(const std::string& path,
       check(promotions >= 0.0 && promotions == std::floor(promotions),
             path + ": promotions missing or not a non-negative integer in "
                    "round " + std::to_string(round));
+      double checkpoint_wall_s = -1.0;  // no checkpoint object
       const bool is_async = record.has("async");
       if (is_async) {
         // Buffered-async cycle object: the staleness histogram must account
@@ -258,11 +265,12 @@ TelemetryTotals validate_telemetry(const std::string& path,
       }
       if (record.has("checkpoint")) {
         // Periodic run-checkpoint outcome (docs/RECOVERY.md): present only on
-        // rounds where the cadence fired.
+        // rounds where the cadence fired. Its round is the rounds completed
+        // in the snapshot, one past the row's 0-based round.
         const JsonValue& cp = record.at("checkpoint");
         const bool ok = cp.at("ok").as_bool();
-        check(static_cast<int>(cp.at("round").as_number()) == round,
-              path + ": checkpoint.round != round in round " +
+        check(static_cast<int>(cp.at("round").as_number()) == round + 1,
+              path + ": checkpoint.round != round + 1 in round " +
                   std::to_string(round));
         if (ok) {
           check(cp.at("bytes").as_number() > 0.0,
@@ -276,6 +284,10 @@ TelemetryTotals validate_telemetry(const std::string& path,
                 path + ": failed checkpoint without an error in round " +
                     std::to_string(round));
         }
+        checkpoint_wall_s = cp.at("wall_s").as_number();
+        check(checkpoint_wall_s >= 0.0,
+              path + ": negative checkpoint.wall_s in round " +
+                  std::to_string(round));
       }
       const JsonValue& wall = record.at("wall");
       std::array<double, kPhases + 1> phases{};
@@ -289,6 +301,10 @@ TelemetryTotals validate_telemetry(const std::string& path,
             path + ": wall phases exceed round total in round " +
                 std::to_string(round));
       totals.walls.push_back(phases);
+      if (checkpoint_wall_s >= 0.0) {
+        totals.checkpoints.emplace_back(totals.walls.size() - 1,
+                                        checkpoint_wall_s);
+      }
     } catch (const std::exception& e) {
       fail(path + " line " + std::to_string(rows) + ": " + e.what());
     }
@@ -347,8 +363,39 @@ void reconcile_wall_with_trace(const std::vector<Span>& spans,
                 kWallSpans[f] + " spans " + std::to_string(traced[f]) + " us");
     }
   }
-  std::printf("%s: %zu rounds' wall phases checked against their spans\n",
-              what.c_str(), rounds.size());
+  // A checkpoint is written after its round's span closes: its
+  // sim.checkpoint span follows that sim.round on the same thread, before
+  // the next round begins.
+  std::vector<const Span*> writes;
+  for (const Span& s : spans) {
+    if (s.name == "sim.checkpoint") writes.push_back(&s);
+  }
+  if (writes.size() != telemetry.checkpoints.size()) {
+    fail(what + ": " + std::to_string(writes.size()) +
+         " sim.checkpoint spans but " +
+         std::to_string(telemetry.checkpoints.size()) +
+         " telemetry checkpoint objects");
+    return;
+  }
+  for (std::size_t i = 0; i < writes.size(); ++i) {
+    const auto [row, wall_s] = telemetry.checkpoints[i];
+    const Span& round = *rounds[row];
+    const Span& write = *writes[i];
+    const bool follows = write.tid == round.tid &&
+                         write.ts + 1e-3 >= round.ts + round.dur &&
+                         (row + 1 == rounds.size() ||
+                          write.ts < rounds[row + 1]->ts);
+    check(follows, what + ": sim.checkpoint span " + std::to_string(i) +
+                       " does not follow row " + std::to_string(row) +
+                       "'s sim.round");
+    check(std::abs(write.dur - wall_s * 1e6) <= 1e-3,
+          what + ": row " + std::to_string(row) + " checkpoint.wall_s is " +
+              std::to_string(wall_s * 1e6) + " us, its sim.checkpoint span " +
+              std::to_string(write.dur) + " us");
+  }
+  std::printf("%s: %zu rounds' wall phases and %zu checkpoint writes checked "
+              "against their spans\n",
+              what.c_str(), rounds.size(), writes.size());
 }
 
 // Raised-edge counts per severity, for manifest cross-reconciliation.
